@@ -348,10 +348,10 @@ def single_qubit_modes() -> ProcessModeBasis:
     # The printed catalog omits the unphysical (a=1 -> a~=0, lam=1) diagram,
     # so it spans the 13-dimensional physical subspace: check a unitary
     # change of basis against the canonical modes minus that diagram.
-    P = np.array([vec(m.op.choi) / m.op.norm() for m in printed.modes])
+    P = np.array([vec(m.op.transfer) / m.op.norm() for m in printed.modes])
     C = np.array(
         [
-            vec(m.op.choi)
+            vec(m.op.transfer)
             for m in canon.modes
             if (m.diagram.a_in[0].two_j, m.diagram.a_out[0].two_j,
                 m.diagram.lam.two_j) != (2, 0, 2)
@@ -463,6 +463,8 @@ def axial_table(p: float = 0.3, angle: float = 0.7) -> list[TableRow]:
     the channel.  Published-value typos and discrepancies are resolved in the
     row notes; the decomposition itself is always the authority.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     basis = build_canonical_modes(_QUBIT_REP, _QUBIT_REP)
     s = math.sin(angle)
     c = math.cos(angle)

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .groups import SU2, ZN, GroupElement, RepSpec
-from .linalg_core import (Superoperator, apply, check_cptp, hs_inner,
-                          unitary_channel, vec)
-from .process_modes import (Diagram, ProcessModeBasis, build_canonical_modes,
-                            superop_group_action)
+from .groups import SU2, ZN, GroupElement, RepSpec, rep_matrix
+from .linalg_core import (Superoperator, apply, check_cptp, conjugate,
+                          hs_inner, unitary_channel, vec)
+from .process_modes import Diagram, ProcessModeBasis, build_canonical_modes
 
 LOCAL = "local"
 INJECTION = "injection"
@@ -147,7 +146,7 @@ def decompose_symmetric(S: Superoperator, basis: SymmetricBasis) -> SymmetricCoe
 
 def twirl_rank(basis: SymmetricBasis, tol: float = 1e-8) -> int:
     """Rank of the invariant subspace, computed from the basis Gram matrix."""
-    V = np.array([vec(e.op.choi) for e in basis.elements])
+    V = np.array([vec(e.op.transfer) for e in basis.elements])
     G = V.conj() @ V.T
     return int(np.linalg.matrix_rank(G, tol=tol))
 
@@ -424,9 +423,5 @@ def diagonal_action(S: Superoperator, g: GroupElement,
                     rep_a: RepSpec = _QUBIT, rep_b: RepSpec = _QUBIT) -> Superoperator:
     """The diagonal (global) group action U_A(g) (x) U_B(g) on a bipartite
     superoperator with equal input and output reps."""
-    from .groups import rep_matrix
-
     U = np.kron(rep_matrix(rep_a, g), rep_matrix(rep_b, g))
-    A = np.kron(U, U.conj())
-    d = rep_a.dim * rep_b.dim
-    return Superoperator.from_transfer(A @ S.transfer @ A.conj().T, d, d)
+    return conjugate(S, U, U)

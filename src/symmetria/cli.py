@@ -6,7 +6,8 @@ floats are printed with 12 significant digits so identical invocations
 produce byte-identical output.
 
 Exit codes: 0 success, 1 assertion/test failure (a residual above
-tolerance), 2 parse error, 3 semantic mismatch (dimensions, group kind).
+tolerance), 2 parse error (including out-of-range numeric options), 3
+semantic error (dimensions, group kind, or any value the library rejects).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .bipartite import (classify, decompose_symmetric, injection_coords,
                         injection_channel, swap_invariant_relational,
                         two_qubit_catalog, twirl_rank)
 from .gauge import (LinkFrame, build_gauged_lattice, free_state_check,
-                    gauge_2symmetric, gauge_fix_stabilizer, superop_tensor)
+                    gauge_2symmetric, gauge_fix_stabilizer)
 from .groups import RepSpec, cgc, IrrepLabel
 from .linalg_core import Superoperator, check_cptp, choi_of
 from .process_modes import build_canonical_modes, decompose, is_symmetric
@@ -275,19 +276,15 @@ def cmd_region(args, out: list) -> int:
                 z = -1.0 + 2.0 * k / (n - 1) if n > 1 else 0.0
                 if args.kind == "injection":
                     S = injection_channel(x, y, z)
-                    X, Y, Z = injection_coords(x, y, z)
-                    rep = check_cptp(S, psd_tol=1e-8)
-                    out.append(
-                        ",".join(fmt(v) for v in (x, y, z, X, Y, Z))
-                        + f",{fmt(rep.min_choi_eigenvalue)},{1 if rep.is_cptp else 0}"
-                    )
+                    cols = (x, y, z) + injection_coords(x, y, z)
                 else:
                     S = swap_invariant_relational(x, y, z)
-                    rep = check_cptp(S, psd_tol=1e-8)
-                    out.append(
-                        ",".join(fmt(v) for v in (x, y, z))
-                        + f",{fmt(rep.min_choi_eigenvalue)},{1 if rep.is_cptp else 0}"
-                    )
+                    cols = (x, y, z)
+                rep = check_cptp(S, psd_tol=1e-8)
+                out.append(
+                    ",".join(fmt(v) for v in cols)
+                    + f",{fmt(rep.min_choi_eigenvalue)},{1 if rep.is_cptp else 0}"
+                )
     return EXIT_OK
 
 
@@ -343,18 +340,17 @@ def cmd_gauge(args, out: list) -> int:
     frame = LinkFrame(N)
     rep = RepSpec.zn_charges([0, 1], N)
     basis = build_canonical_modes(rep, rep)
-    from .gauge import _mode_charge
-    charges = {id(m): _mode_charge(basis, m) for m in basis.modes}
     worst = 0.0
     for trial in range(args.trials):
         lam = int(rng.integers(0, N))
-        mx = [m for m in basis.modes if charges[id(m)] == lam]
-        my = [m for m in basis.modes if charges[id(m)] == (-lam) % N]
+        mx = [m for m in basis.modes if m.diagram.lam.charge % N == lam]
+        my = [m for m in basis.modes
+              if m.diagram.lam.charge % N == (-lam) % N]
         chi = None
         for m1 in mx:
             for m2 in my:
                 c = rng.normal() + 1j * rng.normal()
-                term = c * superop_tensor(m1.op, m2.op)
+                term = c * m1.op.tensor(m2.op)
                 chi = term if chi is None else chi + term
         G = gauge_2symmetric(chi, lam, frame, basis, basis)
         worst = max(worst, G.invariance_residual)
@@ -394,6 +390,17 @@ def cmd_gauge(args, out: list) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo (argparse exits 2 otherwise)."""
+    def parse(text):
+        v = int(text)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="symmetria",
@@ -429,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("region", help="CPTP region scan as CSV")
     r.add_argument("--kind", choices=("injection", "relational"),
                    default="injection")
-    r.add_argument("--grid", type=int, default=20)
+    r.add_argument("--grid", type=_int_at_least(1), default=20)
     r.set_defaults(func=cmd_region)
 
     c = sub.add_parser("catalytic", help="cyclic-ladder protocol report")
-    c.add_argument("--dim-a", type=int, default=2)
-    c.add_argument("--ladder", type=int, default=16)
-    c.add_argument("--rounds", type=int, default=5)
+    c.add_argument("--dim-a", type=_int_at_least(1), default=2)
+    c.add_argument("--ladder", type=_int_at_least(2), default=16)
+    c.add_argument("--rounds", type=_int_at_least(1), default=5)
     c.add_argument("--sigma", choices=("frame", "mixed", "random"),
                    default="random")
     c.set_defaults(func=cmd_catalytic)
@@ -462,7 +469,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except SemanticError as e:
+    except (SemanticError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
     print("\n".join(out))

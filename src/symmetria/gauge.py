@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .groups import ZN, GroupElement, RepSpec, rep_matrix
-from .linalg_core import Superoperator, hs_inner
-from .process_modes import ProcessModeBasis, superop_group_action
+from .linalg_core import Superoperator, conjugate, hs_inner
+from .process_modes import ProcessModeBasis
 
 
 # ---------------------------------------------------------------------------
@@ -82,38 +82,16 @@ class GaugeCoupling:
         return np.exp(2j * np.pi * self.lam * (g_y - g_x) / N)
 
 
-def _conjugate_superop(S: Superoperator, U: np.ndarray) -> Superoperator:
-    """The action E -> U E(U^dag . U) U^dag on the transfer matrix."""
-    A = np.kron(U, U.conj())
-    return Superoperator.from_transfer(A @ S.transfer @ A.conj().T,
-                                       S.dim_in, S.dim_out)
-
-
 def coupling_covariance_defect(c: GaugeCoupling) -> float:
     """Max residual of the exact covariance law over all of Z_N x Z_N."""
     worst = 0.0
     for gx in range(c.frame.N):
         for gy in range(c.frame.N):
-            lhs = _conjugate_superop(c.superop, link_action(c.frame, gx, gy))
+            P = link_action(c.frame, gx, gy)
+            lhs = conjugate(c.superop, P, P)
             rhs = c.covariance_phase(gx, gy) * c.superop
             worst = max(worst, (lhs - rhs).norm())
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Superoperator tensor products on composite spaces
-# ---------------------------------------------------------------------------
-
-def superop_tensor(S1: Superoperator, S2: Superoperator) -> Superoperator:
-    """Tensor product acting on B(H1 (x) H2), factors ordered (1, 2)."""
-    d1i, d1o = S1.dim_in, S1.dim_out
-    d2i, d2o = S2.dim_in, S2.dim_out
-    T1 = S1.transfer.reshape(d1o, d1o, d1i, d1i)
-    T2 = S2.transfer.reshape(d2o, d2o, d2i, d2i)
-    T = np.einsum("ijkl,abcd->iajbkcld", T1, T2).reshape(
-        (d1o * d2o) ** 2, (d1i * d2i) ** 2
-    )
-    return Superoperator.from_transfer(T, d1i * d2i, d1o * d2o)
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +110,23 @@ class GaugedProcess:
     invariance_residual: float
 
 
-def _mode_charge(basis: ProcessModeBasis, mode) -> int:
-    """Transformation charge c of a mode: conjugation by the g=1 local
-    action multiplies it by omega^c (calibrated numerically once)."""
-    N = basis.rep_in.blocks[0][0].modulus
-    g = GroupElement.zn(1, N)
-    rot = superop_group_action(mode.op, g, basis.rep_in, basis.rep_out)
-    phase = hs_inner(mode.op, rot) / hs_inner(mode.op, mode.op)
-    c = round(np.angle(phase) * N / (2 * np.pi)) % N
-    assert abs(phase - np.exp(2j * np.pi * c / N)) < 1e-10
-    return c
+def _local_unitary(rep_x: RepSpec, rep_y: RepSpec, frame: LinkFrame,
+                   gx: int, gy: int) -> np.ndarray:
+    """U_{g_x} (x) U_{(g_x,g_y)} (x) U_{g_y} on A_x (x) link (x) A_y."""
+    Ux = rep_matrix(rep_x, GroupElement.zn(gx, frame.N))
+    Uy = rep_matrix(rep_y, GroupElement.zn(gy, frame.N))
+    return np.kron(np.kron(Ux, link_action(frame, gx, gy)), Uy)
 
 
 def local_invariance_residual(S: Superoperator, rep_x: RepSpec,
                               rep_y: RepSpec, frame: LinkFrame) -> float:
     """Max norm defect of U_{g_x} (x) U_{(g_x,g_y)} (x) U_{g_y} invariance
     over the full exact enumeration of Z_N x Z_N."""
-    N = frame.N
     worst = 0.0
-    for gx in range(N):
-        for gy in range(N):
-            Ux = rep_matrix(rep_x, GroupElement.zn(gx, N))
-            Uy = rep_matrix(rep_y, GroupElement.zn(gy, N))
-            U = np.kron(np.kron(Ux, link_action(frame, gx, gy)), Uy)
-            worst = max(worst, (_conjugate_superop(S, U) - S).norm())
+    for gx in range(frame.N):
+        for gy in range(frame.N):
+            U = _local_unitary(rep_x, rep_y, frame, gx, gy)
+            worst = max(worst, (conjugate(S, U, U) - S).norm())
     return worst
 
 
@@ -179,18 +150,19 @@ def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
     if chi.dim_in != dx * dy or chi.dim_out != dx * dy:
         raise ValueError("element dimension does not match the mode bases")
 
-    # expand chi in the product mode basis (orthogonal for Z_N)
+    # expand chi in the product mode basis (orthogonal for Z_N); a mode's
+    # transformation charge is its exchanged irrep label
     coupling = GaugeCoupling(frame, lam).superop
     gauged = Superoperator.zero(dx * N * dy, dx * N * dy)
     covered = Superoperator.zero(dx * dy, dx * dy)
     for mx in modes_x.modes:
-        cx = _mode_charge(modes_x, mx)
+        cx = mx.diagram.lam.charge % N
         for my in modes_y.modes:
-            prod = superop_tensor(mx.op, my.op)
+            prod = mx.op.tensor(my.op)
             c = hs_inner(prod, chi) / hs_inner(prod, prod)
             if abs(c) <= tol:
                 continue
-            cy = _mode_charge(modes_y, my)
+            cy = my.diagram.lam.charge % N
             if cy != (-cx) % N:
                 raise ValueError(
                     "element is not globally symmetric: found weight on "
@@ -200,9 +172,7 @@ def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
                 raise ValueError(
                     f"element carries charge {cx}, not the requested {lam}"
                 )
-            gauged = gauged + c * superop_tensor(
-                superop_tensor(mx.op, coupling), my.op
-            )
+            gauged = gauged + c * mx.op.tensor(coupling).tensor(my.op)
             covered = covered + c * prod
     if (covered - chi).norm() > max(tol, 1e-9) * max(chi.norm(), 1.0):
         raise ValueError("element does not lie in the product mode span")
@@ -236,17 +206,11 @@ def degauge_marginal(G: GaugedProcess) -> Superoperator:
 def gauge_fix(G: GaugedProcess, h1: int, h2: int) -> Superoperator:
     """Pre-select the link at |h1> and post-select at |h2>:
     E_{h1,h2} = (id (x) Pi_{h2}) o E o (id (x) Pi_{h1})."""
-    dx, dy, N = G.rep_x.dim, G.rep_y.dim, G.frame.N
-    P1 = np.kron(np.kron(np.eye(dx), G.frame.basis_state(h1)[:, None]
-                 @ G.frame.basis_state(h1)[None, :].conj()), np.eye(dy))
-    P2 = np.kron(np.kron(np.eye(dx), G.frame.basis_state(h2)[:, None]
-                 @ G.frame.basis_state(h2)[None, :].conj()), np.eye(dy))
-    pre = Superoperator.from_transfer(np.kron(P1, P1.conj()),
-                                      dx * N * dy, dx * N * dy)
-    post = Superoperator.from_transfer(np.kron(P2, P2.conj()),
-                                       dx * N * dy, dx * N * dy)
-    T = post.transfer @ G.superop.transfer @ pre.transfer
-    return Superoperator.from_transfer(T, dx * N * dy, dx * N * dy)
+    def link_projector(h):
+        v = G.frame.basis_state(h)
+        return np.kron(np.kron(np.eye(G.rep_x.dim), np.outer(v, v.conj())),
+                       np.eye(G.rep_y.dim))
+    return conjugate(G.superop, link_projector(h2), link_projector(h1))
 
 
 def gauge_fix_stabilizer(G: GaugedProcess, h1: int, h2: int,
@@ -256,14 +220,11 @@ def gauge_fix_stabilizer(G: GaugedProcess, h1: int, h2: int,
     E_{h1,h2} -> E_{g_x+h1-g_y, g_x+h2-g_y}, so for h1 = h2 the stabilizer
     is the diagonal {(g, g)}."""
     fixed = gauge_fix(G, h1, h2)
-    N = G.frame.N
     keep = []
-    for gx in range(N):
-        for gy in range(N):
-            Ux = rep_matrix(G.rep_x, GroupElement.zn(gx, N))
-            Uy = rep_matrix(G.rep_y, GroupElement.zn(gy, N))
-            U = np.kron(np.kron(Ux, link_action(G.frame, gx, gy)), Uy)
-            if (_conjugate_superop(fixed, U) - fixed).norm() <= tol:
+    for gx in range(G.frame.N):
+        for gy in range(G.frame.N):
+            U = _local_unitary(G.rep_x, G.rep_y, G.frame, gx, gy)
+            if (conjugate(fixed, U, U) - fixed).norm() <= tol:
                 keep.append((gx, gy))
     return keep
 

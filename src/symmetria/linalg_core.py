@@ -1,23 +1,28 @@
 """Dense complex linear algebra and superoperator representations.
 
-A superoperator E: B(H_in) -> B(H_out) is carried simultaneously as a Choi
-matrix and a transfer matrix, with an optional Kraus set.  All conventions
-derive from the row-major vectorisation vec(|a><b|) = e_a (x) e_b, so that
+A superoperator E: B(H_in) -> B(H_out) is stored as its transfer matrix
+only; the Choi matrix is derived from it on demand.  All conventions derive
+from the row-major vectorisation vec(|a><b|) = e_a (x) e_b, so that
 
     vec(A X B) = (A (x) B^T) vec(X).
 
 For E(X) = sum_k A_k X B_k^dag:
 
-    choi     J = sum_k |vec A_k><vec B_k|        shape (d_out*d_in)^2
     transfer K = sum_k A_k (x) B_k^*             shape d_out^2 x d_in^2
+    choi     J = sum_k |vec A_k><vec B_k|        shape (d_out*d_in)^2
 
-and vec(E(X)) = K vec(X).  The Choi and transfer matrices are related by the
-reshuffle bijection implemented in ``choi_to_transfer``.
+and vec(E(X)) = K vec(X).  Sums, scalings, composition, tensor products,
+adjoints, conjugations and Hilbert-Schmidt inner products all act on K.
+J is the reshuffle of K (``transfer_to_choi``), a permutation of entries,
+so Hilbert-Schmidt norms and inner products agree in both pictures; it is
+built only for the checks that need it (CP eigenvalues, partial traces,
+Kraus extraction) and cached on the instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,67 +67,58 @@ def transfer_to_choi(transfer: CMatrix, dim_in: int, dim_out: int) -> CMatrix:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A linear map between operator spaces.
+    """A linear map between operator spaces, stored as its transfer matrix.
 
-    Immutable; ``choi`` and ``transfer`` always agree under the reshuffle
-    bijection.  ``kraus`` is an optional list of (A_k, B_k) pairs with
-    E(X) = sum_k A_k X B_k^dag.
+    Immutable; ``choi`` is the read-only reshuffle of ``transfer``, built on
+    first access.
     """
 
     dim_in: int
     dim_out: int
-    choi: CMatrix
     transfer: CMatrix
-    kraus: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        d2 = self.dim_out * self.dim_in
-        if self.choi.shape != (d2, d2):
-            raise ValueError(f"choi shape {self.choi.shape} != {(d2, d2)}")
         if self.transfer.shape != (self.dim_out**2, self.dim_in**2):
-            raise ValueError("transfer shape mismatch")
-        self.choi.setflags(write=False)
+            raise ValueError(
+                f"transfer shape {self.transfer.shape} != "
+                f"{(self.dim_out**2, self.dim_in**2)}"
+            )
         self.transfer.setflags(write=False)
+
+    @cached_property
+    def choi(self) -> CMatrix:
+        J = transfer_to_choi(self.transfer, self.dim_in, self.dim_out)
+        J.setflags(write=False)
+        return J
 
     @staticmethod
     def from_choi(choi: CMatrix, dim_in: int, dim_out: int) -> "Superoperator":
+        d2 = dim_out * dim_in
         choi = as_cmatrix(choi)
-        return Superoperator(
-            dim_in, dim_out, choi.copy(), choi_to_transfer(choi, dim_in, dim_out)
-        )
+        if choi.shape != (d2, d2):
+            raise ValueError(f"choi shape {choi.shape} != {(d2, d2)}")
+        return Superoperator(dim_in, dim_out, choi_to_transfer(choi, dim_in, dim_out))
 
     @staticmethod
     def from_transfer(transfer: CMatrix, dim_in: int, dim_out: int) -> "Superoperator":
-        transfer = as_cmatrix(transfer)
-        return Superoperator(
-            dim_in, dim_out, transfer_to_choi(transfer, dim_in, dim_out), transfer.copy()
-        )
+        return Superoperator(dim_in, dim_out, as_cmatrix(transfer).copy())
 
     @staticmethod
     def zero(dim_in: int, dim_out: int) -> "Superoperator":
-        d2 = dim_out * dim_in
         return Superoperator(
-            dim_in,
-            dim_out,
-            np.zeros((d2, d2), dtype=complex),
-            np.zeros((dim_out**2, dim_in**2), dtype=complex),
+            dim_in, dim_out, np.zeros((dim_out**2, dim_in**2), dtype=complex)
         )
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         self._check_dims(other)
-        return Superoperator(
-            self.dim_in, self.dim_out, self.choi + other.choi, self.transfer + other.transfer
-        )
+        return Superoperator(self.dim_in, self.dim_out, self.transfer + other.transfer)
 
     def __sub__(self, other: "Superoperator") -> "Superoperator":
         self._check_dims(other)
-        return Superoperator(
-            self.dim_in, self.dim_out, self.choi - other.choi, self.transfer - other.transfer
-        )
+        return Superoperator(self.dim_in, self.dim_out, self.transfer - other.transfer)
 
     def __mul__(self, c: complex) -> "Superoperator":
-        c = complex(c)
-        return Superoperator(self.dim_in, self.dim_out, c * self.choi, c * self.transfer)
+        return Superoperator(self.dim_in, self.dim_out, complex(c) * self.transfer)
 
     __rmul__ = __mul__
 
@@ -154,8 +150,8 @@ class Superoperator:
         )
 
     def norm(self) -> float:
-        """Hilbert-Schmidt norm sqrt(tr J^dag J)."""
-        return float(np.linalg.norm(self.choi))
+        """Hilbert-Schmidt norm sqrt(tr J^dag J) = sqrt(tr K^dag K)."""
+        return float(np.linalg.norm(self.transfer))
 
     def _check_dims(self, other: "Superoperator"):
         if (self.dim_in, self.dim_out) != (other.dim_in, other.dim_out):
@@ -198,9 +194,7 @@ def choi_of(kraus, dim_in: int, dim_out: int) -> Superoperator:
     for A, B in pairs:
         va, vb = vec(A), vec(B)
         J += np.outer(va, vb.conj())
-    return Superoperator(
-        dim_in, dim_out, J, choi_to_transfer(J, dim_in, dim_out), kraus=tuple(pairs)
-    )
+    return Superoperator(dim_in, dim_out, choi_to_transfer(J, dim_in, dim_out))
 
 
 def apply(S: Superoperator, X: CMatrix) -> CMatrix:
@@ -211,12 +205,12 @@ def apply(S: Superoperator, X: CMatrix) -> CMatrix:
     return unvec(S.transfer @ vec(X), S.dim_out, S.dim_out)
 
 
-def apply_choi(S: Superoperator, X: CMatrix) -> CMatrix:
-    """Choi-contraction route: E(X) = tr_in[(1 (x) X^T) J]."""
-    X = as_cmatrix(X)
-    J = S.choi.reshape(S.dim_out, S.dim_in, S.dim_out, S.dim_in)
-    # E(X)[i,k] = sum_{a,b} X[a,b] J[(i,a),(k,b)]
-    return np.einsum("ab,iakb->ik", X, J)
+def conjugate(S: Superoperator, U_out: CMatrix, U_in: CMatrix) -> Superoperator:
+    """The map X -> U_out E(U_in^dag X U_in) U_out^dag, i.e. the transfer
+    matrix (U_out (x) U_out^*) K (U_in (x) U_in^*)^dag."""
+    A = np.kron(U_out, U_out.conj())
+    B = np.kron(U_in, U_in.conj())
+    return Superoperator(S.dim_in, S.dim_out, A @ S.transfer @ B.conj().T)
 
 
 def trace_out_output(S: Superoperator) -> CMatrix:
@@ -268,9 +262,9 @@ def kraus_of_choi(S: Superoperator, psd_tol: float = PSD_TOL) -> list[CMatrix]:
 
 
 def hs_inner(S1: Superoperator, S2: Superoperator) -> complex:
-    """Inner product <S1, S2> = tr(J[S1]^dag J[S2])."""
+    """Inner product <S1, S2> = tr(J[S1]^dag J[S2]) = tr(K[S1]^dag K[S2])."""
     S1._check_dims(S2)
-    return complex(np.trace(S1.choi.conj().T @ S2.choi))
+    return complex(np.vdot(S1.transfer, S2.transfer))
 
 
 def identity_channel(dim: int) -> Superoperator:

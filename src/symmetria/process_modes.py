@@ -25,7 +25,7 @@ import numpy as np
 from .groups import (SU2, ZN, GroupElement, HaarQuadrature, IrrepLabel,
                      RepSpec, cgc, rep_matrix, wigner_D)
 from .ito import ITOBasis, build_itos
-from .linalg_core import Superoperator, hs_inner, vec
+from .linalg_core import Superoperator, conjugate, hs_inner, vec
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,7 @@ def superop_group_action(S: Superoperator, g: GroupElement,
     """The action E -> U'_g o E o U_g^dag on the transfer matrix."""
     if S.dim_in != rep_in.dim or S.dim_out != rep_out.dim:
         raise ValueError("superoperator/rep dimension mismatch")
-    U = rep_matrix(rep_in, g)
-    Up = rep_matrix(rep_out, g)
-    A = np.kron(Up, Up.conj())
-    B = np.kron(U, U.conj())
-    return Superoperator.from_transfer(A @ S.transfer @ B.conj().T,
-                                       S.dim_in, S.dim_out)
+    return conjugate(S, rep_matrix(rep_out, g), rep_matrix(rep_in, g))
 
 
 def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:

@@ -37,10 +37,7 @@ class LadderRef:
 
     @property
     def delta(self) -> np.ndarray:
-        M = np.zeros((self.D, self.D), dtype=complex)
-        for n in range(self.D):
-            M[(n + 1) % self.D, n] = 1.0
-        return M
+        return self.delta_power(1)
 
     def delta_power(self, k: int) -> np.ndarray:
         M = np.zeros((self.D, self.D), dtype=complex)
@@ -172,7 +169,12 @@ def induced_channel_closed_form(P: Protocol, sigma) -> Superoperator:
     """Closed form: E(rho)[m,m'] = sum_{nn'} U_mn conj(U_m'n') rho[n,n']
     tr(Delta^{(n-m)-(n'-m')} sigma) — the reference enters only through the
     Delta expectation profile."""
-    sigma = _check_state(sigma, P.ladder.D)
+    return _closed_form(P, _check_state(sigma, P.ladder.D))
+
+
+def _closed_form(P: Protocol, sigma: np.ndarray) -> Superoperator:
+    """The closed form for any operator sigma on the ladder: it is linear
+    in sigma, so ``measure_prepare_form`` probes it with matrix units."""
     d, D = P.dim_a, P.ladder.D
     prof = P.ladder.delta_profile(sigma)
     K = np.zeros((d, d, d, d), dtype=complex)  # [m, m', n, n']
@@ -233,9 +235,7 @@ def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
             RoundRecord(
                 channel=chan,
                 reference_after=sig_next,
-                choi_distance_to_first=float(
-                    np.linalg.norm(chan.choi - first.choi)
-                ),
+                choi_distance_to_first=(chan - first).norm(),
                 reference_fidelity=float(
                     np.real(np.trace(sig_next @ sigma0))
                 ),
@@ -308,7 +308,7 @@ def measure_prepare_form(P: Protocol,
             E = np.zeros((D, D), dtype=complex)
             E[i, j] = 1.0
             # linearity lets us probe with non-states
-            chan = _induced_raw(P, E)
+            chan = _closed_form(P, E)
             coeffs = decompose(chan, basis)
             for key in keys:
                 X[key][j, i] += coeffs.values[key]
@@ -324,22 +324,6 @@ def measure_prepare_form(P: Protocol,
         unitary_channel(rotated_target(P, r)) for r in range(D)
     )
     return MeasurePrepareForm(X, povm, cp_maps, worst)
-
-
-def _induced_raw(P: Protocol, sigma: np.ndarray) -> Superoperator:
-    """Closed-form induced map without state validation (linear probing)."""
-    d, D = P.dim_a, P.ladder.D
-    prof = P.ladder.delta_profile(sigma)
-    K = np.zeros((d, d, d, d), dtype=complex)
-    for m in range(d):
-        for mp in range(d):
-            for n in range(d):
-                for npr in range(d):
-                    k = ((n - m) - (npr - mp)) % D
-                    K[m, mp, n, npr] = (
-                        P.U[m, n] * np.conj(P.U[mp, npr]) * prof[k]
-                    )
-    return Superoperator.from_transfer(K.reshape(d * d, d * d), d, d)
 
 
 def broadcast_check(P: Protocol, sigmas, tol: float = 1e-10) -> bool:

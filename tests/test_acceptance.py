@@ -22,7 +22,7 @@ from symmetria.bipartite import (bell_states, bloch_of_state,
                                  two_qubit_catalog)
 from symmetria.gauge import (LinkFrame, build_gauged_lattice, degauge_marginal,
                              gauge_2symmetric, gauge_fix, gauge_fix_stabilizer,
-                             link_action, superop_tensor)
+                             link_action)
 from symmetria.groups import (GroupElement, IrrepLabel, RepSpec, cgc, compose,
                               haar_quadrature, random_su2, rep_matrix,
                               wigner_D)
@@ -337,7 +337,7 @@ def test_criterion_8_gauging_z4():
                 if charge(my) != (-lam) % N:
                     continue
                 c = rng.normal() + 1j * rng.normal()
-                chi = chi + c * superop_tensor(mx.op, my.op)
+                chi = chi + c * mx.op.tensor(my.op)
         G = gauge_2symmetric(chi, lam, frame, modes, modes)
         worst_inv = max(worst_inv, G.invariance_residual)
         assert (degauge_marginal(G) - chi).norm() < 1e-10

@@ -16,7 +16,6 @@ from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, bell_states,
                                  singlet_channel, state_from_bloch,
                                  swap_invariant_relational, twirl_rank,
                                  two_qubit_catalog)
-from symmetria.gauge import superop_tensor
 from symmetria.groups import haar_quadrature, random_su2
 from symmetria.linalg_core import (Superoperator, apply, check_cptp,
                                    depolarizing_channel, random_cptp)
@@ -89,7 +88,7 @@ def test_twirled_superops_expand_exactly():
 
 def test_local_class_closure():
     # tensor products of local depolarizers live entirely in the local class
-    S = superop_tensor(depolarizing_channel(0.3, 2), depolarizing_channel(0.8, 2))
+    S = depolarizing_channel(0.3, 2).tensor(depolarizing_channel(0.8, 2))
     coeffs = decompose_symmetric(S, BASIS)
     assert coeffs.residual < 1e-10
     for e in BASIS.elements:

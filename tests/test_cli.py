@@ -93,3 +93,44 @@ def test_seed_determinism():
     assert a.stdout == b.stdout  # byte-identical; env seed equals flag seed
     c = run_cli("--seed", "8", "catalytic", "--ladder", "8")
     assert c.stdout != a.stdout
+
+
+def _fixture_variant(tmp_path, name, edit):
+    data = json.loads((FIXTURES / "dephasing.json").read_text())
+    edit(data)
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(data))  # NaN is written as the JSON token NaN
+    return str(f)
+
+
+def _nan_entry(d):
+    d["kraus"][0][0][0] = [float("nan"), 0.0]
+
+
+def _negative_two_j(d):
+    d["group"] = {"kind": "su2", "two_j": [-1]}
+
+
+def _modulus_zero(d):
+    d["group"] = {"kind": "zn", "charges": [0, 1], "modulus": 0}
+
+
+@pytest.mark.parametrize("args, code", [
+    (("decompose", _nan_entry), 3),
+    (("decompose", _negative_two_j), 3),
+    (("decompose", _modulus_zero), 3),
+    (("catalytic", "--dim-a", "0"), 2),
+    (("catalytic", "--ladder", "1"), 2),
+    (("catalytic", "--rounds", "0"), 2),
+    (("gauge", "--lattice", "3x3"), 3),
+    (("table", "--p", "2"), 3),
+    (("region", "--grid", "0"), 2),
+], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
+        "rounds-0", "lattice-3x3", "table-p-2", "region-grid-0"])
+def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
+    if callable(args[1]):
+        args = (args[0], _fixture_variant(tmp_path, args[1].__name__, args[1]))
+    r = run_cli(*args)
+    assert r.returncode == code, (r.stdout, r.stderr)
+    assert "Traceback" not in r.stderr
+    assert r.stderr.strip()

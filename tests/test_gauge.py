@@ -8,7 +8,7 @@ from symmetria.gauge import (GaugeCoupling, LinkFrame, build_gauged_lattice,
                              coupling_covariance_defect, degauge_marginal,
                              free_state_check, gauge_2symmetric, gauge_fix,
                              gauge_fix_stabilizer, link_action,
-                             local_invariance_residual, superop_tensor)
+                             local_invariance_residual)
 from symmetria.groups import GroupElement, RepSpec, rep_matrix
 from symmetria.linalg_core import Superoperator, hs_inner
 from symmetria.process_modes import build_canonical_modes, superop_group_action
@@ -21,10 +21,23 @@ FRAME = LinkFrame(N)
 
 
 def _mode_charge(basis, mode):
-    g = GroupElement.zn(1, N)
+    n = basis.rep_in.blocks[0][0].modulus
+    g = GroupElement.zn(1, n)
     rot = superop_group_action(mode.op, g, basis.rep_in, basis.rep_out)
     phase = hs_inner(mode.op, rot) / hs_inner(mode.op, mode.op)
-    return int(round(np.angle(phase) * N / (2 * np.pi))) % N
+    c = int(round(np.angle(phase) * n / (2 * np.pi))) % n
+    assert abs(phase - np.exp(2j * np.pi * c / n)) < 1e-10
+    return c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mode_charge_is_the_irrep_label(n):
+    # gauging reads a mode's charge from its diagram label; the numeric
+    # calibration by the g = 1 group action is the oracle
+    rep = RepSpec.zn_charges([0, 1], n)
+    basis = build_canonical_modes(rep, rep)
+    for m in basis.modes:
+        assert _mode_charge(basis, m) == m.diagram.lam.charge % n
 
 
 def _random_2symmetric(rng, lam):
@@ -37,7 +50,7 @@ def _random_2symmetric(rng, lam):
     ]
     for mx, my in pairs:
         c = rng.normal() + 1j * rng.normal()
-        chi = chi + c * superop_tensor(mx.op, my.op)
+        chi = chi + c * mx.op.tensor(my.op)
     return chi
 
 
@@ -82,13 +95,11 @@ def test_ungauged_element_not_locally_invariant():
     lifted = Superoperator.zero(DIM * N * DIM, DIM * N * DIM)
     for mx in MODES.modes:
         for my in MODES.modes:
-            prod = superop_tensor(mx.op, my.op)
+            prod = mx.op.tensor(my.op)
             c = hs_inner(prod, chi) / hs_inner(prod, prod)
             if abs(c) < 1e-12:
                 continue
-            lifted = lifted + c * superop_tensor(
-                superop_tensor(mx.op, identity_channel(N)), my.op
-            )
+            lifted = lifted + c * mx.op.tensor(identity_channel(N)).tensor(my.op)
     res = local_invariance_residual(lifted, REP, REP, FRAME)
     assert res > 0.1  # without the coupling the phases do not cancel
 
@@ -102,7 +113,7 @@ def test_gauge_2symmetric_rejects_wrong_charge():
     mx = next(m for m in MODES.modes if _mode_charge(MODES, m) == 1)
     my = next(m for m in MODES.modes if _mode_charge(MODES, m) == 1)
     with pytest.raises(ValueError):
-        gauge_2symmetric(superop_tensor(mx.op, my.op), 1, FRAME, MODES, MODES)
+        gauge_2symmetric(mx.op.tensor(my.op), 1, FRAME, MODES, MODES)
 
 
 def test_gauge_fix_transformation_law():

@@ -1,0 +1,103 @@
+"""Golden CLI outputs: the README command set plus decompose/polar/bipartite
+on every fixture, compared numerically with outputs captured before the
+superoperator storage refactor.
+
+Regenerate (only for a change meant to alter CLI output, and review the
+diff) from the repository root with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
+"""
+
+import contextlib
+import functools
+import gzip
+import io
+import json
+import math
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json.gz"
+FIXTURES = ("fixtures/dephasing.json", "fixtures/heisenberg-2qubit.json",
+            "fixtures/identity.json")
+
+# README usage block, then each fixture through decompose/polar/bipartite
+# (the README's decompose and polar fixtures are not repeated)
+COMMANDS = (
+    ["table", "--p", "0.3", "--angle", "0.7"],
+    ["bipartite"],
+    ["region", "--kind", "injection", "--grid", "20"],
+    ["--seed", "7", "catalytic", "--dim-a", "2", "--ladder", "16"],
+    ["gauge", "--n", "4", "--lattice", "2x2", "--lattice-n", "3"],
+) + tuple([cmd, f] for cmd in ("decompose", "polar", "bipartite")
+          for f in FIXTURES)
+
+TOL = 1e-12
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def run(argv):
+    """``symmetria.cli.main(argv)`` in-process from the repository root."""
+    from symmetria import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+    finally:
+        os.chdir(cwd)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def allowed(ref: float) -> float:
+    """TOL of the value (absolute below 1), widened to one unit in the 12th
+    printed significant digit, the resolution of the CLI's output."""
+    tol = TOL * max(1.0, abs(ref))
+    if ref != 0.0:
+        tol = max(tol, 1.01 * 10.0 ** (math.floor(math.log10(abs(ref))) - 11))
+    return tol
+
+
+def assert_numeric_equal(got: str, want: str):
+    g_lines, w_lines = got.splitlines(), want.splitlines()
+    assert len(g_lines) == len(w_lines)
+    for i, (g, w) in enumerate(zip(g_lines, w_lines)):
+        assert _NUMBER.sub("#", g) == _NUMBER.sub("#", w), f"line {i + 1}"
+        for a, b in zip(_NUMBER.findall(g), _NUMBER.findall(w)):
+            assert abs(float(a) - float(b)) <= allowed(float(b)), (
+                f"line {i + 1}: {a} != golden {b}")
+
+
+@functools.cache
+def load_golden() -> dict:
+    with gzip.open(GOLDEN, "rt") as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_cli_matches_golden(argv):
+    want = load_golden()[" ".join(argv)]
+    got = run(argv)
+    assert got["code"] == want["code"], got["stderr"]
+    assert_numeric_equal(got["stdout"], want["stdout"])
+    assert got["stderr"] == want["stderr"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_cli.py --write")
+    golden = {" ".join(argv): run(argv) for argv in COMMANDS}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with gzip.GzipFile(GOLDEN, "wb", mtime=0) as f:
+        f.write(json.dumps(golden, indent=1, sort_keys=True).encode())
+    print(f"wrote {len(golden)} golden outputs to {GOLDEN}")

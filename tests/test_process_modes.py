@@ -131,3 +131,17 @@ def test_zn_modes_decompose_exactly():
     quad = haar_quadrature("zn", 0, modulus=7)
     T = twirl(S, quad, rep, rep)
     assert is_symmetric(T, basis)
+
+
+def test_decompose_never_builds_a_mode_choi():
+    # superoperators store only the transfer matrix; decomposing and testing
+    # symmetry on a d = 6 basis (1,296 modes) must not derive any Choi
+    rep = RepSpec.su2_spins([1, 1, 1])
+    basis = build_canonical_modes(rep, rep)
+    S = random_cptp(6, 6, np.random.default_rng(40))
+    assert decompose(S, basis).residual < 1e-10
+    assert not is_symmetric(S, basis)
+    assert all("choi" not in m.op.__dict__ for m in basis.modes)
+    assert "choi" not in S.__dict__
+    S.choi  # derived on first access, then cached
+    assert "choi" in S.__dict__
