@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import lpmv
 
 from .groups import SU2, GroupElement, RepSpec
 from .linalg_core import Superoperator, vec
-from .process_modes import (Diagram, Mode, ProcessModeBasis,
-                            build_canonical_modes, decompose)
+from .process_modes import (Diagram, ProcessModeBasis, build_canonical_modes,
+                            decompose)
 
 POINT = "point"          # symmetric process: orbit is a single point
 SPHERE = "sphere"        # axial process: orbit is S^2, point (theta, phi)
@@ -180,7 +179,7 @@ def _family_coeffs(coeffs, basis: ProcessModeBasis):
     trivial, vector = [], []
     for d in basis.diagrams():
         alpha = coeffs.by_diagram(d)
-        if d.lam.two_j == 0 and d.lam.kind == SU2:
+        if d.lam.is_trivial:
             trivial.append((d, alpha))
         else:
             vector.append((d, alpha))
@@ -242,6 +241,8 @@ def polar_decompose(
             if np.linalg.norm(a) > 1e-8 * scale:
                 axis = _axis_from_quadrupole(a)
     if axis is None:
+        from scipy.optimize import minimize  # slow import, needed only here
+
         objective = _axial_objective(vector)
         thetas = np.linspace(0.0, math.pi, 61)
         phis = np.linspace(0.0, 2 * math.pi, 121, endpoint=False)
@@ -316,47 +317,35 @@ def single_qubit_modes() -> ProcessModeBasis:
     r = 1.0 / (2.0 * math.sqrt(2.0))
     listed = []  # (state-mode triple, k doubled, (A, B) term list)
     listed.append(((0, 0, 0), 0, [(_ID2 / 2, _ID2)]))
-    listed.append(((2, 2, 0), 0, "identity_minus"))
+    # rho -> rho - tr(rho) 1/2, the identity written as sum_ij E_ij tr(E_ji rho)
+    listed.append(((2, 2, 0), 0, [(E, E.T) for E in np.eye(4).reshape(4, 2, 2)]
+                   + [(-_ID2 / 2, _ID2)]))
     for k, s in ((2, _SP), (0, _SZ), (-2, _SM)):
         listed.append(((0, 2, 2), k, [(s, _ID2)]))
-    listed.append(((2, 2, 2), -2, [(-r * _SP, _SZ), (r * _SZ, _SP)]))
-    listed.append(((2, 2, 2), 0, [(1j * r * _SX, _SY), (-1j * r * _SY, _SX)]))
     listed.append(((2, 2, 2), 2, [(-r * _SM, _SZ), (r * _SZ, _SM)]))
+    listed.append(((2, 2, 2), 0, [(1j * r * _SX, _SY), (-1j * r * _SY, _SX)]))
+    listed.append(((2, 2, 2), -2, [(-r * _SP, _SZ), (r * _SZ, _SP)]))
     quad = {
-        -4: [(0.5 * _SP, _SP)],
-        -2: [(-r * _SP, _SZ), (-r * _SZ, _SP)],
+        4: [(0.5 * _SM, _SM)],
+        2: [(r * _SM, _SZ), (r * _SZ, _SM)],
         0: [(_SX / (4 * math.sqrt(6)), _SX), (_SY / (4 * math.sqrt(6)), _SY),
             (-_SZ / (2 * math.sqrt(6)), _SZ)],
-        2: [(r * _SM, _SZ), (r * _SZ, _SM)],
-        4: [(0.5 * _SM, _SM)],
+        -2: [(-r * _SP, _SZ), (-r * _SZ, _SP)],
+        -4: [(0.5 * _SP, _SP)],
     }
     for k, terms in quad.items():
         listed.append(((2, 2, 4), k, terms))
 
-    modes = []
-    for triple, k, terms in listed:
-        if terms == "identity_minus":
-            op = Superoperator.from_transfer(
-                np.eye(4, dtype=complex)
-                - np.outer(vec(_ID2 / 2), vec(_ID2)), 2, 2)
-        else:
-            op = _map_from_terms(terms)
-        modes.append(Mode(diags[triple], k, op))
-    printed = ProcessModeBasis(_QUBIT_REP, _QUBIT_REP, tuple(modes),
-                               canon.itos_in, canon.itos_out)
+    printed = ProcessModeBasis(
+        _QUBIT_REP, _QUBIT_REP,
+        tuple((diags[triple], k) for triple, k, _ in listed),
+        np.array([vec(_map_from_terms(terms).transfer) for *_, terms in listed]))
 
     # The printed catalog omits the unphysical (a=1 -> a~=0, lam=1) diagram,
     # so it spans the 13-dimensional physical subspace: check a unitary
     # change of basis against the canonical modes minus that diagram.
-    P = np.array([vec(m.op.transfer) / m.op.norm() for m in printed.modes])
-    C = np.array(
-        [
-            vec(m.op.transfer)
-            for m in canon.modes
-            if (m.diagram.a_in[0].two_j, m.diagram.a_out[0].two_j,
-                m.diagram.lam.two_j) != (2, 0, 2)
-        ]
-    )
+    P = printed.stack / np.linalg.norm(printed.stack, axis=1, keepdims=True)
+    C = np.delete(canon.stack, canon.spans[diags[(2, 0, 2)]], axis=0)
     V = P.conj() @ C.T
     assert np.linalg.norm(V @ V.conj().T - np.eye(len(P))) < 1e-10
     return printed

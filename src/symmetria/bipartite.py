@@ -46,17 +46,13 @@ class BipartiteDiagram:
         return f"{self.diag_a} (x) {self.diag_b}"
 
 
-def _is_trivial(lam) -> bool:
-    return lam.two_j == 0 if lam.kind == SU2 else lam.charge == 0
-
-
 def classify(theta: BipartiteDiagram) -> str:
     """Local iff the exchanged irrep is trivial; injection iff one output
     state-mode is trivial; relational otherwise."""
-    if _is_trivial(theta.diag_a.lam):
+    if theta.diag_a.lam.is_trivial:
         return LOCAL
-    a_out_trivial = _is_trivial(theta.diag_a.a_out[0])
-    b_out_trivial = _is_trivial(theta.diag_b.a_out[0])
+    a_out_trivial = theta.diag_a.a_out[0].is_trivial
+    b_out_trivial = theta.diag_b.a_out[0].is_trivial
     if a_out_trivial or b_out_trivial:
         return INJECTION
     return RELATIONAL

@@ -272,7 +272,6 @@ class GaugedLattice:
         newval = (self._linkval + shift) % N
         # recompose the basis index from unchanged occupations + new links
         nl = len(self.links)
-        perm = np.zeros(self.dim, dtype=int)
         base = np.zeros(self.dim, dtype=int)
         for si in range(len(self.sites)):
             base = base * 2 + self._occ[si]
@@ -397,7 +396,8 @@ def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
         raise ValueError("total Hilbert dimension exceeds the guard")
     l_index = {l: ns + i for i, l in enumerate(links)}
 
-    L_op = np.diag(np.exp(2j * np.pi * np.arange(N) / N))
+    frame = LinkFrame(N)
+    L_op = frame.charge_operator(1)
 
     H_free = np.zeros((dim, dim), dtype=complex)
     H_gauged = np.zeros((dim, dim), dtype=complex)
@@ -421,17 +421,10 @@ def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
             ops = {s_index[s]: np.diag(np.exp(2j * np.pi * g
                                               * np.diag(_NUMBER).real / N))}
             for (src, tgt) in links:
-                f = l_index[(src, tgt)]
-                if src == s:       # |h> -> |g + h>
-                    P = np.zeros((N, N), dtype=complex)
-                    for h in range(N):
-                        P[(h + g) % N, h] = 1.0
-                    ops[f] = P
-                elif tgt == s:     # |h> -> |h - g>
-                    P = np.zeros((N, N), dtype=complex)
-                    for h in range(N):
-                        P[(h - g) % N, h] = 1.0
-                    ops[f] = P
+                if src == s:
+                    ops[l_index[(src, tgt)]] = link_action(frame, g, 0)
+                elif tgt == s:
+                    ops[l_index[(src, tgt)]] = link_action(frame, 0, g)
             gauss_ops[(s_index[s], g)] = _embed(ops, ns, nl, N)
 
     wilson_ops = tuple(_wilson_loops(sites, links, l_index, ns, nl, N, L_op))

@@ -56,6 +56,10 @@ class IrrepLabel:
     def dim(self) -> int:
         return self.two_j + 1 if self.kind == SU2 else 1
 
+    @property
+    def is_trivial(self) -> bool:
+        return self.two_j == 0 and self.charge == 0
+
     def dual(self) -> "IrrepLabel":
         """Dual (conjugate) irrep label."""
         if self.kind == SU2:

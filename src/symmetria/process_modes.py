@@ -19,13 +19,15 @@ and are orthonormal in the Choi (Hilbert-Schmidt) inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
 from .groups import (SU2, ZN, GroupElement, HaarQuadrature, IrrepLabel,
                      RepSpec, cgc, rep_matrix, wigner_D)
-from .ito import ITOBasis, build_itos
-from .linalg_core import Superoperator, conjugate, hs_inner, vec
+from .ito import build_itos
+from .linalg_core import Superoperator, conjugate, vec
 
 
 @dataclass(frozen=True)
@@ -59,74 +61,82 @@ class Mode:
     op: Superoperator
 
 
+# Largest mode stack build_canonical_modes allocates, 16 (d_in d_out)^4
+# bytes: square carriers up to d = 10 build, d = 11 (3.4 GB) is refused.
+MAX_STACK_BYTES = 2 << 30
+
+
 @dataclass(frozen=True)
 class ProcessModeBasis:
+    """The process modes of (rep_in, rep_out), stored once as a matrix.
+
+    Row i of the read-only ``stack`` is the vectorised transfer matrix of the
+    mode labelled ``labels[i] = (Diagram, k)``.  The rows of one diagram are
+    consecutive in descending k; ``spans`` maps each diagram to its slice.
+    """
+
     rep_in: RepSpec
     rep_out: RepSpec
-    modes: tuple  # of Mode
-    itos_in: ITOBasis
-    itos_out: ITOBasis
+    labels: tuple  # of (Diagram, k), one per row of stack
+    stack: np.ndarray  # (n_modes, d_out^2 * d_in^2)
 
-    def select(self, lam: IrrepLabel | None = None, diagram: Diagram | None = None):
-        out = []
-        for m in self.modes:
-            if lam is not None and m.diagram.lam != lam:
-                continue
-            if diagram is not None and m.diagram != diagram:
-                continue
-            out.append(m)
-        return out
+    def __post_init__(self):
+        self.stack.setflags(write=False)
+
+    @cached_property
+    def spans(self) -> dict:
+        spans, start = {}, 0
+        for diagram, rows in groupby(self.labels, key=lambda label: label[0]):
+            stop = start + len(list(rows))
+            spans[diagram] = slice(start, stop)
+            start = stop
+        return spans
+
+    @cached_property
+    def modes(self) -> tuple:
+        """One Mode per row; each ``op.transfer`` is a view of its row."""
+        d_in, d_out = self.rep_in.dim, self.rep_out.dim
+        return tuple(
+            Mode(diagram, k,
+                 Superoperator(d_in, d_out, row.reshape(d_out**2, d_in**2)))
+            for (diagram, k), row in zip(self.labels, self.stack)
+        )
 
     def diagrams(self) -> list[Diagram]:
-        seen = []
-        for m in self.modes:
-            if m.diagram not in seen:
-                seen.append(m.diagram)
-        return seen
+        return list(self.spans)
 
-    def family(self, diagram: Diagram) -> list[Mode]:
+    def family(self, diagram: Diagram) -> tuple:
         """Modes of one diagram ordered by descending k."""
-        fam = self.select(diagram=diagram)
-        fam.sort(key=lambda m: -m.k)
-        return fam
+        return self.modes[self.spans[diagram]]
 
 
 @dataclass(frozen=True)
 class ModeCoefficients:
     basis: ProcessModeBasis
-    values: dict  # (Diagram, k) -> complex
+    values: np.ndarray  # one coefficient per row of basis.stack
     residual: float
 
     def reconstruct(self) -> Superoperator:
-        out = Superoperator.zero(self.basis.rep_in.dim, self.basis.rep_out.dim)
-        for m in self.basis.modes:
-            out = out + self.values[(m.diagram, m.k)] * m.op
-        return out
+        d_in, d_out = self.basis.rep_in.dim, self.basis.rep_out.dim
+        K = self.basis.stack.T @ self.values
+        return Superoperator(d_in, d_out, K.reshape(d_out**2, d_in**2))
 
     def by_diagram(self, diagram: Diagram) -> np.ndarray:
         """Coefficient vector of one diagram, ordered by descending k."""
-        fam = self.basis.family(diagram)
-        return np.array([self.values[(diagram, m.k)] for m in fam])
-
-
-def _mode_superop(itos_in, itos_out, in_fam, out_fam, lam, two_k,
-                  dim_in, dim_out) -> Superoperator:
-    K = np.zeros((dim_out**2, dim_in**2), dtype=complex)
-    for e_out in out_fam:
-        for e_in in in_fam:
-            c = cgc(e_out.lam, e_out.k, e_in.lam, e_in.k, lam, two_k)
-            if c == 0.0:
-                continue
-            K += c * np.outer(vec(e_out.matrix), vec(e_in.matrix.T))
-    return Superoperator.from_transfer(K, dim_in, dim_out)
+        return self.values[self.basis.spans[diagram]]
 
 
 def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis:
     if rep_in.kind != rep_out.kind:
         raise ValueError("input and output reps must share the group kind")
+    n = (rep_in.dim * rep_out.dim) ** 2
+    if 16 * n * n > MAX_STACK_BYTES:
+        raise ValueError(f"the process-mode basis needs {16 * n * n / 2**30:.1f}"
+                         " GiB, over the 2 GiB limit")
     itos_in = build_itos(rep_in)
     itos_out = build_itos(rep_out)
-    modes = []
+    stack = np.zeros((n, n), dtype=complex)
+    labels = []
     for (a_out_lam, a_out_mult), out_fam in itos_out.families():
         for (a_in_lam, a_in_mult), in_fam in itos_in.families():
             if rep_in.kind == ZN:
@@ -142,10 +152,15 @@ def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis
             for lam in lam_list:
                 diagram = Diagram(lam=lam, **diag_base)
                 for two_k in lam.components():
-                    op = _mode_superop(itos_in, itos_out, in_fam, out_fam,
-                                       lam, two_k, rep_in.dim, rep_out.dim)
-                    modes.append(Mode(diagram, two_k, op))
-    return ProcessModeBasis(rep_in, rep_out, tuple(modes), itos_in, itos_out)
+                    row = stack[len(labels)].reshape(rep_out.dim**2, rep_in.dim**2)
+                    for e_out in out_fam:
+                        for e_in in in_fam:
+                            c = cgc(e_out.lam, e_out.k, e_in.lam, e_in.k, lam, two_k)
+                            if c != 0.0:
+                                row += c * np.outer(vec(e_out.matrix),
+                                                    vec(e_in.matrix.T))
+                    labels.append((diagram, two_k))
+    return ProcessModeBasis(rep_in, rep_out, tuple(labels), stack)
 
 
 def superop_group_action(S: Superoperator, g: GroupElement,
@@ -157,11 +172,14 @@ def superop_group_action(S: Superoperator, g: GroupElement,
 
 
 def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:
-    values = {}
-    for m in basis.modes:
-        values[(m.diagram, m.k)] = hs_inner(m.op, S)
-    out = ModeCoefficients(basis, values, 0.0)
-    residual = (S - out.reconstruct()).norm()
+    """Coefficients c_i = <mode_i, S> and the norm of what they leave out."""
+    if (S.dim_in, S.dim_out) != (basis.rep_in.dim, basis.rep_out.dim):
+        raise ValueError("superoperator/basis dimension mismatch")
+    v = S.transfer.reshape(-1)
+    # conj(M) v computed as conj(M conj(v)): never copies the stack
+    values = (basis.stack @ v.conj()).conj()
+    values.setflags(write=False)
+    residual = np.linalg.norm(v - basis.stack.T @ values)
     return ModeCoefficients(basis, values, float(residual))
 
 
@@ -183,10 +201,12 @@ def project_isotypic(S: Superoperator, lam: IrrepLabel, quadrature: HaarQuadratu
 def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
                            basis: ProcessModeBasis) -> Superoperator:
     """Algebraic isotypic projection via the mode basis (primary route)."""
-    acc = Superoperator.zero(S.dim_in, S.dim_out)
-    for m in basis.select(lam=lam):
-        acc = acc + hs_inner(m.op, S) * m.op
-    return acc
+    values = decompose(S, basis).values
+    kept = np.zeros_like(values)
+    for diagram, span in basis.spans.items():
+        if diagram.lam == lam:
+            kept[span] = values[span]
+    return ModeCoefficients(basis, kept, 0.0).reconstruct()
 
 
 def twirl(S: Superoperator, quadrature: HaarQuadrature,
@@ -200,15 +220,7 @@ def twirl(S: Superoperator, quadrature: HaarQuadrature,
 
 def is_symmetric(S: Superoperator, basis: ProcessModeBasis, tol: float = 1e-10) -> bool:
     """True iff all coefficients on nontrivial-lam diagrams are below tol."""
-    coeffs = decompose(S, basis)
-    triv = _trivial_label(basis.rep_in)
-    for (diagram, k), v in coeffs.values.items():
-        if diagram.lam != triv and abs(v) > tol:
-            return False
-    return True
-
-
-def _trivial_label(rep: RepSpec) -> IrrepLabel:
-    if rep.kind == SU2:
-        return IrrepLabel.su2(0)
-    return IrrepLabel.zn(0, rep.modulus)
+    values = decompose(S, basis).values
+    return all(np.abs(values[span]).max() <= tol
+               for diagram, span in basis.spans.items()
+               if not diagram.lam.is_trivial)

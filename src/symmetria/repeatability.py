@@ -169,23 +169,16 @@ def induced_channel_closed_form(P: Protocol, sigma) -> Superoperator:
     """Closed form: E(rho)[m,m'] = sum_{nn'} U_mn conj(U_m'n') rho[n,n']
     tr(Delta^{(n-m)-(n'-m')} sigma) — the reference enters only through the
     Delta expectation profile."""
-    return _closed_form(P, _check_state(sigma, P.ladder.D))
+    return _closed_form(P, P.ladder.delta_profile(_check_state(sigma, P.ladder.D)))
 
 
-def _closed_form(P: Protocol, sigma: np.ndarray) -> Superoperator:
-    """The closed form for any operator sigma on the ladder: it is linear
-    in sigma, so ``measure_prepare_form`` probes it with matrix units."""
+def _closed_form(P: Protocol, profile: np.ndarray) -> Superoperator:
+    """The closed form for any Delta expectation profile; it is linear in
+    the profile, so ``measure_prepare_form`` evaluates it at unit ones."""
     d, D = P.dim_a, P.ladder.D
-    prof = P.ladder.delta_profile(sigma)
-    K = np.zeros((d, d, d, d), dtype=complex)  # [m, m', n, n']
-    for m in range(d):
-        for mp in range(d):
-            for n in range(d):
-                for npr in range(d):
-                    k = ((n - m) - (npr - mp)) % D
-                    K[m, mp, n, npr] = (
-                        P.U[m, n] * np.conj(P.U[mp, npr]) * prof[k]
-                    )
+    n_minus_m = np.arange(d)[None, :] - np.arange(d)[:, None]  # [m, n]
+    k = np.subtract.outer(n_minus_m, n_minus_m) % D  # [m, n, m', n']
+    K = np.einsum("mn,pq,mnpq->mpnq", P.U, P.U.conj(), profile[k])
     return Superoperator.from_transfer(K.reshape(d * d, d * d), d, d)
 
 
@@ -299,31 +292,23 @@ def measure_prepare_form(P: Protocol,
     if basis is None:
         basis = zd_mode_basis(P)
     D = P.ladder.D
-    # alpha(sigma) is linear in sigma: probe with matrix units to recover X
-    # entrywise (tr(X E_ij) = X[j, i]).
-    keys = [(m.diagram, m.k) for m in basis.modes]
-    X = {key: np.zeros((D, D), dtype=complex) for key in keys}
-    for i in range(D):
-        for j in range(D):
-            E = np.zeros((D, D), dtype=complex)
-            E[i, j] = 1.0
-            # linearity lets us probe with non-states
-            chan = _closed_form(P, E)
-            coeffs = decompose(chan, basis)
-            for key in keys:
-                X[key][j, i] += coeffs.values[key]
+    # E_sigma depends on sigma only through p_k = tr(Delta^k sigma), and
+    # linearly, so alpha(E_sigma) = sum_k p_k alpha(B_k) with B_k the closed
+    # form at the unit profile e_k: X = sum_k alpha(B_k) Delta^k.
+    deltas = np.array([P.ladder.delta_power(k) for k in range(D)])
+    alpha = np.array([decompose(_closed_form(P, e_k), basis).values
+                      for e_k in np.eye(D)])
+    X = np.einsum("kr,kij->rij", alpha, deltas)
     e0 = induced_channel(P, FrameState(P.ladder, 0).density)
-    a0 = decompose(e0, basis)
-    worst = 0.0
-    for key in keys:
-        lam = key[0].lam.charge % D
-        target = a0.values[key] * P.ladder.delta_power((-lam) % D)
-        worst = max(worst, float(np.linalg.norm(X[key] - target)))
+    a0 = decompose(e0, basis).values
+    lam = np.array([diagram.lam.charge for diagram, _ in basis.labels])
+    target = a0[:, None, None] * deltas[-lam % D]
+    worst = float(np.linalg.norm(X - target, axis=(1, 2)).max())
     povm = tuple(P.ladder.frame_projector(r) for r in range(D))
     cp_maps = tuple(
         unitary_channel(rotated_target(P, r)) for r in range(D)
     )
-    return MeasurePrepareForm(X, povm, cp_maps, worst)
+    return MeasurePrepareForm(dict(zip(basis.labels, X)), povm, cp_maps, worst)
 
 
 def broadcast_check(P: Protocol, sigmas, tol: float = 1e-10) -> bool:

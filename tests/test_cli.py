@@ -115,6 +115,13 @@ def _modulus_zero(d):
     d["group"] = {"kind": "zn", "charges": [0, 1], "modulus": 0}
 
 
+def _spin_5_identity(d):
+    # d = 11: its mode basis would need 3.4 GB
+    d.update(dim_in=11, dim_out=11, group={"kind": "su2", "two_j": [10]},
+             kraus=[[[[float(r == c), 0.0] for c in range(11)]
+                     for r in range(11)]])
+
+
 @pytest.mark.parametrize("args, code", [
     (("decompose", _nan_entry), 3),
     (("decompose", _negative_two_j), 3),
@@ -125,8 +132,10 @@ def _modulus_zero(d):
     (("gauge", "--lattice", "3x3"), 3),
     (("table", "--p", "2"), 3),
     (("region", "--grid", "0"), 2),
+    (("decompose", _spin_5_identity), 3),
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
-        "rounds-0", "lattice-3x3", "table-p-2", "region-grid-0"])
+        "rounds-0", "lattice-3x3", "table-p-2", "region-grid-0",
+        "over-memory-limit"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     if callable(args[1]):
         args = (args[0], _fixture_variant(tmp_path, args[1].__name__, args[1]))
@@ -134,3 +143,12 @@ def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     assert r.returncode == code, (r.stdout, r.stderr)
     assert "Traceback" not in r.stderr
     assert r.stderr.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported only by polar's Nelder-Mead fallback
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, symmetria.cli; "
+         "assert 'scipy.optimize' not in sys.modules"],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

@@ -1,13 +1,17 @@
 """Process-mode bases: covariance, decomposition, twirl, isotypic parts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from symmetria.axial import single_qubit_modes
 from symmetria.groups import (GroupElement, IrrepLabel, RepSpec,
                               haar_quadrature, random_su2, wigner_D)
 from symmetria.linalg_core import (Superoperator, check_cptp, hs_inner,
                                    random_cptp)
-from symmetria.process_modes import (build_canonical_modes, decompose,
+from symmetria.process_modes import (MAX_STACK_BYTES, build_canonical_modes,
+                                     decompose,
                                      is_symmetric, project_isotypic,
                                      project_isotypic_basis,
                                      superop_group_action, twirl)
@@ -145,3 +149,52 @@ def test_decompose_never_builds_a_mode_choi():
     assert "choi" not in S.__dict__
     S.choi  # derived on first access, then cached
     assert "choi" in S.__dict__
+
+
+@pytest.fixture(scope="module", params=["su2[1,1,1]", "z7[0..5]"])
+def d6_basis(request):
+    rep = {"su2[1,1,1]": RepSpec.su2_spins([1, 1, 1]),
+           "z7[0..5]": RepSpec.zn_charges(range(6), 7)}[request.param]
+    return build_canonical_modes(rep, rep)
+
+
+def test_stacked_expansion_matches_per_mode_loop(d6_basis):
+    # oracle: one inner product per mode, and the sum of c * mode
+    S = random_cptp(6, 6, np.random.default_rng(41))
+    coeffs = decompose(S, d6_basis)
+    loop = np.array([hs_inner(m.op, S) for m in d6_basis.modes])
+    assert np.abs(coeffs.values - loop).max() < 1e-12
+    rebuilt = Superoperator.zero(6, 6)
+    for c, m in zip(loop, d6_basis.modes):
+        rebuilt = rebuilt + c * m.op
+    assert (coeffs.reconstruct() - rebuilt).norm() < 1e-12
+    assert coeffs.residual < 1e-12
+
+
+def test_families_are_row_spans_of_the_stack(d6_basis):
+    for basis in (d6_basis, single_qubit_modes()):
+        assert not basis.stack.flags.writeable
+        # the spans partition the rows, so no diagram's rows are split
+        assert sum(s.stop - s.start for s in basis.spans.values()) \
+            == len(basis.labels) == len(basis.stack)
+        for diagram, span in basis.spans.items():
+            fam = basis.family(diagram)
+            assert [(m.diagram, m.k) for m in fam] == list(basis.labels[span])
+            assert all(m.diagram == diagram for m in fam)
+            assert all(a.k > b.k for a, b in zip(fam, fam[1:]))
+        for row, m in zip(basis.stack, basis.modes):
+            assert np.shares_memory(m.op.transfer, basis.stack)
+            assert np.array_equal(m.op.transfer.reshape(-1), row)
+
+
+def test_build_refuses_a_stack_over_the_memory_limit():
+    rep = RepSpec.su2_spins([10])  # d = 11: 16 * 11^8 bytes = 3.4 GB
+    assert 16 * 11**8 > MAX_STACK_BYTES > 16 * 10**8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB"):
+            build_canonical_modes(rep, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -4,7 +4,9 @@ frame states, and the measure-and-prepare form."""
 import numpy as np
 import pytest
 
+from symmetria import repeatability
 from symmetria.linalg_core import apply, check_cptp
+from symmetria.process_modes import decompose
 from symmetria.repeatability import (FrameState, LadderRef, broadcast_check,
                                      build_protocol, induced_channel,
                                      induced_channel_closed_form,
@@ -132,3 +134,23 @@ def test_broadcast_iff_commuting_references(protocol):
 def test_zd_modes_span(protocol):
     basis = zd_mode_basis(protocol)
     assert len(basis.modes) == 16  # d_A^4 superoperator modes for a qubit
+
+
+@pytest.mark.parametrize("d, D", [(2, 5), (2, 16), (3, 5), (3, 16)])
+def test_measure_prepare_x_ops_match_partial_trace_route(d, D, monkeypatch):
+    # oracle: tr(X sigma) against decomposing the channel induced by the
+    # direct partial trace tr_B[V (rho (x) sigma) V^dag]
+    rng = np.random.default_rng(57)
+    P = build_protocol(_random_unitary(rng, d), D)
+    basis = zd_mode_basis(P)
+    calls = []
+    monkeypatch.setattr(repeatability, "decompose",
+                        lambda *a: calls.append(1) or decompose(*a))
+    mp = measure_prepare_form(P, basis)
+    assert len(calls) == D + 1  # one per unit Delta profile, plus E0
+    assert mp.max_x_residual < 1e-10
+    for _ in range(3):
+        sigma = _random_state(rng, D)
+        alpha = decompose(induced_channel(P, sigma), basis).values
+        predicted = [np.trace(mp.x_ops[key] @ sigma) for key in basis.labels]
+        assert np.abs(np.array(predicted) - alpha).max() < 1e-12
