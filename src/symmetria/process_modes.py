@@ -171,15 +171,20 @@ def superop_group_action(S: Superoperator, g: GroupElement,
     return conjugate(S, rep_matrix(rep_out, g), rep_matrix(rep_in, g))
 
 
-def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:
-    """Coefficients c_i = <mode_i, S> and the norm of what they leave out."""
+def _mode_values(S: Superoperator, basis: ProcessModeBasis) -> np.ndarray:
+    """The coefficients c_i = <mode_i, S>: one pass over the stack."""
     if (S.dim_in, S.dim_out) != (basis.rep_in.dim, basis.rep_out.dim):
         raise ValueError("superoperator/basis dimension mismatch")
-    v = S.transfer.reshape(-1)
     # conj(M) v computed as conj(M conj(v)): never copies the stack
-    values = (basis.stack @ v.conj()).conj()
+    values = (basis.stack @ S.transfer.reshape(-1).conj()).conj()
     values.setflags(write=False)
-    residual = np.linalg.norm(v - basis.stack.T @ values)
+    return values
+
+
+def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:
+    """Coefficients c_i = <mode_i, S> and the norm of what they leave out."""
+    values = _mode_values(S, basis)
+    residual = np.linalg.norm(S.transfer.reshape(-1) - basis.stack.T @ values)
     return ModeCoefficients(basis, values, float(residual))
 
 
@@ -201,7 +206,7 @@ def project_isotypic(S: Superoperator, lam: IrrepLabel, quadrature: HaarQuadratu
 def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
                            basis: ProcessModeBasis) -> Superoperator:
     """Algebraic isotypic projection via the mode basis (primary route)."""
-    values = decompose(S, basis).values
+    values = _mode_values(S, basis)
     kept = np.zeros_like(values)
     for diagram, span in basis.spans.items():
         if diagram.lam == lam:
@@ -220,7 +225,7 @@ def twirl(S: Superoperator, quadrature: HaarQuadrature,
 
 def is_symmetric(S: Superoperator, basis: ProcessModeBasis, tol: float = 1e-10) -> bool:
     """True iff all coefficients on nontrivial-lam diagrams are below tol."""
-    values = decompose(S, basis).values
+    values = _mode_values(S, basis)
     return all(np.abs(values[span]).max() <= tol
                for diagram, span in basis.spans.items()
                if not diagram.lam.is_trivial)

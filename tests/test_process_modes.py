@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from symmetria import process_modes
 from symmetria.axial import single_qubit_modes
 from symmetria.groups import (GroupElement, IrrepLabel, RepSpec,
                               haar_quadrature, random_su2, wigner_D)
-from symmetria.linalg_core import (Superoperator, check_cptp, hs_inner,
-                                   random_cptp)
+from symmetria.linalg_core import (Superoperator, check_cptp,
+                                   depolarizing_channel, hs_inner,
+                                   identity_channel, random_cptp)
 from symmetria.process_modes import (MAX_STACK_BYTES, build_canonical_modes,
                                      decompose,
                                      is_symmetric, project_isotypic,
@@ -169,6 +171,22 @@ def test_stacked_expansion_matches_per_mode_loop(d6_basis):
         rebuilt = rebuilt + c * m.op
     assert (coeffs.reconstruct() - rebuilt).norm() < 1e-12
     assert coeffs.residual < 1e-12
+
+
+def test_is_symmetric_reads_only_the_coefficients(d6_basis, monkeypatch):
+    # oracle: the verdict read off decompose's coefficients; is_symmetric
+    # itself must not call decompose, whose residual is a second stack pass
+    channels = [identity_channel(6), depolarizing_channel(0.0, 6),
+                random_cptp(6, 6, np.random.default_rng(42))]
+    expected = []
+    for S in channels:
+        values = decompose(S, d6_basis).values
+        expected.append(all(np.abs(values[span]).max() <= 1e-10
+                            for diagram, span in d6_basis.spans.items()
+                            if not diagram.lam.is_trivial))
+    assert expected == [True, True, False]
+    monkeypatch.setattr(process_modes, "decompose", None)
+    assert [is_symmetric(S, d6_basis) for S in channels] == expected
 
 
 def test_families_are_row_spans_of_the_stack(d6_basis):
