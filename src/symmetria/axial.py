@@ -22,8 +22,8 @@ from scipy.special import lpmv
 
 from .groups import SU2, GroupElement, RepSpec
 from .linalg_core import Superoperator, vec
-from .process_modes import (Diagram, ProcessModeBasis, build_canonical_modes,
-                            decompose)
+from .process_modes import (Diagram, ModeCoefficients, ProcessModeBasis,
+                            build_canonical_modes, decompose)
 
 POINT = "point"          # symmetric process: orbit is a single point
 SPHERE = "sphere"        # axial process: orbit is S^2, point (theta, phi)
@@ -383,16 +383,15 @@ _SLOT_SCALES = (1.0, -1.0, 1.0, math.sqrt(1.5))
 _SLOT_KEYS = ((2, 2, 0), (0, 2, 2), (2, 2, 2), (2, 2, 4))
 
 
-def _slot_amplitudes(S: Superoperator, basis: ProcessModeBasis) -> tuple:
+def _slot_amplitudes(coeffs: ModeCoefficients) -> tuple:
     """Oracle (a0, a1_inj, a1, a2) in the published convention.
 
-    Decomposes the z-axial channel directly and reads off the k=0 coefficient
-    of each slot's diagram family, scaled by the frozen per-slot factors.
+    Reads the k=0 coefficient of each slot's diagram family from the mode
+    decomposition of a z-axial channel, scaled by the frozen per-slot factors.
     """
-    coeffs = decompose(S, basis)
     lookup = {
         (d.a_in[0].two_j, d.a_out[0].two_j, d.lam.two_j): coeffs.by_diagram(d)
-        for d in basis.diagrams()
+        for d in coeffs.basis.diagrams()
     }
     out = []
     for key, s in zip(_SLOT_KEYS, _SLOT_SCALES):
@@ -446,11 +445,11 @@ def depolarizing_qubit(p: float) -> Superoperator:
 def axial_table(p: float = 0.3, angle: float = 0.7) -> list[TableRow]:
     """The five-channel single-qubit axial catalog.
 
-    Each row builds the channel about the z axis, decomposes it, reports the
-    oracle amplitudes (a0, a1_inj, a1, a2) next to the published values, and
-    verifies that reconstruction from the full mode decomposition reproduces
-    the channel.  Published-value typos and discrepancies are resolved in the
-    row notes; the decomposition itself is always the authority.
+    Each row builds the channel about the z axis, decomposes it once, and
+    reports from that decomposition the oracle amplitudes (a0, a1_inj, a1,
+    a2) next to the published values and the reconstruction residual.
+    Published-value typos and discrepancies are resolved in the row notes;
+    the decomposition itself is always the authority.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -509,8 +508,8 @@ def axial_table(p: float = 0.3, angle: float = 0.7) -> list[TableRow]:
     ]
     rows = []
     for name, params, chan, printed, note in rows_def:
-        computed = _slot_amplitudes(chan, basis)
         coeffs = decompose(chan, basis)
+        computed = _slot_amplitudes(coeffs)
         rows.append(
             TableRow(
                 name=name,

@@ -70,12 +70,6 @@ class SymmetricBasis:
     basis_b: ProcessModeBasis
     elements: tuple  # of SymmetricElement
 
-    def element(self, theta: BipartiteDiagram) -> SymmetricElement:
-        for e in self.elements:
-            if e.diagram == theta:
-                return e
-        raise KeyError(f"no symmetric basis element for {theta}")
-
 
 def _chi(basis_a: ProcessModeBasis, basis_b: ProcessModeBasis,
          theta: BipartiteDiagram) -> Superoperator:
@@ -131,10 +125,10 @@ class SymmetricCoefficients:
 
 def decompose_symmetric(S: Superoperator, basis: SymmetricBasis) -> SymmetricCoefficients:
     """Expand S over the invariant basis; the residual is the norm of the
-    non-invariant part of S."""
-    values = {}
-    for e in basis.elements:
-        values[e.diagram] = hs_inner(e.op, S) / hs_inner(e.op, e.op)
+    non-invariant part of S.  The elements are orthogonal with
+    <chi, chi> = dim(lam)."""
+    values = {e.diagram: hs_inner(e.op, S) / e.diagram.diag_a.lam.dim
+              for e in basis.elements}
     out = SymmetricCoefficients(basis, values, 0.0)
     residual = (S - out.reconstruct()).norm()
     return SymmetricCoefficients(basis, values, float(residual))

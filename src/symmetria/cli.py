@@ -27,7 +27,7 @@ from .gauge import (LinkFrame, build_gauged_lattice, free_state_check,
                     gauge_2symmetric, gauge_fix_stabilizer)
 from .groups import RepSpec, cgc, IrrepLabel
 from .linalg_core import Superoperator, check_cptp, choi_of
-from .process_modes import build_canonical_modes, decompose, is_symmetric
+from .process_modes import build_canonical_modes, decompose
 from .repeatability import (FrameState, build_protocol,
                             measure_prepare_form, sequential_use)
 
@@ -190,7 +190,7 @@ def cmd_decompose(args, out: list) -> int:
         mag = float(np.linalg.norm(vecs))
         comps = " ".join(fmt(v) for v in vecs)
         out.append(f"  {diagram}  |a| = {fmt(mag)}  components: {comps}")
-    sym = is_symmetric(S, basis, tol=args.tol)
+    sym = coeffs.is_symmetric(tol=args.tol)
     out.append(f"symmetric: {'yes' if sym else 'no'}")
     out.append(f"reconstruction residual: {fmt(coeffs.residual)}")
     return EXIT_OK if coeffs.residual <= max(args.tol, 1e-8) else EXIT_FAIL

@@ -110,43 +110,29 @@ def _fact(n: int) -> int:
     return math.factorial(n)
 
 
-def _wigner_d_entry(two_j: int, two_mp: int, two_m: int, beta: float) -> float:
-    """Small Wigner d^j_{m'm}(beta) via the explicit factorial sum."""
-    if (two_j + two_mp) % 2 or (two_j + two_m) % 2:
-        raise ValueError("m labels must have the parity of j")
-    jpm, jmm = (two_j + two_m) // 2, (two_j - two_m) // 2
-    jpmp, jmmp = (two_j + two_mp) // 2, (two_j - two_mp) // 2
-    dmp = (two_mp - two_m) // 2  # m' - m (integer)
-    pref = math.sqrt(_fact(jpmp) * _fact(jmmp) * _fact(jpm) * _fact(jmm))
-    c, s = math.cos(beta / 2), math.sin(beta / 2)
-    total = 0.0
-    for k in range(max(0, -dmp), min(jpm, jmmp) + 1):
-        denom = _fact(jpm - k) * _fact(k) * _fact(dmp + k) * _fact(jmmp - k)
-        total += ((-1) ** (dmp + k) / denom) * c ** (two_j - dmp - 2 * k) * s ** (dmp + 2 * k)
-    return pref * total
+@lru_cache(maxsize=None)
+def _jy_eigensystem(two_j: int):
+    """(w, V, V^dag, m): J_y = V diag(w) V^dag, m the descending weights."""
+    w, V = np.linalg.eigh(_spin_matrices(two_j)[1])
+    m = np.arange(two_j, -two_j - 1, -2) / 2.0
+    return w, V, V.conj().T, m
 
 
 def wigner_D(j: IrrepLabel, g: GroupElement) -> np.ndarray:
     """Unitary irrep matrix in the descending-weight basis.
 
-    For SU(2): D^j(a,b,c)_{m'm} = exp(-i m' a) d^j_{m'm}(b) exp(-i m c).
+    For SU(2): D^j(a,b,c) = exp(-i a J_z) exp(-i b J_y) exp(-i c J_z).  The
+    real orthogonal d^j(b) = V diag(exp(-i b w)) V^dag comes from the exact
+    diagonalisation of J_y, so D is unitary for every j.
     For Z_N:   the 1x1 phase omega^(charge * g), omega = exp(2 pi i / N).
     """
     if j.kind != g.kind:
         raise ValueError("group kind mismatch between irrep and element")
     if j.kind == ZN:
         return np.array([[np.exp(2j * np.pi * j.charge * g.g / j.modulus)]])
-    two_j = j.two_j
-    ms = j.components()
-    D = np.empty((two_j + 1, two_j + 1), dtype=complex)
-    for r, two_mp in enumerate(ms):
-        for c, two_m in enumerate(ms):
-            D[r, c] = (
-                np.exp(-1j * (two_mp / 2) * g.alpha)
-                * _wigner_d_entry(two_j, two_mp, two_m, g.beta)
-                * np.exp(-1j * (two_m / 2) * g.gamma)
-            )
-    return D
+    w, V, Vh, m = _jy_eigensystem(j.two_j)
+    d = ((V * np.exp(-1j * g.beta * w)) @ Vh).real
+    return np.exp(-1j * g.alpha * m)[:, None] * d * np.exp(-1j * g.gamma * m)
 
 
 def mode_matrix(j: IrrepLabel, g: GroupElement) -> np.ndarray:

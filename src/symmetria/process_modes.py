@@ -125,6 +125,12 @@ class ModeCoefficients:
         """Coefficient vector of one diagram, ordered by descending k."""
         return self.values[self.basis.spans[diagram]]
 
+    def is_symmetric(self, tol: float = 1e-10) -> bool:
+        """True iff all coefficients on nontrivial-lam diagrams are below tol."""
+        return all(np.abs(self.values[span]).max() <= tol
+                   for diagram, span in self.basis.spans.items()
+                   if not diagram.lam.is_trivial)
+
 
 def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis:
     if rep_in.kind != rep_out.kind:
@@ -224,8 +230,5 @@ def twirl(S: Superoperator, quadrature: HaarQuadrature,
 
 
 def is_symmetric(S: Superoperator, basis: ProcessModeBasis, tol: float = 1e-10) -> bool:
-    """True iff all coefficients on nontrivial-lam diagrams are below tol."""
-    values = _mode_values(S, basis)
-    return all(np.abs(values[span]).max() <= tol
-               for diagram, span in basis.spans.items()
-               if not diagram.lam.is_trivial)
+    """``ModeCoefficients.is_symmetric`` without decompose's residual."""
+    return ModeCoefficients(basis, _mode_values(S, basis), 0.0).is_symmetric(tol)

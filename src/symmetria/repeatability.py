@@ -152,7 +152,7 @@ def _trace_system(P: Protocol, M: np.ndarray) -> np.ndarray:
 
 
 def induced_channel(P: Protocol, sigma) -> Superoperator:
-    """The channel E(rho) = tr_B [V (rho (x) sigma) V^dag] on A."""
+    """Partial-trace route to E(rho) = tr_B [V (rho (x) sigma) V^dag] on A."""
     sigma = _check_state(sigma, P.ladder.D)
     d = P.dim_a
     K = np.zeros((d * d, d * d), dtype=complex)
@@ -219,7 +219,7 @@ def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
     first = None
     for rho in inputs:
         rho = np.asarray(rho, dtype=complex)
-        chan = induced_channel(P, sig)
+        chan = induced_channel_closed_form(P, sig)
         joint = _joint_out(P, rho, sig)
         sig_next = _trace_system(P, joint)
         if first is None:
@@ -299,7 +299,7 @@ def measure_prepare_form(P: Protocol,
     alpha = np.array([decompose(_closed_form(P, e_k), basis).values
                       for e_k in np.eye(D)])
     X = np.einsum("kr,kij->rij", alpha, deltas)
-    e0 = induced_channel(P, FrameState(P.ladder, 0).density)
+    e0 = induced_channel_closed_form(P, FrameState(P.ladder, 0).density)
     a0 = decompose(e0, basis).values
     lam = np.array([diagram.lam.charge for diagram, _ in basis.labels])
     target = a0[:, None, None] * deltas[-lam % D]

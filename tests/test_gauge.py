@@ -114,6 +114,40 @@ def test_gauge_2symmetric_rejects_wrong_charge():
     my = next(m for m in MODES.modes if _mode_charge(MODES, m) == 1)
     with pytest.raises(ValueError):
         gauge_2symmetric(mx.op.tensor(my.op), 1, FRAME, MODES, MODES)
+    # and so is an element mixing charges 1 and 2, under either label
+    mixed = chi + _random_2symmetric(rng, 2)
+    for lam in (1, 2):
+        with pytest.raises(ValueError):
+            gauge_2symmetric(mixed, lam, FRAME, MODES, MODES)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gauging_matches_the_per_pair_route(n):
+    # oracle: expand chi over products of local modes and insert the
+    # coupling between the two factors of every product,
+    # sum_ij c_ij Phi_i (x) A_lam (x) Phi_j with c_ij = <Phi_i (x) Phi_j, chi>
+    rng = np.random.default_rng(67 + n)
+    rep = RepSpec.zn_charges([0, 1], n)
+    basis = build_canonical_modes(rep, rep)
+    frame = LinkFrame(n)
+    d = rep.dim
+    for lam in range(n):
+        chi = Superoperator.zero(d * d, d * d)
+        for mx in basis.modes:
+            for my in basis.modes:
+                if (mx.diagram.lam.charge == lam
+                        and my.diagram.lam.charge == (-lam) % n):
+                    c = rng.normal() + 1j * rng.normal()
+                    chi = chi + c * mx.op.tensor(my.op)
+        coupling = GaugeCoupling(frame, lam).superop
+        expect = Superoperator.zero(d * n * d, d * n * d)
+        for mx in basis.modes:
+            for my in basis.modes:
+                c = hs_inner(mx.op.tensor(my.op), chi)
+                if abs(c) > 1e-14:  # the old route's skip, far below 1e-12
+                    expect = expect + c * mx.op.tensor(coupling).tensor(my.op)
+        G = gauge_2symmetric(chi, lam, frame, basis, basis)
+        assert (G.superop - expect).norm() <= 1e-12
 
 
 def test_gauge_fix_transformation_law():
@@ -190,6 +224,20 @@ def test_twirl_matches_group_enumeration(lattice):
     assert np.linalg.norm(fast - slow) < 1e-10
     # idempotent projection
     assert np.linalg.norm(lattice.twirl(fast) - fast) < 1e-10
+
+
+def test_dynamics_defects_agree_for_vector_and_density(lattice):
+    rng = np.random.default_rng(68)
+    d = lattice.dim
+    # random diagonal phases do not commute with the Gauss-law link shifts
+    V = np.diag(np.exp(2j * np.pi * rng.uniform(size=d)))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    (pure,) = lattice.dynamics_commutation_defects(V, [psi])
+    (dense,) = lattice.dynamics_commutation_defects(
+        V, [np.outer(psi, psi.conj())])
+    assert pure > 1e-3
+    assert abs(pure - dense) <= 1e-12
 
 
 def test_free_state_check(lattice):

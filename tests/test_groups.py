@@ -30,6 +30,47 @@ def test_wigner_homomorphism_and_unitarity(two_j, seed):
     ) < 1e-10
 
 
+@pytest.mark.parametrize("two_j", [20, 40, 60, 80, 100])
+def test_wigner_unitary_and_homomorphic_at_large_spin(two_j):
+    # the exact J_y diagonalisation keeps both laws at machine precision
+    # where a float factorial sum loses digits or overflows
+    rng = np.random.default_rng(two_j)
+    j = IrrepLabel.su2(two_j)
+    for _ in range(3):
+        g1, g2 = random_su2(rng), random_su2(rng)
+        D1 = wigner_D(j, g1)
+        assert np.linalg.norm(D1 @ D1.conj().T - np.eye(two_j + 1)) <= 1e-12
+        assert np.linalg.norm(
+            D1 @ wigner_D(j, g2) - wigner_D(j, compose(g1, g2))) <= 1e-12
+
+
+def test_wigner_unitary_at_spin_100():
+    rng = np.random.default_rng(200)
+    D = wigner_D(IrrepLabel.su2(200), random_su2(rng))
+    assert np.linalg.norm(D @ D.conj().T - np.eye(201)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4, np.pi / 2, 2.5, np.pi])
+def test_wigner_small_d_textbook_values(beta):
+    # Condon-Shortley d^{1/2}(beta) and d^1(beta), rows and columns in
+    # descending m; the Euler angles alpha and gamma only add phases
+    c, s = np.cos(beta / 2), np.sin(beta / 2)
+    half = np.array([[c, -s], [s, c]])
+    cb, sb = np.cos(beta), np.sin(beta)
+    one = np.array([
+        [(1 + cb) / 2, -sb / np.sqrt(2), (1 - cb) / 2],
+        [sb / np.sqrt(2), cb, -sb / np.sqrt(2)],
+        [(1 - cb) / 2, sb / np.sqrt(2), (1 + cb) / 2],
+    ])
+    for two_j, d in ((1, half), (2, one)):
+        D = wigner_D(IrrepLabel.su2(two_j), GroupElement.su2(0.0, beta, 0.0))
+        assert np.abs(D - d).max() <= 1e-15
+        m = np.arange(two_j, -two_j - 1, -2) / 2
+        g = GroupElement.su2(0.7, beta, -1.3)
+        expect = np.exp(-0.7j * m)[:, None] * d * np.exp(1.3j * m)
+        assert np.abs(wigner_D(IrrepLabel.su2(two_j), g) - expect).max() <= 1e-15
+
+
 def test_su2_euler_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(20):

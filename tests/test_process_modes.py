@@ -109,6 +109,22 @@ def test_isotypic_quadrature_matches_basis_route():
     assert (total - S).norm() < 1e-10
 
 
+def test_isotypic_quadrature_matches_basis_route_zn():
+    # Z_N characters are complex, so this fails if the quadrature projector
+    # drops the character's conjugation (real SU(2) characters cannot tell)
+    rng = np.random.default_rng(23)
+    rep = RepSpec.zn_charges([0, 1, 3], 5)
+    basis = build_canonical_modes(rep, rep)
+    quad = haar_quadrature("zn", 0, modulus=5)
+    S = random_cptp(3, 3, rng)
+    for charge in range(5):
+        lam = IrrepLabel.zn(charge, 5)
+        P1 = project_isotypic(S, lam, quad, rep, rep)
+        P2 = project_isotypic_basis(S, lam, basis)
+        assert P2.norm() > 1e-3
+        assert (P1 - P2).norm() < 1e-10
+
+
 def test_unphysical_diagram_has_no_weight():
     # trace preservation kills the diagram that sends the trace-carrying
     # input mode to a traceless output family through a nontrivial carrier

@@ -56,6 +56,22 @@ def test_induced_channel_matches_closed_form(protocol):
         assert check_cptp(E1).is_cptp
 
 
+def test_sequential_rounds_match_partial_trace_route(protocol):
+    # each round's channel comes from the closed form; the partial trace
+    # over d^2 probes, at the reference state that round started from, is
+    # the oracle
+    rng = np.random.default_rng(58)
+    sigma = _random_state(rng, 8)
+    report = sequential_use(protocol, sigma,
+                            [_random_state(rng, 2) for _ in range(4)])
+    start = sigma
+    for rec in report.rounds:
+        oracle = induced_channel(protocol, start)
+        assert (rec.channel - oracle).norm() <= 1e-12
+        start = rec.reference_after
+    assert report.crosscheck_residual < 1e-12
+
+
 def test_channel_depends_only_on_delta_profile(protocol):
     # two different states with equal shift expectation values induce the
     # same channel
