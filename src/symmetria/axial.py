@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.special import lpmv
 
 from .groups import SU2, GroupElement, RepSpec
@@ -336,16 +337,24 @@ def single_qubit_modes() -> ProcessModeBasis:
     for k, terms in quad.items():
         listed.append(((2, 2, 4), k, terms))
 
+    # each printed mode's coupling row: its coordinates over the canonical
+    # (output ITO, input ITO) pairs, conj(A) K B^dag for the unitary A, B
+    A, B = canon.ito_out, canon.ito_in
+    coupling = np.array([
+        (A.conj() @ _map_from_terms(terms).transfer @ B.conj().T).reshape(-1)
+        for *_, terms in listed])
     printed = ProcessModeBasis(
         _QUBIT_REP, _QUBIT_REP,
         tuple((diags[triple], k) for triple, k, _ in listed),
-        np.array([vec(_map_from_terms(terms).transfer) for *_, terms in listed]))
+        A, B, sparse.csr_matrix(coupling))
 
     # The printed catalog omits the unphysical (a=1 -> a~=0, lam=1) diagram,
     # so it spans the 13-dimensional physical subspace: check a unitary
-    # change of basis against the canonical modes minus that diagram.
-    P = printed.stack / np.linalg.norm(printed.stack, axis=1, keepdims=True)
-    C = np.delete(canon.stack, canon.spans[diags[(2, 0, 2)]], axis=0)
+    # change of basis against the canonical modes minus that diagram.  Both
+    # bases share the unitary A (x) B, so their couplings show it.
+    P = coupling / np.linalg.norm(coupling, axis=1, keepdims=True)
+    C = np.delete(canon.coupling.toarray(), canon.spans[diags[(2, 0, 2)]],
+                  axis=0)
     V = P.conj() @ C.T
     assert np.linalg.norm(V @ V.conj().T - np.eye(len(P))) < 1e-10
     return printed

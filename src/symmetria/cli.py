@@ -25,7 +25,7 @@ from .bipartite import (classify, decompose_symmetric, injection_coords,
                         two_qubit_catalog, twirl_rank)
 from .gauge import (LinkFrame, build_gauged_lattice, free_state_check,
                     gauge_2symmetric, gauge_fix_stabilizer)
-from .groups import RepSpec, cgc, IrrepLabel
+from .groups import RepSpec, cg_block, IrrepLabel
 from .linalg_core import Superoperator, check_cptp, choi_of
 from .process_modes import build_canonical_modes, decompose
 from .repeatability import (FrameState, build_protocol,
@@ -113,15 +113,9 @@ def _parse_group(desc) -> RepSpec:
 def two_qubit_product_rep() -> RepSpec:
     """Spin-0 + spin-1 blocks conjugated onto the qubit (x) qubit product
     basis by the Clebsch-Gordan intertwiner, so rep_matrix = U (x) U."""
-    Q = np.zeros((4, 4), dtype=complex)
-    # product index (m1, m2) with m in (+1, -1)/2 doubled, descending
-    prod = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    coupled = [(0, 0), (2, 2), (2, 0), (2, -2)]
-    half = IrrepLabel.su2(1)
-    for col, (two_J, two_M) in enumerate(coupled):
-        lab = IrrepLabel.su2(two_J)
-        for row, (m1, m2) in enumerate(prod):
-            Q[row, col] = cgc(half, m1, half, m2, lab, two_M)
+    # rows of the block: coupled (J, M) = (0, 0), (1, 1), (1, 0), (1, -1);
+    # columns: product (m1, m2) descending, as the qubit (x) qubit basis
+    Q = cg_block(1, 1).toarray().T.astype(complex)
     return RepSpec(
         "su2",
         ((IrrepLabel.su2(0), 1), (IrrepLabel.su2(2), 1)),

@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 
 SU2 = "su2"
 ZN = "zn"
@@ -280,6 +282,65 @@ def cgc(j1: IrrepLabel, m1: int, j2: IrrepLabel, m2: int,
             return 1.0
         raise ValueError("J outside the Clebsch-Gordan series of j1 x j2")
     return _cgc_doubled(j1.two_j, m1, j2.two_j, m2, J.two_j, M)
+
+
+@lru_cache(maxsize=None)
+def cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
+    """All Clebsch-Gordan coefficients of j1 x j2 as one real orthogonal
+    sparse matrix, C[(J, M), (m1, m2)] = <j1 m1; j2 m2 | J M>.
+
+    Rows run over J ascending from |j1 - j2|, M descending within each J;
+    columns over (m1, m2) row-major, both descending.  Every (J, M, m1, m2)
+    with m1 + m2 = M is stored, so the sparsity pattern is the selection
+    rule.  On each weight-M subspace J^2 is tridiagonal with the distinct
+    eigenvalues J(J + 1), so one ``eigh`` per M gives the coupled states up
+    to sign.  The Condon-Shortley signs follow: |J J> has sign (-1)^(j1-m1)
+    on every component, and |J, M-1> is a positive multiple of J_- |J M>.
+    The matrix is cached and shared: do not modify it.
+    """
+    d1, d2 = two_j1 + 1, two_j2 + 1
+    j1, j2 = two_j1 / 2.0, two_j2 / 2.0
+    m1 = j1 - np.arange(d1)
+    m2 = j2 - np.arange(d2)
+    low1 = np.sqrt((j1 + m1) * (j1 - m1 + 1))  # J_- |j1 m1> = low1 |j1 m1-1>
+    low2 = np.sqrt((j2 + m2) * (j2 - m2 + 1))
+    raise2 = np.sqrt((j2 - m2) * (j2 + m2 + 1))  # J_+ |j2 m2> = raise2 |j2 m2+1>
+    two_min, two_top = abs(two_j1 - two_j2), two_j1 + two_j2
+    rows, cols, vals = [], [], []
+    prev_a = prev_V = None
+    # s = (two_top - two_M) / 2 indexes M descending; the subspace holds
+    # (m1 index a, m2 index s - a), ordered by a ascending
+    for s in range(d1 + d2 - 1):
+        a = np.arange(max(0, s - d2 + 1), min(s, d1 - 1) + 1)
+        b = s - a
+        two_M = two_top - 2 * s
+        off = low1[a[:-1]] * raise2[b[:-1]]  # J1_- J2_+ between neighbours
+        _, V = eigh_tridiagonal(  # columns: J ascending
+            j1 * (j1 + 1) + j2 * (j2 + 1) + 2 * m1[a] * m2[b], off)
+        two_J = np.arange(max(two_min, abs(two_M)), two_top + 1, 2)
+        top = two_J == two_M  # the highest weight |J J>, if J = M occurs
+        sign = np.empty(len(two_J))
+        sign[top] = (-1.0) ** a @ V[:, top]
+        if prev_V is not None:  # overlap with J_- applied to |J, M+1>
+            lowered = np.zeros((d1 + 1, prev_V.shape[1]))
+            lowered[prev_a + 1] += low1[prev_a, None] * prev_V
+            lowered[prev_a] += low2[s - 1 - prev_a, None] * prev_V
+            prev_col = (two_J[~top] - max(two_min, abs(two_M + 2))) // 2
+            sign[~top] = np.sum(lowered[a][:, prev_col] * V[:, ~top], axis=0)
+        V *= np.where(sign < 0, -1.0, 1.0)
+        t = (two_J - two_min) // 2  # rows of the spins below J
+        rows.append(np.repeat(t * (two_min + 1) + t * (t - 1)
+                              + (two_J - two_M) // 2, len(a)))
+        cols.append(np.tile(a * d2 + b, len(two_J)))
+        vals.append(V.T.reshape(-1))
+        prev_a, prev_V = a, V
+    n = d1 * d2
+    C = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                  np.concatenate(cols))),
+                          shape=(n, n))
+    for arr in (C.data, C.indices, C.indptr):
+        arr.setflags(write=False)
+    return C
 
 
 @dataclass(frozen=True)

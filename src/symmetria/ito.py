@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SU2, ZN, IrrepLabel, RepSpec, cgc
+from .groups import ZN, IrrepLabel, RepSpec, cg_block
 
 
 @dataclass(frozen=True)
@@ -93,24 +93,21 @@ def build_itos(rep: RepSpec) -> ITOBasis:
                 m[off1, off2] = 1.0
                 elements.append(ItoElement(lam, (b2, b1), 0, m))
                 continue
-            tj1, tj2 = lab1.two_j, lab2.two_j
-            for two_lam in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2):
+            # row (lam, k) of the Clebsch-Gordan block over (m1, mu) lands
+            # on |b1,m1><b2,-mu| with the sign (-1)^(j2-mu)
+            d1, d2 = lab1.dim, lab2.dim
+            C = cg_block(lab1.two_j, lab2.two_j).toarray().reshape(-1, d1, d2)
+            C = (C * (-1.0) ** np.arange(d2))[:, :, ::-1]
+            row = 0
+            for two_lam in range(abs(lab1.two_j - lab2.two_j),
+                                 lab1.two_j + lab2.two_j + 2, 2):
                 lam = IrrepLabel.su2(two_lam)
                 mats = []
-                for two_k in lam.components():
+                for block in C[row:row + lam.dim]:
                     m = np.zeros((dim, dim), dtype=complex)
-                    for two_m1 in lab1.components():
-                        for two_mu in lab2.components():
-                            c = cgc(lab1, two_m1, lab2, two_mu, lam, two_k)
-                            if c == 0.0:
-                                continue
-                            sign = (-1.0) ** ((tj2 - two_mu) // 2) \
-                                if (tj2 - two_mu) % 2 == 0 else None
-                            assert sign is not None
-                            r = off1 + (tj1 - two_m1) // 2
-                            s = off2 + (tj2 + two_mu) // 2  # column of -mu
-                            m[r, s] += c * sign
+                    m[off1:off1 + d1, off2:off2 + d2] = block
                     mats.append(m)
+                row += lam.dim
                 mats = _phase_fixed(mats)
                 for two_k, m in zip(lam.components(), mats):
                     elements.append(ItoElement(lam, (b2, b1), two_k, m))

@@ -14,18 +14,26 @@ column-form covariance law
     U'_g o Phi_k o U_g^dag = sum_j D^lam(g)_{jk} Phi_j
 
 and are orthonormal in the Choi (Hilbert-Schmidt) inner product.
+
+A basis is stored in this factored form (the Wigner-Eckart structure of the
+modes): the output and input ITO bases as two unitary matrices and the
+Clebsch-Gordan coupling as one sparse matrix.  The dense matrix of all
+modes is never needed; ``ProcessModeBasis.stack`` forms it for tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 
 import numpy as np
+from scipy import sparse
 
 from .groups import (SU2, ZN, GroupElement, HaarQuadrature, IrrepLabel,
-                     RepSpec, cgc, rep_matrix, wigner_D)
+                     RepSpec, cg_block, rep_matrix, wigner_D)
 from .ito import build_itos
 from .linalg_core import Superoperator, conjugate, vec
 
@@ -58,30 +66,59 @@ def _lab(l: IrrepLabel) -> str:
 class Mode:
     diagram: Diagram
     k: int  # doubled component weight (SU(2)); 0 for Z_N
-    op: Superoperator
+    # (ito_out, ito_in, coupling, row) of the basis holding this mode: the
+    # factors, not the basis, so that a basis and its modes form no cycle
+    source: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def op(self) -> Superoperator:
+        """The mode's superoperator, formed from its coupling row once."""
+        ito_out, ito_in = self.source[:2]
+        return Superoperator(math.isqrt(ito_in.shape[0]),
+                             math.isqrt(ito_out.shape[0]),
+                             _mode_transfer(*self.source))
 
 
-# Largest mode stack build_canonical_modes allocates, 16 (d_in d_out)^4
-# bytes: square carriers up to d = 10 build, d = 11 (3.4 GB) is refused.
+def _mode_transfer(ito_out, ito_in, coupling, row, out=None) -> np.ndarray:
+    """Transfer matrix of one mode: the sum over its coupling entries
+    c_(i,j) of c * outer(ito_out[i], ito_in[j]), i.e. ito_out^T Z ito_in."""
+    lo, hi = coupling.indptr[row], coupling.indptr[row + 1]
+    i, j = np.divmod(coupling.indices[lo:hi], ito_in.shape[0])
+    return np.matmul(ito_out[i].T, coupling.data[lo:hi, None] * ito_in[j],
+                     out=out)
+
+
+# Largest allocation of a mode basis: build_canonical_modes refuses a basis
+# whose predicted size (_basis_bytes) is over it, and ``stack`` a dense
+# matrix of 16 (d_in d_out)^4 bytes over it (square d >= 11).
 MAX_STACK_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
 class ProcessModeBasis:
-    """The process modes of (rep_in, rep_out), stored once as a matrix.
+    """The process modes of (rep_in, rep_out), stored once in factored form.
 
-    Row i of the read-only ``stack`` is the vectorised transfer matrix of the
-    mode labelled ``labels[i] = (Diagram, k)``.  The rows of one diagram are
-    consecutive in descending k; ``spans`` maps each diagram to its slice.
+    Rows of ``ito_out`` are vec(T^atilde) over the output ITO basis, rows of
+    ``ito_in`` are vec((T^a)^T) over the input ITO basis; both are unitary.
+    Row i of the sparse ``coupling`` holds the coefficients of mode
+    ``labels[i] = (Diagram, k)`` over the (output ITO, input ITO) pairs,
+    column i_out * d_in^2 + i_in.  The vectorised transfer matrices of all
+    modes are the rows of coupling . (ito_out (x) ito_in), which is never
+    formed.  The rows of one diagram are consecutive in descending k;
+    ``spans`` maps each diagram to its slice.
     """
 
     rep_in: RepSpec
     rep_out: RepSpec
-    labels: tuple  # of (Diagram, k), one per row of stack
-    stack: np.ndarray  # (n_modes, d_out^2 * d_in^2)
+    labels: tuple  # of (Diagram, k), one per mode
+    ito_out: np.ndarray  # (d_out^2, d_out^2)
+    ito_in: np.ndarray  # (d_in^2, d_in^2)
+    coupling: sparse.csr_matrix  # (n_modes, d_out^2 * d_in^2)
 
     def __post_init__(self):
-        self.stack.setflags(write=False)
+        for arr in (self.ito_out, self.ito_in, self.coupling.data,
+                    self.coupling.indices, self.coupling.indptr):
+            arr.setflags(write=False)
 
     @cached_property
     def spans(self) -> dict:
@@ -93,14 +130,45 @@ class ProcessModeBasis:
         return spans
 
     @cached_property
+    def _coupling_t(self) -> sparse.csc_matrix:
+        """The coupling's transpose, a view sharing its arrays."""
+        return self.coupling.T
+
+    @cached_property
+    def _nontrivial(self) -> np.ndarray:
+        """Mask of the modes whose diagram exchanges a nontrivial lam."""
+        mask = np.zeros(len(self.labels), dtype=bool)
+        for diagram, span in self.spans.items():
+            mask[span] = not diagram.lam.is_trivial
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
     def modes(self) -> tuple:
-        """One Mode per row; each ``op.transfer`` is a view of its row."""
-        d_in, d_out = self.rep_in.dim, self.rep_out.dim
-        return tuple(
-            Mode(diagram, k,
-                 Superoperator(d_in, d_out, row.reshape(d_out**2, d_in**2)))
-            for (diagram, k), row in zip(self.labels, self.stack)
-        )
+        """One Mode per row; each ``op`` is formed on first access."""
+        factors = (self.ito_out, self.ito_in, self.coupling)
+        return tuple(Mode(diagram, k, factors + (row,))
+                     for row, (diagram, k) in enumerate(self.labels))
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """Read-only dense (n_modes, d_out^2 d_in^2) matrix whose row i is
+        the vectorised transfer matrix of mode i, bit-identical to
+        ``modes[i].op``.  An oracle for tests: formed on first access, row
+        by row, and refused over MAX_STACK_BYTES."""
+        d_out2, d_in2 = self.ito_out.shape[0], self.ito_in.shape[0]
+        n = len(self.labels)
+        need = 16 * n * d_out2 * d_in2
+        if need > MAX_STACK_BYTES:
+            raise ValueError(f"the dense mode stack needs {need / 2**30:.1f}"
+                             " GiB, over the 2 GiB limit")
+        stack = np.empty((n, d_out2 * d_in2), dtype=complex)
+        rows = stack.reshape(n, d_out2, d_in2)
+        for row in range(n):
+            _mode_transfer(self.ito_out, self.ito_in, self.coupling, row,
+                           out=rows[row])
+        stack.setflags(write=False)
+        return stack
 
     def diagrams(self) -> list[Diagram]:
         return list(self.spans)
@@ -113,13 +181,12 @@ class ProcessModeBasis:
 @dataclass(frozen=True)
 class ModeCoefficients:
     basis: ProcessModeBasis
-    values: np.ndarray  # one coefficient per row of basis.stack
+    values: np.ndarray  # one coefficient per mode
     residual: float
 
     def reconstruct(self) -> Superoperator:
         d_in, d_out = self.basis.rep_in.dim, self.basis.rep_out.dim
-        K = self.basis.stack.T @ self.values
-        return Superoperator(d_in, d_out, K.reshape(d_out**2, d_in**2))
+        return Superoperator(d_in, d_out, _transfer_of(self.values, self.basis))
 
     def by_diagram(self, diagram: Diagram) -> np.ndarray:
         """Coefficient vector of one diagram, ordered by descending k."""
@@ -127,46 +194,116 @@ class ModeCoefficients:
 
     def is_symmetric(self, tol: float = 1e-10) -> bool:
         """True iff all coefficients on nontrivial-lam diagrams are below tol."""
-        return all(np.abs(self.values[span]).max() <= tol
-                   for diagram, span in self.basis.spans.items()
-                   if not diagram.lam.is_trivial)
+        return bool(np.all(np.abs(self.values[self.basis._nontrivial]) <= tol))
+
+
+def _coupled(a: IrrepLabel, b: IrrepLabel) -> list[IrrepLabel]:
+    """The irreps in a x b, in the row order of the Clebsch-Gordan block."""
+    if a.kind == ZN:
+        return [IrrepLabel.zn(a.charge + b.charge, a.modulus)]
+    return [IrrepLabel.su2(t)
+            for t in range(abs(a.two_j - b.two_j), a.two_j + b.two_j + 2, 2)]
+
+
+def _family_spins(rep: RepSpec) -> list[int]:
+    """Doubled spin of each ITO family of B(H), in build_itos order; 0 for
+    every (one-element) Z_N family."""
+    if rep.kind == ZN:
+        return [0] * rep.dim ** 2
+    tjs = [lab.two_j for lab, _, _ in rep.irrep_blocks()]
+    return [t for t2 in tjs for t1 in tjs
+            for t in range(abs(t1 - t2), t1 + t2 + 1, 2)]
+
+
+def _cg_nnz(two_j1: int, two_j2: int) -> int:
+    """Stored entries of cg_block(two_j1, two_j2): the squared sizes of its
+    weight subspaces, (d1 - 1) d1 (2 d1 - 1) / 3 + (d2 - d1 + 1) d1^2 for
+    d1 <= d2."""
+    d1, d2 = sorted((two_j1 + 1, two_j2 + 1))
+    return (d1 - 1) * d1 * (2 * d1 - 1) // 3 + (d2 - d1 + 1) * d1 * d1
+
+
+# Bytes of one label (a 2-tuple and its slot in ``labels``) and of one
+# Diagram with its instance dictionary, as measured on CPython 3.11.
+_LABEL_BYTES = 64
+_DIAGRAM_BYTES = 104
+
+
+def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
+    """Bytes build_canonical_modes holds for the basis of (rep_in, rep_out),
+    predicted from the ITO family spins alone: the ITO bases and the two
+    matrices made of them, the Clebsch-Gordan blocks read (cached by
+    ``cg_block``), the CSR coupling and the labels."""
+    n = rep_in.dim ** 2 * rep_out.dim ** 2
+    spins_in = Counter(_family_spins(rep_in)).items()
+    nnz = blocks = diagrams = 0
+    for a, count_a in Counter(_family_spins(rep_out)).items():
+        for b, count_b in spins_in:
+            pairs, k = count_a * count_b, _cg_nnz(a, b)
+            nnz, blocks = nnz + pairs * k, blocks + k
+            diagrams += pairs * (min(a, b) + 1)
+    index = 4 if max(n, nnz) < 2 ** 31 else 8
+    return (32 * (rep_in.dim ** 4 + rep_out.dim ** 4)
+            + (8 + index) * (nnz + blocks) + index * (n + 1)
+            + _LABEL_BYTES * n + _DIAGRAM_BYTES * diagrams)
 
 
 def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis:
     if rep_in.kind != rep_out.kind:
         raise ValueError("input and output reps must share the group kind")
-    n = (rep_in.dim * rep_out.dim) ** 2
-    if 16 * n * n > MAX_STACK_BYTES:
-        raise ValueError(f"the process-mode basis needs {16 * n * n / 2**30:.1f}"
+    need = _basis_bytes(rep_in, rep_out)
+    if need > MAX_STACK_BYTES:
+        raise ValueError(f"the process-mode basis needs {need / 2**30:.1f}"
                          " GiB, over the 2 GiB limit")
-    itos_in = build_itos(rep_in)
     itos_out = build_itos(rep_out)
-    stack = np.zeros((n, n), dtype=complex)
+    itos_in = itos_out if rep_in is rep_out else build_itos(rep_in)
+    ito_out = np.array([vec(e.matrix) for e in itos_out.elements])
+    ito_in = np.array([vec(e.matrix.T) for e in itos_in.elements])
+    fams_out = [key for key, _ in itos_out.families()]
+    fams_in = [key for key, _ in itos_in.families()]
+    s_out = np.array(_family_spins(rep_out))
+    s_in = np.array(_family_spins(rep_in))
+    n_in = len(ito_in)
+
+    # one pair of families per block of rows, output family outermost; the
+    # pairs of one spin pair share one Clebsch-Gordan block, whose entry
+    # (m_out, m_in) lands in column (first_out + m_out, first_in + m_in)
+    first_out = np.cumsum(s_out + 1) - (s_out + 1)
+    first_in = np.cumsum(s_in + 1) - (s_in + 1)
+    base = (first_out[:, None] * n_in + first_in).reshape(-1)
+    radix = s_in.max() + 1
+    spin_pairs, block_of = np.unique(
+        (s_out[:, None] * radix + s_in).reshape(-1), return_inverse=True)
+    blocks = [cg_block(int(p // radix), int(p % radix)) for p in spin_pairs]
+    n_rows = np.array([C.shape[0] for C in blocks])[block_of]
+    nnz = np.array([C.nnz for C in blocks])[block_of]
+    row0 = np.cumsum(n_rows) - n_rows
+    nz0 = np.cumsum(nnz) - nnz
+    index = np.int32 if max(n_rows.sum(), nnz.sum()) < 2 ** 31 else np.int64
+    data = np.empty(nnz.sum())
+    indices = np.empty(nnz.sum(), dtype=index)
+    row_nnz = np.empty(n_rows.sum(), dtype=index)
+    for g, (C, p) in enumerate(zip(blocks, spin_pairs)):
+        pairs = np.flatnonzero(block_of == g)
+        m_out, m_in = np.divmod(C.indices, p % radix + 1)
+        where = nz0[pairs, None] + np.arange(C.nnz)
+        data[where] = C.data
+        indices[where] = base[pairs, None] + (m_out * n_in + m_in)
+        row_nnz[row0[pairs, None] + np.arange(C.shape[0])] = \
+            np.diff(C.indptr)
+    indptr = np.zeros(len(row_nnz) + 1, dtype=index)
+    np.cumsum(row_nnz, out=indptr[1:])
+    coupling = sparse.csr_matrix((data, indices, indptr),
+                                 shape=(len(row_nnz), len(ito_out) * n_in))
+
     labels = []
-    for (a_out_lam, a_out_mult), out_fam in itos_out.families():
-        for (a_in_lam, a_in_mult), in_fam in itos_in.families():
-            if rep_in.kind == ZN:
-                lam_list = [IrrepLabel.zn(a_out_lam.charge + a_in_lam.charge,
-                                          rep_in.modulus)]
-            else:
-                lam_list = [
-                    IrrepLabel.su2(t)
-                    for t in range(abs(a_out_lam.two_j - a_in_lam.two_j),
-                                   a_out_lam.two_j + a_in_lam.two_j + 2, 2)
-                ]
-            diag_base = dict(a_in=(a_in_lam, a_in_mult), a_out=(a_out_lam, a_out_mult))
-            for lam in lam_list:
-                diagram = Diagram(lam=lam, **diag_base)
-                for two_k in lam.components():
-                    row = stack[len(labels)].reshape(rep_out.dim**2, rep_in.dim**2)
-                    for e_out in out_fam:
-                        for e_in in in_fam:
-                            c = cgc(e_out.lam, e_out.k, e_in.lam, e_in.k, lam, two_k)
-                            if c != 0.0:
-                                row += c * np.outer(vec(e_out.matrix),
-                                                    vec(e_in.matrix.T))
-                    labels.append((diagram, two_k))
-    return ProcessModeBasis(rep_in, rep_out, tuple(labels), stack)
+    for a_out in fams_out:
+        for a_in in fams_in:
+            for lam in _coupled(a_out[0], a_in[0]):
+                diagram = Diagram(a_in, a_out, lam)
+                labels.extend((diagram, k) for k in lam.components())
+    return ProcessModeBasis(rep_in, rep_out, tuple(labels), ito_out, ito_in,
+                            coupling)
 
 
 def superop_group_action(S: Superoperator, g: GroupElement,
@@ -178,19 +315,28 @@ def superop_group_action(S: Superoperator, g: GroupElement,
 
 
 def _mode_values(S: Superoperator, basis: ProcessModeBasis) -> np.ndarray:
-    """The coefficients c_i = <mode_i, S>: one pass over the stack."""
+    """The coefficients c_i = <mode_i, S> = conj(R conj(vec(conj(A) K B^dag)))
+    for A = ito_out, B = ito_in and R = coupling: two small products and one
+    sparse product."""
     if (S.dim_in, S.dim_out) != (basis.rep_in.dim, basis.rep_out.dim):
         raise ValueError("superoperator/basis dimension mismatch")
-    # conj(M) v computed as conj(M conj(v)): never copies the stack
-    values = (basis.stack @ S.transfer.reshape(-1).conj()).conj()
+    y = basis.ito_out @ S.transfer.conj() @ basis.ito_in.T
+    values = (basis.coupling @ y.reshape(-1)).conj()
     values.setflags(write=False)
     return values
+
+
+def _transfer_of(values: np.ndarray, basis: ProcessModeBasis) -> np.ndarray:
+    """sum_i values_i * (transfer matrix of mode i) = A^T Z B, with Z the
+    coupling's transpose applied to the values."""
+    Z = (basis._coupling_t @ values).reshape(len(basis.ito_out), -1)
+    return basis.ito_out.T @ Z @ basis.ito_in
 
 
 def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:
     """Coefficients c_i = <mode_i, S> and the norm of what they leave out."""
     values = _mode_values(S, basis)
-    residual = np.linalg.norm(S.transfer.reshape(-1) - basis.stack.T @ values)
+    residual = np.linalg.norm(S.transfer - _transfer_of(values, basis))
     return ModeCoefficients(basis, values, float(residual))
 
 

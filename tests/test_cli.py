@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,11 +116,12 @@ def _modulus_zero(d):
     d["group"] = {"kind": "zn", "charges": [0, 1], "modulus": 0}
 
 
-def _spin_5_identity(d):
-    # d = 11: its mode basis would need 3.4 GB
-    d.update(dim_in=11, dim_out=11, group={"kind": "su2", "two_j": [10]},
-             kraus=[[[[float(r == c), 0.0] for c in range(11)]
-                     for r in range(11)]])
+def _spin_39_2_identity(d):
+    # d = 40: the smallest single-spin carrier whose factored mode basis is
+    # predicted over 2 GiB
+    d.update(dim_in=40, dim_out=40, group={"kind": "su2", "two_j": [39]},
+             kraus=[[[[float(r == c), 0.0] for c in range(40)]
+                     for r in range(40)]])
 
 
 @pytest.mark.parametrize("args, code", [
@@ -132,7 +134,7 @@ def _spin_5_identity(d):
     (("gauge", "--lattice", "3x3"), 3),
     (("table", "--p", "2"), 3),
     (("region", "--grid", "0"), 2),
-    (("decompose", _spin_5_identity), 3),
+    (("decompose", _spin_39_2_identity), 3),
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "table-p-2", "region-grid-0",
         "over-memory-limit"])
@@ -143,6 +145,28 @@ def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     assert r.returncode == code, (r.stdout, r.stderr)
     assert "Traceback" not in r.stderr
     assert r.stderr.strip()
+
+
+def test_decompose_d16_channel_in_process(tmp_path, capsys):
+    # 65,536 process modes, whose dense matrix would be 68.7 GB
+    import numpy as np
+    from symmetria import cli
+    from symmetria.linalg_core import kraus_of_choi, random_cptp
+
+    S = random_cptp(16, 16, np.random.default_rng(16), env_dim=2)
+    data = {"dim_in": 16, "dim_out": 16,
+            "group": {"kind": "su2", "two_j": [3, 3, 3, 3]},
+            "kraus": [[[[float(z.real), float(z.imag)] for z in row]
+                       for row in A] for A in kraus_of_choi(S)]}
+    f = tmp_path / "su2-d16.json"
+    f.write_text(json.dumps(data))
+    code = cli.main(["decompose", str(f)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "Traceback" not in err
+    residual = re.search(r"^reconstruction residual: (\S+)$", out, re.M)
+    assert float(residual.group(1)) <= 1e-10
+    assert "symmetric: no" in out
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmetria.groups import (GroupElement, IrrepLabel, RepSpec, cgc, compose,
+from symmetria.groups import (GroupElement, IrrepLabel, RepSpec, cg_block,
+                              cgc, compose,
                               dual_sign_permutation, generators,
                               haar_quadrature, inverse, mode_matrix,
                               random_su2, rep_matrix, su2_from_matrix,
@@ -107,6 +108,23 @@ def test_cgc_couples_to_total_weight():
             for M in J.components():
                 if m1 + m2 != M:
                     assert cgc(j1, m1, j2, m2, J, M) == 0.0
+
+
+def test_cg_block_matches_racah_coefficients():
+    # the eigen-route block against the exact scalar oracle, entry by entry
+    for two_j1 in range(11):
+        j1 = IrrepLabel.su2(two_j1)
+        for two_j2 in range(11):
+            j2 = IrrepLabel.su2(two_j2)
+            C = cg_block(two_j1, two_j2).toarray()
+            exact = np.array([
+                [cgc(j1, m1, j2, m2, J, M)
+                 for m1 in j1.components() for m2 in j2.components()]
+                for J in (IrrepLabel.su2(t) for t in range(
+                    abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2))
+                for M in J.components()])
+            assert np.abs(C - exact).max() <= 1e-14
+            assert np.abs(C @ C.T - np.eye(len(C))).max() <= 1e-14
 
 
 def test_dual_sign_permutation_intertwines_conjugate():

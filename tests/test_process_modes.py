@@ -7,13 +7,14 @@ import pytest
 
 from symmetria import process_modes
 from symmetria.axial import single_qubit_modes
-from symmetria.groups import (GroupElement, IrrepLabel, RepSpec,
+from symmetria.groups import (GroupElement, IrrepLabel, RepSpec, cgc,
                               haar_quadrature, random_su2, wigner_D)
+from symmetria.ito import build_itos
 from symmetria.linalg_core import (Superoperator, check_cptp,
                                    depolarizing_channel, hs_inner,
-                                   identity_channel, random_cptp)
-from symmetria.process_modes import (MAX_STACK_BYTES, build_canonical_modes,
-                                     decompose,
+                                   identity_channel, random_cptp, vec)
+from symmetria.process_modes import (MAX_STACK_BYTES, Diagram,
+                                     build_canonical_modes, decompose,
                                      is_symmetric, project_isotypic,
                                      project_isotypic_basis,
                                      superop_group_action, twirl)
@@ -217,18 +218,173 @@ def test_families_are_row_spans_of_the_stack(d6_basis):
             assert all(m.diagram == diagram for m in fam)
             assert all(a.k > b.k for a, b in zip(fam, fam[1:]))
         for row, m in zip(basis.stack, basis.modes):
-            assert np.shares_memory(m.op.transfer, basis.stack)
             assert np.array_equal(m.op.transfer.reshape(-1), row)
+    # a mode's op is formed from its coupling row alone: at d = 9 one read
+    # allocates its own 6,561 entries, not the 689 MB of all the modes
+    rep = RepSpec.su2_spins([2, 2, 2])
+    basis = build_canonical_modes(rep, rep)
+    modes = basis.modes
+    tracemalloc.start()
+    try:
+        op = modes[len(modes) // 2].op
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.transfer.shape == (81, 81)
+    assert peak < 1 << 20
+    assert "stack" not in basis.__dict__
 
 
 def test_build_refuses_a_stack_over_the_memory_limit():
     rep = RepSpec.su2_spins([10])  # d = 11: 16 * 11^8 bytes = 3.4 GB
     assert 16 * 11**8 > MAX_STACK_BYTES > 16 * 10**8
+    basis = build_canonical_modes(rep, rep)  # the factored basis is small
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="GiB"):
-            build_canonical_modes(rep, rep)
+            basis.stack
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# The smallest square carrier whose factored mode basis is predicted over
+# the limit.  Of all SU(2) carriers of one dimension the single spin
+# predicts the most (checked over every partition of d = 38 and 39; at
+# d = 39 it predicts 1.9 GiB), and Z_N carriers predict less.
+SMALLEST_REFUSED = RepSpec.su2_spins([39])  # d = 40
+
+
+def test_build_refuses_a_basis_over_the_memory_limit():
+    below = RepSpec.su2_spins([38])
+    assert process_modes._basis_bytes(below, below) <= MAX_STACK_BYTES \
+        < process_modes._basis_bytes(SMALLEST_REFUSED, SMALLEST_REFUSED)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB"):
+            build_canonical_modes(SMALLEST_REFUSED, SMALLEST_REFUSED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _dense_oracle(rep_in: RepSpec, rep_out: RepSpec):
+    """The dense construction the factored basis replaced: every mode's
+    vectorised transfer matrix as one row, accumulated from one scalar
+    Clebsch-Gordan coefficient and one outer product per ITO pair.
+    Returns (labels, stack)."""
+    itos_in, itos_out = build_itos(rep_in), build_itos(rep_out)
+    n = (rep_in.dim * rep_out.dim) ** 2
+    stack = np.zeros((n, n), dtype=complex)
+    labels = []
+    for (a_out_lam, a_out_mult), out_fam in itos_out.families():
+        for (a_in_lam, a_in_mult), in_fam in itos_in.families():
+            if rep_in.kind == "zn":
+                lam_list = [IrrepLabel.zn(a_out_lam.charge + a_in_lam.charge,
+                                          rep_in.modulus)]
+            else:
+                lam_list = [
+                    IrrepLabel.su2(t)
+                    for t in range(abs(a_out_lam.two_j - a_in_lam.two_j),
+                                   a_out_lam.two_j + a_in_lam.two_j + 2, 2)
+                ]
+            for lam in lam_list:
+                diagram = Diagram((a_in_lam, a_in_mult),
+                                  (a_out_lam, a_out_mult), lam)
+                for two_k in lam.components():
+                    row = stack[len(labels)].reshape(rep_out.dim**2,
+                                                     rep_in.dim**2)
+                    for e_out in out_fam:
+                        for e_in in in_fam:
+                            c = cgc(e_out.lam, e_out.k, e_in.lam, e_in.k,
+                                    lam, two_k)
+                            if c != 0.0:
+                                row += c * np.outer(vec(e_out.matrix),
+                                                    vec(e_in.matrix.T))
+                    labels.append((diagram, two_k))
+    return tuple(labels), stack
+
+
+def _intertwined_rep():
+    rng = np.random.default_rng(45)
+    Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    return RepSpec.su2_spins([1, 2], intertwiner=Q)
+
+
+ORACLE_CASES = {
+    "su2[1,1,1]": lambda: (RepSpec.su2_spins([1, 1, 1]),) * 2,
+    "z7[0..5]": lambda: (RepSpec.zn_charges(range(6), 7),) * 2,
+    "su2[1,2]-intertwined": lambda: (_intertwined_rep(),) * 2,
+    "su2[2]->su2[1,1]": lambda: (RepSpec.su2_spins([2]),
+                                 RepSpec.su2_spins([1, 1])),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_factored_basis_matches_the_dense_oracle(case):
+    rep_in, rep_out = ORACLE_CASES[case]()
+    d_in, d_out = rep_in.dim, rep_out.dim
+    basis = build_canonical_modes(rep_in, rep_out)
+    labels, stack = _dense_oracle(rep_in, rep_out)
+    assert basis.labels == labels
+    assert np.abs(basis.stack - stack).max() < 1e-12
+
+    S = random_cptp(d_in, d_out, np.random.default_rng(46))
+    K = S.transfer.reshape(-1)
+    values = stack.conj() @ K
+    coeffs = decompose(S, basis)
+    assert np.abs(coeffs.values - values).max() < 1e-12
+    assert abs(coeffs.residual - np.linalg.norm(K - stack.T @ values)) < 1e-12
+    assert np.abs(coeffs.reconstruct().transfer.reshape(-1)
+                  - stack.T @ values).max() < 1e-12
+
+    # rho -> tr(rho) 1/d_out commutes with every group action
+    replace = Superoperator.from_transfer(
+        np.outer(vec(np.eye(d_out) / d_out), vec(np.eye(d_in))), d_in, d_out)
+    nontrivial = np.array([not d.lam.is_trivial for d, _ in labels])
+    for channel, expected in ((replace, True), (S, False)):
+        oracle = stack.conj() @ channel.transfer.reshape(-1)
+        assert bool(np.all(np.abs(oracle[nontrivial]) <= 1e-10)) is expected
+        assert is_symmetric(channel, basis) is expected
+
+    for lam in {d.lam for d, _ in labels}:
+        kept = np.where([d.lam == lam for d, _ in labels], values, 0.0)
+        projected = project_isotypic_basis(S, lam, basis)
+        assert np.abs(projected.transfer.reshape(-1)
+                      - stack.T @ kept).max() < 1e-12
+
+
+def _build_and_decompose_traced(rep, seed):
+    S = random_cptp(rep.dim, rep.dim, np.random.default_rng(seed))
+    tracemalloc.start()
+    try:
+        basis = build_canonical_modes(rep, rep)
+        coeffs = decompose(S, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "stack" not in basis.__dict__
+    return basis, coeffs, peak
+
+
+def test_d9_build_and_decompose_within_200_mb():
+    # the dense matrix of all 6,561 modes would be 689 MB
+    rep = RepSpec.su2_spins([2, 2, 2])
+    basis, coeffs, peak = _build_and_decompose_traced(rep, 47)
+    assert len(basis.labels) == 9**4
+    assert coeffs.residual <= 1e-10
+    assert peak < 200 << 20
+    assert peak < 2 * process_modes._basis_bytes(rep, rep)
+
+
+def test_d16_build_and_decompose_within_2_gb():
+    # 65,536 modes, whose dense matrix would be 68.7 GB
+    rep = RepSpec.su2_spins([3, 3, 3, 3])
+    basis, coeffs, peak = _build_and_decompose_traced(rep, 48)
+    assert len(basis.labels) == 16**4
+    assert coeffs.residual <= 1e-10
+    assert not coeffs.is_symmetric()
+    assert peak < 2 << 30
+    assert peak < 2 * process_modes._basis_bytes(rep, rep)
