@@ -326,17 +326,25 @@ def cmd_catalytic(args, out: list) -> int:
 def cmd_gauge(args, out: list) -> int:
     rng = np.random.default_rng(args.seed)
     N = args.n
+    try:
+        Lx, Ly = (int(v) for v in args.lattice.lower().split("x"))
+    except ValueError:
+        raise ParseError("lattice must look like '2x2'")
+    if Lx < 1 or Ly < 1:
+        raise ParseError(f"lattice sides must be >= 1, got {args.lattice}")
     out.append(f"command: gauge n={N} lattice={args.lattice} "
                f"seed={args.seed}")
     out.extend(convention_block())
 
-    # random 2-symmetric elements, gauged and checked by enumeration
+    # random 2-symmetric elements, gauged and checked on the generators
     frame = LinkFrame(N)
     rep = RepSpec.zn_charges([0, 1], N)
     basis = build_canonical_modes(rep, rep)
+    # modes on the charge-{0, 1} rep carry charges 0, +-1 and +-2 only
+    charges = sorted({m.diagram.lam.charge % N for m in basis.modes})
     worst = 0.0
     for trial in range(args.trials):
-        lam = int(rng.integers(0, N))
+        lam = charges[rng.integers(0, len(charges))]
         mx = [m for m in basis.modes if m.diagram.lam.charge % N == lam]
         my = [m for m in basis.modes
               if m.diagram.lam.charge % N == (-lam) % N]
@@ -355,10 +363,6 @@ def cmd_gauge(args, out: list) -> int:
                f"elements: {fmt(worst)}")
 
     # lattice demo
-    try:
-        Lx, Ly = (int(v) for v in args.lattice.lower().split("x"))
-    except ValueError:
-        raise ParseError("lattice must look like '2x2'")
     lat = build_gauged_lattice(Lx, Ly, args.lattice_n)
     out.append(f"lattice: {Lx}x{Ly} sites, {len(lat.links)} links, "
                f"Z_{lat.N} frames, dim {lat.dim}")
@@ -444,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gauge", help="gauging + lattice Gauss/Wilson report")
     g.add_argument("--n", type=int, default=4,
                    help="link modulus for the two-site gauging check")
-    g.add_argument("--trials", type=int, default=10)
+    g.add_argument("--trials", type=_int_at_least(1), default=10)
     g.add_argument("--lattice", default="2x2")
     g.add_argument("--lattice-n", type=int, default=3,
                    help="link modulus for the lattice demo")

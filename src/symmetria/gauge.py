@@ -6,13 +6,15 @@ group-element basis |h>, transforming under the local action as
 |h> -> |g_x + h - g_y mod N>.  A charge-lambda coupling acts on the link by
 left multiplication with L_lambda = sum_h omega^{lambda h} |h><h|, which
 carries exactly the covariance phase needed to cancel the transformation of
-the matter factors.  Because Z_N is finite, every invariance statement is
-checked by exact enumeration rather than quadrature.
+the matter factors.  Because Z_N x Z_N is finite and generated by (1, 0)
+and (0, 1), local invariance is checked exactly on the two generators, and
+a gauge-fixed stabilizer by enumerating every element; neither needs
+quadrature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -121,13 +123,13 @@ def _local_unitary(rep_x: RepSpec, rep_y: RepSpec, frame: LinkFrame,
 def local_invariance_residual(S: Superoperator, rep_x: RepSpec,
                               rep_y: RepSpec, frame: LinkFrame) -> float:
     """Max norm defect of U_{g_x} (x) U_{(g_x,g_y)} (x) U_{g_y} invariance
-    over the full exact enumeration of Z_N x Z_N."""
-    worst = 0.0
-    for gx in range(frame.N):
-        for gy in range(frame.N):
-            U = _local_unitary(rep_x, rep_y, frame, gx, gy)
-            worst = max(worst, (conjugate(S, U, U) - S).norm())
-    return worst
+    over the generators (1, 0) and (0, 1) of Z_N x Z_N.  It is zero exactly
+    when S is invariant under the whole group; any other element is a word
+    of at most 2(N - 1) generators, so its defect is at most 2(N - 1) times
+    this one."""
+    return max((conjugate(S, U, U) - S).norm()
+               for U in (_local_unitary(rep_x, rep_y, frame, 1, 0),
+                         _local_unitary(rep_x, rep_y, frame, 0, 1)))
 
 
 def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
@@ -221,13 +223,13 @@ def gauge_fix_stabilizer(G: GaugedProcess, h1: int, h2: int,
 # Lattice demo: hardcore matter on a small torus with Z_N links
 # ---------------------------------------------------------------------------
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # a |1> = |0>
-_NUMBER = _LOWER.conj().T @ _LOWER
-
-
 @dataclass(frozen=True)
 class GaugedLattice:
-    """Hardcore-boson matter on lattice sites coupled to Z_N link frames."""
+    """Hardcore-boson matter on lattice sites coupled to Z_N link frames.
+
+    A product-basis index has one digit per site (its occupation, most
+    significant first), then one per link (its group element).  Every lattice
+    operator is monomial in that basis and is built from the digit tables."""
 
     Lx: int
     Ly: int
@@ -240,7 +242,8 @@ class GaugedLattice:
     wilson_ops: tuple       # plaquette loop operators (both orientations)
     _occ: np.ndarray        # (num sites, dim) site occupations per basis index
     _linkval: np.ndarray    # (num links, dim) link group elements per index
-    _cache: dict = field(default_factory=dict, compare=False)
+    _incidence: np.ndarray  # (num sites, num links): +1 source, -1 target
+    _sector: np.ndarray     # (dim,) charge-sector label per link-Fourier index
 
     @property
     def dim(self) -> int:
@@ -253,19 +256,10 @@ class GaugedLattice:
         N = self.N
         charges = np.asarray(charges, dtype=int) % N
         expo = charges @ self._occ  # site phase exponents per basis index
-        shift = np.zeros(self._linkval.shape, dtype=int)
-        s_index = {s: i for i, s in enumerate(self.sites)}
-        for li, (src, tgt) in enumerate(self.links):
-            shift[li] = charges[s_index[src]] - charges[s_index[tgt]]
-        newval = (self._linkval + shift) % N
-        # recompose the basis index from unchanged occupations + new links
-        nl = len(self.links)
-        base = np.zeros(self.dim, dtype=int)
-        for si in range(len(self.sites)):
-            base = base * 2 + self._occ[si]
-        for li in range(nl):
-            base = base * N + newval[li]
-        perm = base
+        # link (x -> y) shifts by g_x - g_y
+        newval = (self._linkval + (charges @ self._incidence)[:, None]) % N
+        shape = (2,) * len(self.sites) + (N,) * len(self.links)
+        perm = np.ravel_multi_index(tuple(self._occ) + tuple(newval), shape)
         phase = np.exp(2j * np.pi * expo / N)
         return perm, phase
 
@@ -286,8 +280,10 @@ class GaugedLattice:
         vectors agree mod N, which is a masked conjugation instead of a sum
         over the whole group (cross-checked against ``twirl_enumerate``).
         """
-        F, mask = self._fourier_mask()
-        return F.conj().T @ ((F @ rho @ F.conj().T) * mask) @ F
+        T = self._link_dft()
+        same = self._sector[:, None] == self._sector[None, :]
+        rf = self._link_frame(np.asarray(rho, dtype=complex), T)
+        return self._link_frame(rf * same, T.conj().T)
 
     def twirl_enumerate(self, rho: np.ndarray) -> np.ndarray:
         """Direct group-sum twirl; the oracle for ``twirl``."""
@@ -302,57 +298,49 @@ class GaugedLattice:
 
     def dynamics_commutation_defects(self, V: np.ndarray, states) -> list:
         """Norms of (V G(rho) V^dag - G(V rho V^dag)) for each state, where
-        G is the local twirl.  Computed entirely in the link-Fourier frame,
-        so each state costs a handful of dense products.  States given as
-        1-D arrays are treated as pure-state vectors."""
-        F, mask = self._fourier_mask()
-        Vf = F @ np.asarray(V, dtype=complex) @ F.conj().T
+        G is the local twirl.  Computed entirely in the link-Fourier frame.
+        States given as 1-D arrays are treated as pure-state vectors: then
+        G(|phi><phi|) = sum_q P_q |phi><phi| P_q over the charge sectors q,
+        so V G(rho) V^dag = W W^dag with one column V P_q phi per sector."""
+        T = self._link_dft()
+        Vf = self._link_frame(np.asarray(V, dtype=complex), T)
+        same = self._sector[:, None] == self._sector[None, :]
+        sectors = np.arange(self.N ** len(self.sites))
+        in_sector = self._sector[:, None] == sectors
         out = []
         for s in states:
             s = np.asarray(s, dtype=complex)
             if s.ndim == 1:
-                phi = F @ s
-                rf = np.outer(phi, phi.conj())
+                phi = (T @ s.reshape(2 ** len(self.sites), -1, 1)).ravel()
+                W = (Vf * phi) @ in_sector
                 v = Vf @ phi  # V rho V^dag = |v><v| costs no matrix product
-                evolved = np.outer(v, v.conj())
+                diff = W @ W.conj().T - same * np.outer(v, v.conj())
             else:
-                rf = F @ s @ F.conj().T
-                evolved = Vf @ rf @ Vf.conj().T
-            lhs = Vf @ (mask * rf) @ Vf.conj().T
-            out.append(float(np.linalg.norm(lhs - mask * evolved)))
+                rf = self._link_frame(s, T)
+                diff = (Vf @ (same * rf) @ Vf.conj().T
+                        - same * (Vf @ rf @ Vf.conj().T))
+            out.append(float(np.linalg.norm(diff)))
         return out
 
-    def _fourier_mask(self):
-        if "fourier" not in self._cache:
-            N, ns, nl = self.N, len(self.sites), len(self.links)
-            # row k of the link transform is <k| = N^{-1/2} sum_h w^{kh} <h|,
-            # so the shift |h> -> |h+s> becomes the phase w^{ks}
-            dft = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N))
-                         / N) / np.sqrt(N)
-            F = np.array([[1.0 + 0j]])
-            for f in range(ns + nl):
-                F = np.kron(F, np.eye(2) if f < ns else dft)
-            # per-basis-index site charges in the link-Fourier basis: the
-            # link digit tables reinterpret directly as momenta
-            s_index = {s: i for i, s in enumerate(self.sites)}
-            q = self._occ.astype(int).copy()
-            for li, (src, tgt) in enumerate(self.links):
-                q[s_index[src]] += self._linkval[li]
-                q[s_index[tgt]] -= self._linkval[li]
-            q %= N
-            mask = np.all(q[:, :, None] == q[:, None, :], axis=0)
-            self._cache["fourier"] = (F, mask.astype(float))
-        return self._cache["fourier"]
+    def _link_dft(self) -> np.ndarray:
+        """The N-point DFT on every link, an (N^links)-square matrix.  Row k
+        of one link's factor is <k| = N^{-1/2} sum_h w^{kh} <h|, so the shift
+        |h> -> |h+s> becomes the phase w^{ks}."""
+        N = self.N
+        dft = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N))
+                     / N) / np.sqrt(N)
+        T = np.ones((1, 1), dtype=complex)
+        for _ in self.links:
+            T = np.kron(T, dft)
+        return T
 
-
-def _embed(ops: dict, ns: int, nl: int, N: int) -> np.ndarray:
-    """Kron an operator dict {factor_index: matrix} into the full space,
-    factors ordered sites (qubits) then links (dim N)."""
-    out = np.array([[1.0 + 0j]])
-    for f in range(ns + nl):
-        d = 2 if f < ns else N
-        out = np.kron(out, ops.get(f, np.eye(d, dtype=complex)))
-    return out
+    def _link_frame(self, M: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """F M F^dag with F = identity on the sites (x) T on the links.  The
+        links are the trailing digits of each index, so this is one product
+        with T from each side instead of two with the dim-square F."""
+        d, S = self.dim, 2 ** len(self.sites)
+        M = (T @ M.reshape(S, -1, d)).reshape(d, d)
+        return (M.reshape(d, S, -1) @ T.conj().T).reshape(d, d)
 
 
 def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
@@ -364,105 +352,75 @@ def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
     periodic wrap are deduplicated, so the default 2x2 lattice has 4 sites
     and 4 links forming a single plaquette.
     """
+    if Lx < 1 or Ly < 1:
+        raise ValueError("lattice sides must be at least 1")
     if Lx * Ly > 4 or N > 4 or N < 2:
         raise ValueError("lattice exceeds the desk-scale guard")
     sites = [(x, y) for y in range(Ly) for x in range(Lx)]
     s_index = {s: i for i, s in enumerate(sites)}
     links = []
-    seen_pairs = set()
     for (x, y) in sites:
         for (dx, dy) in ((1, 0), (0, 1)):
             tgt = ((x + dx) % Lx, (y + dy) % Ly)
-            if tgt == (x, y):
-                continue
-            pair = frozenset(((x, y), tgt))
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            links.append(((x, y), tgt))
+            # skip self-loops and the reverse of a link already listed
+            if tgt != (x, y) and (tgt, (x, y)) not in links:
+                links.append(((x, y), tgt))
     ns, nl = len(sites), len(links)
     dim = 2 ** ns * N ** nl
     if dim > 2 ** 4 * 4 ** 4:
         raise ValueError("total Hilbert dimension exceeds the guard")
-    l_index = {l: ns + i for i, l in enumerate(links)}
-
-    frame = LinkFrame(N)
-    L_op = frame.charge_operator(1)
-
-    H_free = np.zeros((dim, dim), dtype=complex)
-    H_gauged = np.zeros((dim, dim), dtype=complex)
-    adag, a = _LOWER.conj().T, _LOWER
-    for s in sites:
-        H_free += _embed({s_index[s]: _NUMBER}, ns, nl, N)
-        H_gauged += _embed({s_index[s]: _NUMBER}, ns, nl, N)
-    for (src, tgt) in links:
-        i, j = s_index[src], s_index[tgt]
-        hop = (_embed({i: adag, j: a}, ns, nl, N)
-               + _embed({i: a, j: adag}, ns, nl, N))
-        H_free += hop
-        f = l_index[(src, tgt)]
-        dressed = _embed({i: adag, f: L_op, j: a}, ns, nl, N)
-        H_gauged += dressed + dressed.conj().T
-
-    # per-site Gauss unitaries: phase on the site, shifts on incident links
-    gauss_ops = {}
-    for s in sites:
-        for g in range(1, N):
-            ops = {s_index[s]: np.diag(np.exp(2j * np.pi * g
-                                              * np.diag(_NUMBER).real / N))}
-            for (src, tgt) in links:
-                if src == s:
-                    ops[l_index[(src, tgt)]] = link_action(frame, g, 0)
-                elif tgt == s:
-                    ops[l_index[(src, tgt)]] = link_action(frame, 0, g)
-            gauss_ops[(s_index[s], g)] = _embed(ops, ns, nl, N)
-
-    wilson_ops = tuple(_wilson_loops(sites, links, l_index, ns, nl, N, L_op))
 
     # per-basis-index digit tables (sites most significant, then links)
-    idx = np.arange(dim)
-    occ = np.zeros((ns, dim), dtype=int)
-    linkval = np.zeros((nl, dim), dtype=int)
-    stride = dim
-    for f in range(ns + nl):
-        d = 2 if f < ns else N
-        stride //= d
-        digit = (idx // stride) % d
-        if f < ns:
-            occ[f] = digit
-        else:
-            linkval[f - ns] = digit
-    return GaugedLattice(Lx, Ly, N, tuple(sites), tuple(links),
-                         H_free, H_gauged, gauss_ops, wilson_ops,
-                         occ, linkval)
+    shape = (2,) * ns + (N,) * nl
+    digits = np.array(np.unravel_index(np.arange(dim), shape))
+    occ, linkval = digits[:ns], digits[ns:]
+    stride = dim // np.cumprod(shape)
+    w = np.diag(LinkFrame(N).charge_operator(1))  # w[h] = omega^h
+
+    H_free = np.diag(occ.sum(axis=0)).astype(complex)
+    H_gauged = H_free.copy()
+    incidence = np.zeros((ns, nl), dtype=int)
+    for li, (src, tgt) in enumerate(links):
+        i, j = s_index[src], s_index[tgt]
+        incidence[i, li], incidence[j, li] = 1, -1
+        # a_i^dag a_j moves the particle from j to i; the gauged copy picks
+        # up the link phase omega^h, and the adjoint sits at the transpose
+        k = np.flatnonzero((occ[i] == 0) & (occ[j] == 1))
+        moved = k + stride[i] - stride[j]
+        H_free[moved, k] = H_free[k, moved] = 1.0
+        H_gauged[moved, k] = w[linkval[li, k]]
+        H_gauged[k, moved] = w[linkval[li, k]].conj()
+
+    # site charges of each link-Fourier index, q = n + incidence @ momenta:
+    # the link digits reinterpret directly as momenta
+    q = (occ + incidence @ linkval) % N
+    sector = np.ravel_multi_index(tuple(q), (N,) * ns)
+
+    lat = GaugedLattice(Lx, Ly, N, tuple(sites), tuple(links), H_free,
+                        H_gauged, {}, _wilson_loops(sites, links, linkval, w),
+                        occ, linkval, incidence, sector)
+    charges = np.eye(ns, dtype=int)
+    gauss_ops = {(s, g): lat.local_action(g * charges[s])
+                 for s in range(ns) for g in range(1, N)}
+    return replace(lat, gauss_ops=gauss_ops)
 
 
-def _wilson_loops(sites, links, l_index, ns, nl, N, L_op):
-    """Plaquette loop operators: product of L over the cycle, with L^{-1}
-    on links traversed against their orientation; both orientations."""
-    link_set = {l: l_index[l] for l in links}
+def _wilson_loops(sites, links, linkval, w):
+    """Plaquette loop operators: the product of L over the cycle, with L^{-1}
+    on links traversed against their orientation, both orientations.  Each
+    is the diagonal omega^(sum of +-h) along the cycle."""
+    l_index = {l: i for i, l in enumerate(links)}
     loops = []
-    # find 4-cycles site sequences (elementary plaquettes) on the dedup graph
-    cycles = _plaquette_cycles(sites, links)
-    Linv = L_op.conj().T
-    for cyc in cycles:
+    for cyc in _plaquette_cycles(sites, links):
         for seq in (cyc, tuple(reversed(cyc))):
-            ops = {}
-            ok = True
-            n = len(seq)
-            for i in range(n):
-                u, v = seq[i], seq[(i + 1) % n]
-                if (u, v) in link_set:
-                    f, M = link_set[(u, v)], L_op
-                elif (v, u) in link_set:
-                    f, M = link_set[(v, u)], Linv
+            expo = 0
+            for u, v in zip(seq, seq[1:] + seq[:1]):
+                if (u, v) in l_index:
+                    expo = expo + linkval[l_index[(u, v)]]
                 else:
-                    ok = False
-                    break
-                ops[f] = ops.get(f, np.eye(N, dtype=complex)) @ M
-            if ok:
-                loops.append(_embed(ops, ns, nl, N))
-    return loops
+                    expo = expo - linkval[l_index[(v, u)]]
+            loops.append(np.diag(w[expo % len(w)]))
+    return tuple(loops)
 
 
 def _plaquette_cycles(sites, links):

@@ -132,11 +132,16 @@ def _spin_39_2_identity(d):
     (("catalytic", "--ladder", "1"), 2),
     (("catalytic", "--rounds", "0"), 2),
     (("gauge", "--lattice", "3x3"), 3),
+    (("gauge", "--trials", "0"), 2),
+    (("gauge", "--trials", "-1"), 2),
+    (("gauge", "--lattice", "0x0"), 2),
+    (("gauge", "--lattice", "2x0"), 2),
     (("table", "--p", "2"), 3),
     (("region", "--grid", "0"), 2),
     (("decompose", _spin_39_2_identity), 3),
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
-        "rounds-0", "lattice-3x3", "table-p-2", "region-grid-0",
+        "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
+        "lattice-0x0", "lattice-2x0", "table-p-2", "region-grid-0",
         "over-memory-limit"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     if callable(args[1]):
@@ -145,6 +150,15 @@ def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     assert r.returncode == code, (r.stdout, r.stderr)
     assert "Traceback" not in r.stderr
     assert r.stderr.strip()
+
+
+def test_gauge_with_a_modulus_missing_some_mode_charges():
+    # on the charge-{0, 1} rep, modes carry charges 0, +-1 and +-2 only, so
+    # from N = 6 on some charges have no element to gauge
+    r = run_cli("gauge", "--n", "6", "--trials", "3", "--lattice", "1x2")
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "verdict: pass" in r.stdout
 
 
 def test_decompose_d16_channel_in_process(tmp_path, capsys):

@@ -4,13 +4,15 @@ the small-torus lattice demonstration."""
 import numpy as np
 import pytest
 
-from symmetria.gauge import (GaugeCoupling, LinkFrame, build_gauged_lattice,
+from symmetria.gauge import (GaugeCoupling, LinkFrame, _local_unitary,
+                             _plaquette_cycles, build_gauged_lattice,
                              coupling_covariance_defect, degauge_marginal,
                              free_state_check, gauge_2symmetric, gauge_fix,
                              gauge_fix_stabilizer, link_action,
                              local_invariance_residual)
 from symmetria.groups import GroupElement, RepSpec, rep_matrix
-from symmetria.linalg_core import Superoperator, hs_inner
+from symmetria.linalg_core import (Superoperator, conjugate, hs_inner,
+                                   identity_channel)
 from symmetria.process_modes import build_canonical_modes, superop_group_action
 
 N = 3
@@ -102,6 +104,46 @@ def test_ungauged_element_not_locally_invariant():
             lifted = lifted + c * mx.op.tensor(identity_channel(N)).tensor(my.op)
     res = local_invariance_residual(lifted, REP, REP, FRAME)
     assert res > 0.1  # without the coupling the phases do not cancel
+
+
+def _full_invariance_residual(S, rep_x, rep_y, frame):
+    """Max invariance defect over every element of Z_N x Z_N."""
+    worst = 0.0
+    for gx in range(frame.N):
+        for gy in range(frame.N):
+            U = _local_unitary(rep_x, rep_y, frame, gx, gy)
+            worst = max(worst, (conjugate(S, U, U) - S).norm())
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generator_residual_bounds_the_full_enumeration(n):
+    # the generators are group elements, and every element is a word of at
+    # most 2(n - 1) generators, so by the triangle inequality
+    # gen <= full <= 2(n - 1) gen
+    rng = np.random.default_rng(90 + n)
+    rep = RepSpec.zn_charges([0, 1], n)
+    basis = build_canonical_modes(rep, rep)
+    frame = LinkFrame(n)
+    d = rep.dim
+    # x (x) y (x) link -> x (x) link (x) y
+    P = np.eye(d * d * n).reshape(d, d, n, -1).transpose(0, 2, 1, 3)
+    P = P.reshape(d * n * d, -1)
+    for lam in sorted({1, n - 1}):
+        chi = Superoperator.zero(d * d, d * d)
+        for mx in basis.modes:
+            for my in basis.modes:
+                if (mx.diagram.lam.charge == lam
+                        and my.diagram.lam.charge == (-lam) % n):
+                    c = rng.normal() + 1j * rng.normal()
+                    chi = chi + c * mx.op.tensor(my.op)
+        gauged = gauge_2symmetric(chi, lam, frame, basis, basis).superop
+        lifted = conjugate(chi.tensor(identity_channel(n)), P, P)
+        for S, invariant in ((gauged, True), (lifted, False)):
+            gen = local_invariance_residual(S, rep, rep, frame)
+            full = _full_invariance_residual(S, rep, rep, frame)
+            assert gen <= full <= 2 * (n - 1) * gen
+            assert (full < 1e-12) if invariant else (full > 0.1)
 
 
 def test_gauge_2symmetric_rejects_wrong_charge():
@@ -208,11 +250,108 @@ def test_wilson_loops_invariant(lattice):
             assert np.linalg.norm(U @ W @ U.conj().T - W) < 1e-12
 
 
-def test_local_action_matches_gauss_ops(lattice):
-    for (si, g), U in list(lattice.gauss_ops.items())[:4]:
-        charges = [0] * len(lattice.sites)
-        charges[si] = g
-        assert np.linalg.norm(lattice.local_action(charges) - U) < 1e-12
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # a |1> = |0>
+_NUMBER = _LOWER.conj().T @ _LOWER
+
+
+def _embed(ops, ns, nl, n):
+    """Kron an operator dict {factor_index: matrix} into the full space,
+    factors ordered sites (qubits) then links (dim n)."""
+    out = np.array([[1.0 + 0j]])
+    for f in range(ns + nl):
+        d = 2 if f < ns else n
+        out = np.kron(out, ops.get(f, np.eye(d, dtype=complex)))
+    return out
+
+
+def _dense_lattice(Lx, Ly, n):
+    """Oracle: the lattice as dense Kronecker products, factor by factor.
+    Returns (links, operators), where operators yields ("H_free", H),
+    ("H_gauged", H), (("gauss", key), U) in key order, then ("wilson", W)
+    one at a time, so only one dense operator is held."""
+    sites = [(x, y) for y in range(Ly) for x in range(Lx)]
+    s_index = {s: i for i, s in enumerate(sites)}
+    links, seen_pairs = [], set()
+    for (x, y) in sites:
+        for (dx, dy) in ((1, 0), (0, 1)):
+            tgt = ((x + dx) % Lx, (y + dy) % Ly)
+            pair = frozenset(((x, y), tgt))
+            if tgt != (x, y) and pair not in seen_pairs:
+                seen_pairs.add(pair)
+                links.append(((x, y), tgt))
+    ns, nl = len(sites), len(links)
+    l_index = {l: ns + i for i, l in enumerate(links)}
+    frame = LinkFrame(n)
+    L_op = frame.charge_operator(1)
+    adag, a = _LOWER.conj().T, _LOWER
+
+    def operators():
+        for gauged in (False, True):
+            H = sum(_embed({s_index[s]: _NUMBER}, ns, nl, n) for s in sites)
+            for (src, tgt) in links:
+                i, j = s_index[src], s_index[tgt]
+                hop = _embed({i: adag, l_index[(src, tgt)]: L_op, j: a}
+                             if gauged else {i: adag, j: a}, ns, nl, n)
+                H = H + hop + hop.conj().T
+            yield ("H_gauged" if gauged else "H_free"), H
+        for s in sites:
+            for g in range(1, n):
+                phase = np.exp(2j * np.pi * g * np.diag(_NUMBER).real / n)
+                ops = {s_index[s]: np.diag(phase)}
+                for (src, tgt) in links:
+                    if src == s:
+                        ops[l_index[(src, tgt)]] = link_action(frame, g, 0)
+                    elif tgt == s:
+                        ops[l_index[(src, tgt)]] = link_action(frame, 0, g)
+                yield ("gauss", (s_index[s], g)), _embed(ops, ns, nl, n)
+        for cyc in _plaquette_cycles(sites, links):
+            for seq in (cyc, tuple(reversed(cyc))):
+                ops = {}
+                for u, v in zip(seq, seq[1:] + seq[:1]):
+                    f, M = ((l_index[(u, v)], L_op) if (u, v) in l_index
+                            else (l_index[(v, u)], L_op.conj().T))
+                    ops[f] = ops.get(f, np.eye(n, dtype=complex)) @ M
+                yield "wilson", _embed(ops, ns, nl, n)
+
+    return tuple(links), operators()
+
+
+@pytest.mark.parametrize("Lx, Ly, n", [
+    (1, 2, 2), (2, 1, 2), (1, 3, 2), (1, 4, 2), (2, 2, 2),
+    (1, 2, 3), (2, 1, 3), (1, 3, 3), (1, 4, 3), (2, 2, 3), (1, 2, 4)])
+def test_lattice_matches_the_dense_oracle(Lx, Ly, n):
+    lat = build_gauged_lattice(Lx, Ly, n)
+    links, operators = _dense_lattice(Lx, Ly, n)
+    assert lat.links == links
+    gauss_keys, wilson = [], iter(lat.wilson_ops)
+    for name, want in operators:
+        if name == "wilson":
+            assert np.abs(next(wilson) - want).max() <= 1e-14
+            continue
+        if name[0] == "gauss":
+            gauss_keys.append(name[1])
+            got = lat.gauss_ops[name[1]]
+        else:
+            got = getattr(lat, name)
+        assert np.array_equal(got, want)  # bit for bit
+    assert list(lat.gauss_ops) == gauss_keys
+    assert next(wilson, None) is None
+
+
+@pytest.mark.parametrize("Lx, Ly, n", [(2, 2, 2), (2, 2, 3)])
+def test_link_frame_matches_the_dense_fourier_matrix(Lx, Ly, n):
+    lat = build_gauged_lattice(Lx, Ly, n)
+    dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    F = np.eye(2 ** len(lat.sites))
+    for _ in lat.links:
+        F = np.kron(F, dft / np.sqrt(n))
+    rng = np.random.default_rng(69)
+    M = rng.normal(size=(lat.dim, lat.dim)) + 1j * rng.normal(
+        size=(lat.dim, lat.dim))
+    T = lat._link_dft()
+    assert np.abs(lat._link_frame(M, T) - F @ M @ F.conj().T).max() <= 1e-12
+    assert np.abs(lat._link_frame(M, T.conj().T)
+                  - F.conj().T @ M @ F).max() <= 1e-12
 
 
 def test_twirl_matches_group_enumeration(lattice):
@@ -252,3 +391,21 @@ def test_free_state_check(lattice):
     sigma = lattice.twirl(rho)
     v2 = free_state_check(lattice, sigma)
     assert v2.is_free and v2.twirl_distance < 1e-10
+
+
+def test_lattice_demo_script_runs(capsys):
+    import json
+    import runpy
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    main = runpy.run_path(str(root / "scripts" / "lattice_demo.py"),
+                          run_name="lattice_demo")["main"]
+    assert main(["--lx", "1", "--ly", "2", "--n", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"lattice", "gauss_commutators_gauged",
+                           "gauss_commutators_free", "wilson_loops",
+                           "free_state_verdicts"}
+    assert report["lattice"]["dim"] == 2 ** 2 * 2
+    assert set(report["free_state_verdicts"]) == {
+        "vacuum_links_at_0", "random_pure", "twirled_random"}
