@@ -29,7 +29,8 @@ from .groups import RepSpec, cg_block, IrrepLabel
 from .linalg_core import Superoperator, check_cptp, choi_of
 from .process_modes import build_canonical_modes, decompose
 from .repeatability import (FrameState, build_protocol,
-                            measure_prepare_form, sequential_use)
+                            check_crosscheck_size, measure_prepare_form,
+                            sequential_use)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -286,6 +287,7 @@ def cmd_catalytic(args, out: list) -> int:
     rng = np.random.default_rng(args.seed)
     d = args.dim_a
     D = args.ladder
+    check_crosscheck_size(d, D, args.rounds)
     q, r = np.linalg.qr(rng.normal(size=(d, d))
                         + 1j * rng.normal(size=(d, d)))
     U = q * (np.diag(r) / np.abs(np.diag(r)))
@@ -366,20 +368,24 @@ def cmd_gauge(args, out: list) -> int:
     lat = build_gauged_lattice(Lx, Ly, args.lattice_n)
     out.append(f"lattice: {Lx}x{Ly} sites, {len(lat.links)} links, "
                f"Z_{lat.N} frames, dim {lat.dim}")
-    worst_comm = 0.0
-    for (s, g), Gop in sorted(lat.gauss_ops.items()):
-        c = float(np.linalg.norm(Gop @ lat.H_gauged - lat.H_gauged @ Gop))
-        worst_comm = max(worst_comm, c)
+    gauged = lat.gauss_commutators(lat.H_gauged)
+    for (s, g), c in gauged.items():
         out.append(f"  [G_{s}({g}), H_gauged] norm: {fmt(c)}")
+    worst_comm = max(gauged.values())
     out.append(f"max Gauss commutator with H_gauged: {fmt(worst_comm)}")
+    free = lat.gauss_commutators(lat.H_free)
+    out.append(f"min Gauss commutator with H_free: {fmt(min(free.values()))}")
+    wilson = [max(lat.gauss_commutators(W).values()) for W in lat.wilson_ops]
+    worst_wilson = max(wilson, default=0.0)
+    out.append(f"max Gauss commutator with a Wilson loop: {fmt(worst_wilson)}")
     for wi, W in enumerate(lat.wilson_ops):
-        ev = np.sort(np.linalg.eigvals(W).real)
+        ev = np.sort(np.diag(W).real)  # the loops are diagonal
         out.append(f"wilson op {wi} spectrum (real parts): "
                    + " ".join(fmt(v) for v in ev[:4]) + " ...")
     v = free_state_check(lat, np.eye(lat.dim) / lat.dim)
     out.append(f"maximally mixed state free: {v.is_free} "
                f"(twirl distance {fmt(v.twirl_distance)})")
-    ok = worst <= 1e-10 and worst_comm <= 1e-10
+    ok = worst <= 1e-10 and max(worst_comm, worst_wilson) <= 1e-10
     out.append(f"verdict: {'pass' if ok else 'fail'}")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -388,14 +394,16 @@ def cmd_gauge(args, out: list) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _int_at_least(lo: int):
-    """argparse type: an integer >= lo (argparse exits 2 otherwise)."""
+def _at_least(kind, lo):
+    """argparse type: a finite number of type kind, >= lo (argparse exits 2
+    otherwise)."""
     def parse(text):
-        v = int(text)
-        if v < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        v = kind(text)
+        if not lo <= v < np.inf:  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number >= {lo}, got {text}")
         return v
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
 
 
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", help="expand a channel in process modes")
     d.add_argument("file")
-    d.add_argument("--tol", type=float, default=1e-10)
+    d.add_argument("--tol", type=_at_least(float, 0.0), default=1e-10)
     d.add_argument("--allow-nonphysical", action="store_true")
     d.set_defaults(func=cmd_decompose)
 
@@ -427,20 +435,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bipartite", help="two-qubit symmetric catalog")
     b.add_argument("file", nargs="?", default=None)
-    b.add_argument("--tol", type=float, default=1e-10)
+    b.add_argument("--tol", type=_at_least(float, 0.0), default=1e-10)
     b.add_argument("--allow-nonphysical", action="store_true")
     b.set_defaults(func=cmd_bipartite)
 
     r = sub.add_parser("region", help="CPTP region scan as CSV")
     r.add_argument("--kind", choices=("injection", "relational"),
                    default="injection")
-    r.add_argument("--grid", type=_int_at_least(1), default=20)
+    r.add_argument("--grid", type=_at_least(int, 1), default=20)
     r.set_defaults(func=cmd_region)
 
     c = sub.add_parser("catalytic", help="cyclic-ladder protocol report")
-    c.add_argument("--dim-a", type=_int_at_least(1), default=2)
-    c.add_argument("--ladder", type=_int_at_least(2), default=16)
-    c.add_argument("--rounds", type=_int_at_least(1), default=5)
+    c.add_argument("--dim-a", type=_at_least(int, 1), default=2)
+    c.add_argument("--ladder", type=_at_least(int, 2), default=16)
+    c.add_argument("--rounds", type=_at_least(int, 1), default=5)
     c.add_argument("--sigma", choices=("frame", "mixed", "random"),
                    default="random")
     c.set_defaults(func=cmd_catalytic)
@@ -448,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gauge", help="gauging + lattice Gauss/Wilson report")
     g.add_argument("--n", type=int, default=4,
                    help="link modulus for the two-site gauging check")
-    g.add_argument("--trials", type=_int_at_least(1), default=10)
+    g.add_argument("--trials", type=_at_least(int, 1), default=10)
     g.add_argument("--lattice", default="2x2")
     g.add_argument("--lattice-n", type=int, default=3,
                    help="link modulus for the lattice demo")

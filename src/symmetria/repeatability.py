@@ -53,14 +53,6 @@ class LadderRef:
         v = self.frame_vector(r)
         return np.outer(v, v.conj())
 
-    @property
-    def frame_observable(self) -> np.ndarray:
-        """Discrete frame-angle operator sum_r (2 pi r / D) |theta_r><theta_r|."""
-        out = np.zeros((self.D, self.D), dtype=complex)
-        for r in range(self.D):
-            out += (2.0 * np.pi * r / self.D) * self.frame_projector(r)
-        return out
-
     def delta_profile(self, sigma: np.ndarray) -> np.ndarray:
         """The vector tr(Delta^k sigma) for k = 0..D-1, which fully
         determines the induced channel."""
@@ -189,6 +181,18 @@ def rotated_target(P: Protocol, r: int) -> np.ndarray:
     return np.diag(lam.conj()) @ P.U @ np.diag(lam)
 
 
+CROSSCHECK_MAX_DIM = 4096  # dense products of this side dominate a run
+
+
+def check_crosscheck_size(dim_a: int, D: int, rounds: int) -> None:
+    """Raise ValueError if two or more rounds would need the full-tensor
+    cross-check on A1 (x) A2 (x) B, of side d_A^2 D, above the limit."""
+    if rounds >= 2 and dim_a * dim_a * D > CROSSCHECK_MAX_DIM:
+        raise ValueError(
+            f"full-tensor cross-check dimension {dim_a * dim_a * D} exceeds "
+            f"{CROSSCHECK_MAX_DIM}")
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     channel: Superoperator
@@ -214,6 +218,7 @@ def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
     sigma0 = _check_state(sigma, P.ladder.D)
     if len(inputs) < 1:
         raise ValueError("at least one input state required")
+    check_crosscheck_size(P.dim_a, P.ladder.D, len(inputs))
     rounds = []
     sig = sigma0
     first = None
@@ -247,8 +252,6 @@ def _two_round_crosscheck(P: Protocol, sigma0, rho1, rho2, rounds) -> float:
     """Full tensor computation on A1 (x) A2 (x) B versus the iterated
     reduced-reference propagation."""
     d, D = P.dim_a, P.ladder.D
-    if d * d * D > 4096:
-        raise ValueError("full-tensor cross-check dimension too large")
     I = np.eye(d, dtype=complex)
     # embed V on (A1, B) and (A2, B) inside A1 (x) A2 (x) B
     Vr = P.V.reshape(d, D, d, D)

@@ -139,10 +139,17 @@ def _spin_39_2_identity(d):
     (("table", "--p", "2"), 3),
     (("region", "--grid", "0"), 2),
     (("decompose", _spin_39_2_identity), 3),
+    (("decompose", str(FIXTURES / "identity.json"), "--tol", "-1"), 2),
+    (("decompose", str(FIXTURES / "identity.json"), "--tol", "nan"), 2),
+    (("decompose", str(FIXTURES / "identity.json"), "--tol", "inf"), 2),
+    (("bipartite", str(FIXTURES / "heisenberg-2qubit.json"), "--tol", "nan"),
+     2),
+    (("catalytic", "--dim-a", "40", "--ladder", "40", "--rounds", "2"), 3),
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
         "lattice-0x0", "lattice-2x0", "table-p-2", "region-grid-0",
-        "over-memory-limit"])
+        "over-memory-limit", "tol-negative", "tol-nan", "tol-inf",
+        "bipartite-tol-nan", "crosscheck-over-limit"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     if callable(args[1]):
         args = (args[0], _fixture_variant(tmp_path, args[1].__name__, args[1]))

@@ -38,6 +38,21 @@ def test_build_protocol_rejects_bad_inputs():
         build_protocol(np.eye(3), D=2)   # ladder smaller than system
 
 
+def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
+    # two rounds at d_A^2 D = 12 * 12 * 32 = 4,608 would need a cross-check
+    # over the limit; the refusal comes before the first round runs
+    P = build_protocol(np.eye(12), D=32)
+    rho = np.eye(12) / 12
+
+    def no_round(*args):
+        raise AssertionError("a round ran before the size check")
+
+    monkeypatch.setattr(repeatability, "induced_channel_closed_form",
+                        no_round)
+    with pytest.raises(ValueError, match="cross-check"):
+        sequential_use(P, FrameState(P.ladder, 0).density, [rho, rho])
+
+
 def test_frame_states_are_shift_eigenstates():
     lad = LadderRef(8)
     for r in range(8):
