@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .groups import SU2, ZN, GroupElement, RepSpec, rep_matrix
+from .groups import (SU2, ZN, GroupElement, IrrepLabel, RepSpec, cg_block,
+                     rep_matrix)
 from .linalg_core import (Superoperator, apply, check_cptp, conjugate,
                           hs_inner, unitary_channel, vec)
 from .process_modes import Diagram, ProcessModeBasis, build_canonical_modes
@@ -367,15 +368,6 @@ def relational_quartics(x: float, y: float, z: float):
     return q1, q2, q3, q4
 
 
-def relational_region_test(x: float, y: float, z: float) -> RegionVerdict:
-    """Swap-invariant relational membership: numeric CPTP verdict (the
-    authority) alongside the published quartic surface defects."""
-    rep = check_cptp(swap_invariant_relational(x, y, z), psd_tol=1e-8,
-                     tp_tol=1e-8)
-    return RegionVerdict(rep.is_cptp, rep.is_cptp, rep.min_choi_eigenvalue,
-                         relational_quartics(x, y, z))
-
-
 def singlet_channel() -> Superoperator:
     """E(rho) = |psi-><psi-| tr(rho): the point (1, 0, 0)."""
     return swap_invariant_relational(1.0, 0.0, 0.0)
@@ -415,3 +407,16 @@ def diagonal_action(S: Superoperator, g: GroupElement,
     superoperator with equal input and output reps."""
     U = np.kron(rep_matrix(rep_a, g), rep_matrix(rep_b, g))
     return conjugate(S, U, U)
+
+
+def two_qubit_product_rep() -> RepSpec:
+    """Spin-0 + spin-1 blocks conjugated onto the qubit (x) qubit product
+    basis by the Clebsch-Gordan intertwiner, so rep_matrix = U (x) U."""
+    # rows of the block: coupled (J, M) = (0, 0), (1, 1), (1, 0), (1, -1);
+    # columns: product (m1, m2) descending, as the qubit (x) qubit basis
+    Q = cg_block(1, 1).toarray().T.astype(complex)
+    return RepSpec(
+        "su2",
+        ((IrrepLabel.su2(0), 1), (IrrepLabel.su2(2), 1)),
+        intertwiner=Q,
+    )

@@ -22,10 +22,10 @@ import numpy as np
 from .axial import axial_table, polar_decompose
 from .bipartite import (classify, decompose_symmetric, injection_coords,
                         injection_channel, swap_invariant_relational,
-                        two_qubit_catalog, twirl_rank)
+                        two_qubit_catalog, two_qubit_product_rep, twirl_rank)
 from .gauge import (LinkFrame, build_gauged_lattice, free_state_check,
                     gauge_2symmetric, gauge_fix_stabilizer)
-from .groups import RepSpec, cg_block, IrrepLabel
+from .groups import RepSpec
 from .linalg_core import Superoperator, check_cptp, choi_of
 from .process_modes import build_canonical_modes, decompose
 from .repeatability import (FrameState, build_protocol,
@@ -109,19 +109,6 @@ def _parse_group(desc) -> RepSpec:
         return RepSpec.zn_charges([int(c) for c in desc["charges"]],
                                   int(desc["modulus"]))
     raise SemanticError(f"unknown group kind {kind!r}")
-
-
-def two_qubit_product_rep() -> RepSpec:
-    """Spin-0 + spin-1 blocks conjugated onto the qubit (x) qubit product
-    basis by the Clebsch-Gordan intertwiner, so rep_matrix = U (x) U."""
-    # rows of the block: coupled (J, M) = (0, 0), (1, 1), (1, 0), (1, -1);
-    # columns: product (m1, m2) descending, as the qubit (x) qubit basis
-    Q = cg_block(1, 1).toarray().T.astype(complex)
-    return RepSpec(
-        "su2",
-        ((IrrepLabel.su2(0), 1), (IrrepLabel.su2(2), 1)),
-        intertwiner=Q,
-    )
 
 
 def load_channel(path: str, allow_nonphysical: bool = False):

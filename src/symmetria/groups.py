@@ -137,6 +137,14 @@ def wigner_D(j: IrrepLabel, g: GroupElement) -> np.ndarray:
     return np.exp(-1j * g.alpha * m)[:, None] * d * np.exp(-1j * g.gamma * m)
 
 
+def wigner_d(two_j: int, betas) -> np.ndarray:
+    """The real d^j(beta) = exp(-i beta J_y) for each beta, stacked into
+    shape (len(betas), 2j + 1, 2j + 1); the same eigen-route as wigner_D."""
+    w, V, Vh, _ = _jy_eigensystem(two_j)
+    phases = np.exp(-1j * np.asarray(betas, dtype=float)[:, None, None] * w)
+    return ((V * phases) @ Vh).real
+
+
 def mode_matrix(j: IrrepLabel, g: GroupElement) -> np.ndarray:
     """Coefficient matrix V(g) of the adjoint action on tensor components.
 
@@ -463,11 +471,21 @@ class HaarQuadrature:
 
     Exact for products f * conj(h) of matrix coefficients of irreps up to the
     bandlimit (doubled spin two_j for SU(2); always exact for Z_N).
+
+    The rule is a product of its Euler factors, which group averages use in
+    place of ``nodes``.  SU(2): alpha and gamma each run over the uniform
+    grid 4 pi k / n_angle with weight 1 / n_angle, beta over ``betas`` with
+    ``beta_weights``; ``nodes`` lists alpha outermost, gamma innermost.
+    Z_N: the N elements g = 0, ..., N - 1 of ``modulus``, weight 1 / N each.
     """
 
     kind: str
     nodes: tuple  # tuple of (GroupElement, float weight)
     bandlimit: int
+    n_angle: int = 0  # SU(2): 2 * bandlimit + 2
+    betas: tuple = ()  # SU(2): arccos of the Gauss-Legendre nodes
+    beta_weights: tuple = ()  # SU(2): Gauss-Legendre weights / 2, sum 1
+    modulus: int = 0  # Z_N: N
 
     def integrate(self, f) -> complex:
         return sum(w * f(g) for g, w in self.nodes)
@@ -482,19 +500,20 @@ def haar_quadrature(kind: str, bandlimit: int, modulus: int = 0) -> HaarQuadratu
         nodes = tuple(
             (GroupElement.zn(k, modulus), 1.0 / modulus) for k in range(modulus)
         )
-        return HaarQuadrature(ZN, nodes, bandlimit)
+        return HaarQuadrature(ZN, nodes, bandlimit, modulus=modulus)
     two_b = max(int(bandlimit), 0)
     n_ang = 2 * two_b + 2
     n_beta = two_b + 1
     xs, ws = np.polynomial.legendre.leggauss(n_beta)
+    betas = tuple(math.acos(float(np.clip(x, -1.0, 1.0))) for x in xs)
+    beta_weights = tuple(float(wb) / 2.0 for wb in ws)
     nodes = []
     for ia in range(n_ang):
         alpha = 4.0 * math.pi * ia / n_ang
-        for x, wb in zip(xs, ws):
-            beta = math.acos(float(np.clip(x, -1.0, 1.0)))
+        for beta, wb in zip(betas, ws):
             for ic in range(n_ang):
                 gamma = 4.0 * math.pi * ic / n_ang
                 w = (wb / 2.0) / (n_ang * n_ang)
                 nodes.append((GroupElement.su2(alpha, beta, gamma), w))
-    return HaarQuadrature(SU2, tuple(nodes), two_b)
-
+    return HaarQuadrature(SU2, tuple(nodes), two_b, n_ang, betas,
+                          beta_weights)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from .groups import (SU2, ZN, GroupElement, HaarQuadrature, IrrepLabel,
-                     RepSpec, cg_block, rep_matrix, wigner_D)
+                     RepSpec, cg_block, rep_matrix, wigner_d)
 from .ito import build_itos
 from .linalg_core import Superoperator, conjugate, vec
 
@@ -340,19 +340,94 @@ def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:
     return ModeCoefficients(basis, values, float(residual))
 
 
+def _charges(rep: RepSpec) -> np.ndarray:
+    """The diagonal part of the rep on its canonical basis: the doubled J_z
+    weight (SU(2)) or the Z_N charge of each basis vector."""
+    if rep.kind == SU2:
+        return np.array([m for lab, _, _ in rep.irrep_blocks()
+                         for m in lab.components()])
+    return np.array([lab.charge for lab, _, _ in rep.irrep_blocks()])
+
+
+def _beta_conjugations(rep: RepSpec, betas) -> np.ndarray:
+    """d(beta) (x) d(beta) for each beta, with d(beta) the real rep matrix of
+    exp(-i beta J_y) on the canonical basis: shape (len(betas), d^2, d^2)."""
+    d = np.zeros((len(betas), rep.dim, rep.dim))
+    for lab, _, off in rep.irrep_blocks():
+        d[:, off:off + lab.dim, off:off + lab.dim] = wigner_d(lab.two_j, betas)
+    return np.einsum("kab,kcd->kacbd", d, d).reshape(len(betas), rep.dim ** 2,
+                                                     rep.dim ** 2)
+
+
+def _group_average(S: Superoperator, quadrature: HaarQuadrature,
+                   rep_in: RepSpec, rep_out: RepSpec, shift: int = 0,
+                   beta_weights=None) -> Superoperator:
+    """sum_g w(g) c(g) U'_g o S o U_g^dag over the quadrature nodes, computed
+    from the quadrature's Euler factors instead of its nodes.
+
+    In the canonical frame (intertwiners removed) U_g is diagonal times
+    d(beta) times diagonal, and conjugating by a diagonal phase multiplies
+    the transfer entry [(a, b), (c, e)] by a phase in its charge difference
+    q = q'_a - q'_b - q_c + q_e (doubled weights for SU(2)).  The uniform
+    average over n grid points of that phase is the mask q = shift mod n,
+    exactly for every input, whether or not it is bandlimited.
+
+    SU(2): c(g) = exp(i shift (alpha + gamma) / 2) with w(g) the node weight,
+    or with the beta weight replaced by ``beta_weights`` when given; the sum
+    is the gamma mask, the weighted d(beta) conjugations, then the alpha mask.
+    Z_N: c(g) = omega^(-shift g), a single mask.
+    """
+    if S.dim_in != rep_in.dim or S.dim_out != rep_out.dim:
+        raise ValueError("superoperator/rep dimension mismatch")
+    if not quadrature.kind == rep_in.kind == rep_out.kind:
+        raise ValueError("group kind mismatch")
+    if quadrature.kind == ZN:
+        n = quadrature.modulus
+        if rep_in.modulus != n or rep_out.modulus != n:
+            raise ValueError("Z_N modulus mismatch")
+    else:
+        n = quadrature.n_angle
+        if n <= 0:
+            raise ValueError("the quadrature carries no Euler factors")
+    frames = [np.eye(rep.dim) if rep.intertwiner is None else rep.intertwiner
+              for rep in (rep_out, rep_in)]
+    K = conjugate(S, frames[0].conj().T, frames[1].conj().T).transfer
+    q_out, q_in = _charges(rep_out), _charges(rep_in)
+    q = ((q_out[:, None] - q_out).reshape(-1, 1)
+         - (q_in[:, None] - q_in).reshape(-1))
+    mask = (q - shift) % n == 0
+    K = np.where(mask, K, 0.0)
+    if quadrature.kind == SU2:
+        v = quadrature.beta_weights if beta_weights is None else beta_weights
+        A = _beta_conjugations(rep_out, quadrature.betas)
+        B = A if rep_in is rep_out else _beta_conjugations(rep_in,
+                                                           quadrature.betas)
+        K = np.where(mask, np.tensordot(v, A @ K @ B.transpose(0, 2, 1), 1),
+                     0.0)
+    return conjugate(Superoperator(S.dim_in, S.dim_out, K), *frames)
+
+
 def project_isotypic(S: Superoperator, lam: IrrepLabel, quadrature: HaarQuadrature,
                      rep_in: RepSpec, rep_out: RepSpec) -> Superoperator:
     """Quadrature isotypic projector
     E^lam = dim(lam) * integral of conj(character_lam(g)) U'_g o E o U_g^dag.
 
     (The conjugated character is required for complex characters, e.g. Z_N;
-    SU(2) characters are real so conjugation is a no-op there.)
+    SU(2) characters are real so conjugation is a no-op there.)  The SU(2)
+    character is sum_m exp(-i m alpha) d^lam_mm(beta) exp(-i m gamma), so
+    the integral is one shifted group average per weight m.
     """
+    if (lam.kind, lam.modulus) != (quadrature.kind, quadrature.modulus):
+        raise ValueError("irrep and quadrature belong to different groups")
+    if lam.kind == ZN:
+        return _group_average(S, quadrature, rep_in, rep_out, lam.charge)
+    d = wigner_d(lam.two_j, quadrature.betas)
     acc = Superoperator.zero(S.dim_in, S.dim_out)
-    for g, w in quadrature.nodes:
-        ch = np.conj(np.trace(wigner_D(lam, g)))
-        acc = acc + (w * lam.dim * ch) * superop_group_action(S, g, rep_in, rep_out)
-    return acc
+    for i, two_m in enumerate(lam.components()):
+        acc = acc + _group_average(S, quadrature, rep_in, rep_out, two_m,
+                                   np.multiply(quadrature.beta_weights,
+                                               d[:, i, i]))
+    return lam.dim * acc
 
 
 def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
@@ -369,10 +444,7 @@ def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
 def twirl(S: Superoperator, quadrature: HaarQuadrature,
           rep_in: RepSpec, rep_out: RepSpec) -> Superoperator:
     """Group average (G-twirl) of a superoperator."""
-    acc = Superoperator.zero(S.dim_in, S.dim_out)
-    for g, w in quadrature.nodes:
-        acc = acc + w * superop_group_action(S, g, rep_in, rep_out)
-    return acc
+    return _group_average(S, quadrature, rep_in, rep_out)
 
 
 def is_symmetric(S: Superoperator, basis: ProcessModeBasis, tol: float = 1e-10) -> bool:

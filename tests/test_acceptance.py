@@ -14,12 +14,12 @@ from symmetria.axial import (SPHERE, axial_table, dephasing_channel,
                              polar_decompose, rotation_channel,
                              state_preparation_channel)
 from symmetria.bipartite import (bell_states, bloch_of_state,
-                                 decompose_symmetric, diagonal_action,
-                                 extremal_e1, extremal_e2, injection_channel,
+                                 decompose_symmetric, extremal_e1,
+                                 extremal_e2, injection_channel,
                                  injection_coords, injection_region_test,
                                  relational_r_matrix, singlet_channel,
                                  state_from_bloch, twirl_rank,
-                                 two_qubit_catalog)
+                                 two_qubit_catalog, two_qubit_product_rep)
 from symmetria.gauge import (LinkFrame, build_gauged_lattice, degauge_marginal,
                              gauge_2symmetric, gauge_fix, gauge_fix_stabilizer,
                              link_action)
@@ -30,7 +30,7 @@ from symmetria.ito import build_itos
 from symmetria.linalg_core import (Superoperator, apply, check_cptp, hs_inner,
                                    random_cptp, unvec, vec)
 from symmetria.process_modes import (build_canonical_modes, decompose,
-                                     superop_group_action)
+                                     superop_group_action, twirl)
 from symmetria.repeatability import (FrameState, build_protocol,
                                      induced_channel, measure_prepare_form,
                                      rotated_target, sequential_use)
@@ -167,13 +167,12 @@ def test_criterion_4_two_qubit_invariant_dimension():
     cat = two_qubit_catalog()
     assert twirl_rank(cat.basis) == 14
     quad = haar_quadrature("su2", 4)
+    product = two_qubit_product_rep()  # rep_matrix = U (x) U
     rng = np.random.default_rng(72)
     worst = 0.0
     for _ in range(100):
         S = random_cptp(4, 4, rng)
-        T = Superoperator.zero(4, 4)
-        for g, w in quad.nodes:
-            T = T + w * diagonal_action(S, g)
+        T = twirl(S, quad, product, product)
         coeffs = decompose_symmetric(T, cat.basis)
         worst = max(worst, coeffs.residual)
     assert worst <= 1e-8

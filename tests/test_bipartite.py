@@ -15,10 +15,11 @@ from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, bell_states,
                                  relational_quartics, relational_r_matrix,
                                  singlet_channel, state_from_bloch,
                                  swap_invariant_relational, twirl_rank,
-                                 two_qubit_catalog)
+                                 two_qubit_catalog, two_qubit_product_rep)
 from symmetria.groups import haar_quadrature, random_su2
 from symmetria.linalg_core import (Superoperator, apply, check_cptp,
                                    depolarizing_channel, random_cptp)
+from symmetria.process_modes import twirl
 
 CAT = two_qubit_catalog()
 BASIS = CAT.basis
@@ -70,11 +71,10 @@ def test_classification_counts():
 def test_twirled_superops_expand_exactly():
     rng = np.random.default_rng(41)
     quad = haar_quadrature("su2", 4)
+    product = two_qubit_product_rep()
     for _ in range(5):
         S = random_cptp(4, 4, rng)
-        T = Superoperator.zero(4, 4)
-        for g, w in quad.nodes:
-            T = T + w * diagonal_action(S, g)
+        T = twirl(S, quad, product, product)
         coeffs = decompose_symmetric(T, BASIS)
         assert coeffs.residual < 1e-8
         assert (coeffs.reconstruct() - T).norm() < 1e-8
@@ -84,6 +84,20 @@ def test_twirled_superops_expand_exactly():
                       and classify(e.diagram) == LOCAL
                       and abs(np.trace(e.op.choi) - 4) < 1e-9)
         assert abs(coeffs.values[e0_key] - 1.0) < 1e-8
+
+
+def test_diagonal_action_node_sum_matches_the_library_twirl():
+    # the two-qubit product rep acts as U (x) U, so the node-by-node sum of
+    # diagonal actions is the factored twirl over that rep
+    rng = np.random.default_rng(42)
+    quad = haar_quadrature("su2", 4)
+    product = two_qubit_product_rep()
+    for _ in range(2):
+        S = random_cptp(4, 4, rng)
+        T = Superoperator.zero(4, 4)
+        for g, w in quad.nodes:
+            T = T + w * diagonal_action(S, g)
+        assert (T - twirl(S, quad, product, product)).norm() < 1e-12
 
 
 def test_local_class_closure():

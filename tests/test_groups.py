@@ -1,5 +1,7 @@
 """Wigner matrices, Clebsch-Gordan coefficients, and Haar quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,30 @@ def test_haar_quadrature_zn():
             lambda g: np.exp(2j * np.pi * c * g.g / 5)
         )
         assert abs(val - (1.0 if c == 0 else 0.0)) < 1e-14
+
+
+@pytest.mark.parametrize("kind,bandlimit", [("su2", 0), ("su2", 1),
+                                             ("su2", 4), ("zn", 5)])
+def test_haar_quadrature_is_the_product_of_its_factors(kind, bandlimit):
+    # group averages read the factors in place of the nodes
+    if kind == "zn":
+        quad = haar_quadrature("zn", 0, modulus=bandlimit)
+        product = [((0.0, 0.0, 0.0, k), 1.0 / quad.modulus)
+                   for k in range(quad.modulus)]
+    else:
+        quad = haar_quadrature("su2", bandlimit)
+        n = quad.n_angle
+        assert n == 2 * bandlimit + 2 and len(quad.betas) == bandlimit + 1
+        grid = [4.0 * math.pi * k / n for k in range(n)]
+        product = [((alpha, beta, gamma, 0), (1.0 / n) * wb * (1.0 / n))
+                   for alpha in grid
+                   for beta, wb in zip(quad.betas, quad.beta_weights)
+                   for gamma in grid]
+    assert len(quad.nodes) == len(product)
+    for (g, w), (euler, w_product) in zip(quad.nodes, product):
+        assert np.abs(np.subtract((g.alpha, g.beta, g.gamma, g.g),
+                                  euler)).max() <= 1e-15
+        assert abs(w - w_product) <= 1e-15
 
 
 def test_mode_matrix_is_transpose_of_wigner():

@@ -1,5 +1,6 @@
 """Process-mode bases: covariance, decomposition, twirl, isotypic parts."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from symmetria import process_modes
 from symmetria.axial import single_qubit_modes
-from symmetria.groups import (GroupElement, IrrepLabel, RepSpec, cgc,
-                              haar_quadrature, random_su2, wigner_D)
+from symmetria.bipartite import two_qubit_product_rep
+from symmetria.groups import (GroupElement, HaarQuadrature, IrrepLabel,
+                              RepSpec, cgc, haar_quadrature, random_su2,
+                              wigner_D)
 from symmetria.ito import build_itos
 from symmetria.linalg_core import (Superoperator, check_cptp,
                                    depolarizing_channel, hs_inner,
@@ -124,6 +127,98 @@ def test_isotypic_quadrature_matches_basis_route_zn():
         P2 = project_isotypic_basis(S, lam, basis)
         assert P2.norm() > 1e-3
         assert (P1 - P2).norm() < 1e-10
+
+
+def _twirl_nodes(S, quad, rep_in, rep_out):
+    """The node-by-node group average: the oracle for ``twirl``."""
+    acc = Superoperator.zero(S.dim_in, S.dim_out)
+    for g, w in quad.nodes:
+        acc = acc + w * superop_group_action(S, g, rep_in, rep_out)
+    return acc
+
+
+def _project_nodes(S, lam, quad, rep_in, rep_out):
+    """The node-by-node isotypic projection: the oracle for
+    ``project_isotypic``."""
+    acc = Superoperator.zero(S.dim_in, S.dim_out)
+    for g, w in quad.nodes:
+        ch = np.conj(np.trace(wigner_D(lam, g)))
+        acc = acc + (w * lam.dim * ch) * superop_group_action(S, g, rep_in,
+                                                              rep_out)
+    return acc
+
+
+def _su2_case(two_js_in, two_js_out, bandlimit=4):
+    return (RepSpec.su2_spins(two_js_in), RepSpec.su2_spins(two_js_out),
+            haar_quadrature("su2", bandlimit))
+
+
+GROUP_AVERAGE_CASES = {
+    "su2[1]": lambda: _su2_case([1], [1]),
+    "su2[1,1]": lambda: _su2_case([1, 1], [1, 1]),
+    "su2[2,2]": lambda: _su2_case([2, 2], [2, 2]),
+    "two-qubit product": lambda: (two_qubit_product_rep(),) * 2
+    + (haar_quadrature("su2", 4),),
+    "su2[1]->su2[2]": lambda: _su2_case([1], [2]),
+    "z7[0,1,3,5]": lambda: (RepSpec.zn_charges([0, 1, 3, 5], 7),) * 2
+    + (haar_quadrature("zn", 0, modulus=7),),
+    # bandlimit 1 cannot resolve the spin-2 products of [2,2]
+    "su2[2,2] under-resolved": lambda: _su2_case([2, 2], [2, 2], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(GROUP_AVERAGE_CASES))
+def test_factored_group_average_matches_the_node_sum(case):
+    rep_in, rep_out, quad = GROUP_AVERAGE_CASES[case]()
+    S = random_cptp(rep_in.dim, rep_out.dim, np.random.default_rng(50))
+    T = twirl(S, quad, rep_in, rep_out)
+    assert (T - _twirl_nodes(S, quad, rep_in, rep_out)).norm() < 1e-12
+    if quad.kind == "zn":
+        lams = [IrrepLabel.zn(c, 7) for c in range(7)]
+    else:
+        lams = [IrrepLabel.su2(two_l) for two_l in range(5)]
+    for lam in lams:
+        P = project_isotypic(S, lam, quad, rep_in, rep_out)
+        assert (P - _project_nodes(S, lam, quad, rep_in, rep_out)).norm() \
+            < 1e-12
+    if case.endswith("under-resolved"):
+        # the node sum is not the exact twirl there, and the factored
+        # average still equals it: its masks keep the aliased charges
+        basis = build_canonical_modes(rep_in, rep_out)
+        exact = project_isotypic_basis(S, IrrepLabel.su2(0), basis)
+        assert (T - exact).norm() > 1e-3
+
+
+def test_group_averages_never_read_the_nodes():
+    rng = np.random.default_rng(51)
+    for rep, quad, lam in (
+            (RepSpec.su2_spins([1, 2]), haar_quadrature("su2", 4),
+             IrrepLabel.su2(2)),
+            (RepSpec.zn_charges([0, 2], 5), haar_quadrature("zn", 0, modulus=5),
+             IrrepLabel.zn(3, 5))):
+        bare = dataclasses.replace(quad, nodes=())
+        S = random_cptp(rep.dim, rep.dim, rng)
+        assert np.array_equal(twirl(S, bare, rep, rep).transfer,
+                              twirl(S, quad, rep, rep).transfer)
+        assert np.array_equal(project_isotypic(S, lam, bare, rep, rep).transfer,
+                              project_isotypic(S, lam, quad, rep, rep).transfer)
+
+
+def test_group_averages_refuse_a_foreign_or_factorless_quadrature():
+    S = random_cptp(2, 2, np.random.default_rng(52))
+    z5, z7 = RepSpec.zn_charges([0, 1], 5), RepSpec.zn_charges([0, 1], 7)
+    quad_z5 = haar_quadrature("zn", 0, modulus=5)
+    nodes_only = HaarQuadrature("su2", haar_quadrature("su2", 1).nodes, 1)
+    for call in (lambda: twirl(S, nodes_only, QUBIT, QUBIT),
+                 lambda: twirl(S, quad_z5, QUBIT, QUBIT),
+                 lambda: twirl(S, quad_z5, z7, z7),
+                 lambda: project_isotypic(S, IrrepLabel.zn(1, 5),
+                                          haar_quadrature("su2", 1),
+                                          QUBIT, QUBIT),
+                 lambda: project_isotypic(S, IrrepLabel.zn(1, 7), quad_z5,
+                                          z5, z5)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_unphysical_diagram_has_no_weight():
