@@ -23,7 +23,7 @@ from scipy.linalg import expm
 from .groups import (SU2, ZN, GroupElement, IrrepLabel, RepSpec, cg_block,
                      rep_matrix)
 from .linalg_core import (Superoperator, apply, check_cptp, conjugate,
-                          hs_inner, unitary_channel, vec)
+                          hs_inner, kron, unitary_channel, vec)
 from .process_modes import Diagram, ProcessModeBasis, build_canonical_modes
 
 LOCAL = "local"
@@ -159,22 +159,22 @@ _ID2 = np.eye(2, dtype=complex)
 def state_from_bloch(a, b, T) -> np.ndarray:
     """Two-qubit state 1/4 (1 + a.sigma (x) 1 + 1 (x) b.sigma + T_ij s_i s_j)."""
     a, b, T = np.asarray(a, float), np.asarray(b, float), np.asarray(T, float)
-    rho = np.kron(_ID2, _ID2).astype(complex)
+    rho = kron(_ID2, _ID2).astype(complex)
     for i in range(3):
-        rho += a[i] * np.kron(_SIG[i], _ID2)
-        rho += b[i] * np.kron(_ID2, _SIG[i])
+        rho += a[i] * kron(_SIG[i], _ID2)
+        rho += b[i] * kron(_ID2, _SIG[i])
         for j in range(3):
-            rho += T[i, j] * np.kron(_SIG[i], _SIG[j])
+            rho += T[i, j] * kron(_SIG[i], _SIG[j])
     return rho / 4.0
 
 
 def bloch_of_state(rho: np.ndarray):
     """Inverse of state_from_bloch: (a, b, T)."""
-    a = np.array([np.trace(rho @ np.kron(s, _ID2)).real for s in _SIG])
-    b = np.array([np.trace(rho @ np.kron(_ID2, s)).real for s in _SIG])
+    a = np.array([np.trace(rho @ kron(s, _ID2)).real for s in _SIG])
+    b = np.array([np.trace(rho @ kron(_ID2, s)).real for s in _SIG])
     T = np.array(
         [
-            [np.trace(rho @ np.kron(si, sj)).real for sj in _SIG]
+            [np.trace(rho @ kron(si, sj)).real for sj in _SIG]
             for si in _SIG
         ]
     )
@@ -397,7 +397,7 @@ def bell_states():
 def heisenberg_unitary(t: float) -> Superoperator:
     """Conjugation by V(t) = exp(it (sx sx + sy sy + sz sz)): the only
     nontrivial symmetric two-qubit unitary family."""
-    H = sum(np.kron(s, s) for s in _SIG)
+    H = sum(kron(s, s) for s in _SIG)
     return unitary_channel(expm(1j * t * H))
 
 
@@ -405,7 +405,9 @@ def diagonal_action(S: Superoperator, g: GroupElement,
                     rep_a: RepSpec = _QUBIT, rep_b: RepSpec = _QUBIT) -> Superoperator:
     """The diagonal (global) group action U_A(g) (x) U_B(g) on a bipartite
     superoperator with equal input and output reps."""
-    U = np.kron(rep_matrix(rep_a, g), rep_matrix(rep_b, g))
+    # `is`, not ==: RepSpec equality compares intertwiner arrays and raises
+    Ua = rep_matrix(rep_a, g)
+    U = kron(Ua, Ua if rep_b is rep_a else rep_matrix(rep_b, g))
     return conjugate(S, U, U)
 
 

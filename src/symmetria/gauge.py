@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .groups import ZN, GroupElement, RepSpec, rep_matrix
-from .linalg_core import Superoperator, conjugate
+from .linalg_core import Superoperator, conjugate, kron
 from .process_modes import ProcessModeBasis
 
 
@@ -74,7 +74,7 @@ class GaugeCoupling:
         N = self.frame.N
         # row-major vec: vec(L sigma) = (L kron I) vec(sigma)
         return Superoperator.from_transfer(
-            np.kron(L, np.eye(N)), N, N
+            kron(L, np.eye(N)), N, N
         )
 
     def covariance_phase(self, g_x: int, g_y: int) -> complex:
@@ -117,7 +117,7 @@ def _local_unitary(rep_x: RepSpec, rep_y: RepSpec, frame: LinkFrame,
     """U_{g_x} (x) U_{(g_x,g_y)} (x) U_{g_y} on A_x (x) link (x) A_y."""
     Ux = rep_matrix(rep_x, GroupElement.zn(gx, frame.N))
     Uy = rep_matrix(rep_y, GroupElement.zn(gy, frame.N))
-    return np.kron(np.kron(Ux, link_action(frame, gx, gy)), Uy)
+    return kron(kron(Ux, link_action(frame, gx, gy)), Uy)
 
 
 def local_invariance_residual(S: Superoperator, rep_x: RepSpec,
@@ -157,8 +157,8 @@ def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
     # generators U_x(1) and U_y(1) multiplies it by omega^lam and omega^-lam
     omega = np.exp(2j * np.pi * lam / N)
     for gx, gy, phase in ((1, 0, omega), (0, 1, np.conj(omega))):
-        U = np.kron(rep_matrix(modes_x.rep_in, GroupElement.zn(gx, N)),
-                    rep_matrix(modes_y.rep_in, GroupElement.zn(gy, N)))
+        U = kron(rep_matrix(modes_x.rep_in, GroupElement.zn(gx, N)),
+                 rep_matrix(modes_y.rep_in, GroupElement.zn(gy, N)))
         if (conjugate(chi, U, U) - phase * chi).norm() > tol * chi.norm():
             raise ValueError("element is not globally symmetric with charge "
                              f"{lam} at x and {(-lam) % N} at y")
@@ -198,8 +198,8 @@ def gauge_fix(G: GaugedProcess, h1: int, h2: int) -> Superoperator:
     E_{h1,h2} = (id (x) Pi_{h2}) o E o (id (x) Pi_{h1})."""
     def link_projector(h):
         v = G.frame.basis_state(h)
-        return np.kron(np.kron(np.eye(G.rep_x.dim), np.outer(v, v.conj())),
-                       np.eye(G.rep_y.dim))
+        return kron(kron(np.eye(G.rep_x.dim), np.outer(v, v.conj())),
+                    np.eye(G.rep_y.dim))
     return conjugate(G.superop, link_projector(h2), link_projector(h1))
 
 
@@ -352,7 +352,7 @@ class GaugedLattice:
                      / N) / np.sqrt(N)
         T = np.ones((1, 1), dtype=complex)
         for _ in self.links:
-            T = np.kron(T, dft)
+            T = kron(T, dft)
         return T
 
     def _link_frame(self, M: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -473,9 +473,15 @@ class FreeStateVerdict:
 def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
                      tol: float = 1e-10) -> FreeStateVerdict:
     """Is rho invariant under the exact local-group twirl?  (The dynamics
-    check is ``GaugedLattice.dynamics_commutation_defects``.)"""
+    check is ``GaugedLattice.dynamics_commutation_defects``.)
+
+    The distance ||rho - twirl(rho)|| is read in the link-Fourier frame,
+    where the twirl keeps exactly the same-sector entries: the frame change
+    is unitary, so it is the norm of the off-sector entries there."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (lattice.dim, lattice.dim):
         raise ValueError("state dimension mismatch")
-    dist = float(np.linalg.norm(rho - lattice.twirl(rho)))
+    rf = lattice._link_frame(rho, lattice._link_dft())
+    sector = lattice._sector
+    dist = float(np.linalg.norm(rf[sector[:, None] != sector[None, :]]))
     return FreeStateVerdict(dist <= tol, dist)

@@ -53,6 +53,14 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> CMatrix:
     return np.asarray(v, dtype=complex).reshape(rows, cols)
 
 
+def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices.  Each entry is the single product
+    A[i, j] * B[k, l], as in NumPy's n-d Kronecker product, so the results
+    agree bit for bit; the broadcast skips its per-call axis bookkeeping."""
+    (m, n), (p, q) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(m * p, n * q)
+
+
 def choi_to_transfer(choi: CMatrix, dim_in: int, dim_out: int) -> CMatrix:
     """Reshuffle J[(i,j),(k,l)] -> K[(i,k),(j,l)]."""
     J = np.asarray(choi, dtype=complex).reshape(dim_out, dim_in, dim_out, dim_in)
@@ -208,8 +216,8 @@ def apply(S: Superoperator, X: CMatrix) -> CMatrix:
 def conjugate(S: Superoperator, U_out: CMatrix, U_in: CMatrix) -> Superoperator:
     """The map X -> U_out E(U_in^dag X U_in) U_out^dag, i.e. the transfer
     matrix (U_out (x) U_out^*) K (U_in (x) U_in^*)^dag."""
-    A = np.kron(U_out, U_out.conj())
-    B = np.kron(U_in, U_in.conj())
+    A = kron(U_out, U_out.conj())
+    B = A if U_in is U_out else kron(U_in, U_in.conj())
     return Superoperator(S.dim_in, S.dim_out, A @ S.transfer @ B.conj().T)
 
 

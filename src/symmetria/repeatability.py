@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import RepSpec
-from .linalg_core import Superoperator, apply, check_cptp, unitary_channel
+from .linalg_core import (Superoperator, apply, check_cptp, kron,
+                          unitary_channel)
 from .process_modes import ProcessModeBasis, build_canonical_modes, decompose
 
 
@@ -107,12 +108,12 @@ def build_protocol(U, D: int = 16) -> Protocol:
                 continue
             E = np.zeros((d, d), dtype=complex)
             E[m, n] = 1.0
-            V += U[m, n] * np.kron(E, ladder.delta_power(n - m))
+            V += U[m, n] * kron(E, ladder.delta_power(n - m))
     assert np.linalg.norm(V @ V.conj().T - np.eye(d * D)) < 1e-12
     # global Z_D symmetry: V commutes with the diagonal charge action
     for g in range(D):
         w = np.exp(2j * np.pi * g / D)
-        W = np.kron(np.diag(w ** np.arange(d)), np.diag(w ** np.arange(D)))
+        W = kron(np.diag(w ** np.arange(d)), np.diag(w ** np.arange(D)))
         assert np.linalg.norm(V @ W - W @ V) < 1e-12 * d * D
     return Protocol(U, ladder, V)
 
@@ -130,7 +131,7 @@ def _check_state(sigma: np.ndarray, dim: int):
 
 
 def _joint_out(P: Protocol, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return P.V @ np.kron(rho, sigma) @ P.V.conj().T
+    return P.V @ kron(rho, sigma) @ P.V.conj().T
 
 
 def _trace_ladder(P: Protocol, M: np.ndarray) -> np.ndarray:
@@ -257,8 +258,8 @@ def _two_round_crosscheck(P: Protocol, sigma0, rho1, rho2, rounds) -> float:
     Vr = P.V.reshape(d, D, d, D)
     V1 = np.einsum("ab,injm->ianjbm", I, Vr).reshape(d * d * D, d * d * D)
     V2 = np.einsum("ab,injm->ainbjm", I, Vr).reshape(d * d * D, d * d * D)
-    state = np.kron(np.kron(np.asarray(rho1, complex),
-                            np.asarray(rho2, complex)), sigma0)
+    state = kron(kron(np.asarray(rho1, complex),
+                      np.asarray(rho2, complex)), sigma0)
     out = V2 @ (V1 @ state @ V1.conj().T) @ V2.conj().T
     out = out.reshape(d, d, D, d, d, D)
     marg1 = np.einsum("iabjab->ij", out)

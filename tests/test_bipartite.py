@@ -16,8 +16,8 @@ from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, bell_states,
                                  singlet_channel, state_from_bloch,
                                  swap_invariant_relational, twirl_rank,
                                  two_qubit_catalog, two_qubit_product_rep)
-from symmetria.groups import haar_quadrature, random_su2
-from symmetria.linalg_core import (Superoperator, apply, check_cptp,
+from symmetria.groups import RepSpec, haar_quadrature, random_su2, rep_matrix
+from symmetria.linalg_core import (Superoperator, apply, check_cptp, conjugate,
                                    depolarizing_channel, random_cptp)
 from symmetria.process_modes import twirl
 
@@ -98,6 +98,31 @@ def test_diagonal_action_node_sum_matches_the_library_twirl():
         for g, w in quad.nodes:
             T = T + w * diagonal_action(S, g)
         assert (T - twirl(S, quad, product, product)).norm() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["default qubits", "distinct equal qubits",
+                                  "qubit (x) spin-1", "two-qubit product",
+                                  "distinct two-qubit products"])
+def test_diagonal_action_matches_the_kron_of_both_reps_bit_for_bit(case):
+    qubit = RepSpec.su2_spins([1])
+    product = two_qubit_product_rep()
+    # == on two distinct product reps compares their intertwiner arrays and
+    # raises, so diagonal_action may only test the reps for identity
+    reps = {"default qubits": (),
+            "distinct equal qubits": (qubit, RepSpec.su2_spins([1])),
+            "qubit (x) spin-1": (qubit, RepSpec.su2_spins([2])),
+            "two-qubit product": (product, product),
+            "distinct two-qubit products": (product, two_qubit_product_rep()),
+            }[case]
+    rep_a, rep_b = reps or (qubit, qubit)
+    d = rep_a.dim * rep_b.dim
+    rng = np.random.default_rng(43)
+    S = random_cptp(d, d, rng)
+    for _ in range(3):
+        g = random_su2(rng)
+        U = np.kron(rep_matrix(rep_a, g), rep_matrix(rep_b, g))
+        want = conjugate(S, U, U).transfer
+        assert diagonal_action(S, g, *reps).transfer.tobytes() == want.tobytes()
 
 
 def test_local_class_closure():

@@ -391,6 +391,25 @@ def test_dynamics_defects_agree_for_vector_and_density(lattice):
     assert abs(pure - dense) <= 1e-12
 
 
+@pytest.mark.parametrize("Lx, Ly, n", [
+    (1, 2, 2), (2, 2, 2), (1, 3, 2), (1, 2, 3), (2, 2, 3), (1, 3, 3)])
+def test_free_state_distance_is_the_enumerated_twirl_distance(Lx, Ly, n):
+    # free_state_check reads the distance off the link-Fourier frame; the
+    # direct group sum is the oracle.  A group average is idempotent and
+    # fixes the identity, so the enumerated twirl of rho and the maximally
+    # mixed state have oracle distance 0 without a second enumeration.
+    lat = build_gauged_lattice(Lx, Ly, n)
+    rng = np.random.default_rng(70)
+    d = lat.dim
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = M @ M.conj().T
+    rho /= np.trace(rho)
+    twirled = lat.twirl_enumerate(rho)
+    for state, want in ((rho, np.linalg.norm(rho - twirled)),
+                        (twirled, 0.0), (np.eye(d) / d, 0.0)):
+        assert abs(free_state_check(lat, state).twirl_distance - want) <= 1e-12
+
+
 def test_free_state_check(lattice):
     rng = np.random.default_rng(65)
     d = lattice.dim

@@ -1,13 +1,17 @@
 """Vectorisation, Choi/transfer round trips, and CPTP verification."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symmetria
 from symmetria.linalg_core import (Superoperator, apply, check_cptp, choi_of,
-                                   depolarizing_channel, hs_inner,
-                                   identity_channel, kraus_of_choi,
+                                   conjugate, depolarizing_channel, hs_inner,
+                                   identity_channel, kraus_of_choi, kron,
                                    random_cptp, unitary_channel, unvec, vec)
 
 RNG = np.random.default_rng(20260823)
@@ -104,3 +108,55 @@ def test_hs_inner_is_choi_inner_product():
     assert abs(hs_inner(A, B)
                - np.trace(A.choi.conj().T @ B.choi)) < 1e-12
     assert abs(hs_inner(A, A).imag) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the matrix Kronecker product and conjugation
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("A, B", [
+    (_rand_complex((1, 1)), _rand_complex((1, 1))),
+    (_rand_complex((2, 3)), _rand_complex((4, 1))),
+    (RNG.normal(size=(3, 2)), _rand_complex((2, 2))),
+    (np.arange(6).reshape(2, 3), np.arange(-4, 4).reshape(4, 2)),
+], ids=["1x1", "2x3-4x1", "real-complex", "int-int"])
+def test_kron_is_numpy_kron_bit_for_bit(A, B):
+    assert _same_bits(kron(A, B), np.kron(A, B))
+
+
+def _conjugate_two_krons(S, U_out, U_in):
+    """The two-Kronecker-product formula that ``conjugate`` replaces."""
+    A = np.kron(U_out, U_out.conj())
+    B = np.kron(U_in, U_in.conj())
+    return A @ S.transfer @ B.conj().T
+
+
+def _rand_unitary(d):
+    return np.linalg.qr(_rand_complex((d, d)))[0]
+
+
+@pytest.mark.parametrize("case", ["same object", "equal copies", "d_out != d_in"])
+def test_conjugate_matches_the_two_kron_formula_bit_for_bit(case):
+    d_in, d_out = (2, 3) if case == "d_out != d_in" else (3, 3)
+    S = random_cptp(d_in, d_out, RNG)
+    U_out = _rand_unitary(d_out)
+    U_in = {"same object": U_out, "equal copies": U_out.copy()}.get(
+        case, _rand_unitary(d_in))
+    assert _same_bits(conjugate(S, U_out, U_in).transfer,
+                      _conjugate_two_krons(S, U_out, U_in))
+
+
+def test_library_forms_matrix_kronecker_products_only_with_kron():
+    # linalg_core.kron is the one matrix Kronecker product and
+    # Superoperator.tensor the one superoperator tensor product
+    pattern = re.compile(r"\b(np|numpy)\.kron\b")
+    hits = [f"{path.name}:{n}"
+            for path in sorted(Path(symmetria.__file__).parent.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
