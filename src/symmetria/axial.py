@@ -30,6 +30,9 @@ POINT = "point"          # symmetric process: orbit is a single point
 SPHERE = "sphere"        # axial process: orbit is S^2, point (theta, phi)
 FULL_GROUP = "full_group"  # trivial stabilizer: orbit is the whole group
 
+SYM_TOL = 1e-10     # relative non-trivial weight below which S is symmetric
+SPHERE_TOL = 1e-6   # relative axial-fit residual above which S is not axial
+
 
 def sph_harm(two_j: int, two_m: int, theta: float, phi: float) -> complex:
     """Orthonormal spherical harmonic Y_{j,m}(theta, phi), Condon-Shortley.
@@ -199,12 +202,7 @@ def _axial_objective(vector_fams):
     return objective
 
 
-def polar_decompose(
-    S: Superoperator,
-    basis: ProcessModeBasis,
-    sym_tol: float = 1e-10,
-    sphere_tol: float = 1e-6,
-) -> PolarData:
+def polar_decompose(S: Superoperator, basis: ProcessModeBasis) -> PolarData:
     """Split a process into invariant amplitudes and an orbit point.
 
     Symmetric processes return a POINT orbit with the trivial-family
@@ -220,7 +218,7 @@ def polar_decompose(
     scale = max(1.0, S.norm())
 
     asym = math.sqrt(sum(float(np.vdot(a, a).real) for _, a in vector))
-    if asym <= sym_tol * scale:
+    if asym <= SYM_TOL * scale:
         invariants = {
             d: complex(a[0]) * math.sqrt(4.0 * math.pi) for d, a in trivial
         }
@@ -273,7 +271,7 @@ def polar_decompose(
         residual2 += float(np.vdot(alpha - a * y, alpha - a * y).real)
     fit_residual = math.sqrt(residual2)
 
-    if fit_residual > sphere_tol * scale:
+    if fit_residual > SPHERE_TOL * scale:
         g = GroupElement.su2(phi, theta, 0.0)
         return PolarData(
             invariants, OrbitPoint(FULL_GROUP, theta, phi, g=g, warning=True),

@@ -20,15 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .groups import (SU2, ZN, GroupElement, IrrepLabel, RepSpec, cg_block,
-                     rep_matrix)
-from .linalg_core import (Superoperator, apply, check_cptp, conjugate,
-                          hs_inner, kron, unitary_channel, vec)
+from .groups import SU2, GroupElement, IrrepLabel, RepSpec, cg_block, rep_matrix
+from .linalg_core import (Superoperator, check_cptp, conjugate, hs_inner, kron,
+                          unitary_channel, vec)
 from .process_modes import Diagram, ProcessModeBasis, build_canonical_modes
 
 LOCAL = "local"
 INJECTION = "injection"
 RELATIONAL = "relational"
+
+BOUNDARY_TOL = 1e-9  # slack on the analytic injection-region boundary
 
 
 @dataclass(frozen=True)
@@ -289,13 +290,12 @@ class RegionVerdict:
     coords: tuple
 
 
-def injection_region_test(x: float, y: float, z: float,
-                          boundary_tol: float = 1e-9) -> RegionVerdict:
+def injection_region_test(x: float, y: float, z: float) -> RegionVerdict:
     """Membership of (x, y, z) in the injection region: analytic boundary
     (elliptic paraboloid X^2 + Z^2 = Y capped by the plane 2 + X - Y = 0)
     versus the numeric CPTP verdict on the assembled channel."""
     X, Y, Z = injection_coords(x, y, z)
-    inside = (X * X + Z * Z <= Y + boundary_tol) and (2.0 + X - Y >= -boundary_tol)
+    inside = (X * X + Z * Z <= Y + BOUNDARY_TOL) and (2.0 + X - Y >= -BOUNDARY_TOL)
     rep = check_cptp(injection_channel(x, y, z), psd_tol=1e-8, tp_tol=1e-8)
     return RegionVerdict(inside, rep.is_cptp, rep.min_choi_eigenvalue, (X, Y, Z))
 

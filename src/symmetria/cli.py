@@ -23,14 +23,13 @@ from .axial import axial_table, polar_decompose
 from .bipartite import (classify, decompose_symmetric, injection_coords,
                         injection_channel, swap_invariant_relational,
                         two_qubit_catalog, two_qubit_product_rep, twirl_rank)
-from .gauge import (LinkFrame, build_gauged_lattice, free_state_check,
-                    gauge_2symmetric, gauge_fix_stabilizer)
-from .groups import RepSpec
+from .gauge import (build_gauged_lattice, free_state_check, gauge_2symmetric,
+                    gauge_fix_stabilizer)
+from .groups import LinkFrame, RepSpec
 from .linalg_core import Superoperator, check_cptp, choi_of
 from .process_modes import build_canonical_modes, decompose
-from .repeatability import (FrameState, build_protocol,
-                            check_crosscheck_size, measure_prepare_form,
-                            sequential_use)
+from .repeatability import (build_protocol, check_crosscheck_size,
+                            measure_prepare_form, sequential_use)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -283,7 +282,7 @@ def cmd_catalytic(args, out: list) -> int:
                f"rounds={args.rounds} sigma={args.sigma} seed={args.seed}")
     out.extend(convention_block())
     if args.sigma == "frame":
-        sigma = FrameState(P.ladder, 0).density
+        sigma = P.ladder.frame_projector(0)
     elif args.sigma == "mixed":
         sigma = np.eye(D, dtype=complex) / D
     else:

@@ -19,46 +19,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .groups import ZN, GroupElement, RepSpec, rep_matrix
+from .groups import ZN, GroupElement, LinkFrame, RepSpec, rep_matrix
 from .linalg_core import Superoperator, conjugate, kron
 from .process_modes import ProcessModeBasis
 
 
 # ---------------------------------------------------------------------------
-# Link reference frames and couplings
+# Link couplings (the link frame is ``groups.LinkFrame``)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinkFrame:
-    """Z_N reference frame on an oriented link (source -> target)."""
-
-    N: int
-    source: object = "x"
-    target: object = "y"
-
-    @property
-    def dim(self) -> int:
-        return self.N
-
-    def basis_state(self, h: int) -> np.ndarray:
-        v = np.zeros(self.N, dtype=complex)
-        v[h % self.N] = 1.0
-        return v
-
-    def charge_operator(self, lam: int) -> np.ndarray:
-        """L_lambda = sum_h omega^{lambda h} |h><h|."""
-        w = np.exp(2j * np.pi * (lam % self.N) * np.arange(self.N) / self.N)
-        return np.diag(w)
-
-
-def link_action(frame: LinkFrame, g_x: int, g_y: int) -> np.ndarray:
-    """Permutation unitary |h> -> |g_x + h - g_y mod N>."""
-    N = frame.N
-    P = np.zeros((N, N), dtype=complex)
-    for h in range(N):
-        P[(g_x + h - g_y) % N, h] = 1.0
-    return P
-
 
 @dataclass(frozen=True)
 class GaugeCoupling:
@@ -89,7 +57,7 @@ def coupling_covariance_defect(c: GaugeCoupling) -> float:
     worst = 0.0
     for gx in range(c.frame.N):
         for gy in range(c.frame.N):
-            P = link_action(c.frame, gx, gy)
+            P = c.frame.delta_power(gx - gy)
             lhs = conjugate(c.superop, P, P)
             rhs = c.covariance_phase(gx, gy) * c.superop
             worst = max(worst, (lhs - rhs).norm())
@@ -117,7 +85,7 @@ def _local_unitary(rep_x: RepSpec, rep_y: RepSpec, frame: LinkFrame,
     """U_{g_x} (x) U_{(g_x,g_y)} (x) U_{g_y} on A_x (x) link (x) A_y."""
     Ux = rep_matrix(rep_x, GroupElement.zn(gx, frame.N))
     Uy = rep_matrix(rep_y, GroupElement.zn(gy, frame.N))
-    return kron(kron(Ux, link_action(frame, gx, gy)), Uy)
+    return kron(kron(Ux, frame.delta_power(gx - gy)), Uy)
 
 
 def local_invariance_residual(S: Superoperator, rep_x: RepSpec,
@@ -197,9 +165,8 @@ def gauge_fix(G: GaugedProcess, h1: int, h2: int) -> Superoperator:
     """Pre-select the link at |h1> and post-select at |h2>:
     E_{h1,h2} = (id (x) Pi_{h2}) o E o (id (x) Pi_{h1})."""
     def link_projector(h):
-        v = G.frame.basis_state(h)
-        return kron(kron(np.eye(G.rep_x.dim), np.outer(v, v.conj())),
-                    np.eye(G.rep_y.dim))
+        pi = np.diag(np.eye(G.frame.N, dtype=complex)[h % G.frame.N])
+        return kron(kron(np.eye(G.rep_x.dim), pi), np.eye(G.rep_y.dim))
     return conjugate(G.superop, link_projector(h2), link_projector(h1))
 
 
@@ -345,11 +312,11 @@ class GaugedLattice:
 
     def _link_dft(self) -> np.ndarray:
         """The N-point DFT on every link, an (N^links)-square matrix.  Row k
-        of one link's factor is <k| = N^{-1/2} sum_h w^{kh} <h|, so the shift
-        |h> -> |h+s> becomes the phase w^{ks}."""
-        N = self.N
-        dft = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N))
-                     / N) / np.sqrt(N)
+        of one link's factor is the conjugated frame vector <theta_k| =
+        N^{-1/2} sum_h w^{kh} <h|, so the shift |h> -> |h+s> becomes the
+        phase w^{ks}."""
+        frame = LinkFrame(self.N)
+        dft = np.array([frame.frame_vector(k) for k in range(self.N)]).conj()
         T = np.ones((1, 1), dtype=complex)
         for _ in self.links:
             T = kron(T, dft)
@@ -375,7 +342,9 @@ def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
     """
     if Lx < 1 or Ly < 1:
         raise ValueError("lattice sides must be at least 1")
-    if Lx * Ly > 4 or N > 4 or N < 2:
+    if N < 2:
+        raise ValueError("lattice link modulus must be at least 2")
+    if Lx * Ly > 4 or N > 4:
         raise ValueError("lattice exceeds the desk-scale guard")
     sites = [(x, y) for y in range(Ly) for x in range(Lx)]
     s_index = {s: i for i, s in enumerate(sites)}

@@ -1,6 +1,6 @@
 """Irrep labels, group elements, Wigner D-matrices, Clebsch-Gordan
 coefficients, representation assembly, generators and Haar quadrature for
-SU(2) and Z_N.
+SU(2) and Z_N, and the Z_N reference frame (its regular representation).
 
 Conventions:
   * Half-integers are stored as doubled integers (two_j, two_m) so irrep
@@ -517,3 +517,42 @@ def haar_quadrature(kind: str, bandlimit: int, modulus: int = 0) -> HaarQuadratu
                 nodes.append((GroupElement.su2(alpha, beta, gamma), w))
     return HaarQuadrature(SU2, tuple(nodes), two_b, n_ang, betas,
                           beta_weights)
+
+
+@dataclass(frozen=True)
+class LinkFrame:
+    """The Z_N reference frame: the regular representation on basis |h>,
+    shared by the gauge links and the catalytic ladder.  The shift is
+    Delta|h> = |h+1 mod N>, the clock L_lam = sum_h omega^{lam h} |h><h|,
+    and the Fourier frame states |theta_r> are the Delta eigenvectors."""
+
+    N: int
+
+    def __post_init__(self):
+        if self.N < 1:
+            raise ValueError("Z_N frame needs N >= 1")
+
+    def delta_power(self, k: int) -> np.ndarray:
+        """Delta^k: |h> -> |h + k mod N>; row i is the basis row i - k."""
+        return np.eye(self.N, dtype=complex)[(np.arange(self.N) - k) % self.N]
+
+    def charge_operator(self, lam: int) -> np.ndarray:
+        """L_lambda = sum_h omega^{lambda h} |h><h|."""
+        w = np.exp(2j * np.pi * (lam % self.N) * np.arange(self.N) / self.N)
+        return np.diag(w)
+
+    def frame_vector(self, r: int) -> np.ndarray:
+        """|theta_r> = N^{-1/2} sum_h exp(-i 2 pi h r / N) |h>, a Delta
+        eigenvector with eigenvalue exp(i 2 pi r / N)."""
+        n = np.arange(self.N)
+        return np.exp(-2j * np.pi * n * (r % self.N) / self.N) / math.sqrt(self.N)
+
+    def frame_projector(self, r: int) -> np.ndarray:
+        v = self.frame_vector(r)
+        return np.outer(v, v.conj())
+
+    def delta_profile(self, sigma: np.ndarray) -> np.ndarray:
+        """The vector tr(Delta^k sigma) = sum_h sigma[h - k, h] for
+        k = 0..N-1, gathered from sigma in one indexing step."""
+        h = np.arange(self.N)
+        return np.asarray(sigma)[(h - h[:, None]) % self.N, h].sum(axis=1)

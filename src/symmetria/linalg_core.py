@@ -231,12 +231,11 @@ def check_cptp(S: Superoperator, psd_tol: float = PSD_TOL, tp_tol: float = TP_TO
     """CP/TP verdict from a Hermitian eigensolve on the Choi matrix."""
     J = S.choi
     herm_defect = float(np.linalg.norm(J - J.conj().T))
+    min_eig = float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0])
     if herm_defect > psd_tol:
         # A non-Hermitian Choi matrix cannot be CP; report via min eigenvalue
         # of the Hermitian part penalised by the defect.
-        min_eig = float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0]) - herm_defect
-    else:
-        min_eig = float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0])
+        min_eig -= herm_defect
     tr_out = trace_out_output(S)
     trace_defect = float(
         np.linalg.norm(tr_out - np.eye(S.dim_in), ord=2)

@@ -15,68 +15,13 @@ simulation, are not disturbed, and support arbitrary sequential reuse.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import RepSpec
-from .linalg_core import (Superoperator, apply, check_cptp, kron,
-                          unitary_channel)
+from .groups import LinkFrame, RepSpec
+from .linalg_core import Superoperator, apply, kron, unitary_channel
 from .process_modes import ProcessModeBasis, build_canonical_modes, decompose
-
-
-@dataclass(frozen=True)
-class LadderRef:
-    """A cyclic Z_D ladder: number basis |n>, shift Delta|n> = |n+1 mod D>."""
-
-    D: int
-
-    def __post_init__(self):
-        if self.D < 2:
-            raise ValueError("ladder dimension must be at least 2")
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.delta_power(1)
-
-    def delta_power(self, k: int) -> np.ndarray:
-        M = np.zeros((self.D, self.D), dtype=complex)
-        for n in range(self.D):
-            M[(n + k) % self.D, n] = 1.0
-        return M
-
-    def frame_vector(self, r: int) -> np.ndarray:
-        n = np.arange(self.D)
-        return np.exp(-2j * np.pi * n * (r % self.D) / self.D) / math.sqrt(self.D)
-
-    def frame_projector(self, r: int) -> np.ndarray:
-        v = self.frame_vector(r)
-        return np.outer(v, v.conj())
-
-    def delta_profile(self, sigma: np.ndarray) -> np.ndarray:
-        """The vector tr(Delta^k sigma) for k = 0..D-1, which fully
-        determines the induced channel."""
-        return np.array(
-            [np.trace(self.delta_power(k) @ sigma) for k in range(self.D)]
-        )
-
-
-@dataclass(frozen=True)
-class FrameState:
-    """|theta_r> = D^{-1/2} sum_n exp(-i 2 pi n r / D) |n>, a Delta
-    eigenstate with eigenvalue exp(i 2 pi r / D)."""
-
-    ladder: LadderRef
-    r: int
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.ladder.frame_vector(self.r)
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.ladder.frame_projector(self.r)
 
 
 @dataclass(frozen=True)
@@ -84,7 +29,7 @@ class Protocol:
     """A target unitary U on A plus the symmetric ladder interaction V(U)."""
 
     U: np.ndarray
-    ladder: LadderRef
+    ladder: LinkFrame
     V: np.ndarray
 
     @property
@@ -100,7 +45,9 @@ def build_protocol(U, D: int = 16) -> Protocol:
         raise ValueError("target must be a unitary matrix")
     if D < d:
         raise ValueError(f"ladder dimension {D} below system dimension {d}")
-    ladder = LadderRef(D)
+    if D < 2:
+        raise ValueError("ladder dimension must be at least 2")
+    ladder = LinkFrame(D)
     V = np.zeros((d * D, d * D), dtype=complex)
     for m in range(d):
         for n in range(d):
@@ -135,18 +82,18 @@ def _joint_out(P: Protocol, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def _trace_ladder(P: Protocol, M: np.ndarray) -> np.ndarray:
-    d, D = P.dim_a, P.ladder.D
+    d, D = P.dim_a, P.ladder.N
     return np.einsum("injn->ij", M.reshape(d, D, d, D))
 
 
 def _trace_system(P: Protocol, M: np.ndarray) -> np.ndarray:
-    d, D = P.dim_a, P.ladder.D
+    d, D = P.dim_a, P.ladder.N
     return np.einsum("inim->nm", M.reshape(d, D, d, D))
 
 
 def induced_channel(P: Protocol, sigma) -> Superoperator:
     """Partial-trace route to E(rho) = tr_B [V (rho (x) sigma) V^dag] on A."""
-    sigma = _check_state(sigma, P.ladder.D)
+    sigma = _check_state(sigma, P.ladder.N)
     d = P.dim_a
     K = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -162,13 +109,13 @@ def induced_channel_closed_form(P: Protocol, sigma) -> Superoperator:
     """Closed form: E(rho)[m,m'] = sum_{nn'} U_mn conj(U_m'n') rho[n,n']
     tr(Delta^{(n-m)-(n'-m')} sigma) — the reference enters only through the
     Delta expectation profile."""
-    return _closed_form(P, P.ladder.delta_profile(_check_state(sigma, P.ladder.D)))
+    return _closed_form(P, P.ladder.delta_profile(_check_state(sigma, P.ladder.N)))
 
 
 def _closed_form(P: Protocol, profile: np.ndarray) -> Superoperator:
     """The closed form for any Delta expectation profile; it is linear in
     the profile, so ``measure_prepare_form`` evaluates it at unit ones."""
-    d, D = P.dim_a, P.ladder.D
+    d, D = P.dim_a, P.ladder.N
     n_minus_m = np.arange(d)[None, :] - np.arange(d)[:, None]  # [m, n]
     k = np.subtract.outer(n_minus_m, n_minus_m) % D  # [m, n, m', n']
     K = np.einsum("mn,pq,mnpq->mpnq", P.U, P.U.conj(), profile[k])
@@ -177,9 +124,8 @@ def _closed_form(P: Protocol, profile: np.ndarray) -> Superoperator:
 
 def rotated_target(P: Protocol, r: int) -> np.ndarray:
     """The frame-rotated target unitary induced by sigma = |theta_r>."""
-    d, D = P.dim_a, P.ladder.D
-    lam = np.exp(2j * np.pi * (r % D) * np.arange(d) / D)
-    return np.diag(lam.conj()) @ P.U @ np.diag(lam)
+    L = P.ladder.charge_operator(r)[:P.dim_a, :P.dim_a]
+    return L.conj() @ P.U @ L
 
 
 CROSSCHECK_MAX_DIM = 4096  # dense products of this side dominate a run
@@ -216,10 +162,10 @@ def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
     For two or more rounds the first two induced outputs are cross-checked
     against the full joint-unitary computation on A1 (x) A2 (x) B.
     """
-    sigma0 = _check_state(sigma, P.ladder.D)
+    sigma0 = _check_state(sigma, P.ladder.N)
     if len(inputs) < 1:
         raise ValueError("at least one input state required")
-    check_crosscheck_size(P.dim_a, P.ladder.D, len(inputs))
+    check_crosscheck_size(P.dim_a, P.ladder.N, len(inputs))
     rounds = []
     sig = sigma0
     first = None
@@ -252,7 +198,7 @@ def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
 def _two_round_crosscheck(P: Protocol, sigma0, rho1, rho2, rounds) -> float:
     """Full tensor computation on A1 (x) A2 (x) B versus the iterated
     reduced-reference propagation."""
-    d, D = P.dim_a, P.ladder.D
+    d, D = P.dim_a, P.ladder.N
     I = np.eye(d, dtype=complex)
     # embed V on (A1, B) and (A2, B) inside A1 (x) A2 (x) B
     Vr = P.V.reshape(d, D, d, D)
@@ -271,7 +217,7 @@ def _two_round_crosscheck(P: Protocol, sigma0, rho1, rho2, rounds) -> float:
 
 def zd_mode_basis(P: Protocol) -> ProcessModeBasis:
     """Canonical Z_D process modes for the system A (charges 0..d_A-1)."""
-    rep = RepSpec.zn_charges(list(range(P.dim_a)), P.ladder.D)
+    rep = RepSpec.zn_charges(list(range(P.dim_a)), P.ladder.N)
     return build_canonical_modes(rep, rep)
 
 
@@ -288,14 +234,12 @@ class MeasurePrepareForm:
     max_x_residual: float  # worst distance of X^lam from alpha_lam(E0) Delta^{-lam}
 
 
-def measure_prepare_form(P: Protocol,
-                         basis: ProcessModeBasis | None = None) -> MeasurePrepareForm:
+def measure_prepare_form(P: Protocol) -> MeasurePrepareForm:
     """Extract the operators X^lam with tr(X^lam sigma) = alpha_lam(E_sigma)
-    and verify X^lam = alpha_lam(E0) Delta^{-lam}, where E0 is the induced
-    channel of the r=0 frame state."""
-    if basis is None:
-        basis = zd_mode_basis(P)
-    D = P.ladder.D
+    over the canonical Z_D modes and verify X^lam = alpha_lam(E0) Delta^{-lam},
+    where E0 is the induced channel of the r=0 frame state."""
+    basis = zd_mode_basis(P)
+    D = P.ladder.N
     # E_sigma depends on sigma only through p_k = tr(Delta^k sigma), and
     # linearly, so alpha(E_sigma) = sum_k p_k alpha(B_k) with B_k the closed
     # form at the unit profile e_k: X = sum_k alpha(B_k) Delta^k.
@@ -303,7 +247,7 @@ def measure_prepare_form(P: Protocol,
     alpha = np.array([decompose(_closed_form(P, e_k), basis).values
                       for e_k in np.eye(D)])
     X = np.einsum("kr,kij->rij", alpha, deltas)
-    e0 = induced_channel_closed_form(P, FrameState(P.ladder, 0).density)
+    e0 = induced_channel_closed_form(P, P.ladder.frame_projector(0))
     a0 = decompose(e0, basis).values
     lam = np.array([diagram.lam.charge for diagram, _ in basis.labels])
     target = a0[:, None, None] * deltas[-lam % D]
@@ -319,7 +263,7 @@ def broadcast_check(P: Protocol, sigmas, tol: float = 1e-10) -> bool:
     """True iff the references can be broadcast: all Delta powers commute
     (exact by construction, asserted) and all supplied reference states
     commute pairwise, i.e. share the frame eigenbasis up to degeneracy."""
-    D = P.ladder.D
+    D = P.ladder.N
     for k in range(D):
         for j in range(D):
             c = (P.ladder.delta_power(k) @ P.ladder.delta_power(j)

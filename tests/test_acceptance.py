@@ -21,8 +21,7 @@ from symmetria.bipartite import (bell_states, bloch_of_state,
                                  state_from_bloch, twirl_rank,
                                  two_qubit_catalog, two_qubit_product_rep)
 from symmetria.gauge import (LinkFrame, build_gauged_lattice, degauge_marginal,
-                             gauge_2symmetric, gauge_fix, gauge_fix_stabilizer,
-                             link_action)
+                             gauge_2symmetric, gauge_fix, gauge_fix_stabilizer)
 from symmetria.groups import (GroupElement, IrrepLabel, RepSpec, cgc, compose,
                               haar_quadrature, random_su2, rep_matrix,
                               wigner_D)
@@ -31,9 +30,9 @@ from symmetria.linalg_core import (Superoperator, apply, check_cptp, hs_inner,
                                    random_cptp, unvec, vec)
 from symmetria.process_modes import (build_canonical_modes, decompose,
                                      superop_group_action, twirl)
-from symmetria.repeatability import (FrameState, build_protocol,
-                                     induced_channel, measure_prepare_form,
-                                     rotated_target, sequential_use)
+from symmetria.repeatability import (build_protocol, induced_channel,
+                                     measure_prepare_form, rotated_target,
+                                     sequential_use)
 
 QUBIT = RepSpec.su2_spins([1])
 QUBIT_MODES = build_canonical_modes(QUBIT, QUBIT)
@@ -284,12 +283,12 @@ def test_criterion_7_catalytic_repeatability():
             for rec in rep.rounds:
                 worst_rounds = max(worst_rounds, rec.choi_distance_to_first)
         for r in (0, 5, 11):
-            fs = FrameState(P.ladder, r)
-            rep = sequential_use(P, fs.density, inputs[:2])
+            frame_r = P.ladder.frame_projector(r)
+            rep = sequential_use(P, frame_r, inputs[:2])
             for rec in rep.rounds:
                 worst_frame = max(worst_frame,
                                   abs(rec.reference_fidelity - 1.0))
-            E = induced_channel(P, fs.density)
+            E = induced_channel(P, frame_r)
             Ur = rotated_target(P, r)
             rho = _random_state(rng, d)
             worst_frame = max(worst_frame, float(np.linalg.norm(
@@ -350,7 +349,7 @@ def test_criterion_8_gauging_z4():
         for gy in range(N):
             Ux = rep_matrix(rep, GroupElement.zn(gx, N))
             Uy = rep_matrix(rep, GroupElement.zn(gy, N))
-            U = np.kron(np.kron(Ux, link_action(frame, gx, gy)), Uy)
+            U = np.kron(np.kron(Ux, frame.delta_power(gx - gy)), Uy)
             A = np.kron(U, U.conj())
             fixed = gauge_fix(last, 1, 1)
             moved = Superoperator.from_transfer(

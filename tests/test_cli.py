@@ -136,6 +136,7 @@ def _spin_39_2_identity(d):
     (("gauge", "--trials", "-1"), 2),
     (("gauge", "--lattice", "0x0"), 2),
     (("gauge", "--lattice", "2x0"), 2),
+    (("gauge", "--lattice-n", "1"), 3),
     (("table", "--p", "2"), 3),
     (("region", "--grid", "0"), 2),
     (("decompose", _spin_39_2_identity), 3),
@@ -147,7 +148,8 @@ def _spin_39_2_identity(d):
     (("catalytic", "--dim-a", "40", "--ladder", "40", "--rounds", "2"), 3),
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
-        "lattice-0x0", "lattice-2x0", "table-p-2", "region-grid-0",
+        "lattice-0x0", "lattice-2x0", "lattice-n-1", "table-p-2",
+        "region-grid-0",
         "over-memory-limit", "tol-negative", "tol-nan", "tol-inf",
         "bipartite-tol-nan", "crosscheck-over-limit"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
@@ -157,6 +159,13 @@ def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     assert r.returncode == code, (r.stdout, r.stderr)
     assert "Traceback" not in r.stderr
     assert r.stderr.strip()
+
+
+def test_gauge_lattice_modulus_below_two_names_the_modulus():
+    r = run_cli("gauge", "--lattice-n", "1")
+    assert r.returncode == 3
+    assert "lattice link modulus must be at least 2" in r.stderr
+    assert "desk-scale" not in r.stderr
 
 
 def test_gauge_with_a_modulus_missing_some_mode_charges():

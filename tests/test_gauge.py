@@ -9,8 +9,7 @@ from symmetria.gauge import (GaugeCoupling, LinkFrame, _local_unitary,
                              _plaquette_cycles, build_gauged_lattice,
                              coupling_covariance_defect, degauge_marginal,
                              free_state_check, gauge_2symmetric, gauge_fix,
-                             gauge_fix_stabilizer, link_action,
-                             local_invariance_residual)
+                             gauge_fix_stabilizer, local_invariance_residual)
 from symmetria.groups import GroupElement, RepSpec, rep_matrix
 from symmetria.linalg_core import (Superoperator, conjugate, hs_inner,
                                    identity_channel)
@@ -64,10 +63,10 @@ def _random_2symmetric(rng, lam):
 def test_link_action_is_a_representation():
     for gx, gy in ((1, 2), (2, 0)):
         for hx, hy in ((0, 1), (2, 2)):
-            lhs = link_action(FRAME, gx, gy) @ link_action(FRAME, hx, hy)
-            rhs = link_action(FRAME, (gx + hx) % N, (gy + hy) % N)
+            lhs = FRAME.delta_power(gx - gy) @ FRAME.delta_power(hx - hy)
+            rhs = FRAME.delta_power((gx + hx) % N - (gy + hy) % N)
             assert np.linalg.norm(lhs - rhs) < 1e-14
-    U = link_action(FRAME, 1, 2)
+    U = FRAME.delta_power(-1)
     assert np.linalg.norm(U @ U.conj().T - np.eye(N)) < 1e-14
 
 
@@ -199,7 +198,7 @@ def test_gauge_fix_transformation_law():
     for (gx, gy) in ((1, 0), (2, 1), (1, 2)):
         Ux = rep_matrix(REP, GroupElement.zn(gx, N))
         Uy = rep_matrix(REP, GroupElement.zn(gy, N))
-        U = np.kron(np.kron(Ux, link_action(FRAME, gx, gy)), Uy)
+        U = np.kron(np.kron(Ux, FRAME.delta_power(gx - gy)), Uy)
         A = np.kron(U, U.conj())
         for h1, h2 in ((0, 0), (1, 2)):
             fixed = gauge_fix(G, h1, h2)
@@ -224,6 +223,13 @@ def test_gauge_fix_stabilizer_diagonal():
 @pytest.fixture(scope="module")
 def lattice():
     return build_gauged_lattice(2, 2, 3)
+
+
+def test_lattice_refusals_name_their_cause():
+    with pytest.raises(ValueError, match="link modulus must be at least 2"):
+        build_gauged_lattice(2, 2, 1)
+    with pytest.raises(ValueError, match="desk-scale"):
+        build_gauged_lattice(2, 2, 5)
 
 
 def test_lattice_structure(lattice):
@@ -312,9 +318,9 @@ def _dense_lattice(Lx, Ly, n):
                 ops = {s_index[s]: np.diag(phase)}
                 for (src, tgt) in links:
                     if src == s:
-                        ops[l_index[(src, tgt)]] = link_action(frame, g, 0)
+                        ops[l_index[(src, tgt)]] = frame.delta_power(g)
                     elif tgt == s:
-                        ops[l_index[(src, tgt)]] = link_action(frame, 0, g)
+                        ops[l_index[(src, tgt)]] = frame.delta_power(-g)
                 yield ("gauss", (s_index[s], g)), _embed(ops, ns, nl, n)
         for cyc in _plaquette_cycles(sites, links):
             for seq in (cyc, tuple(reversed(cyc))):

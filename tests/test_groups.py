@@ -1,4 +1,5 @@
-"""Wigner matrices, Clebsch-Gordan coefficients, and Haar quadrature."""
+"""Wigner matrices, Clebsch-Gordan coefficients, Haar quadrature, and the
+Z_N reference frame."""
 
 import math
 
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmetria.groups import (GroupElement, IrrepLabel, RepSpec, cg_block,
-                              cgc, compose,
+from symmetria import gauge
+from symmetria.groups import (GroupElement, IrrepLabel, LinkFrame, RepSpec,
+                              cg_block, cgc, compose,
                               dual_sign_permutation, generators,
                               haar_quadrature, inverse, mode_matrix,
                               random_su2, rep_matrix, su2_from_matrix,
                               su2_matrix, wigner_D)
+from symmetria.repeatability import build_protocol
 
 RNG = np.random.default_rng(8)
 
@@ -208,3 +211,42 @@ def test_zn_rep_matrix_phases():
     w = np.exp(2j * np.pi / 4)
     expect = np.diag([1.0, w, w ** 3])
     assert np.linalg.norm(rep_matrix(rep, g) - expect) < 1e-14
+
+
+def _shift_by_loop(N, k):
+    # oracle: the shift permutation built entry by entry
+    M = np.zeros((N, N), dtype=complex)
+    for n in range(N):
+        M[(n + k) % N, n] = 1.0
+    return M
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 16])
+def test_link_frame_shift_matches_the_loop_built_permutation(N):
+    frame = LinkFrame(N)
+    for k in range(-N - 1, 2 * N + 1):
+        D = frame.delta_power(k)
+        assert D.dtype == complex
+        assert np.array_equal(D, _shift_by_loop(N, k))
+
+
+@pytest.mark.parametrize("N", [2, 5, 16])
+def test_link_frame_delta_profile_matches_dense_traces(N):
+    frame = LinkFrame(N)
+    sigma = RNG.normal(size=(N, N)) + 1j * RNG.normal(size=(N, N))
+    dense = [np.trace(frame.delta_power(k) @ sigma) for k in range(N)]
+    assert np.abs(frame.delta_profile(sigma) - dense).max() < 1e-14
+
+
+def test_link_frame_refuses_an_empty_group():
+    with pytest.raises(ValueError):
+        LinkFrame(0)
+
+
+def test_build_protocol_refuses_a_one_level_ladder():
+    with pytest.raises(ValueError, match="at least 2"):
+        build_protocol(np.eye(1), 1)
+
+
+def test_gauge_links_and_the_ladder_share_one_frame_class():
+    assert gauge.LinkFrame is LinkFrame

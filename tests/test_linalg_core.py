@@ -1,5 +1,6 @@
 """Vectorisation, Choi/transfer round trips, and CPTP verification."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -159,4 +160,34 @@ def test_library_forms_matrix_kronecker_products_only_with_kron():
             for path in sorted(Path(symmetria.__file__).parent.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
+    assert hits == []
+
+
+def _unread_imports(source: str) -> list:
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+def test_unread_import_scan_flags_only_unread_names():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport numpy as np\nfrom os import path, sep\n"
+              "x = np.pi + len(sep)\n")
+    assert _unread_imports(source) == ["math (line 2)", "path (line 4)"]
+
+
+def test_library_modules_read_every_name_they_import():
+    hits = [f"{path.name}: {name}"
+            for path in sorted(Path(symmetria.__file__).parent.glob("*.py"))
+            for name in _unread_imports(path.read_text())]
     assert hits == []

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from symmetria import repeatability
+from symmetria.groups import LinkFrame
 from symmetria.linalg_core import apply, check_cptp
 from symmetria.process_modes import decompose
-from symmetria.repeatability import (FrameState, LadderRef, broadcast_check,
-                                     build_protocol, induced_channel,
+from symmetria.repeatability import (broadcast_check, build_protocol,
+                                     induced_channel,
                                      induced_channel_closed_form,
                                      measure_prepare_form, rotated_target,
                                      sequential_use, zd_mode_basis)
@@ -50,14 +51,14 @@ def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
     monkeypatch.setattr(repeatability, "induced_channel_closed_form",
                         no_round)
     with pytest.raises(ValueError, match="cross-check"):
-        sequential_use(P, FrameState(P.ladder, 0).density, [rho, rho])
+        sequential_use(P, P.ladder.frame_projector(0), [rho, rho])
 
 
 def test_frame_states_are_shift_eigenstates():
-    lad = LadderRef(8)
+    lad = LinkFrame(8)
     for r in range(8):
-        v = FrameState(lad, r).vector
-        lhs = lad.delta @ v
+        v = lad.frame_vector(r)
+        lhs = lad.delta_power(1) @ v
         assert np.linalg.norm(lhs - np.exp(2j * np.pi * r / 8) * v) < 1e-12
 
 
@@ -102,7 +103,7 @@ def test_channel_depends_only_on_delta_profile(protocol):
 def test_frame_state_induces_rotated_target(protocol):
     rng = np.random.default_rng(52)
     for r in (0, 3, 5):
-        sigma = FrameState(protocol.ladder, r).density
+        sigma = protocol.ladder.frame_projector(r)
         E = induced_channel(protocol, sigma)
         Ur = rotated_target(protocol, r)
         rho = _random_state(rng, 2)
@@ -117,7 +118,7 @@ def test_sequential_rounds_identical_for_any_reference(protocol):
     # repeatability: the induced channel never degrades, frame state or not
     rng = np.random.default_rng(53)
     inputs = [_random_state(rng, 2) for _ in range(4)]
-    for sigma in (FrameState(protocol.ladder, 2).density,
+    for sigma in (protocol.ladder.frame_projector(2),
                   _random_state(rng, 8)):
         rep = sequential_use(protocol, sigma, inputs)
         assert len(rep.rounds) == 4
@@ -128,7 +129,7 @@ def test_sequential_rounds_identical_for_any_reference(protocol):
 
 def test_frame_reference_is_undisturbed(protocol):
     rng = np.random.default_rng(54)
-    sigma = FrameState(protocol.ladder, 1).density
+    sigma = protocol.ladder.frame_projector(1)
     rep = sequential_use(protocol, sigma, [_random_state(rng, 2)
                                            for _ in range(3)])
     for rec in rep.rounds:
@@ -155,7 +156,7 @@ def test_measure_prepare_form(protocol):
 
 def test_broadcast_iff_commuting_references(protocol):
     lad = protocol.ladder
-    frames = [FrameState(lad, r).density for r in range(4)]
+    frames = [lad.frame_projector(r) for r in range(4)]
     assert broadcast_check(protocol, frames)
     rng = np.random.default_rng(56)
     generic = [_random_state(rng, 8) for _ in range(2)]
@@ -177,7 +178,7 @@ def test_measure_prepare_x_ops_match_partial_trace_route(d, D, monkeypatch):
     calls = []
     monkeypatch.setattr(repeatability, "decompose",
                         lambda *a: calls.append(1) or decompose(*a))
-    mp = measure_prepare_form(P, basis)
+    mp = measure_prepare_form(P)
     assert len(calls) == D + 1  # one per unit Delta profile, plus E0
     assert mp.max_x_residual < 1e-10
     for _ in range(3):
