@@ -32,6 +32,7 @@ COMMANDS = (
     ["table", "--p", "0.3", "--angle", "0.7"],
     ["bipartite"],
     ["region", "--kind", "injection", "--grid", "20"],
+    ["region", "--kind", "relational", "--grid", "20"],
     ["--seed", "7", "catalytic", "--dim-a", "2", "--ladder", "16"],
     ["gauge", "--n", "4", "--lattice", "2x2", "--lattice-n", "3"],
 ) + tuple([cmd, f] for cmd in ("decompose", "polar", "bipartite")
