@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .groups import SU2, GroupElement, IrrepLabel, RepSpec, cg_block, rep_matrix
-from .linalg_core import (Superoperator, check_cptp, conjugate, hs_inner, kron,
+from .linalg_core import (TP_TOL, CptpReport, Superoperator,
+                          check_cptp_stack, conjugate, hs_inner, kron,
                           unitary_channel, vec)
 from .process_modes import Diagram, ProcessModeBasis, build_canonical_modes
 
@@ -234,6 +235,7 @@ class TwoQubitCatalog:
         self.named = {
             name: self.by_key[key] for name, key in _THETA_KEYS.items()
         }
+        self.phi_choi = {name: self.phi(name).choi for name in _THETA_KEYS}
 
     def phi(self, name: str) -> Superoperator:
         """The published-normalisation diagram superoperator Phi_theta."""
@@ -275,7 +277,8 @@ def injection_bloch_formula(x, y, z, a, b, T):
 
 
 def injection_coords(x: float, y: float, z: float):
-    """Paraboloid-normal-form coordinates of an injection process."""
+    """Paraboloid-normal-form coordinates of an injection process (of
+    floats, or elementwise of arrays)."""
     X = (1.0 + math.sqrt(3.0) * x - 3.0 * y) / 2.0
     Y = 1.0 - 3.0 * y
     Z = 3.0 * z / math.sqrt(2.0)
@@ -296,8 +299,10 @@ def injection_region_test(x: float, y: float, z: float) -> RegionVerdict:
     versus the numeric CPTP verdict on the assembled channel."""
     X, Y, Z = injection_coords(x, y, z)
     inside = (X * X + Z * Z <= Y + BOUNDARY_TOL) and (2.0 + X - Y >= -BOUNDARY_TOL)
-    rep = check_cptp(injection_channel(x, y, z), psd_tol=1e-8, tp_tol=1e-8)
-    return RegionVerdict(inside, rep.is_cptp, rep.min_choi_eigenvalue, (X, Y, Z))
+    rep = region_scan(INJECTION, *np.array([[x], [y], [z]], dtype=float),
+                      psd_tol=1e-8, tp_tol=1e-8)
+    return RegionVerdict(inside, bool(rep.is_cptp[0]),
+                         float(rep.min_choi_eigenvalue[0]), (X, Y, Z))
 
 
 def relational_channel(x4: float, x5: float, x6: float, x7: float,
@@ -352,6 +357,39 @@ def swap_invariant_relational(x: float, y: float, z: float) -> Superoperator:
     """The swap-invariant relational family E = E0 + x Phi_theta4
     + y Phi_theta5 + z Phi_theta8."""
     return relational_channel(x, y, 0.0, 0.0, z)
+
+
+def region_choi_stack(kind: str, x: np.ndarray, y: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    """Choi matrices of the injection channels E0 + x Phi_theta1
+    + y Phi_theta2 + z Phi_theta3 or of the swap-invariant relational
+    channels E0 + x Phi_theta4 + y Phi_theta5 + z Phi_theta8 at the points
+    (x[i], y[i], z[i]).  The terms are added in the order
+    ``injection_channel`` and ``relational_channel`` add them, zero-weight
+    theta6 and theta7 included, so each matrix is bit-identical to the Choi
+    matrix of the per-point channel."""
+    if kind == INJECTION:
+        terms = zip(("theta1", "theta2", "theta3"), (x, y, z))
+    elif kind == RELATIONAL:
+        zero = np.zeros_like(x)
+        terms = zip(("theta4", "theta5", "theta6", "theta7", "theta8"),
+                    (x, y, zero, zero, z))
+    else:
+        raise ValueError(f"unknown region kind {kind!r}")
+    cat = two_qubit_catalog()
+    J = cat.e0.choi
+    for name, c in terms:
+        J = J + c[:, None, None] * cat.phi_choi[name]
+    return J
+
+
+def region_scan(kind: str, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                psd_tol: float, tp_tol: float = TP_TOL) -> CptpReport:
+    """CPTP figures of a region family at the points (x[i], y[i], z[i]),
+    from one batched solve of their Choi matrices: arrays of minimum Choi
+    eigenvalues and verdicts."""
+    return check_cptp_stack(region_choi_stack(kind, x, y, z), 4, 4,
+                            psd_tol, tp_tol)
 
 
 def relational_quartics(x: float, y: float, z: float):

@@ -20,14 +20,14 @@ import sys
 import numpy as np
 
 from .axial import axial_table, polar_decompose
-from .bipartite import (classify, decompose_symmetric, injection_coords,
-                        injection_channel, swap_invariant_relational,
-                        two_qubit_catalog, two_qubit_product_rep, twirl_rank)
+from .bipartite import (INJECTION, classify, decompose_symmetric,
+                        injection_coords, region_scan, two_qubit_catalog,
+                        two_qubit_product_rep, twirl_rank)
 from .gauge import (build_gauged_lattice, free_state_check, gauge_2symmetric,
                     gauge_fix_stabilizer)
 from .groups import LinkFrame, RepSpec
 from .linalg_core import Superoperator, check_cptp, choi_of
-from .process_modes import build_canonical_modes, decompose
+from .process_modes import MAX_STACK_BYTES, build_canonical_modes, decompose
 from .repeatability import (build_protocol, check_crosscheck_size,
                             measure_prepare_form, sequential_use)
 
@@ -50,16 +50,18 @@ class SemanticError(Exception):
 # ---------------------------------------------------------------------------
 
 def fmt(x) -> str:
-    if isinstance(x, complex) or (isinstance(x, np.generic)
-                                  and np.iscomplexobj(x)):
-        x = complex(x)
-        re, im = f"{x.real:.12g}", f"{x.imag:.12g}"
-        # normalise negative zeros for byte-stable output
-        re = "0" if re == "-0" else re
-        im = "0" if im == "-0" else im
-        sign = "+" if not im.startswith("-") else ""
-        return f"{re}{sign}{im}j"
-    v = f"{float(x):.12g}"
+    if type(x) is not float:
+        if isinstance(x, complex) or (isinstance(x, np.generic)
+                                      and np.iscomplexobj(x)):
+            x = complex(x)
+            re, im = f"{x.real:.12g}", f"{x.imag:.12g}"
+            # normalise negative zeros for byte-stable output
+            re = "0" if re == "-0" else re
+            im = "0" if im == "-0" else im
+            sign = "+" if not im.startswith("-") else ""
+            return f"{re}{sign}{im}j"
+        x = float(x)
+    v = f"{x:.12g}"
     return "0" if v == "-0" else v
 
 
@@ -245,27 +247,38 @@ def cmd_bipartite(args, out: list) -> int:
     return EXIT_OK
 
 
+# Grid points per stacked CPTP solve: enough to amortise the per-call cost,
+# few enough that a chunk's Choi stack stays well under a megabyte.
+REGION_CHUNK = 128
+
+
+def _region_bytes(n: int, columns: int) -> int:
+    """Upper bound on what n^3 CSV rows of this many numeric columns hold:
+    per row a str header (49 B) and a list slot (8 B), at most 19 characters
+    per column, and the same characters again in the joined output."""
+    return n ** 3 * (57 + 2 * 19 * columns)
+
+
 def cmd_region(args, out: list) -> int:
     n = args.grid
-    out.append("x,y,z,X,Y,Z,min_eig,inside" if args.kind == "injection"
+    injection = args.kind == INJECTION
+    need = _region_bytes(n, 8 if injection else 5)
+    if need > MAX_STACK_BYTES:
+        raise SemanticError(
+            f"region grid {n} needs about {need / 2**30:.3g} GiB of CSV rows, "
+            f"over the {MAX_STACK_BYTES / 2**30:g} GiB budget")
+    out.append("x,y,z,X,Y,Z,min_eig,inside" if injection
                else "x,y,z,min_eig,inside")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x = -1.0 + 2.0 * i / (n - 1) if n > 1 else 0.0
-                y = -1.0 + 2.0 * j / (n - 1) if n > 1 else 0.0
-                z = -1.0 + 2.0 * k / (n - 1) if n > 1 else 0.0
-                if args.kind == "injection":
-                    S = injection_channel(x, y, z)
-                    cols = (x, y, z) + injection_coords(x, y, z)
-                else:
-                    S = swap_invariant_relational(x, y, z)
-                    cols = (x, y, z)
-                rep = check_cptp(S, psd_tol=1e-8)
-                out.append(
-                    ",".join(fmt(v) for v in cols)
-                    + f",{fmt(rep.min_choi_eigenvalue)},{1 if rep.is_cptp else 0}"
-                )
+    axis = -1.0 + 2.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+    for start in range(0, n ** 3, REGION_CHUNK):
+        p = np.arange(start, min(start + REGION_CHUNK, n ** 3))
+        x, y, z = axis[p // (n * n)], axis[p // n % n], axis[p % n]
+        rep = region_scan(args.kind, x, y, z, psd_tol=1e-8)
+        cols = ((x, y, z) + (injection_coords(x, y, z) if injection else ())
+                + (rep.min_choi_eigenvalue,))
+        for row, ok in zip(zip(*(c.tolist() for c in cols)),
+                           rep.is_cptp.tolist()):
+            out.append(",".join(map(fmt, row)) + (",1" if ok else ",0"))
     return EXIT_OK
 
 

@@ -168,6 +168,9 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class CptpReport:
+    """CPTP figures of one channel (floats and bools) or of a stack of
+    channels (arrays of them, from ``check_cptp_stack``)."""
+
     min_choi_eigenvalue: float
     trace_defect: float
     is_cp: bool
@@ -175,7 +178,7 @@ class CptpReport:
 
     @property
     def is_cptp(self) -> bool:
-        return self.is_cp and self.is_tp
+        return self.is_cp & self.is_tp
 
 
 def choi_of(kraus, dim_in: int, dim_out: int) -> Superoperator:
@@ -221,31 +224,34 @@ def conjugate(S: Superoperator, U_out: CMatrix, U_in: CMatrix) -> Superoperator:
     return Superoperator(S.dim_in, S.dim_out, A @ S.transfer @ B.conj().T)
 
 
-def trace_out_output(S: Superoperator) -> CMatrix:
-    """Partial trace of the Choi matrix over the output factor."""
-    J = S.choi.reshape(S.dim_out, S.dim_in, S.dim_out, S.dim_in)
-    return np.einsum("ijil->jl", J)
+def check_cptp_stack(J: np.ndarray, dim_in: int, dim_out: int,
+                     psd_tol: float = PSD_TOL,
+                     tp_tol: float = TP_TOL) -> CptpReport:
+    """CP/TP verdicts of a stack of Choi matrices J[n] from one batched
+    Hermitian eigensolve; the report's fields are length-n arrays."""
+    Jh = J.conj().swapaxes(-1, -2)
+    # Frobenius norms of J - J^dag over its real and imaginary parts
+    D = (J - Jh).view(float).reshape(len(J), -1)
+    herm_defect = np.sqrt(np.einsum("ni,ni->n", D, D))
+    H = J + Jh
+    H *= 0.5
+    min_eig = np.linalg.eigvalsh(H)[:, 0]
+    # A non-Hermitian Choi matrix cannot be CP; report via min eigenvalue
+    # of the Hermitian part penalised by the defect.
+    min_eig = np.where(herm_defect > psd_tol, min_eig - herm_defect, min_eig)
+    # partial trace over the output factor
+    tr_out = np.einsum("nijil->njl", J.reshape(-1, dim_out, dim_in, dim_out, dim_in))
+    trace_defect = np.linalg.norm(tr_out - np.eye(dim_in), ord=2, axis=(-2, -1))
+    return CptpReport(min_eig, trace_defect, min_eig >= -psd_tol,
+                      trace_defect <= tp_tol)
 
 
 def check_cptp(S: Superoperator, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> CptpReport:
-    """CP/TP verdict from a Hermitian eigensolve on the Choi matrix."""
-    J = S.choi
-    herm_defect = float(np.linalg.norm(J - J.conj().T))
-    min_eig = float(np.linalg.eigvalsh((J + J.conj().T) / 2)[0])
-    if herm_defect > psd_tol:
-        # A non-Hermitian Choi matrix cannot be CP; report via min eigenvalue
-        # of the Hermitian part penalised by the defect.
-        min_eig -= herm_defect
-    tr_out = trace_out_output(S)
-    trace_defect = float(
-        np.linalg.norm(tr_out - np.eye(S.dim_in), ord=2)
-    )
-    return CptpReport(
-        min_choi_eigenvalue=min_eig,
-        trace_defect=trace_defect,
-        is_cp=min_eig >= -psd_tol,
-        is_tp=trace_defect <= tp_tol,
-    )
+    """CP/TP verdict of one channel: ``check_cptp_stack`` on a stack of one."""
+    rep = check_cptp_stack(S.choi[None], S.dim_in, S.dim_out, psd_tol, tp_tol)
+    return CptpReport(float(rep.min_choi_eigenvalue[0]),
+                      float(rep.trace_defect[0]), bool(rep.is_cp[0]),
+                      bool(rep.is_tp[0]))
 
 
 def kraus_of_choi(S: Superoperator, psd_tol: float = PSD_TOL) -> list[CMatrix]:

@@ -11,7 +11,8 @@ from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, bell_states,
                                  diagonal_action, extremal_e1, extremal_e2,
                                  heisenberg_unitary, injection_bloch_formula,
                                  injection_channel, injection_coords,
-                                 injection_region_test, relational_channel,
+                                 injection_region_test, region_choi_stack,
+                                 region_scan, relational_channel,
                                  relational_quartics, relational_r_matrix,
                                  singlet_channel, state_from_bloch,
                                  swap_invariant_relational, twirl_rank,
@@ -208,6 +209,47 @@ def test_injection_region_boundary():
 def test_injection_coords_roundtrip():
     x, y, z = 0.11, -0.07, 0.05
     assert np.allclose(_xyz_from_coords(*injection_coords(x, y, z)), (x, y, z))
+
+
+# 9 points per axis, then the injection apex (0, 1/3, 0), the singlet
+# point and the unital extremal points E1, E2 of the relational family
+_AXIS = np.linspace(-1.0, 1.0, 9)
+_SCAN_POINTS = [(x, y, z) for x in _AXIS for y in _AXIS for z in _AXIS] + [
+    (0.0, 1.0 / 3.0, 0.0), (1.0, 0.0, 0.0), (0.0, -0.5, 0.3), (0.0, 0.5, 0.3)]
+
+
+@pytest.mark.parametrize("kind, channel", [
+    (INJECTION, injection_channel), (RELATIONAL, swap_invariant_relational)])
+def test_region_scan_matches_the_per_point_route(kind, channel):
+    x, y, z = np.array(_SCAN_POINTS).T
+    J = region_choi_stack(kind, x, y, z)
+    rep = region_scan(kind, x, y, z, psd_tol=1e-8)
+    for i, point in enumerate(_SCAN_POINTS):
+        S = channel(*point)
+        assert J[i].tobytes() == S.choi.tobytes()
+        one = check_cptp(S, psd_tol=1e-8)
+        assert abs(rep.min_choi_eigenvalue[i] - one.min_choi_eigenvalue) <= 1e-12
+        assert rep.is_cptp[i] == one.is_cptp
+    if kind == RELATIONAL:
+        # singlet, E1 and E2 lie on the boundary of the region
+        assert np.all(rep.is_cptp[-3:])
+        assert np.all(np.abs(rep.min_choi_eigenvalue[-3:]) < 1e-10)
+
+
+def test_injection_region_test_reads_its_row_of_the_scan():
+    x, y, z = np.array(_SCAN_POINTS).T
+    rep = region_scan(INJECTION, x, y, z, psd_tol=1e-8, tp_tol=1e-8)
+    for i, point in enumerate(_SCAN_POINTS):
+        v = injection_region_test(*point)
+        assert v.min_choi_eig == rep.min_choi_eigenvalue[i]
+        assert v.is_cptp == rep.is_cptp[i]
+    # the apex of the paraboloid is on the boundary
+    assert abs(injection_region_test(0.0, 1.0 / 3.0, 0.0).min_choi_eig) < 1e-10
+
+
+def test_region_choi_stack_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="region kind"):
+        region_choi_stack(LOCAL, np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------

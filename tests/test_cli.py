@@ -4,6 +4,8 @@ import json
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,69 @@ def test_region_csv_shape():
     lines = [ln for ln in r.stdout.splitlines() if "," in ln]
     assert lines[0] == "x,y,z,X,Y,Z,min_eig,inside"
     assert len(lines) == 4 ** 3 + 1
+
+
+def test_region_scan_cost_does_not_grow_with_the_grid(monkeypatch, capsys):
+    # the scan solves stacked Choi matrices: no channel object and no
+    # one-channel CPTP check per grid point
+    from symmetria import cli, linalg_core
+    from symmetria.bipartite import two_qubit_catalog
+
+    two_qubit_catalog()  # built once per process, outside the count
+    counts = {"superoperators": 0, "check_cptp": 0}
+    post_init, check = linalg_core.Superoperator.__post_init__, linalg_core.check_cptp
+
+    def counted_post_init(self):
+        counts["superoperators"] += 1
+        post_init(self)
+
+    def counted_check(*args, **kwargs):
+        counts["check_cptp"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_core.Superoperator, "__post_init__",
+                        counted_post_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symmetria") and getattr(module, "check_cptp",
+                                                    None) is check:
+            monkeypatch.setattr(module, "check_cptp", counted_check)
+    for kind in ("injection", "relational"):
+        made = []
+        for grid in (4, 8):
+            before = dict(counts)
+            assert cli.main(["region", "--kind", kind, "--grid", str(grid)]) == 0
+            made.append({k: counts[k] - before[k] for k in counts})
+        assert made[0] == made[1], (kind, made)
+    capsys.readouterr()
+
+
+def test_region_row_bytes_bound_the_output(capsys):
+    from symmetria import cli
+
+    for kind, columns in (("injection", 8), ("relational", 5)):
+        assert cli.main(["region", "--kind", kind, "--grid", "8"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        held = sum(sys.getsizeof(r) + 8 for r in rows) + sum(map(len, rows))
+        assert held <= cli._region_bytes(8, columns)
+
+
+def test_region_refuses_a_grid_over_the_memory_budget(capsys):
+    # 2000^3 CSV rows would need hundreds of GiB; refused before any row
+    from symmetria import cli
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(["region", "--grid", "2000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "GiB" in err and "Traceback" not in err
+    assert out == ""
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0
 
 
 def test_catalytic_passes():
@@ -139,6 +204,7 @@ def _spin_39_2_identity(d):
     (("gauge", "--lattice-n", "1"), 3),
     (("table", "--p", "2"), 3),
     (("region", "--grid", "0"), 2),
+    (("region", "--kind", "relational", "--grid", "2000"), 3),
     (("decompose", _spin_39_2_identity), 3),
     (("decompose", str(FIXTURES / "identity.json"), "--tol", "-1"), 2),
     (("decompose", str(FIXTURES / "identity.json"), "--tol", "nan"), 2),
@@ -149,7 +215,7 @@ def _spin_39_2_identity(d):
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
         "lattice-0x0", "lattice-2x0", "lattice-n-1", "table-p-2",
-        "region-grid-0",
+        "region-grid-0", "region-grid-over-budget",
         "over-memory-limit", "tol-negative", "tol-nan", "tol-inf",
         "bipartite-tol-nan", "crosscheck-over-limit"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
