@@ -309,9 +309,9 @@ def single_qubit_modes() -> ProcessModeBasis:
     ``build_canonical_modes(qubit, qubit)`` by a unitary change of basis.
     """
     canon = build_canonical_modes(_QUBIT_REP, _QUBIT_REP)
-    diags = {
-        (d.a_in[0].two_j, d.a_out[0].two_j, d.lam.two_j): d
-        for d in canon.diagrams()
+    spans = {
+        (d.a_in[0].two_j, d.a_out[0].two_j, d.lam.two_j): span
+        for d, span in canon.spans.items()
     }
     r = 1.0 / (2.0 * math.sqrt(2.0))
     listed = []  # (state-mode triple, k doubled, (A, B) term list)
@@ -341,9 +341,10 @@ def single_qubit_modes() -> ProcessModeBasis:
     coupling = np.array([
         (A.conj() @ _map_from_terms(terms).transfer @ B.conj().T).reshape(-1)
         for *_, terms in listed])
+    first = [spans[triple].start for triple, _, _ in listed]
     printed = ProcessModeBasis(
-        _QUBIT_REP, _QUBIT_REP,
-        tuple((diags[triple], k) for triple, k, _ in listed),
+        _QUBIT_REP, _QUBIT_REP, canon.families, canon.pair[first],
+        canon.lam[first], np.array([k for _, k, _ in listed], dtype=np.int32),
         A, B, sparse.csr_matrix(coupling))
 
     # The printed catalog omits the unphysical (a=1 -> a~=0, lam=1) diagram,
@@ -351,8 +352,7 @@ def single_qubit_modes() -> ProcessModeBasis:
     # change of basis against the canonical modes minus that diagram.  Both
     # bases share the unitary A (x) B, so their couplings show it.
     P = coupling / np.linalg.norm(coupling, axis=1, keepdims=True)
-    C = np.delete(canon.coupling.toarray(), canon.spans[diags[(2, 0, 2)]],
-                  axis=0)
+    C = np.delete(canon.coupling.toarray(), spans[(2, 0, 2)], axis=0)
     V = P.conj() @ C.T
     assert np.linalg.norm(V @ V.conj().T - np.eye(len(P))) < 1e-10
     return printed

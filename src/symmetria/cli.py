@@ -168,8 +168,8 @@ def cmd_decompose(args, out: list) -> int:
     out.append(f"tolerance: {fmt(args.tol)}")
     out.extend(convention_block())
     out.append("modes:")
-    for diagram in basis.diagrams():
-        vecs = coeffs.by_diagram(diagram)
+    for diagram, span in basis.spans.items():
+        vecs = coeffs.values[span]
         mag = float(np.linalg.norm(vecs))
         comps = " ".join(fmt(v) for v in vecs)
         out.append(f"  {diagram}  |a| = {fmt(mag)}  components: {comps}")
@@ -333,6 +333,13 @@ def cmd_gauge(args, out: list) -> int:
         raise ParseError("lattice must look like '2x2'")
     if Lx < 1 or Ly < 1:
         raise ParseError(f"lattice sides must be >= 1, got {args.lattice}")
+    # the gauged two-site element is a (4N)^2 x (4N)^2 complex transfer
+    # matrix, conjugated with a factor of the same size
+    need = 2 * 16 * (4 * N) ** 4
+    if N > 0 and need > MAX_STACK_BYTES:
+        raise SemanticError(
+            f"gauge --n {N} needs about {need / 2**30:.3g} GiB for the gauged "
+            f"element, over the {MAX_STACK_BYTES / 2**30:g} GiB budget")
     out.append(f"command: gauge n={N} lattice={args.lattice} "
                f"seed={args.seed}")
     out.extend(convention_block())
@@ -342,13 +349,13 @@ def cmd_gauge(args, out: list) -> int:
     rep = RepSpec.zn_charges([0, 1], N)
     basis = build_canonical_modes(rep, rep)
     # modes on the charge-{0, 1} rep carry charges 0, +-1 and +-2 only
-    charges = sorted({m.diagram.lam.charge % N for m in basis.modes})
+    charges = np.unique(basis.lam).tolist()  # reduced mod N
     worst = 0.0
     for trial in range(args.trials):
         lam = charges[rng.integers(0, len(charges))]
-        mx = [m for m in basis.modes if m.diagram.lam.charge % N == lam]
-        my = [m for m in basis.modes
-              if m.diagram.lam.charge % N == (-lam) % N]
+        mx = [basis.modes[i] for i in np.flatnonzero(basis.lam == lam)]
+        my = [basis.modes[i]
+              for i in np.flatnonzero(basis.lam == (-lam) % N)]
         chi = None
         for m1 in mx:
             for m2 in my:

@@ -18,16 +18,21 @@ and are orthonormal in the Choi (Hilbert-Schmidt) inner product.
 A basis is stored in this factored form (the Wigner-Eckart structure of the
 modes): the output and input ITO bases as two unitary matrices and the
 Clebsch-Gordan coupling as one sparse matrix.  The dense matrix of all
-modes is never needed; ``ProcessModeBasis.stack`` forms it for tests.
+modes is never needed; ``ProcessModeBasis.stack`` forms it for tests.  The
+mode labels are integer row arrays (family pair, lam, k); the Diagram
+objects are formed once per diagram, on first read of the labels, so
+building, decomposing and testing symmetry create no per-mode Python
+objects.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import groupby
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -88,6 +93,20 @@ def _mode_transfer(ito_out, ito_in, coupling, row, out=None) -> np.ndarray:
                      out=out)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while one object per mode or per
+    diagram is made: they form no cycles, and for d^4 (or d^3) of them its
+    passes would cost more than making them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # Largest allocation of a mode basis: build_canonical_modes refuses a basis
 # whose predicted size (_basis_bytes) is over it, and ``stack`` a dense
 # matrix of 16 (d_in d_out)^4 bytes over it (square d >= 11).
@@ -100,34 +119,70 @@ class ProcessModeBasis:
 
     Rows of ``ito_out`` are vec(T^atilde) over the output ITO basis, rows of
     ``ito_in`` are vec((T^a)^T) over the input ITO basis; both are unitary.
-    Row i of the sparse ``coupling`` holds the coefficients of mode
-    ``labels[i] = (Diagram, k)`` over the (output ITO, input ITO) pairs,
-    column i_out * d_in^2 + i_in.  The vectorised transfer matrices of all
-    modes are the rows of coupling . (ito_out (x) ito_in), which is never
-    formed.  The rows of one diagram are consecutive in descending k;
-    ``spans`` maps each diagram to its slice.
+    Row i of the sparse ``coupling`` holds the coefficients of mode i over
+    the (output ITO, input ITO) pairs, column i_out * d_in^2 + i_in.  The
+    vectorised transfer matrices of all modes are the rows of
+    coupling . (ito_out (x) ito_in), which is never formed.
+
+    Mode i is labelled by three read-only integer arrays: ``pair[i]`` is its
+    (output family, input family) pair, f_out * len(families[1]) + f_in,
+    over the ITO family keys ``families`` = (output keys, input keys), each
+    key (IrrepLabel, multiplicity index); ``lam[i]`` is the irrep it
+    exchanges (doubled J for SU(2), charge for Z_N); ``k[i]`` its doubled
+    component weight (0 for Z_N).  The rows of one diagram are consecutive
+    in descending k.  ``labels`` ((Diagram, k) per row), ``spans`` (each
+    diagram's slice), ``diagrams()``, ``family()`` and ``modes`` are formed
+    from the arrays on first read, with one Diagram per diagram.
     """
 
     rep_in: RepSpec
     rep_out: RepSpec
-    labels: tuple  # of (Diagram, k), one per mode
+    families: tuple  # (output family keys, input family keys)
+    pair: np.ndarray  # (n_modes,) int32
+    lam: np.ndarray  # (n_modes,) int32
+    k: np.ndarray  # (n_modes,) int32
     ito_out: np.ndarray  # (d_out^2, d_out^2)
     ito_in: np.ndarray  # (d_in^2, d_in^2)
     coupling: sparse.csr_matrix  # (n_modes, d_out^2 * d_in^2)
 
     def __post_init__(self):
-        for arr in (self.ito_out, self.ito_in, self.coupling.data,
-                    self.coupling.indices, self.coupling.indptr):
+        for arr in (self.pair, self.lam, self.k, self.ito_out, self.ito_in,
+                    self.coupling.data, self.coupling.indices,
+                    self.coupling.indptr):
             arr.setflags(write=False)
+
+    def _irrep(self, lam: int) -> IrrepLabel:
+        """The irrep of a ``lam`` entry."""
+        if self.rep_out.kind == SU2:
+            return IrrepLabel.su2(lam)
+        return IrrepLabel.zn(lam, self.rep_out.modulus)
 
     @cached_property
     def spans(self) -> dict:
-        spans, start = {}, 0
-        for diagram, rows in groupby(self.labels, key=lambda label: label[0]):
-            stop = start + len(list(rows))
-            spans[diagram] = slice(start, stop)
-            start = stop
-        return spans
+        """Each diagram's slice of rows, in row order."""
+        new = ((self.pair[1:] != self.pair[:-1])
+               | (self.lam[1:] != self.lam[:-1]))
+        bounds = [0, *(np.flatnonzero(new) + 1).tolist(), len(self.k)]
+        starts = bounds[:-1]
+        f_out, f_in = np.divmod(self.pair[starts], len(self.families[1]))
+        lams = self.lam[starts].tolist()
+        irreps = {lam: self._irrep(lam) for lam in set(lams)}
+        keys_out, keys_in = self.families
+        with _collector_paused():
+            diagrams = [Diagram(keys_in[i], keys_out[o], irreps[lam])
+                        for o, i, lam in zip(f_out.tolist(), f_in.tolist(),
+                                             lams)]
+            return dict(zip(diagrams, map(slice, starts, bounds[1:])))
+
+    @cached_property
+    def labels(self) -> tuple:
+        """(Diagram, k) of each row."""
+        diagrams = np.empty(len(self.spans), dtype=object)
+        diagrams[:] = list(self.spans)
+        rows = [span.stop - span.start for span in self.spans.values()]
+        with _collector_paused():
+            return tuple(zip(np.repeat(diagrams, rows).tolist(),
+                             self.k.tolist()))
 
     @cached_property
     def _coupling_t(self) -> sparse.csc_matrix:
@@ -136,10 +191,9 @@ class ProcessModeBasis:
 
     @cached_property
     def _nontrivial(self) -> np.ndarray:
-        """Mask of the modes whose diagram exchanges a nontrivial lam."""
-        mask = np.zeros(len(self.labels), dtype=bool)
-        for diagram, span in self.spans.items():
-            mask[span] = not diagram.lam.is_trivial
+        """Mask of the modes whose diagram exchanges a nontrivial lam (the
+        trivial irrep is lam = 0 for either group)."""
+        mask = self.lam != 0
         mask.setflags(write=False)
         return mask
 
@@ -147,8 +201,10 @@ class ProcessModeBasis:
     def modes(self) -> tuple:
         """One Mode per row; each ``op`` is formed on first access."""
         factors = (self.ito_out, self.ito_in, self.coupling)
-        return tuple(Mode(diagram, k, factors + (row,))
-                     for row, (diagram, k) in enumerate(self.labels))
+        labels = self.labels
+        with _collector_paused():
+            return tuple(Mode(diagram, k, factors + (row,))
+                         for row, (diagram, k) in enumerate(labels))
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -157,7 +213,7 @@ class ProcessModeBasis:
         ``modes[i].op``.  An oracle for tests: formed on first access, row
         by row, and refused over MAX_STACK_BYTES."""
         d_out2, d_in2 = self.ito_out.shape[0], self.ito_in.shape[0]
-        n = len(self.labels)
+        n = self.coupling.shape[0]
         need = 16 * n * d_out2 * d_in2
         if need > MAX_STACK_BYTES:
             raise ValueError(f"the dense mode stack needs {need / 2**30:.1f}"
@@ -197,12 +253,18 @@ class ModeCoefficients:
         return bool(np.all(np.abs(self.values[self.basis._nontrivial]) <= tol))
 
 
-def _coupled(a: IrrepLabel, b: IrrepLabel) -> list[IrrepLabel]:
-    """The irreps in a x b, in the row order of the Clebsch-Gordan block."""
-    if a.kind == ZN:
-        return [IrrepLabel.zn(a.charge + b.charge, a.modulus)]
-    return [IrrepLabel.su2(t)
-            for t in range(abs(a.two_j - b.two_j), a.two_j + b.two_j + 2, 2)]
+@lru_cache(maxsize=None)
+def _block_rows(two_j1: int, two_j2: int) -> tuple:
+    """(doubled J, doubled M) of each row of cg_block(two_j1, two_j2): J
+    ascending from |j1 - j2|, M descending within each J.  Cached beside
+    the block, and read-only."""
+    two_J = np.arange(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)
+    J = np.repeat(two_J, two_J + 1)
+    first = np.repeat(np.cumsum(two_J + 1) - (two_J + 1), two_J + 1)
+    M = J - 2 * (np.arange(len(J)) - first)
+    J.setflags(write=False)
+    M.setflags(write=False)
+    return J, M
 
 
 def _family_spins(rep: RepSpec) -> list[int]:
@@ -223,8 +285,10 @@ def _cg_nnz(two_j1: int, two_j2: int) -> int:
     return (d1 - 1) * d1 * (2 * d1 - 1) // 3 + (d2 - d1 + 1) * d1 * d1
 
 
-# Bytes of one label (a 2-tuple and its slot in ``labels``) and of one
+# Bytes of one row's entries in ``pair``, ``lam`` and ``k``; of one label
+# (a 2-tuple and its slot in ``labels``, formed on first read) and of one
 # Diagram with its instance dictionary, as measured on CPython 3.11.
+_ROW_BYTES = 12
 _LABEL_BYTES = 64
 _DIAGRAM_BYTES = 104
 
@@ -233,7 +297,7 @@ def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     """Bytes build_canonical_modes holds for the basis of (rep_in, rep_out),
     predicted from the ITO family spins alone: the ITO bases and the two
     matrices made of them, the Clebsch-Gordan blocks read (cached by
-    ``cg_block``), the CSR coupling and the labels."""
+    ``cg_block``), the CSR coupling, the row arrays and the labels."""
     n = rep_in.dim ** 2 * rep_out.dim ** 2
     spins_in = Counter(_family_spins(rep_in)).items()
     nnz = blocks = diagrams = 0
@@ -245,7 +309,7 @@ def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     index = 4 if max(n, nnz) < 2 ** 31 else 8
     return (32 * (rep_in.dim ** 4 + rep_out.dim ** 4)
             + (8 + index) * (nnz + blocks) + index * (n + 1)
-            + _LABEL_BYTES * n + _DIAGRAM_BYTES * diagrams)
+            + (_ROW_BYTES + _LABEL_BYTES) * n + _DIAGRAM_BYTES * diagrams)
 
 
 def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis:
@@ -259,8 +323,8 @@ def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis
     itos_in = itos_out if rep_in is rep_out else build_itos(rep_in)
     ito_out = np.array([vec(e.matrix) for e in itos_out.elements])
     ito_in = np.array([vec(e.matrix.T) for e in itos_in.elements])
-    fams_out = [key for key, _ in itos_out.families()]
-    fams_in = [key for key, _ in itos_in.families()]
+    families = tuple(tuple(key for key, _ in itos.families())
+                     for itos in (itos_out, itos_in))
     s_out = np.array(_family_spins(rep_out))
     s_in = np.array(_family_spins(rep_in))
     n_in = len(ito_in)
@@ -268,6 +332,7 @@ def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis
     # one pair of families per block of rows, output family outermost; the
     # pairs of one spin pair share one Clebsch-Gordan block, whose entry
     # (m_out, m_in) lands in column (first_out + m_out, first_in + m_in)
+    # and whose row (J, M) is the mode (pair, lam = J, k = M)
     first_out = np.cumsum(s_out + 1) - (s_out + 1)
     first_in = np.cumsum(s_in + 1) - (s_in + 1)
     base = (first_out[:, None] * n_in + first_in).reshape(-1)
@@ -283,27 +348,28 @@ def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis
     data = np.empty(nnz.sum())
     indices = np.empty(nnz.sum(), dtype=index)
     row_nnz = np.empty(n_rows.sum(), dtype=index)
+    pair = np.repeat(np.arange(len(n_rows), dtype=np.int32), n_rows)
+    lam = np.empty(n_rows.sum(), dtype=np.int32)
+    k = np.empty(n_rows.sum(), dtype=np.int32)
     for g, (C, p) in enumerate(zip(blocks, spin_pairs)):
         pairs = np.flatnonzero(block_of == g)
         m_out, m_in = np.divmod(C.indices, p % radix + 1)
         where = nz0[pairs, None] + np.arange(C.nnz)
         data[where] = C.data
         indices[where] = base[pairs, None] + (m_out * n_in + m_in)
-        row_nnz[row0[pairs, None] + np.arange(C.shape[0])] = \
-            np.diff(C.indptr)
+        rows = row0[pairs, None] + np.arange(C.shape[0])
+        row_nnz[rows] = np.diff(C.indptr)
+        lam[rows], k[rows] = _block_rows(int(p // radix), int(p % radix))
     indptr = np.zeros(len(row_nnz) + 1, dtype=index)
     np.cumsum(row_nnz, out=indptr[1:])
     coupling = sparse.csr_matrix((data, indices, indptr),
                                  shape=(len(row_nnz), len(ito_out) * n_in))
-
-    labels = []
-    for a_out in fams_out:
-        for a_in in fams_in:
-            for lam in _coupled(a_out[0], a_in[0]):
-                diagram = Diagram(a_in, a_out, lam)
-                labels.extend((diagram, k) for k in lam.components())
-    return ProcessModeBasis(rep_in, rep_out, tuple(labels), ito_out, ito_in,
-                            coupling)
+    if rep_out.kind == ZN:  # one row per pair, of charge q_out + q_in
+        q_out, q_in = (np.array([lab.charge for lab, _ in keys])
+                       for keys in families)
+        lam[:] = (q_out[:, None] + q_in).reshape(-1) % rep_out.modulus
+    return ProcessModeBasis(rep_in, rep_out, families, pair, lam, k, ito_out,
+                            ito_in, coupling)
 
 
 def superop_group_action(S: Superoperator, g: GroupElement,
@@ -434,10 +500,10 @@ def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
                            basis: ProcessModeBasis) -> Superoperator:
     """Algebraic isotypic projection via the mode basis (primary route)."""
     values = _mode_values(S, basis)
-    kept = np.zeros_like(values)
-    for diagram, span in basis.spans.items():
-        if diagram.lam == lam:
-            kept[span] = values[span]
+    code = lam.two_j if lam.kind == SU2 else lam.charge
+    # an irrep of another group or modulus keeps no row
+    kept = np.where((basis.lam == code) & (basis._irrep(code) == lam),
+                    values, 0.0)
     return ModeCoefficients(basis, kept, 0.0).reconstruct()
 
 

@@ -249,8 +249,7 @@ def measure_prepare_form(P: Protocol) -> MeasurePrepareForm:
     X = np.einsum("kr,kij->rij", alpha, deltas)
     e0 = induced_channel_closed_form(P, P.ladder.frame_projector(0))
     a0 = decompose(e0, basis).values
-    lam = np.array([diagram.lam.charge for diagram, _ in basis.labels])
-    target = a0[:, None, None] * deltas[-lam % D]
+    target = a0[:, None, None] * deltas[-basis.lam % D]
     worst = float(np.linalg.norm(X - target, axis=(1, 2)).max())
     povm = tuple(P.ladder.frame_projector(r) for r in range(D))
     cp_maps = tuple(

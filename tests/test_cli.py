@@ -122,6 +122,26 @@ def test_region_refuses_a_grid_over_the_memory_budget(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_gauge_refuses_a_modulus_over_the_memory_budget(capsys):
+    # at N = 64 the gauged element's transfer matrix alone is 64 GiB;
+    # refused before any matrix is built
+    from symmetria import cli
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(["gauge", "--n", "64"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "GiB" in err and "Traceback" not in err
+    assert out == ""
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0
+
+
 def test_catalytic_passes():
     r = run_cli("catalytic", "--ladder", "8", "--rounds", "3")
     assert r.returncode == 0, r.stderr
@@ -205,6 +225,7 @@ def _spin_39_2_identity(d):
     (("table", "--p", "2"), 3),
     (("region", "--grid", "0"), 2),
     (("region", "--kind", "relational", "--grid", "2000"), 3),
+    (("gauge", "--n", "64"), 3),
     (("decompose", _spin_39_2_identity), 3),
     (("decompose", str(FIXTURES / "identity.json"), "--tol", "-1"), 2),
     (("decompose", str(FIXTURES / "identity.json"), "--tol", "nan"), 2),
@@ -215,7 +236,7 @@ def _spin_39_2_identity(d):
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
         "lattice-0x0", "lattice-2x0", "lattice-n-1", "table-p-2",
-        "region-grid-0", "region-grid-over-budget",
+        "region-grid-0", "region-grid-over-budget", "gauge-n-over-budget",
         "over-memory-limit", "tol-negative", "tol-nan", "tol-inf",
         "bipartite-tol-nan", "crosscheck-over-limit"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):

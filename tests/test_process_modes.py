@@ -1,7 +1,9 @@
 """Process-mode bases: covariance, decomposition, twirl, isotypic parts."""
 
 import dataclasses
+import gc
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -365,6 +367,14 @@ def test_build_refuses_a_basis_over_the_memory_limit():
     assert peak < 1 << 20
 
 
+def _coupled(a: IrrepLabel, b: IrrepLabel) -> list[IrrepLabel]:
+    """The irreps in a x b, in the row order of the Clebsch-Gordan block."""
+    if a.kind == "zn":
+        return [IrrepLabel.zn(a.charge + b.charge, a.modulus)]
+    return [IrrepLabel.su2(t)
+            for t in range(abs(a.two_j - b.two_j), a.two_j + b.two_j + 2, 2)]
+
+
 def _dense_oracle(rep_in: RepSpec, rep_out: RepSpec):
     """The dense construction the factored basis replaced: every mode's
     vectorised transfer matrix as one row, accumulated from one scalar
@@ -376,16 +386,7 @@ def _dense_oracle(rep_in: RepSpec, rep_out: RepSpec):
     labels = []
     for (a_out_lam, a_out_mult), out_fam in itos_out.families():
         for (a_in_lam, a_in_mult), in_fam in itos_in.families():
-            if rep_in.kind == "zn":
-                lam_list = [IrrepLabel.zn(a_out_lam.charge + a_in_lam.charge,
-                                          rep_in.modulus)]
-            else:
-                lam_list = [
-                    IrrepLabel.su2(t)
-                    for t in range(abs(a_out_lam.two_j - a_in_lam.two_j),
-                                   a_out_lam.two_j + a_in_lam.two_j + 2, 2)
-                ]
-            for lam in lam_list:
+            for lam in _coupled(a_out_lam, a_in_lam):
                 diagram = Diagram((a_in_lam, a_in_mult),
                                   (a_out_lam, a_out_mult), lam)
                 for two_k in lam.components():
@@ -449,6 +450,99 @@ def test_factored_basis_matches_the_dense_oracle(case):
         projected = project_isotypic_basis(S, lam, basis)
         assert np.abs(projected.transfer.reshape(-1)
                       - stack.T @ kept).max() < 1e-12
+
+
+def _label_loop(rep_in: RepSpec, rep_out: RepSpec) -> tuple:
+    """The per-mode label loop the row arrays replaced: one (Diagram, k)
+    per mode over the ITO family pairs, output family outermost."""
+    fams_out = [key for key, _ in build_itos(rep_out).families()]
+    fams_in = [key for key, _ in build_itos(rep_in).families()]
+    labels = []
+    for a_out in fams_out:
+        for a_in in fams_in:
+            for lam in _coupled(a_out[0], a_in[0]):
+                diagram = Diagram(a_in, a_out, lam)
+                labels.extend((diagram, k) for k in lam.components())
+    return tuple(labels)
+
+
+def _printed_qubit_labels() -> tuple:
+    """Labels of axial.single_qubit_modes, by (a_in, a_out, lam) spins."""
+    diagrams = {(d.a_in[0].two_j, d.a_out[0].two_j, d.lam.two_j): d
+                for d, _ in _label_loop(QUBIT, QUBIT)}
+    listed = [((0, 0, 0), 0), ((2, 2, 0), 0)]
+    listed += [((0, 2, 2), k) for k in (2, 0, -2)]
+    listed += [((2, 2, 2), k) for k in (2, 0, -2)]
+    listed += [((2, 2, 4), k) for k in (4, 2, 0, -2, -4)]
+    return tuple((diagrams[triple], k) for triple, k in listed)
+
+
+LABEL_CASES = {
+    "su2[1]": lambda: (QUBIT, QUBIT),
+    "su2[3]": lambda: (RepSpec.su2_spins([3]),) * 2,
+    "su2[1,1,1]": lambda: (RepSpec.su2_spins([1, 1, 1]),) * 2,
+    "su2[2,2,2]": lambda: (RepSpec.su2_spins([2, 2, 2]),) * 2,
+    "su2[1]->su2[2]": lambda: (QUBIT, RepSpec.su2_spins([2])),
+    "su2[1,1]->su2[2]": lambda: (RepSpec.su2_spins([1, 1]),
+                                 RepSpec.su2_spins([2])),
+    "z3": lambda: (RepSpec.zn_charges(range(3), 3),) * 2,
+    "z7[0..5]": lambda: (RepSpec.zn_charges(range(6), 7),) * 2,
+    "su2[15]": lambda: (RepSpec.su2_spins([15]),) * 2,
+    "printed qubit": None,
+}
+
+
+@pytest.mark.parametrize("case", list(LABEL_CASES))
+def test_row_arrays_match_the_label_loop(case):
+    if LABEL_CASES[case] is None:
+        basis, labels = single_qubit_modes(), _printed_qubit_labels()
+    else:
+        rep_in, rep_out = LABEL_CASES[case]()
+        basis = build_canonical_modes(rep_in, rep_out)
+        labels = _label_loop(rep_in, rep_out)
+    assert basis.labels == labels
+    spans, start = [], 0
+    for diagram, rows in groupby(labels, key=lambda label: label[0]):
+        stop = start + len(list(rows))
+        spans.append((diagram, slice(start, stop)))
+        start = stop
+    assert list(basis.spans.items()) == spans
+    assert basis.diagrams() == [diagram for diagram, _ in spans]
+    for diagram, span in spans:
+        assert [(m.diagram, m.k) for m in basis.family(diagram)] \
+            == list(labels[span])
+    assert np.array_equal(basis._nontrivial,
+                          [not d.lam.is_trivial for d, _ in labels])
+    # one Diagram object per diagram, shared by its rows
+    assert len({id(d) for d, _ in basis.labels}) == len(spans)
+    # an irrep of another group or modulus selects no row
+    rep_in, rep_out = basis.rep_in, basis.rep_out
+    S = random_cptp(rep_in.dim, rep_out.dim, np.random.default_rng(50))
+    for foreign in (IrrepLabel.su2(0) if rep_in.kind == "zn"
+                    else IrrepLabel.zn(0, 2), IrrepLabel.zn(0, 11)):
+        assert project_isotypic_basis(S, foreign, basis).norm() == 0.0
+
+
+def test_numeric_path_makes_no_per_mode_objects():
+    # build, decompose, reconstruct, symmetry test and isotypic projection
+    # read the row arrays only: no label, span or mode is formed, and the
+    # d^4 = 65,536 modes allocate too few Python objects to start the
+    # collector (the per-mode label loop triggered 97 gen-0 collections)
+    rep = RepSpec.su2_spins([15])
+    build_canonical_modes(rep, rep)  # fills the Clebsch-Gordan block cache
+    S = random_cptp(16, 16, np.random.default_rng(49))
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    basis = build_canonical_modes(rep, rep)
+    coeffs = decompose(S, basis)
+    assert not is_symmetric(S, basis)
+    assert (coeffs.reconstruct() - S).norm() < 1e-10
+    project_isotypic_basis(S, IrrepLabel.su2(2), basis)
+    assert gc.get_stats()[0]["collections"] - before < 5
+    # the dense stack's refusal counts rows without reading the labels
+    with pytest.raises(ValueError, match="GiB"):
+        basis.stack
+    assert not {"labels", "spans", "modes"} & basis.__dict__.keys()
 
 
 def _build_and_decompose_traced(rep, seed):
