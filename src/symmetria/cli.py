@@ -334,7 +334,7 @@ def cmd_gauge(args, out: list) -> int:
     if Lx < 1 or Ly < 1:
         raise ParseError(f"lattice sides must be >= 1, got {args.lattice}")
     # the gauged two-site element is a (4N)^2 x (4N)^2 complex transfer
-    # matrix, conjugated with a factor of the same size
+    # matrix, and each monomial conjugation gathers a copy of the same size
     need = 2 * 16 * (4 * N) ** 4
     if N > 0 and need > MAX_STACK_BYTES:
         raise SemanticError(

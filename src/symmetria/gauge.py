@@ -6,27 +6,58 @@ group-element basis |h>, transforming under the local action as
 |h> -> |g_x + h - g_y mod N>.  A charge-lambda coupling acts on the link by
 left multiplication with L_lambda = sum_h omega^{lambda h} |h><h|, which
 carries exactly the covariance phase needed to cancel the transformation of
-the matter factors.  Because Z_N x Z_N is finite and generated by (1, 0)
-and (0, 1), local invariance is checked exactly on the two generators, and
-a gauge-fixed stabilizer by enumerating every element; neither needs
-quadrature.
+the matter factors.  Every local action is a ``Monomial`` (charges are
+phases, link actions are shifts) that moves matrix entries; no dense unitary
+is multiplied.  Local invariance is checked exactly on the generators (1, 0)
+and (0, 1) of Z_N x Z_N, and a gauge-fixed stabilizer is read off the charge
+support of the fixed element in the link Fourier frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .groups import ZN, GroupElement, LinkFrame, RepSpec, rep_matrix
+from .groups import ZN, LinkFrame, RepSpec
 from .linalg_core import Superoperator, conjugate, kron
-from .process_modes import ProcessModeBasis
+from .process_modes import ProcessModeBasis, _charges
 
 
-# ---------------------------------------------------------------------------
-# Link couplings (the link frame is ``groups.LinkFrame``)
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Monomial:
+    """A monomial unitary U|k> = phase[k] |perm[k]>.  On row-major vec'd
+    operators U acts as U (x) conj(U), which is monomial too (``transfer``),
+    so matrices and transfer matrices are conjugated alike, by a gather."""
+
+    perm: np.ndarray
+    phase: np.ndarray
+
+    def transfer(self) -> Monomial:
+        """U (x) conj(U), the transfer matrix of X -> U X U^dag."""
+        return Monomial((self.perm[:, None] * len(self.perm)
+                         + self.perm).ravel(),
+                        np.outer(self.phase, self.phase.conj()).ravel())
+
+    def conjugate(self, M: np.ndarray) -> np.ndarray:
+        """U M U^dag: entry (i, j) of M moves to (perm[i], perm[j]) with
+        phase[i] conj(phase[j]), gathered through the inverse permutation."""
+        src = np.argsort(self.perm)
+        out = M.take(src, axis=0).take(src, axis=1) * self.phase[src, None]
+        out *= self.phase[src].conj()
+        return out
+
+    def move(self, rows, cols, vals):
+        """``conjugate`` for the entries vals of M at (rows, cols) only:
+        their (values, positions) in U M U^dag."""
+        return (self.phase[rows] * vals * self.phase[cols].conj(),
+                (self.perm[rows], self.perm[cols]))
+
+    def dense(self) -> np.ndarray:
+        return np.eye(len(self.perm), dtype=complex)[:, self.perm] * self.phase
+
 
 @dataclass(frozen=True)
 class GaugeCoupling:
@@ -38,35 +69,25 @@ class GaugeCoupling:
 
     @property
     def superop(self) -> Superoperator:
-        L = self.frame.charge_operator(self.lam)
-        N = self.frame.N
         # row-major vec: vec(L sigma) = (L kron I) vec(sigma)
-        return Superoperator.from_transfer(
-            kron(L, np.eye(N)), N, N
-        )
+        L = self.frame.charge_operator(self.lam)
+        return Superoperator.from_transfer(kron(L, np.eye(self.frame.N)),
+                                           self.frame.N, self.frame.N)
 
     def covariance_phase(self, g_x: int, g_y: int) -> complex:
         """A_lambda picks up omega^{-lambda g_x + lambda g_y} under the
         link action conjugation."""
-        N = self.frame.N
-        return np.exp(2j * np.pi * self.lam * (g_y - g_x) / N)
+        return np.exp(2j * np.pi * self.lam * (g_y - g_x) / self.frame.N)
 
 
 def coupling_covariance_defect(c: GaugeCoupling) -> float:
     """Max residual of the exact covariance law over all of Z_N x Z_N."""
-    worst = 0.0
-    for gx in range(c.frame.N):
-        for gy in range(c.frame.N):
-            P = c.frame.delta_power(gx - gy)
-            lhs = conjugate(c.superop, P, P)
-            rhs = c.covariance_phase(gx, gy) * c.superop
-            worst = max(worst, (lhs - rhs).norm())
-    return worst
+    K, N = c.superop.transfer, c.frame.N
+    shift = [Monomial((np.arange(N) + k) % N, np.ones(N)) for k in range(N)]
+    return max(float(np.linalg.norm(shift[gx - gy].transfer().conjugate(K)
+                                    - c.covariance_phase(gx, gy) * K))
+               for gx in range(N) for gy in range(N))
 
-
-# ---------------------------------------------------------------------------
-# Gauging a 2-symmetric element
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GaugedProcess:
@@ -80,12 +101,27 @@ class GaugedProcess:
     invariance_residual: float
 
 
-def _local_unitary(rep_x: RepSpec, rep_y: RepSpec, frame: LinkFrame,
-                   gx: int, gy: int) -> np.ndarray:
-    """U_{g_x} (x) U_{(g_x,g_y)} (x) U_{g_y} on A_x (x) link (x) A_y."""
-    Ux = rep_matrix(rep_x, GroupElement.zn(gx, frame.N))
-    Uy = rep_matrix(rep_y, GroupElement.zn(gy, frame.N))
-    return kron(kron(Ux, frame.delta_power(gx - gy)), Uy)
+def _local_action(rep_x: RepSpec, rep_y: RepSpec, N: int,
+                  gx: int, gy: int) -> Monomial:
+    """U_{g_x} (x) Delta^{g_x - g_y} (x) U_{g_y} on A_x (x) link (x) A_y
+    with the reps in their canonical frames; no link factor for N = 1."""
+    a, h, b = np.indices((rep_x.dim, N, rep_y.dim)).reshape(3, -1)
+    turns = (gx * _charges(rep_x)[a] / rep_x.modulus
+             + gy * _charges(rep_y)[b] / rep_y.modulus)
+    return Monomial((a * N + (h + gx - gy) % N) * rep_y.dim + b,
+                    np.exp(2j * np.pi * turns))
+
+
+def _canonical(S: Superoperator, rep_x: RepSpec, rep_y: RepSpec,
+               N: int = 1) -> Superoperator:
+    """S on A_x (x) link (x) A_y (no link for N = 1) in the reps' canonical
+    frames, by one dense conjugation if either rep has an intertwiner."""
+    if rep_x.intertwiner is None and rep_y.intertwiner is None:
+        return S
+    W = [np.eye(r.dim) if r.intertwiner is None else r.intertwiner.conj().T
+         for r in (rep_x, rep_y)]
+    W = kron(kron(W[0], np.eye(N)), W[1])
+    return conjugate(S, W, W)
 
 
 def local_invariance_residual(S: Superoperator, rep_x: RepSpec,
@@ -95,9 +131,10 @@ def local_invariance_residual(S: Superoperator, rep_x: RepSpec,
     when S is invariant under the whole group; any other element is a word
     of at most 2(N - 1) generators, so its defect is at most 2(N - 1) times
     this one."""
-    return max((conjugate(S, U, U) - S).norm()
-               for U in (_local_unitary(rep_x, rep_y, frame, 1, 0),
-                         _local_unitary(rep_x, rep_y, frame, 0, 1)))
+    K = _canonical(S, rep_x, rep_y, frame.N).transfer
+    return max(float(np.linalg.norm(
+        _local_action(rep_x, rep_y, frame.N, gx, gy).transfer().conjugate(K)
+        - K)) for gx, gy in ((1, 0), (0, 1)))
 
 
 def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
@@ -110,85 +147,79 @@ def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
     A_x (x) link (x) A_y.  Raises ValueError unless chi carries charge lam at
     x and -lam at y (to tol relative to |chi|); the mode bases give the reps.
     """
-    if modes_x.rep_in.kind != ZN or modes_y.rep_in.kind != ZN:
+    rep_x, rep_y = modes_x.rep_in, modes_y.rep_in
+    if rep_x.kind != ZN or rep_y.kind != ZN:
         raise ValueError("gauging is implemented for Z_N reps")
-    N = frame.N
-    if (modes_x.rep_in.blocks[0][0].modulus != N
-            or modes_y.rep_in.blocks[0][0].modulus != N):
+    N, lam, dx, dy = frame.N, lam % frame.N, rep_x.dim, rep_y.dim
+    if rep_x.modulus != N or rep_y.modulus != N:
         raise ValueError("link modulus must match the matter rep modulus")
-    lam = lam % N
-    dx, dy = modes_x.rep_in.dim, modes_y.rep_in.dim
     if chi.dim_in != dx * dy or chi.dim_out != dx * dy:
         raise ValueError("element dimension does not match the mode bases")
-
     # chi has charge lam at x and -lam at y iff conjugating it by the
     # generators U_x(1) and U_y(1) multiplies it by omega^lam and omega^-lam
+    K = _canonical(chi, rep_x, rep_y).transfer
     omega = np.exp(2j * np.pi * lam / N)
     for gx, gy, phase in ((1, 0, omega), (0, 1, np.conj(omega))):
-        U = kron(rep_matrix(modes_x.rep_in, GroupElement.zn(gx, N)),
-                 rep_matrix(modes_y.rep_in, GroupElement.zn(gy, N)))
-        if (conjugate(chi, U, U) - phase * chi).norm() > tol * chi.norm():
+        U = _local_action(rep_x, rep_y, 1, gx, gy).transfer()
+        if np.linalg.norm(U.conjugate(K) - phase * K) > tol * chi.norm():
             raise ValueError("element is not globally symmetric with charge "
                              f"{lam} at x and {(-lam) % N} at y")
     # insert the coupling: x (x) y (x) link -> x (x) link (x) y
-    perm = np.eye(dx * dy * N).reshape(dx, dy, N, dx * dy * N)
-    P = perm.transpose(0, 2, 1, 3).reshape(dx * N * dy, dx * dy * N)
-    gauged = conjugate(chi.tensor(GaugeCoupling(frame, lam).superop), P, P)
-    res = local_invariance_residual(gauged, modes_x.rep_in, modes_y.rep_in,
-                                    frame)
-    return GaugedProcess(modes_x.rep_in, modes_y.rep_in, frame, lam,
-                         gauged, res)
+    order = np.arange(dx * N * dy).reshape(dx, N, dy).transpose(0, 2, 1)
+    P = Monomial(order.ravel(), np.ones(order.size, dtype=complex))
+    lifted = chi.tensor(GaugeCoupling(frame, lam).superop)
+    gauged = Superoperator(lifted.dim_in, lifted.dim_out,
+                           P.transfer().conjugate(lifted.transfer))
+    res = local_invariance_residual(gauged, rep_x, rep_y, frame)
+    return GaugedProcess(rep_x, rep_y, frame, lam, gauged, res)
 
 
 def degauge_marginal(G: GaugedProcess) -> Superoperator:
     """Trace out the link initialized at |0><0|: the marginal on A_x (x) A_y
     recovers the pre-gauge element (the coupling has unit 0,0 entry)."""
-    dx = G.rep_x.dim
-    dy = G.rep_y.dim
-    N = G.frame.N
-    d = dx * N * dy
-    T = G.superop.transfer.reshape(dx, N, dy, dx, N, dy,
-                                   dx, N, dy, dx, N, dy)
+    dx, N, dy = G.rep_x.dim, G.frame.N, G.rep_y.dim
+    T = G.superop.transfer.reshape((dx, N, dy) * 4)
     # input link state |0><0|, trace output link
-    out = T[:, :, :, :, :, :, :, 0, :, :, 0, :]
-    out = np.einsum("ihjkhlmnpq->ijklmnpq", out)
+    out = np.einsum("ihjkhlmnpq->ijklmnpq", T[:, :, :, :, :, :, :, 0, :, :, 0])
     return Superoperator.from_transfer(
-        out.reshape((dx * dy) ** 2, (dx * dy) ** 2), dx * dy, dx * dy
-    )
+        out.reshape((dx * dy) ** 2, (dx * dy) ** 2), dx * dy, dx * dy)
 
-
-# ---------------------------------------------------------------------------
-# Gauge fixing by pre/post-selection on the link
-# ---------------------------------------------------------------------------
 
 def gauge_fix(G: GaugedProcess, h1: int, h2: int) -> Superoperator:
     """Pre-select the link at |h1> and post-select at |h2>:
-    E_{h1,h2} = (id (x) Pi_{h2}) o E o (id (x) Pi_{h1})."""
-    def link_projector(h):
-        pi = np.diag(np.eye(G.frame.N, dtype=complex)[h % G.frame.N])
-        return kron(kron(np.eye(G.rep_x.dim), pi), np.eye(G.rep_y.dim))
-    return conjugate(G.superop, link_projector(h2), link_projector(h1))
+    E_{h1,h2} = (id (x) Pi_{h2}) o E o (id (x) Pi_{h1}), the mask keeping
+    the transfer entries with output link digits h2 and input digits h1."""
+    N, dims = G.frame.N, (G.rep_x.dim, G.frame.N, G.rep_y.dim)
+    at = (np.s_[:], h2 % N, np.s_[:]) * 2 + (np.s_[:], h1 % N, np.s_[:]) * 2
+    fixed = np.zeros(dims * 4, dtype=complex)
+    fixed[at] = G.superop.transfer.reshape(dims * 4)[at]
+    return Superoperator(G.superop.dim_in, G.superop.dim_out,
+                         fixed.reshape(G.superop.transfer.shape))
 
 
 def gauge_fix_stabilizer(G: GaugedProcess, h1: int, h2: int,
                          tol: float = 1e-10) -> list:
-    """All pairs (g_x, g_y) under which the gauge-fixed element stays
-    invariant, found by exact enumeration.  The fixed element transforms as
-    E_{h1,h2} -> E_{g_x+h1-g_y, g_x+h2-g_y}, so for h1 = h2 the stabilizer
-    is the diagonal {(g, g)}."""
-    fixed = gauge_fix(G, h1, h2)
-    keep = []
-    for gx in range(G.frame.N):
-        for gy in range(G.frame.N):
-            U = _local_unitary(G.rep_x, G.rep_y, G.frame, gx, gy)
-            if (conjugate(fixed, U, U) - fixed).norm() <= tol:
-                keep.append((gx, gy))
-    return keep
+    """All pairs g = (g_x, g_y) that leave the gauge-fixed element invariant
+    to tol.  It transforms as E_{h1,h2} -> E_{g_x+h1-g_y, g_x+h2-g_y}, so for
+    h1 = h2 the stabilizer is the diagonal {(g, g)}.  In the reps' canonical
+    frames and the link Fourier frame, state (a, r, b) picks up
+    omega^(g_x c_x + g_y c_y) with c_x = q_x(a) + r, c_y = q_y(b) - r, and a
+    transfer entry omega^(g . Q) for its charge pair Q.  So the defect of g
+    is sqrt(sum_Q |omega^(g . Q) - 1|^2 w_Q), w_Q the squared weight on Q."""
+    N, dims = G.frame.N, (G.rep_x.dim, G.frame.N, G.rep_y.dim)
+    K = _canonical(gauge_fix(G, h1, h2), G.rep_x, G.rep_y, N).transfer
+    # the link DFT |h> -> N^-1/2 sum_r omega^(rh) |r> on the four link digits
+    K = np.fft.ifftn(np.fft.fftn(K.reshape(dims * 4), axes=(4, 7),
+                                 norm="ortho"), axes=(1, 10), norm="ortho")
+    a, r, b = np.indices(dims).reshape(3, -1)
+    c = np.stack([_charges(G.rep_x)[a] + r, _charges(G.rep_y)[b] - r])
+    v = (c[:, :, None] - c[:, None]).reshape(2, -1)  # per vec index (i, j)
+    Q = (v[:, :, None] - v[:, None]) % N  # c_i - c_j - c_k + c_l per entry
+    w = np.bincount((Q[0] * N + Q[1]).ravel(), abs(K.ravel()) ** 2, N * N)
+    pairs = np.indices((N, N)).reshape(2, -1)  # every g, and every Q
+    defect = abs(np.exp(2j * np.pi * (pairs.T @ pairs % N) / N) - 1) ** 2 @ w
+    return [(int(gx), int(gy)) for gx, gy in pairs.T[np.sqrt(defect) <= tol]]
 
-
-# ---------------------------------------------------------------------------
-# Lattice demo: hardcore matter on a small torus with Z_N links
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GaugedLattice:
@@ -196,7 +227,9 @@ class GaugedLattice:
 
     A product-basis index has one digit per site (its occupation, most
     significant first), then one per link (its group element).  Every lattice
-    operator is monomial in that basis and is built from the digit tables."""
+    operator is monomial in that basis and is built from the digit tables.
+    The Gauss unitaries are kept as ``Monomial`` actions; ``gauss_ops``, their
+    dense form, is formed on demand (at first read)."""
 
     Lx: int
     Ly: int
@@ -205,7 +238,6 @@ class GaugedLattice:
     links: tuple            # oriented links ((x1,y1), (x2,y2))
     H_free: np.ndarray      # matter-only Hamiltonian, embedded in full space
     H_gauged: np.ndarray    # hopping dressed with link operators
-    gauss_ops: dict         # (site_index, g) -> local symmetry unitary
     wilson_ops: tuple       # plaquette loop operators (both orientations)
     _occ: np.ndarray        # (num sites, dim) site occupations per basis index
     _linkval: np.ndarray    # (num links, dim) link group elements per index
@@ -216,59 +248,45 @@ class GaugedLattice:
     def dim(self) -> int:
         return 2 ** len(self.sites) * self.N ** len(self.links)
 
-    def _monomial_action(self, charges):
-        """The local-group unitary for a charge tuple, as a monomial matrix:
-        U |k> = phase[k] |perm[k]>.  Every Gauss unitary is a permutation of
-        the product basis times site phases, so products stay monomial."""
+    def _monomial_action(self, charges) -> Monomial:
+        """The local-group unitary for a charge tuple: link (x -> y) shifts
+        by g_x - g_y, and site x contributes the phase omega^(g_x n_x)."""
         N = self.N
         charges = np.asarray(charges, dtype=int) % N
-        expo = charges @ self._occ  # site phase exponents per basis index
-        # link (x -> y) shifts by g_x - g_y
         newval = (self._linkval + (charges @ self._incidence)[:, None]) % N
         shape = (2,) * len(self.sites) + (N,) * len(self.links)
         perm = np.ravel_multi_index(tuple(self._occ) + tuple(newval), shape)
-        phase = np.exp(2j * np.pi * expo / N)
-        return perm, phase
+        return Monomial(perm, np.exp(2j * np.pi * (charges @ self._occ) / N))
 
-    def local_action(self, charges) -> np.ndarray:
-        """Dense unitary of the product of per-site Gauss actions."""
-        perm, phase = self._monomial_action(charges)
-        U = np.zeros((self.dim, self.dim), dtype=complex)
-        U[perm, np.arange(self.dim)] = phase
-        return U
+    @property
+    def _gauss_actions(self) -> dict:
+        """(site_index, g) -> the Gauss unitary G_s(g) as a ``Monomial``."""
+        charges = np.eye(len(self.sites), dtype=int)
+        return {(s, g): self._monomial_action(g * charges[s])
+                for s in range(len(self.sites)) for g in range(1, self.N)}
 
-    def _conjugate(self, charges, rows, cols, vals):
-        """U M U^dag for the local-group unitary U of a charge tuple, without
-        forming U: the entries vals of M at (rows, cols) move to (perm[rows],
-        perm[cols]) and pick up phase[rows] conj(phase[cols]).  The index
-        arrays may broadcast against vals.  Returns (values, positions)."""
-        perm, phase = self._monomial_action(charges)
-        return (phase[rows] * vals * phase[cols].conj(),
-                (perm[rows], perm[cols]))
+    @cached_property
+    def gauss_ops(self) -> dict:
+        """(site_index, g) -> the dense Gauss unitary G_s(g)."""
+        return {key: U.dense() for key, U in self._gauss_actions.items()}
 
     def gauss_commutators(self, M: np.ndarray) -> dict:
         """||G M - M G|| for every Gauss unitary G, keyed and ordered as
         ``gauss_ops``.  G is unitary, so this equals ||G M G^dag - M||, which
         the nonzeros of M give without a matrix product."""
         M = sparse.coo_matrix(np.asarray(M, dtype=complex))
-        charges = np.eye(len(self.sites), dtype=int)
         out = {}
-        for s, g in self.gauss_ops:
-            GMG = sparse.coo_matrix(self._conjugate(
-                g * charges[s], M.row, M.col, M.data), M.shape)
-            out[s, g] = float(np.linalg.norm((GMG - M).data))
+        for key, U in self._gauss_actions.items():
+            GMG = sparse.coo_matrix(U.move(M.row, M.col, M.data), M.shape)
+            out[key] = float(np.linalg.norm((GMG - M).data))
         return out
 
     def twirl(self, rho: np.ndarray) -> np.ndarray:
-        """Exact average over the full local group Z_N^{num sites}.
-
-        After a per-link Fourier transform every local unitary is diagonal
-        with phase omega^{sum_x g_x q_x}, where the site charge
-        q_x = n_x + sum(outgoing link momenta) - sum(incoming link momenta).
-        The twirl therefore keeps exactly the matrix elements whose charge
-        vectors agree mod N, which is a masked conjugation instead of a sum
-        over the whole group (cross-checked against ``twirl_enumerate``).
-        """
+        """Exact average over the full local group Z_N^{num sites}.  After a
+        per-link Fourier transform every local unitary is the phase
+        omega^{sum_x g_x q_x}, with site charges q_x = n_x + sum(outgoing link
+        momenta) - sum(incoming link momenta), so the twirl keeps exactly
+        the entries whose charge vectors agree mod N: a masked conjugation."""
         T = self._link_dft()
         same = self._sector[:, None] == self._sector[None, :]
         rf = self._link_frame(np.asarray(rho, dtype=complex), T)
@@ -276,13 +294,10 @@ class GaugedLattice:
 
     def twirl_enumerate(self, rho: np.ndarray) -> np.ndarray:
         """Direct group-sum twirl; the oracle for ``twirl``."""
-        k = np.arange(self.dim)
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        rho = np.asarray(rho, dtype=complex)
         group = list(np.ndindex((self.N,) * len(self.sites)))
-        for charges in group:
-            vals, at = self._conjugate(charges, k[:, None], k, rho)
-            acc[at] += vals
-        return acc / len(group)
+        return sum(self._monomial_action(c).conjugate(rho)
+                   for c in group) / len(group)
 
     def dynamics_commutation_defects(self, V: np.ndarray, states) -> list:
         """Norms of (V G(rho) V^dag - G(V rho V^dag)) for each state, where
@@ -311,10 +326,8 @@ class GaugedLattice:
         return out
 
     def _link_dft(self) -> np.ndarray:
-        """The N-point DFT on every link, an (N^links)-square matrix.  Row k
-        of one link's factor is the conjugated frame vector <theta_k| =
-        N^{-1/2} sum_h w^{kh} <h|, so the shift |h> -> |h+s> becomes the
-        phase w^{ks}."""
+        """The N-point DFT on every link, an (N^links)-square matrix: row k
+        of one link's factor is <theta_k|, so shifts become phases."""
         frame = LinkFrame(self.N)
         dft = np.array([frame.frame_vector(k) for k in range(self.N)]).conj()
         T = np.ones((1, 1), dtype=complex)
@@ -323,23 +336,19 @@ class GaugedLattice:
         return T
 
     def _link_frame(self, M: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """F M F^dag with F = identity on the sites (x) T on the links.  The
-        links are the trailing digits of each index, so this is one product
-        with T from each side instead of two with the dim-square F."""
+        """F M F^dag with F = identity on the sites (x) T on the links (the
+        trailing digits): one product with T from each side."""
         d, S = self.dim, 2 ** len(self.sites)
         M = (T @ M.reshape(S, -1, d)).reshape(d, d)
         return (M.reshape(d, S, -1) @ T.conj().T).reshape(d, d)
 
 
 def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
-    """Assemble the free and gauged hopping Hamiltonians, the per-site
-    Gauss-law unitaries, and the plaquette loop operators.
-
-    Sites carry one hardcore mode (a qubit); each oriented link between
-    adjacent sites carries a Z_N frame.  Parallel duplicate edges from the
-    periodic wrap are deduplicated, so the default 2x2 lattice has 4 sites
-    and 4 links forming a single plaquette.
-    """
+    """Assemble the free and gauged hopping Hamiltonians and the plaquette
+    loop operators.  Sites carry one hardcore mode (a qubit); each oriented
+    link between adjacent sites carries a Z_N frame.  Parallel duplicate
+    edges from the periodic wrap are deduplicated, so the default 2x2
+    lattice has 4 sites and 4 links forming a single plaquette."""
     if Lx < 1 or Ly < 1:
         raise ValueError("lattice sides must be at least 1")
     if N < 2:
@@ -386,13 +395,9 @@ def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
     q = (occ + incidence @ linkval) % N
     sector = np.ravel_multi_index(tuple(q), (N,) * ns)
 
-    lat = GaugedLattice(Lx, Ly, N, tuple(sites), tuple(links), H_free,
-                        H_gauged, {}, _wilson_loops(sites, links, linkval, w),
-                        occ, linkval, incidence, sector)
-    charges = np.eye(ns, dtype=int)
-    gauss_ops = {(s, g): lat.local_action(g * charges[s])
-                 for s in range(ns) for g in range(1, N)}
-    return replace(lat, gauss_ops=gauss_ops)
+    return GaugedLattice(Lx, Ly, N, tuple(sites), tuple(links), H_free,
+                         H_gauged, _wilson_loops(sites, links, linkval, w),
+                         occ, linkval, incidence, sector)
 
 
 def _wilson_loops(sites, links, linkval, w):
@@ -402,14 +407,11 @@ def _wilson_loops(sites, links, linkval, w):
     l_index = {l: i for i, l in enumerate(links)}
     loops = []
     for cyc in _plaquette_cycles(sites, links):
-        for seq in (cyc, tuple(reversed(cyc))):
-            expo = 0
-            for u, v in zip(seq, seq[1:] + seq[:1]):
-                if (u, v) in l_index:
-                    expo = expo + linkval[l_index[(u, v)]]
-                else:
-                    expo = expo - linkval[l_index[(v, u)]]
-            loops.append(np.diag(w[expo % len(w)]))
+        expo = sum(linkval[l_index[(u, v)]] if (u, v) in l_index
+                   else -linkval[l_index[(v, u)]]
+                   for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+        # the reversed cycle traverses every link the other way
+        loops += [np.diag(w[expo % len(w)]), np.diag(w[-expo % len(w)])]
     return tuple(loops)
 
 
@@ -442,11 +444,9 @@ class FreeStateVerdict:
 def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
                      tol: float = 1e-10) -> FreeStateVerdict:
     """Is rho invariant under the exact local-group twirl?  (The dynamics
-    check is ``GaugedLattice.dynamics_commutation_defects``.)
-
-    The distance ||rho - twirl(rho)|| is read in the link-Fourier frame,
-    where the twirl keeps exactly the same-sector entries: the frame change
-    is unitary, so it is the norm of the off-sector entries there."""
+    check is ``GaugedLattice.dynamics_commutation_defects``.)  The distance
+    ||rho - twirl(rho)|| is the norm of the off-sector entries in the
+    link-Fourier frame, where the twirl keeps the same-sector ones."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (lattice.dim, lattice.dim):
         raise ValueError("state dimension mismatch")

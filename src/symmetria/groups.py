@@ -45,6 +45,13 @@ class IrrepLabel:
             object.__setattr__(self, "charge", self.charge % self.modulus)
         else:
             raise ValueError(f"unknown group kind {self.kind!r}")
+        # hashed once: every Diagram key rehashes three labels.  Integers
+        # only, so the hash does not depend on the process's string seed
+        object.__setattr__(self, "_hash", hash(
+            (self.kind == ZN, self.two_j, self.charge, self.modulus)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def su2(two_j: int) -> "IrrepLabel":

@@ -1,12 +1,17 @@
 """Gauging bipartite symmetric elements with link frames, gauge fixing, and
 the small-torus lattice demonstration."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from symmetria.gauge import (GaugeCoupling, LinkFrame, _local_unitary,
-                             _plaquette_cycles, build_gauged_lattice,
+from symmetria import linalg_core
+from symmetria.gauge import (GaugeCoupling, GaugedProcess, LinkFrame,
+                             _local_action, _plaquette_cycles,
+                             build_gauged_lattice,
                              coupling_covariance_defect, degauge_marginal,
                              free_state_check, gauge_2symmetric, gauge_fix,
                              gauge_fix_stabilizer, local_invariance_residual)
@@ -106,6 +111,20 @@ def test_ungauged_element_not_locally_invariant():
     assert res > 0.1  # without the coupling the phases do not cancel
 
 
+def _link_to_middle(d, n):
+    """Oracle: the dense permutation x (x) y (x) link -> x (x) link (x) y."""
+    P = np.eye(d * d * n).reshape(d, d, n, -1).transpose(0, 2, 1, 3)
+    return P.reshape(d * n * d, -1)
+
+
+def _local_unitary(rep_x, rep_y, frame, gx, gy):
+    """Oracle: U_{g_x} (x) Delta^{g_x - g_y} (x) U_{g_y} on A_x (x) link (x)
+    A_y as a dense unitary, intertwiners included."""
+    Ux = rep_matrix(rep_x, GroupElement.zn(gx, frame.N))
+    Uy = rep_matrix(rep_y, GroupElement.zn(gy, frame.N))
+    return np.kron(np.kron(Ux, frame.delta_power(gx - gy)), Uy)
+
+
 def _full_invariance_residual(S, rep_x, rep_y, frame):
     """Max invariance defect over every element of Z_N x Z_N."""
     worst = 0.0
@@ -126,9 +145,7 @@ def test_generator_residual_bounds_the_full_enumeration(n):
     basis = build_canonical_modes(rep, rep)
     frame = LinkFrame(n)
     d = rep.dim
-    # x (x) y (x) link -> x (x) link (x) y
-    P = np.eye(d * d * n).reshape(d, d, n, -1).transpose(0, 2, 1, 3)
-    P = P.reshape(d * n * d, -1)
+    P = _link_to_middle(d, n)
     for lam in sorted({1, n - 1}):
         chi = Superoperator.zero(d * d, d * d)
         for mx in basis.modes:
@@ -214,6 +231,156 @@ def test_gauge_fix_stabilizer_diagonal():
     G = gauge_2symmetric(_random_2symmetric(rng, 1), 1, FRAME, MODES, MODES)
     stab = gauge_fix_stabilizer(G, 1, 1)
     assert stab == [(g, g) for g in range(N)]
+
+
+def _charge_pair_element(rng, basis, n, lam_x, lam_y):
+    """sum_ij c_ij Phi_i (x) Phi_j over modes of charges lam_x and lam_y."""
+    d = basis.rep_in.dim
+    chi = Superoperator.zero(d * d, d * d)
+    for mx in basis.modes:
+        for my in basis.modes:
+            if (mx.diagram.lam.charge == lam_x % n
+                    and my.diagram.lam.charge == lam_y % n):
+                c = rng.normal() + 1j * rng.normal()
+                chi = chi + c * mx.op.tensor(my.op)
+    return chi
+
+
+def _dense_gauging(chi, lam, rep, frame):
+    """Oracle: the gauged element with a dense x (x) y (x) link -> x (x) link
+    (x) y permutation, and its generator residual by dense conjugations."""
+    d, n = rep.dim, frame.N
+    P = _link_to_middle(d, n)
+    gauged = conjugate(chi.tensor(GaugeCoupling(frame, lam).superop), P, P)
+    res = max((conjugate(gauged, U, U) - gauged).norm()
+              for U in (_local_unitary(rep, rep, frame, 1, 0),
+                        _local_unitary(rep, rep, frame, 0, 1)))
+    return gauged, res
+
+
+def _dense_stabilizer(G, h1, h2, tol=1e-10):
+    """Oracle: gauge fixing by dense link projectors, then every element of
+    Z_N x Z_N tried by a dense conjugation."""
+    def link_projector(h):
+        pi = np.diag(np.eye(G.frame.N, dtype=complex)[h % G.frame.N])
+        return np.kron(np.kron(np.eye(G.rep_x.dim), pi), np.eye(G.rep_y.dim))
+    fixed = conjugate(G.superop, link_projector(h2), link_projector(h1))
+    assert np.array_equal(gauge_fix(G, h1, h2).transfer, fixed.transfer)
+    keep = []
+    for gx in range(G.frame.N):
+        for gy in range(G.frame.N):
+            U = _local_unitary(G.rep_x, G.rep_y, G.frame, gx, gy)
+            if (conjugate(fixed, U, U) - fixed).norm() <= tol:
+                keep.append((gx, gy))
+    return keep
+
+
+def _oracle_elements(rng, n, rep=None):
+    """A gauged element, the same element lifted with an identity link, and
+    a lifted element of charges (1, 1), which no (g, g) with 2g != 0 fixes;
+    each wrapped as a GaugedProcess."""
+    rep = RepSpec.zn_charges([0, 1], n) if rep is None else rep
+    basis = build_canonical_modes(rep, rep)
+    frame = LinkFrame(n)
+    d = rep.dim
+    P = _link_to_middle(d, n)
+    chi = _charge_pair_element(rng, basis, n, 1, -1)
+    G = gauge_2symmetric(chi, 1, frame, basis, basis)
+    out = [G]
+    for element in (chi, _charge_pair_element(rng, basis, n, 1, 1)):
+        lifted = conjugate(element.tensor(identity_channel(n)), P, P)
+        out.append(GaugedProcess(rep, rep, frame, 1, lifted, float("nan")))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_monomial_local_action_matches_the_dense_conjugation(n):
+    rng = np.random.default_rng(80 + n)
+    rep = RepSpec.zn_charges([0, 1], n)
+    frame = LinkFrame(n)
+    gauged, lifted, _ = _oracle_elements(rng, n)
+    for G in (gauged, lifted):
+        K = G.superop.transfer
+        for gx in range(n):
+            for gy in range(n):
+                U = _local_unitary(rep, rep, frame, gx, gy)
+                got = _local_action(rep, rep, n, gx, gy).transfer().conjugate(K)
+                want = conjugate(G.superop, U, U).transfer
+                assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stabilizer_matches_the_dense_enumeration(n):
+    # the lifted element has the gauged one's stabilizers; the charge-(1, 1)
+    # element is fixed only by the (g, g) with 2g = 0
+    gauged, _, charged = _oracle_elements(np.random.default_rng(85 + n), n)
+    for G in (gauged, charged):
+        for h1, h2 in ((0, 0), (1, 1), (0, 1)):
+            assert gauge_fix_stabilizer(G, h1, h2) == _dense_stabilizer(
+                G, h1, h2)
+    assert gauge_fix_stabilizer(charged, 0, 0) == [
+        (g, g) for g in range(n) if 2 * g % n == 0]
+
+
+def test_intertwined_rep_gauges_as_the_dense_route():
+    # an intertwiner makes the rep non-monomial in its own basis; gauging
+    # moves it to the canonical frame and must agree with dense products
+    n = 3
+    rng = np.random.default_rng(75)
+    Q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    rep = RepSpec.zn_charges([0, 1], n, intertwiner=Q)
+    basis = build_canonical_modes(rep, rep)
+    frame = LinkFrame(n)
+    for lam in range(n):
+        chi = _charge_pair_element(rng, basis, n, lam, -lam)
+        G = gauge_2symmetric(chi, lam, frame, basis, basis)
+        gauged, res = _dense_gauging(chi, lam, rep, frame)
+        assert (G.superop - gauged).norm() <= 1e-12
+        assert abs(G.invariance_residual - res) <= 1e-12
+        for h1, h2 in ((0, 0), (1, 1), (0, 1)):
+            assert gauge_fix_stabilizer(G, h1, h2) == _dense_stabilizer(
+                G, h1, h2)
+    with pytest.raises(ValueError):
+        gauge_2symmetric(_charge_pair_element(rng, basis, n, 1, 1), 1, frame,
+                         basis, basis)
+    lifted = _oracle_elements(rng, n, rep)[1].superop
+    assert abs(local_invariance_residual(lifted, rep, rep, frame)
+               - max((conjugate(lifted, U, U) - lifted).norm()
+                     for U in (_local_unitary(rep, rep, frame, 1, 0),
+                               _local_unitary(rep, rep, frame, 0, 1)))) <= 1e-12
+
+
+def test_gauge_layer_makes_no_dense_conjugation(monkeypatch):
+    # the Z_N actions are monomial: gauging, its residual and the stabilizer
+    # move entries, and the lattice forms no dense Gauss unitary unless
+    # gauss_ops is read
+    chi = _random_2symmetric(np.random.default_rng(77), 1)
+    dense, calls = linalg_core.conjugate, []
+
+    def counted(*args):
+        calls.append(args)
+        return dense(*args)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("symmetria")
+                and getattr(module, "conjugate", None) is dense):
+            monkeypatch.setattr(module, "conjugate", counted)
+    G = gauge_2symmetric(chi, 1, FRAME, MODES, MODES)
+    local_invariance_residual(G.superop, REP, REP, FRAME)
+    gauge_fix_stabilizer(G, 0, 0)
+    assert calls == []
+
+    tracemalloc.start()
+    try:
+        lat = build_gauged_lattice(2, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rho = np.eye(lat.dim, dtype=complex) / lat.dim
+    lat.gauss_commutators(lat.H_gauged)
+    lat.twirl(rho)
+    free_state_check(lat, rho)
+    assert "gauss_ops" not in lat.__dict__
+    assert peak < 150 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

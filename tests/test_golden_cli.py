@@ -35,6 +35,7 @@ COMMANDS = (
     ["region", "--kind", "relational", "--grid", "20"],
     ["--seed", "7", "catalytic", "--dim-a", "2", "--ladder", "16"],
     ["gauge", "--n", "4", "--lattice", "2x2", "--lattice-n", "3"],
+    ["gauge", "--n", "8", "--trials", "3", "--lattice", "1x2"],
 ) + tuple([cmd, f] for cmd in ("decompose", "polar", "bipartite")
           for f in FIXTURES)
 
