@@ -22,7 +22,8 @@ from scipy import sparse
 from scipy.special import lpmv
 
 from .groups import SU2, GroupElement, RepSpec
-from .linalg_core import Superoperator, vec
+from .linalg_core import (Superoperator, choi_of, depolarizing_channel,
+                          unitary_channel, vec)
 from .process_modes import (Diagram, ModeCoefficients, ProcessModeBasis,
                             build_canonical_modes, decompose)
 
@@ -409,8 +410,6 @@ def _slot_amplitudes(coeffs: ModeCoefficients) -> tuple:
 
 def dephasing_channel(p: float) -> Superoperator:
     """rho -> p rho + (1-p) sum_k Pi_k rho Pi_k about the z axis."""
-    from .linalg_core import choi_of
-
     pi0 = np.diag([1.0, 0.0]).astype(complex)
     pi1 = np.diag([0.0, 1.0]).astype(complex)
     return choi_of(
@@ -421,8 +420,6 @@ def dephasing_channel(p: float) -> Superoperator:
 
 def projective_measurement_channel() -> Superoperator:
     """rho -> sum_k Pi_k tr(Pi_k rho) for the z-basis projectors."""
-    from .linalg_core import choi_of
-
     pi0 = np.diag([1.0, 0.0]).astype(complex)
     pi1 = np.diag([0.0, 1.0]).astype(complex)
     return choi_of([pi0, pi1], 2, 2)
@@ -430,8 +427,6 @@ def projective_measurement_channel() -> Superoperator:
 
 def rotation_channel(angle: float) -> Superoperator:
     """Conjugation by exp(i angle/2 sigma_z)."""
-    from .linalg_core import unitary_channel
-
     U = np.diag([np.exp(0.5j * angle), np.exp(-0.5j * angle)])
     return unitary_channel(U)
 
@@ -444,8 +439,6 @@ def state_preparation_channel(p: float) -> Superoperator:
 
 def depolarizing_qubit(p: float) -> Superoperator:
     """rho -> p rho + (1-p) tr(rho) 1/2."""
-    from .linalg_core import depolarizing_channel
-
     return depolarizing_channel(p, 2)
 
 

@@ -28,7 +28,7 @@ from .gauge import (build_gauged_lattice, free_state_check, gauge_2symmetric,
 from .groups import LinkFrame, RepSpec
 from .linalg_core import Superoperator, check_cptp, choi_of
 from .process_modes import MAX_STACK_BYTES, build_canonical_modes, decompose
-from .repeatability import (build_protocol, check_crosscheck_size,
+from .repeatability import (build_protocol, catalytic_bytes,
                             measure_prepare_form, sequential_use)
 
 EXIT_OK = 0
@@ -283,10 +283,15 @@ def cmd_region(args, out: list) -> int:
 
 
 def cmd_catalytic(args, out: list) -> int:
-    rng = np.random.default_rng(args.seed)
     d = args.dim_a
     D = args.ladder
-    check_crosscheck_size(d, D, args.rounds)
+    need = catalytic_bytes(d, D, args.rounds)
+    if need > MAX_STACK_BYTES:
+        raise SemanticError(
+            f"catalytic --dim-a {d} --ladder {D} --rounds {args.rounds} needs "
+            f"about {need / 2**30:.3g} GiB, over the "
+            f"{MAX_STACK_BYTES / 2**30:g} GiB budget")
+    rng = np.random.default_rng(args.seed)
     q, r = np.linalg.qr(rng.normal(size=(d, d))
                         + 1j * rng.normal(size=(d, d)))
     U = q * (np.diag(r) / np.abs(np.diag(r)))

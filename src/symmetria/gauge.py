@@ -22,41 +22,8 @@ import numpy as np
 from scipy import sparse
 
 from .groups import ZN, LinkFrame, RepSpec
-from .linalg_core import Superoperator, conjugate, kron
+from .linalg_core import Monomial, Superoperator, conjugate, kron
 from .process_modes import ProcessModeBasis, _charges
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial unitary U|k> = phase[k] |perm[k]>.  On row-major vec'd
-    operators U acts as U (x) conj(U), which is monomial too (``transfer``),
-    so matrices and transfer matrices are conjugated alike, by a gather."""
-
-    perm: np.ndarray
-    phase: np.ndarray
-
-    def transfer(self) -> Monomial:
-        """U (x) conj(U), the transfer matrix of X -> U X U^dag."""
-        return Monomial((self.perm[:, None] * len(self.perm)
-                         + self.perm).ravel(),
-                        np.outer(self.phase, self.phase.conj()).ravel())
-
-    def conjugate(self, M: np.ndarray) -> np.ndarray:
-        """U M U^dag: entry (i, j) of M moves to (perm[i], perm[j]) with
-        phase[i] conj(phase[j]), gathered through the inverse permutation."""
-        src = np.argsort(self.perm)
-        out = M.take(src, axis=0).take(src, axis=1) * self.phase[src, None]
-        out *= self.phase[src].conj()
-        return out
-
-    def move(self, rows, cols, vals):
-        """``conjugate`` for the entries vals of M at (rows, cols) only:
-        their (values, positions) in U M U^dag."""
-        return (self.phase[rows] * vals * self.phase[cols].conj(),
-                (self.perm[rows], self.perm[cols]))
-
-    def dense(self) -> np.ndarray:
-        return np.eye(len(self.perm), dtype=complex)[:, self.perm] * self.phase
 
 
 @dataclass(frozen=True)

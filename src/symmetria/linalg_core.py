@@ -16,7 +16,9 @@ adjoints, conjugations and Hilbert-Schmidt inner products all act on K.
 J is the reshuffle of K (``transfer_to_choi``), a permutation of entries,
 so Hilbert-Schmidt norms and inner products agree in both pictures; it is
 built only for the checks that need it (CP eigenvalues, partial traces,
-Kraus extraction) and cached on the instance.
+Kraus extraction) and cached on the instance.  A monomial unitary (a
+permutation with phases, ``Monomial``) conjugates a matrix or a transfer
+matrix by one gather, with no dense product.
 """
 
 from __future__ import annotations
@@ -222,6 +224,39 @@ def conjugate(S: Superoperator, U_out: CMatrix, U_in: CMatrix) -> Superoperator:
     A = kron(U_out, U_out.conj())
     B = A if U_in is U_out else kron(U_in, U_in.conj())
     return Superoperator(S.dim_in, S.dim_out, A @ S.transfer @ B.conj().T)
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """A monomial unitary U|k> = phase[k] |perm[k]>.  On row-major vec'd
+    operators U acts as U (x) conj(U), which is monomial too (``transfer``),
+    so matrices and transfer matrices are conjugated alike, by a gather."""
+
+    perm: np.ndarray
+    phase: np.ndarray
+
+    def transfer(self) -> Monomial:
+        """U (x) conj(U), the transfer matrix of X -> U X U^dag."""
+        return Monomial((self.perm[:, None] * len(self.perm)
+                         + self.perm).ravel(),
+                        np.outer(self.phase, self.phase.conj()).ravel())
+
+    def conjugate(self, M: np.ndarray) -> np.ndarray:
+        """U M U^dag: entry (i, j) of M moves to (perm[i], perm[j]) with
+        phase[i] conj(phase[j]), gathered through the inverse permutation."""
+        src = np.argsort(self.perm)
+        out = M.take(src, axis=0).take(src, axis=1) * self.phase[src, None]
+        out *= self.phase[src].conj()
+        return out
+
+    def move(self, rows, cols, vals):
+        """``conjugate`` for the entries vals of M at (rows, cols) only:
+        their (values, positions) in U M U^dag."""
+        return (self.phase[rows] * vals * self.phase[cols].conj(),
+                (self.perm[rows], self.perm[cols]))
+
+    def dense(self) -> np.ndarray:
+        return np.eye(len(self.perm), dtype=complex)[:, self.perm] * self.phase
 
 
 def check_cptp_stack(J: np.ndarray, dim_in: int, dim_out: int,

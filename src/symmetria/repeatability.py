@@ -4,9 +4,12 @@ reference frame, and its repeatability properties.
 A system A with charge basis |phi_m> couples to a ladder B = Z_D through the
 charge-conserving interaction
 
-    V(U) = sum_{m,n} U_{mn} |phi_m><phi_n| (x) Delta^{n-m},
+    V(U) = sum_{m,n} U_{mn} |phi_m><phi_n| (x) Delta^{n-m} = C (U (x) 1) C^dag,
 
-where Delta is the cyclic shift on the ladder.  Tracing out the ladder gives
+where Delta is the cyclic shift on the ladder and C|m, h> = |m, h - m> is a
+controlled ladder shift: V is U relativised to the Z_D frame.  V is applied
+through these factors, two monomial conjugations and U on one axis, and is
+never formed as a matrix.  Tracing out the ladder gives
 an induced channel on A that depends on the reference state sigma only
 through the expectation values tr(Delta^k sigma).  Frame states (discrete
 Fourier vectors, the Delta eigenbasis) yield perfect rotated-target
@@ -15,22 +18,26 @@ simulation, are not disturbed, and support arbitrary sequential reuse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import LinkFrame, RepSpec
-from .linalg_core import Superoperator, apply, kron, unitary_channel
-from .process_modes import ProcessModeBasis, build_canonical_modes, decompose
+from .linalg_core import (Monomial, Superoperator, apply, kron,
+                          unitary_channel)
+from .process_modes import (MAX_STACK_BYTES, ProcessModeBasis,
+                            build_canonical_modes, decompose)
 
 
 @dataclass(frozen=True)
 class Protocol:
-    """A target unitary U on A plus the symmetric ladder interaction V(U)."""
+    """A target unitary U on A and a Z_D ladder, the factors of the ladder
+    interaction V(U) = C (U (x) 1) C^dag.  C is a permutation that preserves
+    the total charge, so V is unitary and Z_D symmetric by construction."""
 
     U: np.ndarray
     ladder: LinkFrame
-    V: np.ndarray
 
     @property
     def dim_a(self) -> int:
@@ -38,7 +45,7 @@ class Protocol:
 
 
 def build_protocol(U, D: int = 16) -> Protocol:
-    """Assemble V(U) = sum_{mn} U_mn |m><n| (x) Delta^{n-m} on Z_D."""
+    """The protocol of the unitary U on a Z_D ladder."""
     U = np.asarray(U, dtype=complex)
     d = U.shape[0]
     if U.shape != (d, d) or np.linalg.norm(U @ U.conj().T - np.eye(d)) > 1e-12:
@@ -47,22 +54,7 @@ def build_protocol(U, D: int = 16) -> Protocol:
         raise ValueError(f"ladder dimension {D} below system dimension {d}")
     if D < 2:
         raise ValueError("ladder dimension must be at least 2")
-    ladder = LinkFrame(D)
-    V = np.zeros((d * D, d * D), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            if U[m, n] == 0.0:
-                continue
-            E = np.zeros((d, d), dtype=complex)
-            E[m, n] = 1.0
-            V += U[m, n] * kron(E, ladder.delta_power(n - m))
-    assert np.linalg.norm(V @ V.conj().T - np.eye(d * D)) < 1e-12
-    # global Z_D symmetry: V commutes with the diagonal charge action
-    for g in range(D):
-        w = np.exp(2j * np.pi * g / D)
-        W = kron(np.diag(w ** np.arange(d)), np.diag(w ** np.arange(D)))
-        assert np.linalg.norm(V @ W - W @ V) < 1e-12 * d * D
-    return Protocol(U, ladder, V)
+    return Protocol(U, LinkFrame(D))
 
 
 def _check_state(sigma: np.ndarray, dim: int):
@@ -77,8 +69,25 @@ def _check_state(sigma: np.ndarray, dim: int):
     return sigma
 
 
+def _apply_v(P: Protocol, M: np.ndarray, dims: tuple, axis: int) -> np.ndarray:
+    """V M V^dag for V on (A, B) of a square M over the product space of
+    dims, with A the factor at ``axis`` and B the last: C^dag M C by a
+    monomial gather, U on the A ket axis and conj(U) on its bra axis, then
+    the gather by C."""
+    d, D = P.dim_a, P.ladder.N
+    n = M.shape[0]
+    stride = math.prod(dims[axis + 1:])
+    k = np.arange(n)
+    m, h = k // stride % d, k % D
+    ones = np.ones(n)
+    M = Monomial(k - h + (h + m) % D, ones).conjugate(M)
+    M = (P.U @ M.reshape(-1, d, stride * n)).reshape(n, n)
+    M = (P.U.conj() @ M.reshape(-1, d, stride)).reshape(n, n)
+    return Monomial(k - h + (h - m) % D, ones).conjugate(M)
+
+
 def _joint_out(P: Protocol, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return P.V @ kron(rho, sigma) @ P.V.conj().T
+    return _apply_v(P, kron(rho, sigma), (P.dim_a, P.ladder.N), 0)
 
 
 def _trace_ladder(P: Protocol, M: np.ndarray) -> np.ndarray:
@@ -95,14 +104,9 @@ def induced_channel(P: Protocol, sigma) -> Superoperator:
     """Partial-trace route to E(rho) = tr_B [V (rho (x) sigma) V^dag] on A."""
     sigma = _check_state(sigma, P.ladder.N)
     d = P.dim_a
-    K = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            out = _trace_ladder(P, _joint_out(P, E, sigma))
-            K[:, i * d + j] = out.reshape(-1)
-    return Superoperator.from_transfer(K, d, d)
+    K = [_trace_ladder(P, _joint_out(P, E, sigma)).ravel()
+         for E in np.eye(d * d, dtype=complex).reshape(-1, d, d)]
+    return Superoperator.from_transfer(np.transpose(K), d, d)
 
 
 def induced_channel_closed_form(P: Protocol, sigma) -> Superoperator:
@@ -128,16 +132,19 @@ def rotated_target(P: Protocol, r: int) -> np.ndarray:
     return L.conj() @ P.U @ L
 
 
-CROSSCHECK_MAX_DIM = 4096  # dense products of this side dominate a run
+def _state_bytes(dim_a: int, D: int, rounds: int) -> int:
+    """Predicted peak bytes of ``sequential_use``: four complex copies (the
+    caller's input, ``_apply_v``'s running state and the two gathered copies
+    in ``Monomial.conjugate``) of the cross-check state on A1 (x) A2 (x) B
+    for two or more rounds, else of one round's state on A (x) B."""
+    return 4 * 16 * (dim_a ** min(rounds, 2) * D) ** 2
 
 
-def check_crosscheck_size(dim_a: int, D: int, rounds: int) -> None:
-    """Raise ValueError if two or more rounds would need the full-tensor
-    cross-check on A1 (x) A2 (x) B, of side d_A^2 D, above the limit."""
-    if rounds >= 2 and dim_a * dim_a * D > CROSSCHECK_MAX_DIM:
-        raise ValueError(
-            f"full-tensor cross-check dimension {dim_a * dim_a * D} exceeds "
-            f"{CROSSCHECK_MAX_DIM}")
+def catalytic_bytes(dim_a: int, D: int, rounds: int) -> int:
+    """Predicted bytes of the largest live arrays of a catalytic run: the
+    joint states of ``sequential_use``, the X stack (d_A^4 operators of
+    side D) and the D frame projectors of ``measure_prepare_form``."""
+    return _state_bytes(dim_a, D, rounds) + 16 * (dim_a ** 4 * D ** 2 + D ** 3)
 
 
 @dataclass(frozen=True)
@@ -165,33 +172,28 @@ def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
     sigma0 = _check_state(sigma, P.ladder.N)
     if len(inputs) < 1:
         raise ValueError("at least one input state required")
-    check_crosscheck_size(P.dim_a, P.ladder.N, len(inputs))
+    need = _state_bytes(P.dim_a, P.ladder.N, len(inputs))
+    if need > MAX_STACK_BYTES:
+        what = ("the two-round cross-check" if len(inputs) >= 2
+                else "one round's joint state")
+        raise ValueError(f"{what} needs about {need / 2**30:.3g} GiB, over "
+                         f"the {MAX_STACK_BYTES / 2**30:g} GiB budget")
     rounds = []
     sig = sigma0
-    first = None
     for rho in inputs:
         rho = np.asarray(rho, dtype=complex)
         chan = induced_channel_closed_form(P, sig)
         joint = _joint_out(P, rho, sig)
         sig_next = _trace_system(P, joint)
-        if first is None:
-            first = chan
-        rounds.append(
-            RoundRecord(
-                channel=chan,
-                reference_after=sig_next,
-                choi_distance_to_first=(chan - first).norm(),
-                reference_fidelity=float(
-                    np.real(np.trace(sig_next @ sigma0))
-                ),
-                delta_profile=P.ladder.delta_profile(sig_next),
-            )
-        )
+        first = rounds[0].channel if rounds else chan
+        rounds.append(RoundRecord(
+            channel=chan, reference_after=sig_next,
+            choi_distance_to_first=(chan - first).norm(),
+            reference_fidelity=float(np.real(np.trace(sig_next @ sigma0))),
+            delta_profile=P.ladder.delta_profile(sig_next)))
         sig = sig_next
-    crosscheck = None
-    if len(inputs) >= 2:
-        crosscheck = _two_round_crosscheck(P, sigma0, inputs[0], inputs[1],
-                                           rounds)
+    crosscheck = (_two_round_crosscheck(P, sigma0, *inputs[:2], rounds)
+                  if len(inputs) >= 2 else None)
     return SequentialReport(tuple(rounds), crosscheck)
 
 
@@ -199,15 +201,10 @@ def _two_round_crosscheck(P: Protocol, sigma0, rho1, rho2, rounds) -> float:
     """Full tensor computation on A1 (x) A2 (x) B versus the iterated
     reduced-reference propagation."""
     d, D = P.dim_a, P.ladder.N
-    I = np.eye(d, dtype=complex)
-    # embed V on (A1, B) and (A2, B) inside A1 (x) A2 (x) B
-    Vr = P.V.reshape(d, D, d, D)
-    V1 = np.einsum("ab,injm->ianjbm", I, Vr).reshape(d * d * D, d * d * D)
-    V2 = np.einsum("ab,injm->ainbjm", I, Vr).reshape(d * d * D, d * d * D)
     state = kron(kron(np.asarray(rho1, complex),
                       np.asarray(rho2, complex)), sigma0)
-    out = V2 @ (V1 @ state @ V1.conj().T) @ V2.conj().T
-    out = out.reshape(d, d, D, d, d, D)
+    state = _apply_v(P, state, (d, d, D), 0)  # V on (A1, B)
+    out = _apply_v(P, state, (d, d, D), 1).reshape(d, d, D, d, d, D)
     marg1 = np.einsum("iabjab->ij", out)
     marg2 = np.einsum("aibajb->ij", out)
     r1 = np.linalg.norm(marg1 - apply(rounds[0].channel, rho1))
@@ -242,27 +239,28 @@ def measure_prepare_form(P: Protocol) -> MeasurePrepareForm:
     D = P.ladder.N
     # E_sigma depends on sigma only through p_k = tr(Delta^k sigma), and
     # linearly, so alpha(E_sigma) = sum_k p_k alpha(B_k) with B_k the closed
-    # form at the unit profile e_k: X = sum_k alpha(B_k) Delta^k.
-    deltas = np.array([P.ladder.delta_power(k) for k in range(D)])
+    # form at the unit profile e_k: X = sum_k alpha(B_k) Delta^k, the
+    # circulant X[i, j] = alpha_{(i - j) mod D}.
     alpha = np.array([decompose(_closed_form(P, e_k), basis).values
                       for e_k in np.eye(D)])
-    X = np.einsum("kr,kij->rij", alpha, deltas)
+    h = np.arange(D)
+    X = alpha.T[:, (h[:, None] - h) % D]
     e0 = induced_channel_closed_form(P, P.ladder.frame_projector(0))
     a0 = decompose(e0, basis).values
-    target = a0[:, None, None] * deltas[-basis.lam % D]
-    worst = float(np.linalg.norm(X - target, axis=(1, 2)).max())
+    # X - a0 Delta^{-lam} is the circulant of alpha - a0 e_{-lam}, and a
+    # circulant's Frobenius norm is sqrt(D) times that of its profile
+    alpha[-basis.lam % D, np.arange(len(a0))] -= a0
+    worst = float(math.sqrt(D) * np.linalg.norm(alpha, axis=0).max())
     povm = tuple(P.ladder.frame_projector(r) for r in range(D))
-    cp_maps = tuple(
-        unitary_channel(rotated_target(P, r)) for r in range(D)
-    )
+    cp_maps = tuple(unitary_channel(rotated_target(P, r)) for r in range(D))
     return MeasurePrepareForm(dict(zip(basis.labels, X)), povm, cp_maps, worst)
 
 
-def broadcast_check(P: Protocol, sigmas, tol: float = 1e-10) -> bool:
-    """True iff the references of P can be broadcast.  P's Delta powers are
-    powers of one shift, so they commute for every P; the verdict is whether
-    all supplied reference states commute pairwise, i.e. share the frame
-    eigenbasis up to degeneracy."""
+def broadcast_check(sigmas, tol: float = 1e-10) -> bool:
+    """True iff the ladder references can be broadcast.  A protocol's Delta
+    powers are powers of one shift, so they commute for every protocol; the
+    verdict is whether all supplied reference states commute pairwise, i.e.
+    share the frame eigenbasis up to degeneracy."""
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
     for i in range(len(sigmas)):
         for j in range(i + 1, len(sigmas)):

@@ -142,6 +142,49 @@ def test_gauge_refuses_a_modulus_over_the_memory_budget(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalytic", "--dim-a", "16", "--ladder", "64", "--rounds", "1"],
+    ["catalytic", "--ladder", "4096", "--rounds", "1"],
+], ids=["x-stack-4.3GB", "povm-1.1TB"])
+def test_catalytic_refuses_a_run_over_the_memory_budget(capsys, argv):
+    # the first would hold a 4.3 GB X stack, the second a 1.1 TB POVM;
+    # both are refused before the protocol is built
+    from symmetria import cli
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "GiB, over the 2 GiB budget" in err and "Traceback" not in err
+    assert out == ""
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("d, D, rounds", [(8, 16, 2), (4, 128, 1)])
+def test_catalytic_byte_prediction_bounds_the_peak(capsys, d, D, rounds):
+    # (8, 16, 2) peaks in the cross-check, (4, 128, 1) in the X stack and
+    # the POVM of the measure-and-prepare form
+    from symmetria import cli
+    from symmetria.repeatability import catalytic_bytes
+
+    tracemalloc.start()
+    try:
+        code = cli.main(["catalytic", "--dim-a", str(d), "--ladder", str(D),
+                         "--rounds", str(rounds)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert catalytic_bytes(d, D, rounds) / 2 < peak <= catalytic_bytes(
+        d, D, rounds)
+
+
 def test_catalytic_passes():
     r = run_cli("catalytic", "--ladder", "8", "--rounds", "3")
     assert r.returncode == 0, r.stderr

@@ -34,6 +34,8 @@ COMMANDS = (
     ["region", "--kind", "injection", "--grid", "20"],
     ["region", "--kind", "relational", "--grid", "20"],
     ["--seed", "7", "catalytic", "--dim-a", "2", "--ladder", "16"],
+    ["--seed", "3", "catalytic", "--dim-a", "4", "--ladder", "7", "--rounds",
+     "3", "--sigma", "random"],
     ["gauge", "--n", "4", "--lattice", "2x2", "--lattice-n", "3"],
     ["gauge", "--n", "8", "--trials", "3", "--lattice", "1x2"],
 ) + tuple([cmd, f] for cmd in ("decompose", "polar", "bipartite")

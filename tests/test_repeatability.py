@@ -1,12 +1,14 @@
 """Catalytic use of a bounded reference: induced channels, repeatability,
 frame states, and the measure-and-prepare form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from symmetria import repeatability
 from symmetria.groups import LinkFrame
-from symmetria.linalg_core import apply, check_cptp
+from symmetria.linalg_core import apply, check_cptp, kron
 from symmetria.process_modes import decompose
 from symmetria.repeatability import (broadcast_check, build_protocol,
                                      induced_channel,
@@ -26,6 +28,32 @@ def _random_unitary(rng, d):
     return np.linalg.qr(M)[0]
 
 
+def _dense_v(P):
+    """Oracle: V = sum_mn U_mn |m><n| (x) Delta^{n-m} as a dense matrix."""
+    d, D = P.dim_a, P.ladder.N
+    V = np.zeros((d * D, d * D), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            if P.U[m, n] == 0.0:
+                continue
+            E = np.zeros((d, d), dtype=complex)
+            E[m, n] = 1.0
+            V += P.U[m, n] * kron(E, P.ladder.delta_power(n - m))
+    return V
+
+
+def _dense_two_round_state(P, V, sigma0, rho1, rho2):
+    """Oracle: V on (A1, B), then on (A2, B), each embedded as a dense
+    matrix on A1 (x) A2 (x) B."""
+    d, D = P.dim_a, P.ladder.N
+    I = np.eye(d, dtype=complex)
+    Vr = V.reshape(d, D, d, D)
+    V1 = np.einsum("ab,injm->ianjbm", I, Vr).reshape(d * d * D, d * d * D)
+    V2 = np.einsum("ab,injm->ainbjm", I, Vr).reshape(d * d * D, d * d * D)
+    state = kron(kron(rho1, rho2), sigma0)
+    return V2 @ (V1 @ state @ V1.conj().T) @ V2.conj().T
+
+
 @pytest.fixture(scope="module")
 def protocol():
     rng = np.random.default_rng(50)
@@ -40,9 +68,10 @@ def test_build_protocol_rejects_bad_inputs():
 
 
 def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
-    # two rounds at d_A^2 D = 12 * 12 * 32 = 4,608 would need a cross-check
-    # over the limit; the refusal comes before the first round runs
-    P = build_protocol(np.eye(12), D=32)
+    # two rounds at d_A^2 D = 12 * 12 * 48 = 6,912 would need a cross-check
+    # of about 2.8 GiB, over the budget; the refusal comes before the first
+    # round runs
+    P = build_protocol(np.eye(12), D=48)
     rho = np.eye(12) / 12
 
     def no_round(*args):
@@ -52,6 +81,41 @@ def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
                         no_round)
     with pytest.raises(ValueError, match="cross-check"):
         sequential_use(P, P.ladder.frame_projector(0), [rho, rho])
+
+
+@pytest.mark.parametrize("d, D", [(2, 5), (3, 7), (4, 16), (2, 64)])
+def test_factored_interaction_matches_the_dense_oracle(d, D):
+    rng = np.random.default_rng(59)
+    P = build_protocol(_random_unitary(rng, d), D)
+    V = _dense_v(P)
+    # the oracle V is unitary and commutes with every global Z_D action
+    assert np.linalg.norm(V @ V.conj().T - np.eye(d * D)) < 1e-12
+    for g in range(D):
+        w = np.exp(2j * np.pi * g / D)
+        W = kron(np.diag(w ** np.arange(d)), np.diag(w ** np.arange(D)))
+        assert np.linalg.norm(V @ W - W @ V) < 1e-12 * d * D
+    rho1, rho2, sigma = (_random_state(rng, d), _random_state(rng, d),
+                         _random_state(rng, D))
+    joint = repeatability._joint_out(P, rho1, sigma)
+    assert np.linalg.norm(joint - V @ kron(rho1, sigma) @ V.conj().T) < 1e-14
+    # the cross-check's full joint state on A1 (x) A2 (x) B
+    dims = (d, d, D)
+    state = repeatability._apply_v(P, kron(kron(rho1, rho2), sigma), dims, 0)
+    state = repeatability._apply_v(P, state, dims, 1)
+    oracle = _dense_two_round_state(P, V, sigma, rho1, rho2)
+    assert np.linalg.norm(state - oracle) < 1e-13
+
+
+def test_build_protocol_forms_no_dense_interaction():
+    # a dense V at d_A = 4, D = 64 alone would take 1 MiB
+    U = _random_unitary(np.random.default_rng(60), 4)
+    tracemalloc.start()
+    try:
+        build_protocol(U, D=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_frame_states_are_shift_eigenstates():
@@ -157,10 +221,10 @@ def test_measure_prepare_form(protocol):
 def test_broadcast_iff_commuting_references(protocol):
     lad = protocol.ladder
     frames = [lad.frame_projector(r) for r in range(4)]
-    assert broadcast_check(protocol, frames)
+    assert broadcast_check(frames)
     rng = np.random.default_rng(56)
     generic = [_random_state(rng, 8) for _ in range(2)]
-    assert not broadcast_check(protocol, generic)
+    assert not broadcast_check(generic)
 
 
 def test_zd_modes_span(protocol):
