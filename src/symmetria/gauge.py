@@ -196,7 +196,8 @@ class GaugedLattice:
     significant first), then one per link (its group element).  Every lattice
     operator is monomial in that basis and is built from the digit tables.
     The Gauss unitaries are kept as ``Monomial`` actions; ``gauss_ops``, their
-    dense form, is formed on demand (at first read)."""
+    dense form, is formed on demand (at first read), as are the link DFT and
+    the number-class tables of the twirl checks."""
 
     Lx: int
     Ly: int
@@ -253,11 +254,17 @@ class GaugedLattice:
         per-link Fourier transform every local unitary is the phase
         omega^{sum_x g_x q_x}, with site charges q_x = n_x + sum(outgoing link
         momenta) - sum(incoming link momenta), so the twirl keeps exactly
-        the entries whose charge vectors agree mod N: a masked conjugation."""
-        T = self._link_dft()
-        same = self._sector[:, None] == self._sector[None, :]
-        rf = self._link_frame(np.asarray(rho, dtype=complex), T)
-        return self._link_frame(rf * same, T.conj().T)
+        the entries whose charge vectors agree mod N: a masked conjugation
+        of each number class's diagonal block.  The blocks between classes
+        hold no same-sector entry, so they come out zero."""
+        rho = np.asarray(rho, dtype=complex)
+        out = np.zeros_like(rho)
+        for idx, _, on in self._classes:
+            block = self._class_frame(rho[np.ix_(idx, idx)])
+            kept = np.zeros_like(block)
+            kept.reshape(-1)[on] = block.reshape(-1)[on]
+            out[np.ix_(idx, idx)] = self._class_frame(kept, inverse=True)
+        return out
 
     def twirl_enumerate(self, rho: np.ndarray) -> np.ndarray:
         """Direct group-sum twirl; the oracle for ``twirl``."""
@@ -268,30 +275,60 @@ class GaugedLattice:
 
     def dynamics_commutation_defects(self, V: np.ndarray, states) -> list:
         """Norms of (V G(rho) V^dag - G(V rho V^dag)) for each state, where
-        G is the local twirl.  Computed entirely in the link-Fourier frame.
-        States given as 1-D arrays are treated as pure-state vectors: then
-        G(|phi><phi|) = sum_q P_q |phi><phi| P_q over the charge sectors q,
-        so V G(rho) V^dag = W W^dag with one column V P_q phi per sector."""
-        T = self._link_dft()
-        Vf = self._link_frame(np.asarray(V, dtype=complex), T)
-        same = self._sector[:, None] == self._sector[None, :]
-        sectors = np.arange(self.N ** len(self.sites))
-        in_sector = self._sector[:, None] == sectors
+        G is the local twirl, computed in the product basis; V is never
+        moved to the link-Fourier frame.  States given as 1-D arrays are
+        treated as pure-state vectors: then G(|phi><phi|) = Y Y^dag with one
+        column P_q phi per charge sector q, so the difference is
+        W W^dag - Y Y^dag with W = V [P_q phi]_q and Y = [P_q V phi]_q.  Its
+        norm is ||R_W R_W^dag - R_Y R_Y^dag|| for the triangular factor
+        R = [R_W R_Y] of [W Y] = Q R, with no d x d product."""
+        d = self.dim
+        V = np.asarray(V, dtype=complex)
+        if V.shape != (d, d):
+            raise ValueError(f"dynamics V has shape {V.shape}, expected "
+                             f"({d}, {d})")
+        L = len(self._link_dft)
         out = []
-        for s in states:
+        for i, s in enumerate(states):
             s = np.asarray(s, dtype=complex)
-            if s.ndim == 1:
-                phi = (T @ s.reshape(2 ** len(self.sites), -1, 1)).ravel()
-                W = (Vf * phi) @ in_sector
-                v = Vf @ phi  # V rho V^dag = |v><v| costs no matrix product
-                diff = W @ W.conj().T - same * np.outer(v, v.conj())
+            if s.shape == (d,):
+                phi, psi = self._sector_columns(s), self._sector_columns(V @ s)
+                n = sum(cols.shape[1] for _, cols in phi)
+                A = np.zeros((d, 2 * n), dtype=complex)  # [W Y]
+                at = 0
+                for (idx, cols), (_, ycols) in zip(phi, psi):
+                    k = cols.shape[1]
+                    # V on the class's link blocks only, as column slices
+                    for b, start in enumerate(idx[::L]):
+                        A[:, at:at + k] += (V[:, start:start + L]
+                                            @ cols[b * L:(b + 1) * L])
+                    A[idx, n + at:n + at + k] = ycols
+                    at += k
+                R = np.linalg.qr(A, mode="r")
+                RW, RY = R[:, :n], R[:, n:]
+                diff = RW @ RW.conj().T - RY @ RY.conj().T
+            elif s.shape == (d, d):
+                diff = (V @ self.twirl(s) @ V.conj().T
+                        - self.twirl(V @ s @ V.conj().T))
             else:
-                rf = self._link_frame(s, T)
-                diff = (Vf @ (same * rf) @ Vf.conj().T
-                        - same * (Vf @ rf @ Vf.conj().T))
+                raise ValueError(f"state {i} has shape {s.shape}, expected "
+                                 f"({d},) or ({d}, {d})")
             out.append(float(np.linalg.norm(diff)))
         return out
 
+    def _sector_columns(self, phi: np.ndarray) -> list:
+        """[P_q phi]_q in the product basis, per number class: (class
+        indices, one column per charge sector of the class on those rows).
+        Only phi itself is moved to the link-Fourier frame and back."""
+        phi = self._link_rows(phi.reshape(-1, 1), self._link_dft).ravel()
+        out = []
+        for idx, sector, _ in self._classes:
+            cols = np.zeros((len(idx), sector.max() + 1), dtype=complex)
+            cols[np.arange(len(idx)), sector] = phi[idx]
+            out.append((idx, self._link_rows(cols, self._link_dft.conj().T)))
+        return out
+
+    @cached_property
     def _link_dft(self) -> np.ndarray:
         """The N-point DFT on every link, an (N^links)-square matrix: row k
         of one link's factor is <theta_k|, so shifts become phases."""
@@ -302,12 +339,41 @@ class GaugedLattice:
             T = kron(T, dft)
         return T
 
-    def _link_frame(self, M: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """F M F^dag with F = identity on the sites (x) T on the links (the
-        trailing digits): one product with T from each side."""
-        d, S = self.dim, 2 ** len(self.sites)
-        M = (T @ M.reshape(S, -1, d)).reshape(d, d)
-        return (M.reshape(d, S, -1) @ T.conj().T).reshape(d, d)
+    @cached_property
+    def _classes(self) -> tuple:
+        """(indices, sector, on) per total-number class c = sum_x n_x mod N.
+        Every link has one source and one target, so sum_x q_x = sum_x n_x
+        mod N and each charge sector lies in one class.  The site digits
+        lead the index, so a class is a union of whole link blocks, which
+        the link transform maps onto themselves.  ``sector`` numbers the
+        class's charge sectors from 0 per index, and ``on`` holds the flat
+        positions of the same-sector entries of the class's diagonal block."""
+        number = self._occ.sum(axis=0) % self.N
+        out = []
+        for c in range(self.N):
+            idx = np.flatnonzero(number == c)
+            if len(idx):
+                sector = np.unique(self._sector[idx], return_inverse=True)[1]
+                out.append((idx, sector,
+                            np.flatnonzero(sector[:, None] == sector)))
+        return tuple(out)
+
+    @staticmethod
+    def _link_rows(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """T on the link digits of the rows of X, whose rows are whole link
+        blocks (a number class, or every index)."""
+        m, n = X.shape
+        return (T @ X.reshape(-1, len(T), n)).reshape(m, n)
+
+    def _class_frame(self, B: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """F B F^dag (F^dag B F if inverse) for a number class's diagonal
+        block B, F = identity on the sites (x) the link DFT: one product
+        with the DFT from each side, the right one a single product over
+        every row's link blocks."""
+        T = self._link_dft.conj().T if inverse else self._link_dft
+        m = len(B)
+        B = self._link_rows(B, T)
+        return (B.reshape(-1, len(T)) @ T.conj().T).reshape(m, m)
 
 
 def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
@@ -413,11 +479,24 @@ def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
     """Is rho invariant under the exact local-group twirl?  (The dynamics
     check is ``GaugedLattice.dynamics_commutation_defects``.)  The distance
     ||rho - twirl(rho)|| is the norm of the off-sector entries in the
-    link-Fourier frame, where the twirl keeps the same-sector ones."""
-    rho = np.asarray(rho, dtype=complex)
+    link-Fourier frame.  An entry between two number classes is off-sector,
+    and the frame is unitary on each class, so those entries count as they
+    stand; only the classes' diagonal blocks are transformed.  The squares
+    are summed directly: ||rho||^2 - ||twirl(rho)||^2 would cancel to about
+    1e-10 at rho = I/d."""
+    rho = np.ascontiguousarray(rho, dtype=complex)
     if rho.shape != (lattice.dim, lattice.dim):
         raise ValueError("state dimension mismatch")
-    rf = lattice._link_frame(rho, lattice._link_dft())
-    sector = lattice._sector
-    dist = float(np.linalg.norm(rf[sector[:, None] != sector[None, :]]))
+    # squared norm of every (site block, site block) pair of link blocks
+    S, L = 2 ** len(lattice.sites), len(lattice._link_dft)
+    X = rho.view(float).reshape(S, L, S, 2 * L)
+    pairs = np.einsum("aibj,aibj->ab", X, X)
+    number = lattice._occ[:, ::L].sum(axis=0) % lattice.N
+    sq = pairs[number[:, None] != number].sum()
+    for idx, _, on in lattice._classes:
+        block = lattice._class_frame(rho[np.ix_(idx, idx)])
+        block.reshape(-1)[on] = 0
+        x = block.view(float).ravel()
+        sq += x @ x
+    dist = float(np.sqrt(sq))
     return FreeStateVerdict(dist <= tol, dist)

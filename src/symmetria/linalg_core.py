@@ -243,9 +243,13 @@ class Monomial:
 
     def conjugate(self, M: np.ndarray) -> np.ndarray:
         """U M U^dag: entry (i, j) of M moves to (perm[i], perm[j]) with
-        phase[i] conj(phase[j]), gathered through the inverse permutation."""
+        phase[i] conj(phase[j]), gathered through the inverse permutation;
+        a pure permutation (every phase 1) is the gather alone."""
         src = np.argsort(self.perm)
-        out = M.take(src, axis=0).take(src, axis=1) * self.phase[src, None]
+        out = M.take(src, axis=0).take(src, axis=1)
+        if np.all(self.phase == 1):
+            return out
+        out = out * self.phase[src, None]
         out *= self.phase[src].conj()
         return out
 

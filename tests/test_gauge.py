@@ -399,6 +399,19 @@ def test_lattice_refusals_name_their_cause():
         build_gauged_lattice(2, 2, 5)
 
 
+def test_dynamics_defects_refuse_mismatched_shapes():
+    lat = build_gauged_lattice(2, 1, 2)  # d = 8
+    psi = np.ones(8) / np.sqrt(8)
+    for V in (np.eye(3), np.eye(8)[:, :4]):
+        with pytest.raises(ValueError, match=r"dynamics V has shape .*"
+                           r"expected \(8, 8\)"):
+            lat.dynamics_commutation_defects(V, [psi])
+    for bad in (np.ones(9), np.eye(8)[:, :4], np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"state 1 has shape .*"
+                           r"expected \(8,\) or \(8, 8\)"):
+            lat.dynamics_commutation_defects(np.eye(8), [psi, bad])
+
+
 def test_lattice_structure(lattice):
     assert len(lattice.sites) == 4
     assert len(lattice.links) == 4   # periodic duplicates deduplicated
@@ -523,20 +536,180 @@ def test_lattice_matches_the_dense_oracle(Lx, Ly, n):
     assert next(wilson, None) is None
 
 
+def _link_dft(lat):
+    """Oracle: the link DFT as one (N^links)-square matrix."""
+    n = lat.N
+    dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    T = np.ones((1, 1))
+    for _ in lat.links:
+        T = np.kron(T, dft / np.sqrt(n))
+    return T
+
+
+def _link_frame(lat, M, T):
+    """Oracle: F M F^dag for a full d x d matrix M, F = identity on the
+    sites (x) T on the link digits, one product with T from each side."""
+    d, S = lat.dim, 2 ** len(lat.sites)
+    M = (T @ M.reshape(S, -1, d)).reshape(d, d)
+    return (M.reshape(d, S, -1) @ T.conj().T).reshape(d, d)
+
+
+def _dense_twirl_routes(lat):
+    """Oracle: the twirl, the free-state distance and the dynamics defects
+    computed by moving whole d x d matrices (and V) to the link-Fourier
+    frame, where the twirl is the same-sector mask."""
+    T = _link_dft(lat)
+    same = lat._sector[:, None] == lat._sector[None, :]
+
+    def twirl(rho):
+        return _link_frame(lat, _link_frame(lat, rho, T) * same, T.conj().T)
+
+    def distance(rho):
+        return float(np.linalg.norm(_link_frame(lat, rho, T)[~same]))
+
+    def defects(V, states):
+        Vf = _link_frame(lat, V, T)
+        in_sector = lat._sector[:, None] == np.arange(lat.N ** len(lat.sites))
+        out = []
+        for s in states:
+            if s.ndim == 1:
+                phi = (T @ s.reshape(2 ** len(lat.sites), -1, 1)).ravel()
+                W = (Vf * phi) @ in_sector
+                v = Vf @ phi
+                diff = W @ W.conj().T - same * np.outer(v, v.conj())
+            else:
+                rf = _link_frame(lat, s, T)
+                diff = (Vf @ (same * rf) @ Vf.conj().T
+                        - same * (Vf @ rf @ Vf.conj().T))
+            out.append(float(np.linalg.norm(diff)))
+        return out
+
+    return twirl, distance, defects
+
+
 @pytest.mark.parametrize("Lx, Ly, n", [(2, 2, 2), (2, 2, 3)])
 def test_link_frame_matches_the_dense_fourier_matrix(Lx, Ly, n):
+    # the oracle's link frame is the dense F M F^dag; the lattice transforms
+    # each number class's diagonal block, which equals that block of it
     lat = build_gauged_lattice(Lx, Ly, n)
-    dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    F = np.eye(2 ** len(lat.sites))
-    for _ in lat.links:
-        F = np.kron(F, dft / np.sqrt(n))
+    F = np.kron(np.eye(2 ** len(lat.sites)), _link_dft(lat))
     rng = np.random.default_rng(69)
     M = rng.normal(size=(lat.dim, lat.dim)) + 1j * rng.normal(
         size=(lat.dim, lat.dim))
-    T = lat._link_dft()
-    assert np.abs(lat._link_frame(M, T) - F @ M @ F.conj().T).max() <= 1e-12
-    assert np.abs(lat._link_frame(M, T.conj().T)
-                  - F.conj().T @ M @ F).max() <= 1e-12
+    T = _link_dft(lat)
+    fwd, back = F @ M @ F.conj().T, F.conj().T @ M @ F
+    assert np.abs(_link_frame(lat, M, T) - fwd).max() <= 1e-12
+    assert np.abs(_link_frame(lat, M, T.conj().T) - back).max() <= 1e-12
+    assert np.abs(lat._link_dft - T).max() <= 1e-15
+    seen = np.zeros(lat.dim, dtype=int)
+    L = len(T)
+    for idx, sector, on in lat._classes:
+        seen[idx] += 1
+        # whole link blocks, and sectors that do not cross classes
+        assert np.array_equal(idx.reshape(-1, L),
+                              idx[::L, None] + np.arange(L))
+        assert not np.isin(lat._sector[idx], np.delete(
+            lat._sector, idx)).any()
+        assert np.array_equal(on, np.flatnonzero(
+            lat._sector[idx][:, None] == lat._sector[idx]))
+        ix = np.ix_(idx, idx)
+        assert np.abs(lat._class_frame(M[ix]) - fwd[ix]).max() <= 1e-12
+        assert np.abs(lat._class_frame(M[ix], inverse=True)
+                      - back[ix]).max() <= 1e-12
+    assert (seen == 1).all()
+
+
+def _lattice_evolutions(lat, rng, t=0.6):
+    """The gauged and the free evolution, a Haar unitary (it breaks number
+    conservation) and a non-unitary random matrix of norm about 2."""
+    w, Q = np.linalg.eigh(lat.H_gauged)
+    yield "gauged", (Q * np.exp(-1j * t * w)) @ Q.conj().T
+    # H_free acts on the site digits only: h (x) identity on the links
+    L = lat.dim // 2 ** len(lat.sites)
+    w, Q = np.linalg.eigh(lat.H_free[::L, ::L])
+    yield "free", np.kron((Q * np.exp(-1j * t * w)) @ Q.conj().T, np.eye(L))
+    G = rng.normal(size=(lat.dim,) * 2) + 1j * rng.normal(size=(lat.dim,) * 2)
+    Q, R = np.linalg.qr(G)
+    yield "haar", Q * (np.diag(R) / abs(np.diag(R)))
+    yield "non-unitary", G / np.sqrt(2 * lat.dim)
+
+
+# every lattice the guard accepts up to dim 1,296
+_PARITY_LATTICES = [(1, 1, 2), (1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3),
+                    (2, 1, 4), (1, 4, 2), (1, 4, 3), (2, 2, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("Lx, Ly, n", _PARITY_LATTICES)
+def test_class_blocked_twirl_checks_match_the_dense_link_frame(Lx, Ly, n):
+    # twirl, free_state_check and the dynamics defects agree with the
+    # routes that move whole matrices to the link-Fourier frame.  At
+    # d = 1,296 the mixed-state defects (eight d^3 products per pair) run on
+    # the random state with the Haar unitary only.
+    lat = build_gauged_lattice(Lx, Ly, n)
+    twirl, distance, defects = _dense_twirl_routes(lat)
+    rng = np.random.default_rng(71 + 5 * Lx + Ly + n)
+    d = lat.dim
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = M @ M.conj().T
+    rho /= np.trace(rho)
+    pures = []
+    for _ in range(2):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        pures.append(v / np.linalg.norm(v))
+    mixed = [rho, twirl(rho), np.eye(d, dtype=complex) / d]
+    for state in mixed + [np.outer(v, v.conj()) for v in pures]:
+        assert np.abs(lat.twirl(state) - twirl(state)).max() <= 1e-12
+        assert abs(free_state_check(lat, state).twirl_distance
+                   - distance(state)) <= 1e-12
+    for name, V in _lattice_evolutions(lat, rng):
+        states = pures + (mixed if d < 1296 else
+                          [rho] if name == "haar" else [])
+        got = lat.dynamics_commutation_defects(V, states)
+        want = defects(V, states)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12
+        if name == "gauged":
+            assert max(got) <= 1e-12
+        elif name == "haar":
+            assert min(got[:2]) > 1e-3  # the pure states
+
+
+def test_lattice_twirl_checks_make_no_full_link_transform(monkeypatch):
+    # free_state_check, twirl and the pure-state defect move only number
+    # class blocks and vectors to the link-Fourier frame, never a d x d
+    # matrix or V.  Their tracemalloc peaks at 2x2 Z_3 (d = 1,296, one d x d
+    # complex array is 25.6 MiB) measured 9.8, 40.3 and 7.9 MiB; the bounds
+    # below are those values plus a 25 % margin, rounded up.
+    from symmetria.gauge import GaugedLattice
+    lat = build_gauged_lattice(2, 2, 3)
+    d = lat.dim
+    rng = np.random.default_rng(72)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    w, Q = np.linalg.eigh(lat.H_gauged)
+    V = (Q * np.exp(-0.6j * w)) @ Q.conj().T
+    link_rows, shapes = GaugedLattice._link_rows, []
+
+    def counted(X, T):
+        shapes.append(X.shape)
+        return link_rows(X, T)
+    monkeypatch.setattr(GaugedLattice, "_link_rows", staticmethod(counted))
+    largest = max(len(idx) for idx, _, _ in lat._classes)
+    for run, bound_mib in (
+            (lambda: free_state_check(lat, rho), 12.5),
+            (lambda: lat.twirl(rho), 50.5),
+            (lambda: lat.dynamics_commutation_defects(V, [psi]), 10.0)):
+        run()  # the link DFT and the class tables are cached per lattice
+        shapes.clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most a class's diagonal block (486^2 entries of d^2) at a time
+        assert shapes and max(r * c for r, c in shapes) <= largest ** 2
+        assert peak <= bound_mib * 2 ** 20
 
 
 def test_twirl_matches_group_enumeration(lattice):

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symmetria
-from symmetria.linalg_core import (Superoperator, apply, check_cptp, choi_of,
-                                   conjugate, depolarizing_channel, hs_inner,
-                                   identity_channel, kraus_of_choi, kron,
-                                   random_cptp, unitary_channel, unvec, vec)
+from symmetria.linalg_core import (Monomial, Superoperator, apply, check_cptp,
+                                   choi_of, conjugate, depolarizing_channel,
+                                   hs_inner, identity_channel, kraus_of_choi,
+                                   kron, random_cptp, unitary_channel, unvec,
+                                   vec)
 
 RNG = np.random.default_rng(20260823)
 
@@ -191,3 +192,25 @@ def test_library_modules_read_every_name_they_import():
             for path in sorted(Path(symmetria.__file__).parent.glob("*.py"))
             for name in _unread_imports(path.read_text())]
     assert hits == []
+
+
+def test_monomial_with_unit_phases_conjugates_by_the_gather_alone():
+    # every phase 1 (a pure permutation) skips both phase products; the
+    # result equals the product route entry for entry, on matrices and on
+    # transfer matrices, and a general monomial is still U M U^dag
+    rng = np.random.default_rng(33)
+    n = 7
+    perm = rng.permutation(n)
+    src = np.argsort(perm)
+    for ones in (np.ones(n), np.ones(n, dtype=complex)):
+        for U in (Monomial(perm, ones), Monomial(perm, ones).transfer()):
+            M = _rand_complex((len(U.perm),) * 2, rng)
+            at = np.argsort(U.perm)
+            want = M.take(at, axis=0).take(at, axis=1) * U.phase[at, None]
+            want *= U.phase[at].conj()
+            assert np.array_equal(U.conjugate(M), want)
+    U = Monomial(perm, np.exp(2j * np.pi * rng.uniform(size=n)))
+    M = _rand_complex((n, n), rng)
+    D = U.dense()
+    assert np.abs(U.conjugate(M) - D @ M @ D.conj().T).max() <= 1e-14
+    assert not np.shares_memory(Monomial(perm, np.ones(n)).conjugate(M), M)
