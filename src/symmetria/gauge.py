@@ -10,7 +10,9 @@ the matter factors.  Every local action is a ``Monomial`` (charges are
 phases, link actions are shifts) that moves matrix entries; no dense unitary
 is multiplied.  Local invariance is checked exactly on the generators (1, 0)
 and (0, 1) of Z_N x Z_N, and a gauge-fixed stabilizer is read off the charge
-support of the fixed element in the link Fourier frame.
+support of the fixed element in the link Fourier frame.  On the lattice the
+local twirl is a projection whose finest blocks in the product basis are the
+gauge orbits, so the twirl checks gather entries along those orbits.
 """
 
 from __future__ import annotations
@@ -196,8 +198,8 @@ class GaugedLattice:
     significant first), then one per link (its group element).  Every lattice
     operator is monomial in that basis and is built from the digit tables.
     The Gauss unitaries are kept as ``Monomial`` actions; ``gauss_ops``, their
-    dense form, is formed on demand (at first read), as are the link DFT and
-    the number-class tables of the twirl checks."""
+    dense form, is formed on demand (at first read), as are the gauge-orbit
+    tables of the twirl checks."""
 
     Lx: int
     Ly: int
@@ -210,7 +212,6 @@ class GaugedLattice:
     _occ: np.ndarray        # (num sites, dim) site occupations per basis index
     _linkval: np.ndarray    # (num links, dim) link group elements per index
     _incidence: np.ndarray  # (num sites, num links): +1 source, -1 target
-    _sector: np.ndarray     # (dim,) charge-sector label per link-Fourier index
 
     @property
     def dim(self) -> int:
@@ -250,20 +251,18 @@ class GaugedLattice:
         return out
 
     def twirl(self, rho: np.ndarray) -> np.ndarray:
-        """Exact average over the full local group Z_N^{num sites}.  After a
-        per-link Fourier transform every local unitary is the phase
-        omega^{sum_x g_x q_x}, with site charges q_x = n_x + sum(outgoing link
-        momenta) - sum(incoming link momenta), so the twirl keeps exactly
-        the entries whose charge vectors agree mod N: a masked conjugation
-        of each number class's diagonal block.  The blocks between classes
-        hold no same-sector entry, so they come out zero."""
-        rho = np.asarray(rho, dtype=complex)
+        """Exact average over the full local group Z_N^{num sites}.  The
+        global subgroup (every g_x equal) leaves the links alone and
+        multiplies entry (i, j) by omega^(g (n_i - n_j)), so it zeroes the
+        entries between total-number classes and fixes those inside one.
+        There the twirl averages over the coset representatives, which move
+        each entry along a gauge orbit of K entries with the phases v; on an
+        orbit it is the rank-one projection x -> v mean(conj(v) x).  One
+        gather and one scatter per class, no change of basis."""
+        rho = np.ascontiguousarray(rho, dtype=complex)
         out = np.zeros_like(rho)
-        for idx, _, on in self._classes:
-            block = self._class_frame(rho[np.ix_(idx, idx)])
-            kept = np.zeros_like(block)
-            kept.reshape(-1)[on] = block.reshape(-1)[on]
-            out[np.ix_(idx, idx)] = self._class_frame(kept, inverse=True)
+        for at, v, x in self._orbit_gathers(rho):
+            out.put(at, np.multiply(v, x.mean(axis=0), out=x))
         return out
 
     def twirl_enumerate(self, rho: np.ndarray) -> np.ndarray:
@@ -275,19 +274,19 @@ class GaugedLattice:
 
     def dynamics_commutation_defects(self, V: np.ndarray, states) -> list:
         """Norms of (V G(rho) V^dag - G(V rho V^dag)) for each state, where
-        G is the local twirl, computed in the product basis; V is never
-        moved to the link-Fourier frame.  States given as 1-D arrays are
-        treated as pure-state vectors: then G(|phi><phi|) = Y Y^dag with one
-        column P_q phi per charge sector q, so the difference is
-        W W^dag - Y Y^dag with W = V [P_q phi]_q and Y = [P_q V phi]_q.  Its
-        norm is ||R_W R_W^dag - R_Y R_Y^dag|| for the triangular factor
-        R = [R_W R_Y] of [W Y] = Q R, with no d x d product."""
+        G is the local twirl, computed in the product basis.  States given
+        as 1-D arrays are treated as pure-state vectors: then
+        G(|phi><phi|) = Y Y^dag with one column P_q phi per charge sector q,
+        so the difference is W W^dag - Y Y^dag with W = V [P_q phi]_q and
+        Y = [P_q V phi]_q.  Its norm is ||R_W R_W^dag - R_Y R_Y^dag|| for the
+        triangular factor R = [R_W R_Y] of [W Y] = Q R, with no d x d
+        product."""
         d = self.dim
         V = np.asarray(V, dtype=complex)
         if V.shape != (d, d):
             raise ValueError(f"dynamics V has shape {V.shape}, expected "
                              f"({d}, {d})")
-        L = len(self._link_dft)
+        L = d >> len(self.sites)
         out = []
         for i, s in enumerate(states):
             s = np.asarray(s, dtype=complex)
@@ -319,61 +318,66 @@ class GaugedLattice:
     def _sector_columns(self, phi: np.ndarray) -> list:
         """[P_q phi]_q in the product basis, per number class: (class
         indices, one column per charge sector of the class on those rows).
-        Only phi itself is moved to the link-Fourier frame and back."""
-        phi = self._link_rows(phi.reshape(-1, 1), self._link_dft).ravel()
+        On the orbit {perm_h i} of an index i in site block a, the coset
+        representative g moves perm_h i to perm_(g+h) i with the phase
+        omega^(g . n_a).  So once that phase is taken off, the orbit's
+        Fourier component p (the character table E) is the part of phi in
+        the class's sector p, the same sector for every orbit."""
+        orbit, E, classes = self._orbits
+        K, L = len(E), self.dim >> len(self.sites)
+        phi = phi.reshape(-1, L)
         out = []
-        for idx, sector, _ in self._classes:
-            cols = np.zeros((len(idx), sector.max() + 1), dtype=complex)
-            cols[np.arange(len(idx)), sector] = phi[idx]
-            out.append((idx, self._link_rows(cols, self._link_dft.conj().T)))
+        for idx, blocks, u, _ in classes:
+            u = u.T[:, :, None]  # (blocks, K, 1)
+            coef = (phi[blocks][:, orbit] * u.conj()).transpose(0, 2, 1) @ E
+            cols = np.empty((len(blocks), L, K), dtype=complex)
+            cols[:, orbit.ravel()] = (u[..., None] * E.conj()[:, None]
+                                      * coef[:, None] / K).reshape(
+                                          len(blocks), -1, K)
+            out.append((idx, cols.reshape(-1, K)))
         return out
 
-    @cached_property
-    def _link_dft(self) -> np.ndarray:
-        """The N-point DFT on every link, an (N^links)-square matrix: row k
-        of one link's factor is <theta_k|, so shifts become phases."""
-        frame = LinkFrame(self.N)
-        dft = np.array([frame.frame_vector(k) for k in range(self.N)]).conj()
-        T = np.ones((1, 1), dtype=complex)
-        for _ in self.links:
-            T = kron(T, dft)
-        return T
+    def _orbit_gathers(self, rho: np.ndarray):
+        """(at, v, conj(v) x) per number class: x is the class's diagonal
+        block of rho (C-contiguous) along its gauge orbits (axis 0)."""
+        for _, _, u, at in self._orbits[2]:
+            v = (u[:, :, None] * u[:, None].conj())[..., None]
+            x = rho.take(at)
+            x *= v.conj()
+            yield at, v, x
 
     @cached_property
-    def _classes(self) -> tuple:
-        """(indices, sector, on) per total-number class c = sum_x n_x mod N.
-        Every link has one source and one target, so sum_x q_x = sum_x n_x
-        mod N and each charge sector lies in one class.  The site digits
-        lead the index, so a class is a union of whole link blocks, which
-        the link transform maps onto themselves.  ``sector`` numbers the
-        class's charge sectors from 0 per index, and ``on`` holds the flat
-        positions of the same-sector entries of the class's diagonal block."""
-        number = self._occ.sum(axis=0) % self.N
-        out = []
-        for c in range(self.N):
-            idx = np.flatnonzero(number == c)
-            if len(idx):
-                sector = np.unique(self._sector[idx], return_inverse=True)[1]
-                out.append((idx, sector,
-                            np.flatnonzero(sector[:, None] == sector)))
-        return tuple(out)
-
-    @staticmethod
-    def _link_rows(X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """T on the link digits of the rows of X, whose rows are whole link
-        blocks (a number class, or every index)."""
-        m, n = X.shape
-        return (T @ X.reshape(-1, len(T), n)).reshape(m, n)
-
-    def _class_frame(self, B: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """F B F^dag (F^dag B F if inverse) for a number class's diagonal
-        block B, F = identity on the sites (x) the link DFT: one product
-        with the DFT from each side, the right one a single product over
-        every row's link blocks."""
-        T = self._link_dft.conj().T if inverse else self._link_dft
-        m = len(B)
-        B = self._link_rows(B, T)
-        return (B.reshape(-1, len(T)) @ T.conj().T).reshape(m, m)
+    def _orbits(self) -> tuple:
+        """Gauge-orbit tables: (orbit, E, classes).  The K = N^(sites - 1)
+        coset representatives g of the global subgroup (g = 0 on the first
+        site) shift link (x -> y) by g_x - g_y and multiply site block a by
+        u[g, a] = omega^(g . n_a).  On a connected lattice only g = 0 fixes a
+        link configuration, so the link indices fall into R orbits of K (one
+        per holonomy class), the columns of ``orbit`` (K, R), in every site
+        block.  E[h, p] = omega^(p . h) is the character table.  Per number
+        class: (indices, site blocks, u, at), at (K, blocks, blocks, R L) the
+        int32 flat positions of its diagonal block along the entry orbits
+        (a L + orbit[g, r], b L + perm_g m), which g moves with the phase
+        u[g, a] conj(u[g, b])."""
+        N, ns, d = self.N, len(self.sites), self.dim
+        L = d >> ns
+        g = np.array(list(np.ndindex((1,) + (N,) * (ns - 1))))
+        actions = [self._monomial_action(c) for c in g]
+        shift = np.array([U.perm[:L] for U in actions], dtype=np.int32)
+        phase = np.array([U.phase[::L] for U in actions])  # (K, site blocks)
+        orbit = shift[:, np.unique(shift.min(axis=0))]
+        E = np.exp(2j * np.pi * (g @ g.T % N) / N)
+        pairs = (orbit[:, :, None] * d + shift[:, None]).reshape(len(g), -1)
+        number = self._occ[:, ::L].sum(axis=0) % N
+        classes = []
+        for c in range(N):
+            blocks = np.flatnonzero(number == c).astype(np.int32)
+            if len(blocks):
+                corner = blocks[:, None] * (L * d) + blocks * L
+                classes.append(((blocks[:, None] * L + np.arange(L)).ravel(),
+                                blocks, phase[:, blocks],
+                                corner[:, :, None] + pairs[:, None, None]))
+        return orbit, E, tuple(classes)
 
 
 def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
@@ -423,14 +427,9 @@ def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
         H_gauged[moved, k] = w[linkval[li, k]]
         H_gauged[k, moved] = w[linkval[li, k]].conj()
 
-    # site charges of each link-Fourier index, q = n + incidence @ momenta:
-    # the link digits reinterpret directly as momenta
-    q = (occ + incidence @ linkval) % N
-    sector = np.ravel_multi_index(tuple(q), (N,) * ns)
-
     return GaugedLattice(Lx, Ly, N, tuple(sites), tuple(links), H_free,
                          H_gauged, _wilson_loops(sites, links, linkval, w),
-                         occ, linkval, incidence, sector)
+                         occ, linkval, incidence)
 
 
 def _wilson_loops(sites, links, linkval, w):
@@ -478,25 +477,25 @@ def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
                      tol: float = 1e-10) -> FreeStateVerdict:
     """Is rho invariant under the exact local-group twirl?  (The dynamics
     check is ``GaugedLattice.dynamics_commutation_defects``.)  The distance
-    ||rho - twirl(rho)|| is the norm of the off-sector entries in the
-    link-Fourier frame.  An entry between two number classes is off-sector,
-    and the frame is unitary on each class, so those entries count as they
-    stand; only the classes' diagonal blocks are transformed.  The squares
-    are summed directly: ||rho||^2 - ||twirl(rho)||^2 would cancel to about
-    1e-10 at rho = I/d."""
+    ||rho - twirl(rho)|| counts the entries between two number classes as
+    they stand, since the twirl zeroes them, and inside each class the
+    residual conj(v) x - mean(conj(v) x) along every gauge orbit.  The
+    squares are summed directly: ||rho||^2 - ||twirl(rho)||^2 would cancel
+    to about 1e-10 at rho = I/d."""
     rho = np.ascontiguousarray(rho, dtype=complex)
-    if rho.shape != (lattice.dim, lattice.dim):
-        raise ValueError("state dimension mismatch")
+    d = lattice.dim
+    if rho.shape != (d, d):
+        raise ValueError(f"state has shape {rho.shape}, expected ({d}, {d})")
     # squared norm of every (site block, site block) pair of link blocks
-    S, L = 2 ** len(lattice.sites), len(lattice._link_dft)
+    S = 2 ** len(lattice.sites)
+    L = d // S
     X = rho.view(float).reshape(S, L, S, 2 * L)
     pairs = np.einsum("aibj,aibj->ab", X, X)
     number = lattice._occ[:, ::L].sum(axis=0) % lattice.N
     sq = pairs[number[:, None] != number].sum()
-    for idx, _, on in lattice._classes:
-        block = lattice._class_frame(rho[np.ix_(idx, idx)])
-        block.reshape(-1)[on] = 0
-        x = block.view(float).ravel()
+    for _, _, x in lattice._orbit_gathers(rho):
+        x -= x.mean(axis=0)
+        x = x.view(float).ravel()
         sq += x @ x
     dist = float(np.sqrt(sq))
     return FreeStateVerdict(dist <= tol, dist)

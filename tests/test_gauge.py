@@ -1,6 +1,7 @@
 """Gauging bipartite symmetric elements with link frames, gauge fixing, and
 the small-torus lattice demonstration."""
 
+import re
 import sys
 import tracemalloc
 
@@ -412,6 +413,15 @@ def test_dynamics_defects_refuse_mismatched_shapes():
             lat.dynamics_commutation_defects(np.eye(8), [psi, bad])
 
 
+def test_free_state_check_names_the_shape():
+    lat = build_gauged_lattice(2, 1, 2)  # d = 8
+    for bad in (np.eye(4), np.ones(8), np.eye(8)[:, :4]):
+        with pytest.raises(ValueError, match=r"state has shape "
+                           + re.escape(str(bad.shape))
+                           + r", expected \(8, 8\)"):
+            free_state_check(lat, bad)
+
+
 def test_lattice_structure(lattice):
     assert len(lattice.sites) == 4
     assert len(lattice.links) == 4   # periodic duplicates deduplicated
@@ -554,12 +564,21 @@ def _link_frame(lat, M, T):
     return (M.reshape(d, S, -1) @ T.conj().T).reshape(d, d)
 
 
+def _sector(lat):
+    """Oracle: the charge-sector label of every link-Fourier index, from the
+    site charges q = n + incidence @ momenta mod N (the link digits read as
+    momenta)."""
+    q = (lat._occ + lat._incidence @ lat._linkval) % lat.N
+    return np.ravel_multi_index(tuple(q), (lat.N,) * len(lat.sites))
+
+
 def _dense_twirl_routes(lat):
     """Oracle: the twirl, the free-state distance and the dynamics defects
     computed by moving whole d x d matrices (and V) to the link-Fourier
     frame, where the twirl is the same-sector mask."""
     T = _link_dft(lat)
-    same = lat._sector[:, None] == lat._sector[None, :]
+    sector = _sector(lat)
+    same = sector[:, None] == sector[None, :]
 
     def twirl(rho):
         return _link_frame(lat, _link_frame(lat, rho, T) * same, T.conj().T)
@@ -569,7 +588,7 @@ def _dense_twirl_routes(lat):
 
     def defects(V, states):
         Vf = _link_frame(lat, V, T)
-        in_sector = lat._sector[:, None] == np.arange(lat.N ** len(lat.sites))
+        in_sector = sector[:, None] == np.arange(lat.N ** len(lat.sites))
         out = []
         for s in states:
             if s.ndim == 1:
@@ -589,8 +608,10 @@ def _dense_twirl_routes(lat):
 
 @pytest.mark.parametrize("Lx, Ly, n", [(2, 2, 2), (2, 2, 3)])
 def test_link_frame_matches_the_dense_fourier_matrix(Lx, Ly, n):
-    # the oracle's link frame is the dense F M F^dag; the lattice transforms
-    # each number class's diagonal block, which equals that block of it
+    # the oracle's link frame is the dense F M F^dag.  The lattice's orbit
+    # tables tile every number class's diagonal block once, and coset
+    # representative g moves each orbit's first entry (i, j) to
+    # (perm_g i, perm_g j) with the phase of the monomial action
     lat = build_gauged_lattice(Lx, Ly, n)
     F = np.kron(np.eye(2 ** len(lat.sites)), _link_dft(lat))
     rng = np.random.default_rng(69)
@@ -600,23 +621,34 @@ def test_link_frame_matches_the_dense_fourier_matrix(Lx, Ly, n):
     fwd, back = F @ M @ F.conj().T, F.conj().T @ M @ F
     assert np.abs(_link_frame(lat, M, T) - fwd).max() <= 1e-12
     assert np.abs(_link_frame(lat, M, T.conj().T) - back).max() <= 1e-12
-    assert np.abs(lat._link_dft - T).max() <= 1e-15
-    seen = np.zeros(lat.dim, dtype=int)
-    L = len(T)
-    for idx, sector, on in lat._classes:
-        seen[idx] += 1
-        # whole link blocks, and sectors that do not cross classes
-        assert np.array_equal(idx.reshape(-1, L),
-                              idx[::L, None] + np.arange(L))
-        assert not np.isin(lat._sector[idx], np.delete(
-            lat._sector, idx)).any()
-        assert np.array_equal(on, np.flatnonzero(
-            lat._sector[idx][:, None] == lat._sector[idx]))
-        ix = np.ix_(idx, idx)
-        assert np.abs(lat._class_frame(M[ix]) - fwd[ix]).max() <= 1e-12
-        assert np.abs(lat._class_frame(M[ix], inverse=True)
-                      - back[ix]).max() <= 1e-12
-    assert (seen == 1).all()
+    d, S = lat.dim, 2 ** len(lat.sites)
+    L = d // S
+    orbit, _, classes = lat._orbits
+    K = n ** (len(lat.sites) - 1)
+    assert orbit.shape == (K, L // K)
+    assert np.array_equal(np.sort(orbit.ravel()), np.arange(L))
+    number = lat._occ.sum(axis=0) % n
+    seen = np.zeros(d * d, dtype=int)
+    actions = [lat._monomial_action((0,) + g)
+               for g in np.ndindex((n,) * (len(lat.sites) - 1))]
+    for idx, blocks, u, at in classes:
+        assert at.dtype == np.int32 and len(at) == K
+        np.add.at(seen, at.ravel(), 1)
+        at = at.reshape(K, -1)
+        i, j = np.divmod(at.astype(int), d)
+        for g, U in enumerate(actions):
+            assert np.array_equal(i[g], U.perm[i[0]])
+            assert np.array_equal(j[g], U.perm[j[0]])
+            v = u[g, np.searchsorted(blocks, i[0] // L)] * u[
+                g, np.searchsorted(blocks, j[0] // L)].conj()
+            assert np.abs(v - U.phase[i[0]] * U.phase[j[0]].conj()).max() \
+                <= 1e-15
+        # K distinct entries per orbit, in one pair of site blocks
+        assert (np.sort(at, axis=0)[1:] != np.sort(at, axis=0)[:-1]).all()
+        assert (i // L == i[0] // L).all() and (j // L == j[0] // L).all()
+        assert np.array_equal(idx, np.flatnonzero(number == number[idx[0]]))
+    same = (number[:, None] == number).ravel()
+    assert (seen[same] == 1).all() and (seen[~same] == 0).all()
 
 
 def _lattice_evolutions(lat, rng, t=0.6):
@@ -634,9 +666,12 @@ def _lattice_evolutions(lat, rng, t=0.6):
     yield "non-unitary", G / np.sqrt(2 * lat.dim)
 
 
-# every lattice the guard accepts up to dim 1,296
+# every lattice the guard accepts up to dim 1,296; 3x1 and 4x1 are left out,
+# as they build the same graphs as 1x3 and 1x4
 _PARITY_LATTICES = [(1, 1, 2), (1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3),
-                    (2, 1, 4), (1, 4, 2), (1, 4, 3), (2, 2, 2), (2, 2, 3)]
+                    (2, 1, 4), (1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 3, 2),
+                    (1, 3, 3), (1, 3, 4), (1, 4, 2), (1, 4, 3), (2, 2, 2),
+                    (2, 2, 3)]
 
 
 @pytest.mark.parametrize("Lx, Ly, n", _PARITY_LATTICES)
@@ -673,13 +708,14 @@ def test_class_blocked_twirl_checks_match_the_dense_link_frame(Lx, Ly, n):
             assert min(got[:2]) > 1e-3  # the pure states
 
 
-def test_lattice_twirl_checks_make_no_full_link_transform(monkeypatch):
-    # free_state_check, twirl and the pure-state defect move only number
-    # class blocks and vectors to the link-Fourier frame, never a d x d
-    # matrix or V.  Their tracemalloc peaks at 2x2 Z_3 (d = 1,296, one d x d
-    # complex array is 25.6 MiB) measured 9.8, 40.3 and 7.9 MiB; the bounds
-    # below are those values plus a 25 % margin, rounded up.
-    from symmetria.gauge import GaugedLattice
+def test_lattice_twirl_checks_make_no_full_link_transform():
+    # free_state_check, twirl and the pure-state defect gather entries along
+    # gauge orbits and change no basis: the lattice has no link DFT, and its
+    # orbit tables hold one int32 position per class-diagonal entry plus
+    # O(K dim).  Their tracemalloc peaks at 2x2 Z_3 (d = 1,296, one d x d
+    # complex array is 25.6 MiB) measured 9.8, 40.3 and 7.9 MiB through the
+    # link DFT, and 7.9, 33.6 and 7.9 MiB along the orbits; the bounds below
+    # are the former plus a 25 % margin, rounded up.
     lat = build_gauged_lattice(2, 2, 3)
     d = lat.dim
     rng = np.random.default_rng(72)
@@ -688,28 +724,24 @@ def test_lattice_twirl_checks_make_no_full_link_transform(monkeypatch):
     rho = np.outer(psi, psi.conj())
     w, Q = np.linalg.eigh(lat.H_gauged)
     V = (Q * np.exp(-0.6j * w)) @ Q.conj().T
-    link_rows, shapes = GaugedLattice._link_rows, []
-
-    def counted(X, T):
-        shapes.append(X.shape)
-        return link_rows(X, T)
-    monkeypatch.setattr(GaugedLattice, "_link_rows", staticmethod(counted))
-    largest = max(len(idx) for idx, _, _ in lat._classes)
     for run, bound_mib in (
             (lambda: free_state_check(lat, rho), 12.5),
             (lambda: lat.twirl(rho), 50.5),
             (lambda: lat.dynamics_commutation_defects(V, [psi]), 10.0)):
-        run()  # the link DFT and the class tables are cached per lattice
-        shapes.clear()
+        run()  # the orbit tables are cached per lattice
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at most a class's diagonal block (486^2 entries of d^2) at a time
-        assert shapes and max(r * c for r, c in shapes) <= largest ** 2
         assert peak <= bound_mib * 2 ** 20
+    assert not hasattr(lat, "_link_dft")
+    orbit, E, classes = lat._orbits
+    K = len(E)
+    diagonal = sum(len(idx) ** 2 for idx, _, _, _ in classes)
+    held = orbit.nbytes + E.nbytes + sum(a.nbytes for c in classes for a in c)
+    assert held <= 4 * diagonal + 16 * K * d
 
 
 def test_twirl_matches_group_enumeration(lattice):
@@ -740,8 +772,8 @@ def test_dynamics_defects_agree_for_vector_and_density(lattice):
 @pytest.mark.parametrize("Lx, Ly, n", [
     (1, 2, 2), (2, 2, 2), (1, 3, 2), (1, 2, 3), (2, 2, 3), (1, 3, 3)])
 def test_free_state_distance_is_the_enumerated_twirl_distance(Lx, Ly, n):
-    # free_state_check reads the distance off the link-Fourier frame; the
-    # direct group sum is the oracle.  A group average is idempotent and
+    # free_state_check reads the distance off the gauge orbits; the direct
+    # group sum is the oracle.  A group average is idempotent and
     # fixes the identity, so the enumerated twirl of rho and the maximally
     # mixed state have oracle distance 0 without a second enumeration.
     lat = build_gauged_lattice(Lx, Ly, n)
