@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.special import lpmv
 
-from .groups import SU2, GroupElement, RepSpec
-from .linalg_core import (Superoperator, choi_of, depolarizing_channel,
+from .groups import (SU2, GroupElement, IrrepLabel, RepSpec, cg_block, cgc,
+                     dual_sign_permutation, wigner_D)
+from .linalg_core import (Superoperator, choi_of, depolarizing_channel, kron,
                           unitary_channel, vec)
 from .process_modes import (Diagram, ModeCoefficients, ProcessModeBasis,
                             build_canonical_modes, decompose)
@@ -46,24 +47,59 @@ def sph_harm(two_j: int, two_m: int, theta: float, phi: float) -> complex:
     j, m = two_j // 2, two_m // 2
     if abs(m) > j:
         raise ValueError(f"|m|={abs(m)} exceeds j={j}")
-    if m < 0:
-        return (-1.0) ** m * np.conj(sph_harm(two_j, -two_m, theta, phi))
-    # scipy's lpmv already carries the Condon-Shortley (-1)^m factor.
-    norm = math.sqrt(
-        (2 * j + 1) / (4 * math.pi) * math.factorial(j - m) / math.factorial(j + m)
-    )
-    return norm * lpmv(m, j, math.cos(theta)) * np.exp(1j * m * phi)
+    return complex(np.conj(_harmonic_vector(two_j, theta, phi)[j - m]))
 
 
 def _harmonic_vector(two_lam: int, theta: float, phi: float) -> np.ndarray:
-    """The covariant coefficient pattern (-1)^k Y_{lam,-k} for k descending.
-
-    Its squared norm is (2 lam + 1)/(4 pi) by the addition theorem.
+    """The covariant coefficient pattern (-1)^k Y_{lam,-k} = conj(Y_{lam,k})
+    for k descending: sqrt((2 lam + 1)/(4 pi)) times the k = 0 column of
+    D^lam(phi, theta, 0), so its squared norm is (2 lam + 1)/(4 pi).
     """
-    ks = range(two_lam, -two_lam - 2, -2)
-    return np.array(
-        [(-1.0) ** (k // 2) * sph_harm(two_lam, -k, theta, phi) for k in ks]
-    )
+    if two_lam % 2 != 0:
+        raise ValueError("spherical harmonics exist for integer j, m only")
+    D = wigner_D(IrrepLabel.su2(two_lam), GroupElement.su2(phi, theta, 0.0))
+    return math.sqrt((two_lam + 1) / (4.0 * math.pi)) * D[:, two_lam // 2]
+
+
+# rows map a Cartesian vector n to its lam = 1 pattern (k = +1, 0, -1)
+_U = np.array([[-1.0, 1.0j, 0.0], [0.0, 0.0, math.sqrt(2.0)],
+               [1.0, 1.0j, 0.0]]) / math.sqrt(2.0)
+
+
+@lru_cache(maxsize=None)
+def _axis_map(two_lam: int) -> np.ndarray:
+    """The (9, (2 lam + 1)^2) matrix taking alpha (x) conj(alpha) to the
+    row-major tensor of ``_axis_tensor``.  Cached and shared: do not modify.
+    """
+    if two_lam % 2 != 0:  # no harmonic pattern, and <lam 0; lam 0 | 2 0> = 0
+        raise ValueError("spherical harmonics exist for integer j, m only")
+    lam = IrrepLabel.su2(two_lam)
+    # rows 4..8 of a CG block are its J = 2 rows (J ascends from 0); the
+    # second factor of alpha (x) conj(alpha) is taken to beta by Y^T
+    dim = two_lam + 1
+    couple = (cg_block(two_lam, two_lam)[4:9].toarray().reshape(5, dim, dim)
+              @ dual_sign_permutation(lam).T).reshape(5, dim * dim)
+    to_matrix = cg_block(2, 2)[4:9].toarray().T
+    norm = (-1) ** (two_lam // 2) * cgc(lam, 0, lam, 0, IrrepLabel.su2(4), 0)
+    M = kron(_U.conj().T, _U.conj().T) @ to_matrix @ couple / norm
+    M.setflags(write=False)
+    return M
+
+
+def _axis_tensor(alpha: np.ndarray, two_lam: int) -> np.ndarray:
+    """Real symmetric 3x3 tensor of a lam >= 1 coefficient family.
+
+    alpha is coupled at spin 2 with its dual conjugate beta = Y^T conj(alpha)
+    (Y from ``dual_sign_permutation``), which transforms like alpha; the five
+    components are read as a matrix X in the lam = 1 pattern basis and
+    taken to Cartesian axes, Re(U^dag X conj(U)).  Rotating alpha by D^lam(g)
+    rotates the tensor by R(g).  An axial family a * _harmonic_vector(n)
+    couples to (-1)^lam <lam 0; lam 0 | 2 0> times a positive multiple of
+    n n^T - 1/3; that factor, nonzero for every lam >= 1, is divided out, so
+    n is the top eigenvector.
+    """
+    T = _axis_map(two_lam) @ (alpha[:, None] * alpha.conj()).ravel()
+    return T.real.reshape(3, 3)
 
 
 @dataclass(frozen=True)
@@ -71,8 +107,8 @@ class OrbitPoint:
     """Where a process sits on its orbit.
 
     ``kind`` is POINT (symmetric), SPHERE (axial, axis at (theta, phi)) or
-    FULL_GROUP (trivial stabilizer; ``g`` is the best-fit alignment and
-    ``warning`` is set because no sphere model applies).
+    FULL_GROUP (trivial stabilizer; ``g`` = su2(phi, theta, 0) at the
+    tensor axis and ``warning`` is set because no sphere model applies).
     """
 
     kind: str
@@ -105,80 +141,6 @@ class PolarData:
         return self.invariants.get(diagram, 0.0 + 0.0j)
 
 
-_Y1_SCALE = math.sqrt(3.0 / (4.0 * math.pi))
-
-
-def _axis_from_vector_coeffs(alpha: np.ndarray):
-    """Analytic axis extraction from a lam=1 coefficient vector.
-
-    With alpha ordered (k=+1, 0, -1) the axial model reads
-    alpha_k = a (-1)^k Y_{1,-k}(n), i.e. the vector m = a*n with
-    m_z = alpha_0/c, m_x = (alpha_{-1}-alpha_{+1})/(c sqrt2),
-    m_y = (alpha_{-1}+alpha_{+1})/(i c sqrt2), c = sqrt(3/4pi).
-    Returns (theta, phi) or None if n fails to be a real unit vector.
-    """
-    c = _Y1_SCALE
-    a_p, a_0, a_m = alpha
-    m = np.array(
-        [
-            (a_m - a_p) / (c * math.sqrt(2.0)),
-            (a_m + a_p) / (1j * c * math.sqrt(2.0)),
-            a_0 / c,
-        ]
-    )
-    a2 = m @ m  # complex dot, no conjugation: equals a^2 for an axial family
-    if abs(a2) < 1e-24:
-        return None
-    n = m / np.sqrt(a2)
-    if np.linalg.norm(n.imag) > 1e-6 * np.linalg.norm(n):
-        return None
-    n = n.real / np.linalg.norm(n.real)
-    theta = math.acos(min(1.0, max(-1.0, n[2])))
-    phi = math.atan2(n[1], n[0]) % (2 * math.pi)
-    return theta, phi
-
-
-def _axis_from_quadrupole(alpha: np.ndarray):
-    """Analytic axis from a lam=2 coefficient vector, up to the n -> -n
-    ambiguity intrinsic to spin 2 (resolved toward the upper hemisphere).
-
-    With beta_k = (-1)^k alpha_{-k} = a Y_{2,k}(n), the complex symmetric
-    traceless matrix M = a (n n^T - 1/3) is reassembled from the solid
-    harmonics and n recovered as the eigenvector of its simple eigenvalue.
-    """
-    # alpha is ordered k = +2 .. -2, so alpha_{-k} = alpha[2 + k]
-    beta = {k: (-1.0) ** k * alpha[2 + k] for k in (-2, -1, 0, 1, 2)}
-    t0 = beta[0] / math.sqrt(5.0 / (16.0 * math.pi))       # a (3z^2 - 1)
-    t2 = beta[2] / math.sqrt(15.0 / (32.0 * math.pi))      # a (x + iy)^2
-    tm2 = beta[-2] / math.sqrt(15.0 / (32.0 * math.pi))    # a (x - iy)^2
-    sp = -beta[1] / math.sqrt(15.0 / (8.0 * math.pi))      # a z (x + iy)
-    sm = beta[-1] / math.sqrt(15.0 / (8.0 * math.pi))      # a z (x - iy)
-    M = np.zeros((3, 3), dtype=complex)
-    M[2, 2] = t0 / 3.0
-    dxy = (t2 + tm2) / 2.0  # a (x^2 - y^2)
-    M[0, 0] = (-M[2, 2] + dxy) / 2.0
-    M[1, 1] = (-M[2, 2] - dxy) / 2.0
-    M[0, 1] = M[1, 0] = (t2 - tm2) / 4.0j
-    M[0, 2] = M[2, 0] = (sp + sm) / 2.0
-    M[1, 2] = M[2, 1] = (sp - sm) / 2.0j
-    w, V = np.linalg.eig(M)
-    # the axis carries the simple eigenvalue 2a/3; the doublet sits at -a/3
-    gaps = [abs(2 * w[i] - w[(i + 1) % 3] - w[(i + 2) % 3]) for i in range(3)]
-    i = int(np.argmax(gaps))
-    if gaps[i] < 1e-12:
-        return None
-    n = V[:, i]
-    n = n / n[np.argmax(np.abs(n))]  # strip the arbitrary complex phase
-    if np.linalg.norm(n.imag) > 1e-6 * np.linalg.norm(n):
-        return None
-    n = n.real / np.linalg.norm(n.real)
-    if n[2] < 0 or (n[2] == 0 and (n[0] < 0 or (n[0] == 0 and n[1] < 0))):
-        n = -n
-    theta = math.acos(min(1.0, max(-1.0, n[2])))
-    phi = math.atan2(n[1], n[0]) % (2 * math.pi)
-    return theta, phi
-
-
 def _family_coeffs(coeffs, basis: ProcessModeBasis):
     """Per-diagram coefficient vectors (k descending), split by triviality."""
     trivial, vector = [], []
@@ -191,26 +153,14 @@ def _family_coeffs(coeffs, basis: ProcessModeBasis):
     return trivial, vector
 
 
-def _axial_objective(vector_fams):
-    def objective(x):
-        theta, phi = x
-        total = 0.0
-        for d, alpha in vector_fams:
-            y = _harmonic_vector(d.lam.two_j, theta, phi)
-            total += abs(np.vdot(y, alpha)) ** 2 / np.real(np.vdot(y, y))
-        return -total
-
-    return objective
-
-
 def polar_decompose(S: Superoperator, basis: ProcessModeBasis) -> PolarData:
     """Split a process into invariant amplitudes and an orbit point.
 
     Symmetric processes return a POINT orbit with the trivial-family
     amplitudes only.  Axial processes return a SPHERE point with one
     amplitude per diagram and a small ``fit_residual``.  A process whose
-    coefficients do not fit the sphere model (trivial stabilizer) falls back
-    to FULL_GROUP with a best-fit alignment and a warning flag.
+    coefficients do not fit the sphere model (trivial stabilizer) is
+    reported as FULL_GROUP, at the same tensor axis, with a warning flag.
     """
     if basis.rep_in.kind != SU2:
         raise ValueError("polar decomposition over the sphere requires SU(2)")
@@ -218,58 +168,35 @@ def polar_decompose(S: Superoperator, basis: ProcessModeBasis) -> PolarData:
     trivial, vector = _family_coeffs(coeffs, basis)
     scale = max(1.0, S.norm())
 
-    asym = math.sqrt(sum(float(np.vdot(a, a).real) for _, a in vector))
+    # a lam = 0 family is one coefficient, a_0 Y_00 with Y_00 = 1/sqrt(4 pi)
+    invariants = {
+        d: complex(a[0]) * math.sqrt(4.0 * math.pi) for d, a in trivial
+    }
+    weights = [float(np.vdot(a, a).real) for _, a in vector]
+    asym = math.sqrt(sum(weights))
     if asym <= SYM_TOL * scale:
-        invariants = {
-            d: complex(a[0]) * math.sqrt(4.0 * math.pi) for d, a in trivial
-        }
         return PolarData(invariants, OrbitPoint(POINT), asym)
 
-    # Axis: analytic from the dominant lam=1 family when available, else
-    # analytic from a lam=2 family, else a dense grid plus local refinement
-    # of the axial overlap objective.
-    axis = None
-    lam1 = [(d, a) for d, a in vector if d.lam.two_j == 2]
-    if lam1:
-        d, a = max(lam1, key=lambda da: np.linalg.norm(da[1]))
-        if np.linalg.norm(a) > 1e-8 * scale:
-            axis = _axis_from_vector_coeffs(a)
-    if axis is None:
-        lam2 = [(d, a) for d, a in vector if d.lam.two_j == 4]
-        if lam2:
-            d, a = max(lam2, key=lambda da: np.linalg.norm(da[1]))
-            if np.linalg.norm(a) > 1e-8 * scale:
-                axis = _axis_from_quadrupole(a)
-    if axis is None:
-        from scipy.optimize import minimize  # slow import, needed only here
+    # Axis: the top eigenvector of the dominant family's tensor, in the
+    # upper hemisphere (on the equator n_x > 0, then n_y > 0)
+    d, alpha = vector[weights.index(max(weights))]
+    n = np.linalg.eigh(_axis_tensor(alpha, d.lam.two_j))[1][:, 2]
+    if n[2] < 0 or (n[2] == 0 and (n[0] < 0 or (n[0] == 0 and n[1] < 0))):
+        n = -n
+    theta = math.acos(min(1.0, max(-1.0, n[2])))
+    phi = math.atan2(n[1], n[0]) % (2 * math.pi)
 
-        objective = _axial_objective(vector)
-        thetas = np.linspace(0.0, math.pi, 61)
-        phis = np.linspace(0.0, 2 * math.pi, 121, endpoint=False)
-        best = min(
-            ((t, p) for t in thetas for p in phis), key=lambda x: objective(x)
-        )
-        res = minimize(objective, x0=np.array(best), method="Nelder-Mead",
-                       options=dict(xatol=1e-14, fatol=1e-16, maxiter=4000,
-                                    maxfev=8000))
-        # canonicalise back into theta in [0, pi], phi in [0, 2pi)
-        t, p = res.x
-        n = np.array(
-            [math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]
-        )
-        theta = math.acos(min(1.0, max(-1.0, n[2])))
-        phi = math.atan2(n[1], n[0]) % (2 * math.pi)
-    else:
-        theta, phi = axis
-
-    invariants = {}
     residual2 = 0.0
-    for d, alpha in trivial + vector:
-        y = _harmonic_vector(d.lam.two_j, theta, phi)
-        ynorm2 = float(np.vdot(y, y).real)
-        a = complex(np.vdot(y, alpha)) / ynorm2
+    harmonics = {}
+    for d, alpha in vector:
+        two = d.lam.two_j
+        if two not in harmonics:
+            harmonics[two] = _harmonic_vector(two, theta, phi)
+        y = harmonics[two]
+        a = complex(np.vdot(y, alpha)) * (4.0 * math.pi / (two + 1))
         invariants[d] = a
-        residual2 += float(np.vdot(alpha - a * y, alpha - a * y).real)
+        r = alpha - a * y
+        residual2 += float(np.vdot(r, r).real)
     fit_residual = math.sqrt(residual2)
 
     if fit_residual > SPHERE_TOL * scale:
@@ -453,6 +380,8 @@ def axial_table(p: float = 0.3, angle: float = 0.7) -> list[TableRow]:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     basis = build_canonical_modes(_QUBIT_REP, _QUBIT_REP)
     s = math.sin(angle)
     c = math.cos(angle)

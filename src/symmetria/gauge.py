@@ -259,7 +259,7 @@ class GaugedLattice:
         each entry along a gauge orbit of K entries with the phases v; on an
         orbit it is the rank-one projection x -> v mean(conj(v) x).  One
         gather and one scatter per class, no change of basis."""
-        rho = np.ascontiguousarray(rho, dtype=complex)
+        rho = self._density(rho)
         out = np.zeros_like(rho)
         for at, v, x in self._orbit_gathers(rho):
             out.put(at, np.multiply(v, x.mean(axis=0), out=x))
@@ -336,6 +336,16 @@ class GaugedLattice:
                                           len(blocks), -1, K)
             out.append((idx, cols.reshape(-1, K)))
         return out
+
+    def _density(self, rho) -> np.ndarray:
+        """rho as a C-contiguous complex (dim, dim) array; ValueError naming
+        the shape otherwise."""
+        rho = np.ascontiguousarray(rho, dtype=complex)
+        d = self.dim
+        if rho.shape != (d, d):
+            raise ValueError(f"state has shape {rho.shape}, expected "
+                             f"({d}, {d})")
+        return rho
 
     def _orbit_gathers(self, rho: np.ndarray):
         """(at, v, conj(v) x) per number class: x is the class's diagonal
@@ -482,10 +492,8 @@ def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
     residual conj(v) x - mean(conj(v) x) along every gauge orbit.  The
     squares are summed directly: ||rho||^2 - ||twirl(rho)||^2 would cancel
     to about 1e-10 at rho = I/d."""
-    rho = np.ascontiguousarray(rho, dtype=complex)
+    rho = lattice._density(rho)
     d = lattice.dim
-    if rho.shape != (d, d):
-        raise ValueError(f"state has shape {rho.shape}, expected ({d}, {d})")
     # squared norm of every (site block, site block) pair of link blocks
     S = 2 ** len(lattice.sites)
     L = d // S

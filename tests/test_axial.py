@@ -1,17 +1,23 @@
 """Axial channels: spherical harmonics, polar split, qubit channel table."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from symmetria.axial import (FULL_GROUP, POINT, SPHERE, axial_table,
-                             dephasing_channel, depolarizing_qubit,
-                             polar_decompose, rotation_channel,
-                             single_qubit_modes, sph_harm,
+from symmetria.axial import (FULL_GROUP, POINT, SPHERE, _axis_tensor,
+                             _harmonic_vector, axial_table, dephasing_channel,
+                             depolarizing_qubit, polar_decompose,
+                             rotation_channel, single_qubit_modes, sph_harm,
                              state_preparation_channel)
-from symmetria.groups import RepSpec, random_su2, su2_matrix
-from symmetria.linalg_core import (Superoperator, check_cptp, random_cptp)
-from symmetria.process_modes import build_canonical_modes, superop_group_action
+from symmetria.groups import (IrrepLabel, RepSpec, generators, random_su2,
+                              su2_matrix, wigner_D)
+from symmetria.linalg_core import (Superoperator, check_cptp, random_cptp,
+                                   unitary_channel)
+from symmetria.process_modes import (build_canonical_modes,
+                                     project_isotypic_basis,
+                                     superop_group_action)
 
 QUBIT = RepSpec.su2_spins([1])
 MODES = build_canonical_modes(QUBIT, QUBIT)
@@ -106,6 +112,86 @@ def test_polar_axis_recovery():
                 or np.linalg.norm(axis + target) < 1e-6)
 
 
+def _unit(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi),
+                     np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+def _axis(orbit_point):
+    return _unit(orbit_point.theta, orbit_point.phi)
+
+
+@pytest.mark.parametrize("two_lam", [2, 4, 6, 8, 10, 12])
+def test_axis_tensor_oracle(two_lam):
+    # for alpha = a * (pattern of n) the tensor is a positive multiple of
+    # n n^T - 1/3, and it rotates with alpha
+    rng = np.random.default_rng(two_lam)
+    lab = IrrepLabel.su2(two_lam)
+    for _ in range(50):
+        th, ph = np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi)
+        n = _unit(th, ph)
+        alpha = complex(*rng.normal(size=2)) * _harmonic_vector(two_lam, th, ph)
+        T = _axis_tensor(alpha, two_lam)
+        top = np.linalg.eigh(T)[1][:, 2]
+        assert min(np.linalg.norm(top - n), np.linalg.norm(top + n)) < 1e-12
+        shape = np.outer(n, n) - np.eye(3) / 3
+        c = np.sum(T * shape) / np.sum(shape * shape)
+        assert c > 0
+        assert np.abs(T - c * shape).max() < 1e-12 * c
+        g = random_su2(rng)
+        R = _bloch_rotation(g)
+        rotated = _axis_tensor(wigner_D(lab, g) @ alpha, two_lam)
+        assert np.abs(rotated - R @ T @ R.T).max() < 1e-12 * max(1.0, c)
+
+
+def test_polar_lam3_process_is_closed_form():
+    # spin 3/2 with weight only in lam = 0 and lam = 3: no lam = 1 or 2
+    # family to read an axis from
+    rep = RepSpec.su2_spins([3])
+    basis = build_canonical_modes(rep, rep)
+    Jz = generators(rep)[2]
+    chan = unitary_channel(np.diag(np.exp(-0.9j * np.diag(Jz) ** 3)))
+    S = sum((project_isotypic_basis(chan, IrrepLabel.su2(two), basis)
+             for two in (0, 6)), Superoperator.zero(4, 4))
+    g = random_su2(np.random.default_rng(3))
+    rotated = superop_group_action(S, g, rep, rep)
+    t0 = time.perf_counter()
+    pd = polar_decompose(rotated, basis)
+    elapsed = time.perf_counter() - t0
+    assert pd.orbit_point.kind == SPHERE
+    assert pd.fit_residual <= 1e-12
+    target = _bloch_rotation(g) @ np.array([0.0, 0.0, 1.0])
+    target = target if target[2] > 0 else -target
+    assert np.linalg.norm(_axis(pd.orbit_point) - target) < 1e-10
+    assert elapsed < 0.5
+
+
+def test_polar_axis_is_stable_under_rounding():
+    # a 1e-15 perturbation leaves the orbit point where it was, hemisphere
+    # included, for purely imaginary lam = 1 amplitudes
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        S = superop_group_action(
+            rotation_channel(rng.uniform(0.3, 2 * np.pi - 0.3)),
+            random_su2(rng), QUBIT, QUBIT)
+        E = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        nudged = Superoperator.from_transfer(S.transfer + 1e-15 * E, 2, 2)
+        a = polar_decompose(S, MODES).orbit_point
+        b = polar_decompose(nudged, MODES).orbit_point
+        assert a.kind == b.kind == SPHERE
+        assert np.linalg.norm(_axis(a) - _axis(b)) < 1e-9
+        assert _axis(a)[2] >= 0
+
+
+def test_polar_rejects_half_integer_families():
+    rep = RepSpec.su2_spins([1, 0])  # spin 1/2 (+) spin 0: half-integer lam
+    basis = build_canonical_modes(rep, rep)
+    with pytest.raises(ValueError):
+        polar_decompose(random_cptp(3, 3, np.random.default_rng(2)), basis)
+    with pytest.raises(ValueError, match="integer j, m only"):
+        _axis_tensor(np.ones(4, dtype=complex), 3)
+
+
 def _bloch_rotation(g):
     U = su2_matrix(g)
     sig = [np.array([[0, 1], [1, 0]], dtype=complex),
@@ -174,6 +260,13 @@ def test_axial_table_documented_discrepancies():
     for name in ("dephasing", "rotation about z", "depolarizing"):
         assert max(rows[name].deviation) > 1e-3
         assert rows[name].note
+
+
+def test_axial_table_refuses_a_non_finite_angle():
+    for angle in (float("inf"), float("nan")):
+        with pytest.raises(ValueError,
+                           match=f"angle must be finite, got {angle}"):
+            axial_table(angle=angle)
 
 
 def test_dephasing_amplitudes_closed_form():

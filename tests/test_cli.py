@@ -266,6 +266,8 @@ def _spin_39_2_identity(d):
     (("gauge", "--lattice", "2x0"), 2),
     (("gauge", "--lattice-n", "1"), 3),
     (("table", "--p", "2"), 3),
+    (("table", "--angle", "inf"), 3),
+    (("table", "--angle", "nan"), 3),
     (("region", "--grid", "0"), 2),
     (("region", "--kind", "relational", "--grid", "2000"), 3),
     (("gauge", "--n", "64"), 3),
@@ -279,6 +281,7 @@ def _spin_39_2_identity(d):
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
         "lattice-0x0", "lattice-2x0", "lattice-n-1", "table-p-2",
+        "table-angle-inf", "table-angle-nan",
         "region-grid-0", "region-grid-over-budget", "gauge-n-over-budget",
         "over-memory-limit", "tol-negative", "tol-nan", "tol-inf",
         "bipartite-tol-nan", "crosscheck-over-limit"])
@@ -329,10 +332,22 @@ def test_decompose_d16_channel_in_process(tmp_path, capsys):
     assert "symmetric: no" in out
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported only by polar's Nelder-Mead fallback
+def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
+    # nothing in the library needs either, the polar axis of a channel with
+    # a trivial stabilizer included
     r = subprocess.run(
-        [sys.executable, "-c", "import sys, symmetria.cli; "
-         "assert 'scipy.optimize' not in sys.modules"],
+        [sys.executable, "-c", "import sys, numpy as np, symmetria.cli\n"
+         "def unloaded():\n"
+         "    return not {'scipy.special', 'scipy.optimize'} & set(sys.modules)\n"
+         "assert unloaded()\n"
+         "from symmetria.axial import FULL_GROUP, polar_decompose\n"
+         "from symmetria.groups import RepSpec\n"
+         "from symmetria.linalg_core import random_cptp\n"
+         "from symmetria.process_modes import build_canonical_modes\n"
+         "q = RepSpec.su2_spins([1])\n"
+         "S = random_cptp(2, 2, np.random.default_rng(16))\n"
+         "pd = polar_decompose(S, build_canonical_modes(q, q))\n"
+         "assert pd.orbit_point.kind == FULL_GROUP\n"
+         "assert unloaded()"],
         capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

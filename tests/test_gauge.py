@@ -422,6 +422,16 @@ def test_free_state_check_names_the_shape():
             free_state_check(lat, bad)
 
 
+def test_twirl_names_the_shape():
+    # the orbit tables would read a 9 x 9 input as if its rows were 8 long
+    lat = build_gauged_lattice(2, 1, 2)  # d = 8
+    for bad in (np.eye(9), np.ones(8), np.eye(4)):
+        with pytest.raises(ValueError, match=r"state has shape "
+                           + re.escape(str(bad.shape))
+                           + r", expected \(8, 8\)"):
+            lat.twirl(bad)
+
+
 def test_lattice_structure(lattice):
     assert len(lattice.sites) == 4
     assert len(lattice.links) == 4   # periodic duplicates deduplicated
