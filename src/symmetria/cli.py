@@ -79,16 +79,33 @@ def convention_block() -> list:
 # Channel file ingestion
 # ---------------------------------------------------------------------------
 
-def _as_matrix(data) -> np.ndarray:
-    """Nested lists with complex entries as [re, im] pairs."""
+def _list(value, field: str) -> list:
+    if type(value) is not list:
+        raise ParseError(f"{field!r} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer of at most 64 bits; null, a bool, a float, a string,
+    a container or a larger integer is a parse error naming the field."""
+    if type(value) is not int or not -2 ** 63 <= value < 2 ** 63:
+        raise ParseError(f"{field!r} must be a 64-bit integer, got "
+                         f"{json.dumps(value)}")
+    return value
+
+
+def _as_matrix(data, field: str) -> np.ndarray:
+    """Nested lists with complex entries as [re, im] pairs of numbers."""
+    if any(type(c) is not list or len(c) != 2
+           or not all(type(x) in (int, float) for x in c)
+           for row in _list(data, field) for c in _list(row, field)):
+        raise ParseError(f"bad matrix payload in {field!r}: an entry is not "
+                         "an [re, im] pair of numbers")
     try:
-        arr = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in data],
-            dtype=complex,
-        )
-    except (TypeError, IndexError, ValueError) as e:
-        raise ParseError(f"bad matrix payload: {e}")
-    return arr
+        return np.array([[complex(*c) for c in row] for row in data],
+                        dtype=complex)
+    except (ValueError, OverflowError) as e:  # ragged rows, a huge integer
+        raise ParseError(f"bad matrix payload in {field!r}: {e}")
 
 
 def _parse_group(desc) -> RepSpec:
@@ -98,17 +115,18 @@ def _parse_group(desc) -> RepSpec:
     if kind == "su2":
         if "two_j" not in desc:
             raise ParseError("su2 descriptor needs 'two_j': list of doubled spins")
-        return RepSpec.su2_spins([int(t) for t in desc["two_j"]])
+        return RepSpec.su2_spins([_integer(t, "two_j")
+                                  for t in _list(desc["two_j"], "two_j")])
     if kind == "su2-qubits":
-        n = int(desc.get("n", 2))
-        if n != 2:
+        if _integer(desc.get("n", 2), "n") != 2:
             raise SemanticError("only the two-qubit product rep is supported")
         return two_qubit_product_rep()
     if kind == "zn":
         if "charges" not in desc or "modulus" not in desc:
             raise ParseError("zn descriptor needs 'charges' and 'modulus'")
-        return RepSpec.zn_charges([int(c) for c in desc["charges"]],
-                                  int(desc["modulus"]))
+        return RepSpec.zn_charges([_integer(c, "charges")
+                                   for c in _list(desc["charges"], "charges")],
+                                  _integer(desc["modulus"], "modulus"))
     raise SemanticError(f"unknown group kind {kind!r}")
 
 
@@ -124,7 +142,8 @@ def load_channel(path: str, allow_nonphysical: bool = False):
     for key in ("dim_in", "dim_out", "group"):
         if key not in data:
             raise ParseError(f"channel file missing {key!r}")
-    dim_in, dim_out = int(data["dim_in"]), int(data["dim_out"])
+    dim_in = _integer(data["dim_in"], "dim_in")
+    dim_out = _integer(data["dim_out"], "dim_out")
     rep_in = _parse_group(data["group"])
     rep_out = _parse_group(data.get("group_out", data["group"]))
     if rep_in.dim != dim_in or rep_out.dim != dim_out:
@@ -133,13 +152,13 @@ def load_channel(path: str, allow_nonphysical: bool = False):
             f"declared dims ({dim_in}, {dim_out})"
         )
     if "kraus" in data:
-        kraus = [_as_matrix(K) for K in data["kraus"]]
+        kraus = [_as_matrix(K, "kraus") for K in _list(data["kraus"], "kraus")]
         for K in kraus:
             if K.shape != (dim_out, dim_in):
                 raise SemanticError("Kraus operator shape mismatch")
         S = choi_of(kraus, dim_in, dim_out)
     elif "choi" in data:
-        J = _as_matrix(data["choi"])
+        J = _as_matrix(data["choi"], "choi")
         if J.shape != (dim_in * dim_out, dim_in * dim_out):
             raise SemanticError("Choi matrix shape mismatch")
         S = Superoperator.from_choi(J, dim_in, dim_out)
@@ -282,6 +301,14 @@ def cmd_region(args, out: list) -> int:
     return EXIT_OK
 
 
+def _random_state(rng, n: int) -> np.ndarray:
+    """B B^dag / tr(B B^dag) for a complex Gaussian B: a random n x n
+    density matrix (B is freed on return, before any round runs)."""
+    B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = B @ B.conj().T
+    return rho / np.trace(rho)
+
+
 def cmd_catalytic(args, out: list) -> int:
     d = args.dim_a
     D = args.ladder
@@ -304,14 +331,8 @@ def cmd_catalytic(args, out: list) -> int:
     elif args.sigma == "mixed":
         sigma = np.eye(D, dtype=complex) / D
     else:
-        A = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
-        sigma = A @ A.conj().T
-        sigma /= np.trace(sigma)
-    inputs = []
-    for _ in range(args.rounds):
-        B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = B @ B.conj().T
-        inputs.append(rho / np.trace(rho))
+        sigma = _random_state(rng, D)
+    inputs = [_random_state(rng, d) for _ in range(args.rounds)]
     rep = sequential_use(P, sigma, inputs)
     worst = 0.0
     for i, rec in enumerate(rep.rounds):
@@ -424,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Process-mode decompositions, polar data, bipartite "
                     "catalogs, catalytic protocols, and lattice gauging.",
     )
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_at_least(int, 0), default=None,
                    help="RNG seed (default: SYMMETRIA_SEED env var or 0)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -479,7 +500,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:
-        args.seed = int(os.environ.get("SYMMETRIA_SEED", "0"))
+        seed = os.environ.get("SYMMETRIA_SEED", "0")
+        try:
+            args.seed = _at_least(int, 0)(seed)
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error(f"SYMMETRIA_SEED must be an integer >= 0, got {seed!r}")
     out: list = []
     try:
         code = args.func(args, out)

@@ -201,10 +201,11 @@ class ProcessModeBasis:
     def modes(self) -> tuple:
         """One Mode per row; each ``op`` is formed on first access."""
         factors = (self.ito_out, self.ito_in, self.coupling)
-        labels = self.labels
+        k = self.k.tolist()
         with _collector_paused():
-            return tuple(Mode(diagram, k, factors + (row,))
-                         for row, (diagram, k) in enumerate(labels))
+            return tuple(Mode(diagram, k[row], factors + (row,))
+                         for diagram, span in self.spans.items()
+                         for row in range(span.start, span.stop))
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -387,15 +388,27 @@ def _mode_values(S: Superoperator, basis: ProcessModeBasis) -> np.ndarray:
     if (S.dim_in, S.dim_out) != (basis.rep_in.dim, basis.rep_out.dim):
         raise ValueError("superoperator/basis dimension mismatch")
     y = basis.ito_out @ S.transfer.conj() @ basis.ito_in.T
-    values = (basis.coupling @ y.reshape(-1)).conj()
+    values = _coupling_product(basis.coupling, y.reshape(-1))
+    np.conjugate(values, out=values)
     values.setflags(write=False)
     return values
+
+
+def _coupling_product(R, x: np.ndarray) -> np.ndarray:
+    """R x for a sparse coupling R (or its transpose) and a complex x.  A
+    real R, as every built basis has, multiplies the (real, imag) pairs of
+    x in one real product: R @ x would first copy R's data to complex."""
+    if R.dtype.kind == "c":
+        return R @ x
+    pairs = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
+    return (R @ pairs).view(complex).reshape(-1)
 
 
 def _transfer_of(values: np.ndarray, basis: ProcessModeBasis) -> np.ndarray:
     """sum_i values_i * (transfer matrix of mode i) = A^T Z B, with Z the
     coupling's transpose applied to the values."""
-    Z = (basis._coupling_t @ values).reshape(len(basis.ito_out), -1)
+    Z = _coupling_product(basis._coupling_t, values)
+    Z = Z.reshape(len(basis.ito_out), -1)
     return basis.ito_out.T @ Z @ basis.ito_in
 
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import LinkFrame, RepSpec
-from .linalg_core import (Monomial, Superoperator, apply, kron,
-                          unitary_channel)
+from .linalg_core import Monomial, Superoperator, apply, kron
 from .process_modes import (MAX_STACK_BYTES, ProcessModeBasis,
                             build_canonical_modes, decompose)
 
@@ -126,25 +125,30 @@ def _closed_form(P: Protocol, profile: np.ndarray) -> Superoperator:
     return Superoperator.from_transfer(K.reshape(d * d, d * d), d, d)
 
 
-def rotated_target(P: Protocol, r: int) -> np.ndarray:
-    """The frame-rotated target unitary induced by sigma = |theta_r>."""
-    L = P.ladder.charge_operator(r)[:P.dim_a, :P.dim_a]
-    return L.conj() @ P.U @ L
-
-
-def _state_bytes(dim_a: int, D: int, rounds: int) -> int:
-    """Predicted peak bytes of ``sequential_use``: four complex copies (the
-    caller's input, ``_apply_v``'s running state and the two gathered copies
-    in ``Monomial.conjugate``) of the cross-check state on A1 (x) A2 (x) B
-    for two or more rounds, else of one round's state on A (x) B."""
-    return 4 * 16 * (dim_a ** min(rounds, 2) * D) ** 2
+def rotated_target(P: Protocol, r) -> np.ndarray:
+    """The frame-rotated target L_r^dag U L_r induced by sigma = |theta_r>,
+    from the clock phases of the d_A system levels; an array of r gives
+    the stack of targets."""
+    d, D = P.dim_a, P.ladder.N
+    w = np.exp(2j * np.pi * np.multiply.outer(np.asarray(r) % D,
+                                              np.arange(d)) / D)
+    return w.conj()[..., :, None] * P.U * w[..., None, :]
 
 
 def catalytic_bytes(dim_a: int, D: int, rounds: int) -> int:
-    """Predicted bytes of the largest live arrays of a catalytic run: the
-    joint states of ``sequential_use``, the X stack (d_A^4 operators of
-    side D) and the D frame projectors of ``measure_prepare_form``."""
-    return _state_bytes(dim_a, D, rounds) + 16 * (dim_a ** 4 * D ** 2 + D ** 3)
+    """Predicted peak bytes of a catalytic run: the larger of its two stages,
+    plus one d_A^4 channel per round, (rounds + 2) reference states of side
+    D (the initial one, one per round, one for transients such as a Delta
+    profile's gather) and 1 MiB of small arrays and objects.  The rounds stage
+    holds four complex copies of the cross-check state on A1 (x) A2 (x) B
+    (the caller's, ``_apply_v``'s and the two gathers of
+    ``Monomial.conjugate``), or for one round three of the state on A (x) B;
+    the measure-and-prepare stage four of the (D, d_A^4) profile (with its
+    deviation and the residual norm's two temporaries)."""
+    joint = (4 * (dim_a ** 2 * D) ** 2 if rounds >= 2
+             else 3 * (dim_a * D) ** 2)
+    return 16 * (max(joint, 4 * dim_a ** 4 * D) + rounds * dim_a ** 4
+                 + (rounds + 2) * D ** 2) + (1 << 20)
 
 
 @dataclass(frozen=True)
@@ -164,34 +168,32 @@ class SequentialReport:
 
 def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
     """Run the protocol on each input in turn, propagating the reduced
-    reference state between rounds.
-
-    For two or more rounds the first two induced outputs are cross-checked
-    against the full joint-unitary computation on A1 (x) A2 (x) B.
-    """
+    reference state; each round's channel is the closed form of the Delta
+    profile the reference enters it with.  For two or more rounds the first
+    two outputs are cross-checked against the full joint-unitary
+    computation on A1 (x) A2 (x) B."""
     sigma0 = _check_state(sigma, P.ladder.N)
     if len(inputs) < 1:
         raise ValueError("at least one input state required")
-    need = _state_bytes(P.dim_a, P.ladder.N, len(inputs))
+    need = catalytic_bytes(P.dim_a, P.ladder.N, len(inputs))
     if need > MAX_STACK_BYTES:
         what = ("the two-round cross-check" if len(inputs) >= 2
                 else "one round's joint state")
         raise ValueError(f"{what} needs about {need / 2**30:.3g} GiB, over "
                          f"the {MAX_STACK_BYTES / 2**30:g} GiB budget")
     rounds = []
-    sig = sigma0
+    sig, profile = sigma0, P.ladder.delta_profile(sigma0)
     for rho in inputs:
-        rho = np.asarray(rho, dtype=complex)
-        chan = induced_channel_closed_form(P, sig)
-        joint = _joint_out(P, rho, sig)
-        sig_next = _trace_system(P, joint)
+        chan = _closed_form(P, profile)
+        # the joint state is released as soon as the ladder is read off
+        sig = _trace_system(P, _joint_out(P, np.asarray(rho, complex), sig))
+        profile = P.ladder.delta_profile(sig)
         first = rounds[0].channel if rounds else chan
         rounds.append(RoundRecord(
-            channel=chan, reference_after=sig_next,
+            channel=chan, reference_after=sig,
             choi_distance_to_first=(chan - first).norm(),
-            reference_fidelity=float(np.real(np.trace(sig_next @ sigma0))),
-            delta_profile=P.ladder.delta_profile(sig_next)))
-        sig = sig_next
+            reference_fidelity=float(np.einsum("ij,ji->", sig, sigma0).real),
+            delta_profile=profile))
     crosscheck = (_two_round_crosscheck(P, sigma0, *inputs[:2], rounds)
                   if len(inputs) >= 2 else None)
     return SequentialReport(tuple(rounds), crosscheck)
@@ -220,40 +222,37 @@ def zd_mode_basis(P: Protocol) -> ProcessModeBasis:
 
 @dataclass(frozen=True)
 class MeasurePrepareForm:
-    """E_sigma(rho) = sum_r tr(M_r sigma) Phi_r(rho) with M_r the frame
-    projectors (diagonal in the frame basis) and Phi_r the rotated-target
-    unitary channels; x_ops maps each mode key to the operator X with
-    alpha_mode(E_sigma) = tr(X sigma)."""
+    """E_sigma(rho) = sum_r <theta_r| sigma |theta_r> U_r rho U_r^dag: a
+    measurement of the ladder in the frame basis ``P.ladder.frame_vector(r)``
+    followed by the rotated target U_r = targets[r].  Mode i of
+    ``zd_mode_basis(P)`` has alpha_i(E_sigma) = tr(X^i sigma) with the
+    circulant X^i[a, b] = profile[(a - b) mod D, i]."""
 
-    x_ops: dict
-    povm: tuple          # frame projectors
-    cp_maps: tuple       # rotated-target unitary channels
+    profile: np.ndarray    # (D, n_modes)
+    targets: np.ndarray    # (D, d_A, d_A) rotated targets
     max_x_residual: float  # worst distance of X^lam from alpha_lam(E0) Delta^{-lam}
 
 
 def measure_prepare_form(P: Protocol) -> MeasurePrepareForm:
-    """Extract the operators X^lam with tr(X^lam sigma) = alpha_lam(E_sigma)
-    over the canonical Z_D modes and verify X^lam = alpha_lam(E0) Delta^{-lam},
-    where E0 is the induced channel of the r=0 frame state."""
+    """The profile of the operators X^lam with tr(X^lam sigma) =
+    alpha_lam(E_sigma) over the canonical Z_D modes, verified against
+    X^lam = alpha_lam(E0) Delta^{-lam}, where E0 is the induced channel of
+    the r=0 frame state."""
     basis = zd_mode_basis(P)
     D = P.ladder.N
     # E_sigma depends on sigma only through p_k = tr(Delta^k sigma), and
     # linearly, so alpha(E_sigma) = sum_k p_k alpha(B_k) with B_k the closed
-    # form at the unit profile e_k: X = sum_k alpha(B_k) Delta^k, the
-    # circulant X[i, j] = alpha_{(i - j) mod D}.
-    alpha = np.array([decompose(_closed_form(P, e_k), basis).values
-                      for e_k in np.eye(D)])
-    h = np.arange(D)
-    X = alpha.T[:, (h[:, None] - h) % D]
-    e0 = induced_channel_closed_form(P, P.ladder.frame_projector(0))
-    a0 = decompose(e0, basis).values
-    # X - a0 Delta^{-lam} is the circulant of alpha - a0 e_{-lam}, and a
+    # form at the unit profile e_k: X = sum_k alpha(B_k) Delta^k
+    profile = np.array([decompose(_closed_form(P, e_k), basis).values
+                        for e_k in np.eye(D)])
+    # the r = 0 frame state has p_k = 1 for every k
+    a0 = profile.sum(axis=0)
+    # X - a0 Delta^{-lam} is the circulant of profile - a0 e_{-lam}, and a
     # circulant's Frobenius norm is sqrt(D) times that of its profile
-    alpha[-basis.lam % D, np.arange(len(a0))] -= a0
-    worst = float(math.sqrt(D) * np.linalg.norm(alpha, axis=0).max())
-    povm = tuple(P.ladder.frame_projector(r) for r in range(D))
-    cp_maps = tuple(unitary_channel(rotated_target(P, r)) for r in range(D))
-    return MeasurePrepareForm(dict(zip(basis.labels, X)), povm, cp_maps, worst)
+    dev = profile.copy()
+    dev[-basis.lam % D, np.arange(len(a0))] -= a0
+    worst = float(math.sqrt(D) * np.linalg.norm(dev, axis=0).max())
+    return MeasurePrepareForm(profile, rotated_target(P, np.arange(D)), worst)
 
 
 def broadcast_check(sigmas, tol: float = 1e-10) -> bool:

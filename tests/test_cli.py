@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
+import copy
 import json
 import re
 import subprocess
@@ -143,12 +144,13 @@ def test_gauge_refuses_a_modulus_over_the_memory_budget(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["catalytic", "--dim-a", "16", "--ladder", "64", "--rounds", "1"],
+    ["catalytic", "--dim-a", "16", "--ladder", "64", "--rounds", "2"],
     ["catalytic", "--ladder", "4096", "--rounds", "1"],
-], ids=["x-stack-4.3GB", "povm-1.1TB"])
+], ids=["crosscheck-17GB", "joint-state-4GB"])
 def test_catalytic_refuses_a_run_over_the_memory_budget(capsys, argv):
-    # the first would hold a 4.3 GB X stack, the second a 1.1 TB POVM;
-    # both are refused before the protocol is built
+    # the first would hold a 17 GB cross-check, the second a 3.2 GB joint
+    # state beside 1.3 GB of reference states; both are refused before the
+    # protocol is built
     from symmetria import cli
 
     start = time.perf_counter()
@@ -166,10 +168,12 @@ def test_catalytic_refuses_a_run_over_the_memory_budget(capsys, argv):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("d, D, rounds", [(8, 16, 2), (4, 128, 1)])
+@pytest.mark.parametrize("d, D, rounds", [(8, 16, 2), (4, 128, 1),
+                                         (2, 512, 2), (2, 512, 5)])
 def test_catalytic_byte_prediction_bounds_the_peak(capsys, d, D, rounds):
-    # (8, 16, 2) peaks in the cross-check, (4, 128, 1) in the X stack and
-    # the POVM of the measure-and-prepare form
+    # (8, 16, 2) peaks in the cross-check, (4, 128, 1) in one round's joint
+    # state; at D = 512 the reference states of every round are live beside
+    # the cross-check
     from symmetria import cli
     from symmetria.repeatability import catalytic_bytes
 
@@ -278,20 +282,73 @@ def _spin_39_2_identity(d):
     (("bipartite", str(FIXTURES / "heisenberg-2qubit.json"), "--tol", "nan"),
      2),
     (("catalytic", "--dim-a", "40", "--ladder", "40", "--rounds", "2"), 3),
+    (("--seed", "-1", "catalytic", "--ladder", "8"), 2),
+    (("SYMMETRIA_SEED=abc", "catalytic", "--ladder", "8"), 2),
+    (("SYMMETRIA_SEED=1.5", "catalytic", "--ladder", "8"), 2),
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
         "lattice-0x0", "lattice-2x0", "lattice-n-1", "table-p-2",
         "table-angle-inf", "table-angle-nan",
         "region-grid-0", "region-grid-over-budget", "gauge-n-over-budget",
         "over-memory-limit", "tol-negative", "tol-nan", "tol-inf",
-        "bipartite-tol-nan", "crosscheck-over-limit"])
+        "bipartite-tol-nan", "crosscheck-over-limit", "seed-negative",
+        "env-seed-abc", "env-seed-float"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     if callable(args[1]):
         args = (args[0], _fixture_variant(tmp_path, args[1].__name__, args[1]))
-    r = run_cli(*args)
+    # a leading SYMMETRIA_SEED=value sets the variable, as in a shell
+    env = dict(a.split("=", 1) for a in args[:1]
+               if a.startswith("SYMMETRIA_SEED="))
+    r = run_cli(*args[len(env):], env_extra=env)
     assert r.returncode == code, (r.stdout, r.stderr)
     assert "Traceback" not in r.stderr
     assert r.stderr.strip()
+
+
+_SU2 = {"kind": "su2", "two_j": [1]}
+_ZN = {"kind": "zn", "charges": [0, 1], "modulus": 3}
+_QUBITS = {"kind": "su2-qubits", "n": 2}
+# each integer or list field of a channel file, as a path into the file,
+# with the group descriptor that carries it
+_FIELDS = {
+    "dim_in": (_SU2, ("dim_in",)), "dim_out": (_SU2, ("dim_out",)),
+    "kraus": (_SU2, ("kraus",)), "two_j": (_SU2, ("group", "two_j")),
+    "two_j[0]": (_SU2, ("group", "two_j", 0)),
+    "charges": (_ZN, ("group", "charges")),
+    "charges[0]": (_ZN, ("group", "charges", 0)),
+    "modulus": (_ZN, ("group", "modulus")), "n": (_QUBITS, ("group", "n")),
+}
+_WRONG = {"null": None, "true": True, "1.5": 1.5, "string": "x", "list": [],
+          "object": {}, "1e30": 10 ** 30}
+
+
+@pytest.mark.parametrize("field, wrong", [(f, w) for f in _FIELDS
+                                          for w in _WRONG])
+def test_channel_file_field_of_a_wrong_type_is_refused(tmp_path, capsys,
+                                                       field, wrong):
+    # a wrong JSON type is a parse error (2) naming the field; a value of
+    # the right type that the library rejects stays a semantic error (3)
+    from symmetria import cli
+
+    group, path = _FIELDS[field]
+    data = json.loads((FIXTURES / "dephasing.json").read_text())
+    data["group"] = copy.deepcopy(group)
+    if group is _QUBITS:
+        data.update(dim_in=4, dim_out=4, kraus=[[[[float(r == c), 0.0]
+                                                  for c in range(4)]
+                                                 for r in range(4)]])
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = _WRONG[wrong]
+    f = tmp_path / "wrong.json"
+    f.write_text(json.dumps(data))
+    code = cli.main(["decompose", str(f)])
+    out, err = capsys.readouterr()
+    assert code in (2, 3), (code, out)
+    assert err.strip() and "Traceback" not in err
+    if code == 2:  # the message names the field
+        assert repr([key for key in path if isinstance(key, str)][-1]) in err
 
 
 def test_gauge_lattice_modulus_below_two_names_the_modulus():

@@ -577,3 +577,26 @@ def test_d16_build_and_decompose_within_2_gb():
     assert not coeffs.is_symmetric()
     assert peak < 2 << 30
     assert peak < 2 * process_modes._basis_bytes(rep, rep)
+
+
+def test_decompose_keeps_the_real_coupling_real():
+    # a complex vector times the real CSR coupling would copy its data to
+    # complex; the (real, imag) pair product allocates no such copy and
+    # agrees bit for bit with the complex product
+    rep = RepSpec.su2_spins([15])
+    basis = build_canonical_modes(rep, rep)
+    S = random_cptp(16, 16, np.random.default_rng(49), env_dim=2)
+    coeffs = decompose(S, basis)  # warm-up: cached transpose and spans
+    rebuilt = coeffs.reconstruct()
+    tracemalloc.start()
+    try:
+        decompose(S, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.coupling.data.nbytes
+    y = basis.ito_out @ S.transfer.conj() @ basis.ito_in.T
+    assert np.array_equal(coeffs.values, (basis.coupling @ y.ravel()).conj())
+    Z = (basis._coupling_t @ coeffs.values).reshape(len(basis.ito_out), -1)
+    assert np.array_equal(rebuilt.transfer,
+                          basis.ito_out.T @ Z @ basis.ito_in)

@@ -8,7 +8,7 @@ import pytest
 
 from symmetria import repeatability
 from symmetria.groups import LinkFrame
-from symmetria.linalg_core import apply, check_cptp, kron
+from symmetria.linalg_core import apply, check_cptp, kron, unitary_channel
 from symmetria.process_modes import decompose
 from symmetria.repeatability import (broadcast_check, build_protocol,
                                      induced_channel,
@@ -77,8 +77,7 @@ def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
     def no_round(*args):
         raise AssertionError("a round ran before the size check")
 
-    monkeypatch.setattr(repeatability, "induced_channel_closed_form",
-                        no_round)
+    monkeypatch.setattr(repeatability, "_closed_form", no_round)
     with pytest.raises(ValueError, match="cross-check"):
         sequential_use(P, P.ladder.frame_projector(0), [rho, rho])
 
@@ -206,16 +205,48 @@ def test_measure_prepare_form(protocol):
     assert mp.max_x_residual < 1e-10
     # POVM completeness and the reconstruction of the induced channel as a
     # frame measurement followed by the rotated-target preparation
-    assert np.linalg.norm(sum(mp.povm) - np.eye(8)) < 1e-12
+    frame = [protocol.ladder.frame_vector(r) for r in range(8)]
+    povm = [np.outer(v, v.conj()) for v in frame]
+    assert np.linalg.norm(sum(povm) - np.eye(8)) < 1e-12
     rng = np.random.default_rng(55)
     sigma = _random_state(rng, 8)
     E = induced_channel(protocol, sigma)
     rho = _random_state(rng, 2)
     rebuilt = sum(
-        np.real(np.trace(M @ sigma)) * apply(Phi, rho)
-        for M, Phi in zip(mp.povm, mp.cp_maps)
+        np.real(np.trace(M @ sigma)) * apply(unitary_channel(Ur), rho)
+        for M, Ur in zip(povm, mp.targets)
     )
     assert np.linalg.norm(apply(E, rho) - rebuilt) < 1e-10
+
+
+@pytest.mark.parametrize("d, D", [(2, 8), (3, 7), (5, 16)])
+def test_rotated_targets_match_the_dense_clock(d, D):
+    # oracle: L_r^dag U L_r with L_r the full D x D clock, cut to A's levels
+    P = build_protocol(_random_unitary(np.random.default_rng(61), d), D)
+    targets = measure_prepare_form(P).targets
+    assert targets.shape == (D, d, d)
+    for r in range(-1, D + 1):
+        L = P.ladder.charge_operator(r)[:d, :d]
+        oracle = L.conj() @ P.U @ L
+        assert np.linalg.norm(rotated_target(P, r) - oracle) < 1e-14
+        assert np.linalg.norm(targets[r % D] - oracle) < 1e-14
+
+
+def test_sequential_use_validates_the_reference_once(protocol, monkeypatch):
+    # each round's reference is a partial trace of a joint state, PSD by
+    # construction; only the caller's state is checked
+    rng = np.random.default_rng(62)
+    calls = []
+    check = repeatability._check_state
+    monkeypatch.setattr(repeatability, "_check_state",
+                        lambda *a: calls.append(1) or check(*a))
+    rep = sequential_use(protocol, _random_state(rng, 8),
+                         [_random_state(rng, 2) for _ in range(4)])
+    assert len(calls) == 1
+    # each round's channel is the closed form of the reference it started at
+    for before, rec in zip(rep.rounds, rep.rounds[1:]):
+        oracle = induced_channel_closed_form(protocol, before.reference_after)
+        assert (rec.channel - oracle).norm() < 1e-14
 
 
 def test_broadcast_iff_commuting_references(protocol):
@@ -243,10 +274,13 @@ def test_measure_prepare_x_ops_match_partial_trace_route(d, D, monkeypatch):
     monkeypatch.setattr(repeatability, "decompose",
                         lambda *a: calls.append(1) or decompose(*a))
     mp = measure_prepare_form(P)
-    assert len(calls) == D + 1  # one per unit Delta profile, plus E0
+    assert len(calls) == D  # one per unit Delta profile
     assert mp.max_x_residual < 1e-10
+    # mode i's X is the circulant X[a, b, i] = profile[(a - b) mod D, i]
+    h = np.arange(D)
+    X = mp.profile[(h[:, None] - h) % D]
     for _ in range(3):
         sigma = _random_state(rng, D)
         alpha = decompose(induced_channel(P, sigma), basis).values
-        predicted = [np.trace(mp.x_ops[key] @ sigma) for key in basis.labels]
-        assert np.abs(np.array(predicted) - alpha).max() < 1e-12
+        predicted = np.einsum("abi,ba->i", X, sigma)
+        assert np.abs(predicted - alpha).max() < 1e-12
