@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
-from .groups import SU2, GroupElement, IrrepLabel, RepSpec, cg_block, rep_matrix
+from .groups import GroupElement, IrrepLabel, RepSpec, cg_block, rep_matrix
 from .linalg_core import (TP_TOL, CptpReport, Superoperator,
-                          check_cptp_stack, conjugate, hs_inner, kron,
-                          unitary_channel, vec)
-from .process_modes import Diagram, ProcessModeBasis, build_canonical_modes
+                          check_cptp_stack, conjugate, kron, unitary_channel,
+                          vec)
+from .process_modes import (MAX_STACK_BYTES, Diagram, ProcessModeBasis,
+                            _mode_values, _transfer_of, build_canonical_modes)
 
 LOCAL = "local"
 INJECTION = "injection"
@@ -61,10 +62,43 @@ def classify(theta: BipartiteDiagram) -> str:
     return RELATIONAL
 
 
-@dataclass(frozen=True)
+def pair_sum(basis_a: ProcessModeBasis, basis_b: ProcessModeBasis, rows_a,
+             rows_b, w) -> Superoperator:
+    """sum_p w[p] M^A_{rows_a[p]} (x) M^B_{rows_b[p]} over distinct pairs of
+    modes of the two local bases, with no mode's superoperator formed: the
+    weights fill an (A mode x B mode) matrix whose rows are taken to B
+    transfer matrices and then whose columns to A transfer matrices (the
+    transposes of decompose_symmetric's two contractions), and the result
+    is realigned."""
+    W = np.zeros((len(basis_a.k), len(basis_b.k)), dtype=complex)
+    W[rows_a, rows_b] = w
+    X = _transfer_of(W, basis_b).reshape(len(W), -1).T
+    del W  # freed before the second contraction, which sets the peak
+    d_ao, d_bo = basis_a.rep_out.dim, basis_b.rep_out.dim
+    d_ai, d_bi = basis_a.rep_in.dim, basis_b.rep_in.dim
+    K = _transfer_of(X, basis_a).reshape(d_bo, d_bo, d_bi, d_bi, d_ao,
+                                           d_ao, d_ai, d_ai)
+    K = K.transpose(4, 0, 5, 1, 6, 2, 7, 3).reshape((d_ao * d_bo) ** 2, -1)
+    return Superoperator(d_ai * d_bi, d_ao * d_bo, K)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SymmetricElement:
+    """chi_theta = sum_p signs[p] M^A_{rows_a[p]} (x) M^B_{rows_b[p]}: the A
+    rows of its diagram and the B rows reversed, so that weight k meets -k.
+    ``op``, of norm sqrt(dim lam), is formed on first read."""
+
     diagram: BipartiteDiagram
-    op: Superoperator  # chi_theta, norm sqrt(dim lam)
+    basis_a: ProcessModeBasis
+    basis_b: ProcessModeBasis
+    rows_a: np.ndarray
+    rows_b: np.ndarray
+    signs: np.ndarray
+
+    @cached_property
+    def op(self) -> Superoperator:
+        return pair_sum(self.basis_a, self.basis_b, self.rows_a, self.rows_b,
+                        self.signs)
 
 
 @dataclass(frozen=True)
@@ -74,41 +108,38 @@ class SymmetricBasis:
     elements: tuple  # of SymmetricElement
 
 
-def _chi(basis_a: ProcessModeBasis, basis_b: ProcessModeBasis,
-         theta: BipartiteDiagram) -> Superoperator:
-    fam_a = basis_a.family(theta.diag_a)
-    fam_b = {m.k: m for m in basis_b.family(theta.diag_b)}
-    kind = theta.diag_a.lam.kind
-    acc = None
-    for ma in fam_a:
-        if kind == SU2:
-            sign = (-1.0) ** ((theta.diag_a.lam.two_j - ma.k) // 2)
-            mb = fam_b[-ma.k]
-        else:
-            sign = 1.0
-            mb = fam_b[ma.k]
-        term = sign * ma.op.tensor(mb.op)
-        acc = term if acc is None else acc + term
-    return acc
+# Bound on the traced peak of decompose_symmetric, in units of S's transfer
+# matrix, 16 (d_Ain d_Aout d_Bin d_Bout)^2 bytes: measured 4.1-4.4 at equal
+# local dims 4-6
+_PAIR_WORKSPACE = 5
 
 
 def build_symmetric_basis(rep_a_in: RepSpec, rep_a_out: RepSpec,
                           rep_b_in: RepSpec, rep_b_out: RepSpec) -> SymmetricBasis:
-    """All invariant basis elements chi_theta for T(AB, A'B')."""
+    """All invariant basis elements chi_theta for T(AB, A'B'), as pairs of
+    rows of the two local mode bases."""
     kinds = {rep_a_in.kind, rep_a_out.kind, rep_b_in.kind, rep_b_out.kind}
     if len(kinds) != 1:
         raise ValueError("all four reps must share the group kind")
+    need = _PAIR_WORKSPACE * 16 * (rep_a_in.dim * rep_a_out.dim
+                                   * rep_b_in.dim * rep_b_out.dim) ** 2
+    if need > MAX_STACK_BYTES:
+        raise ValueError(f"the bipartite decomposition needs "
+                         f"{need / 2**30:.1f} GiB, over the 2 GiB limit")
     basis_a = build_canonical_modes(rep_a_in, rep_a_out)
     basis_b = build_canonical_modes(rep_b_in, rep_b_out)
-    diags_b = basis_b.diagrams()
     elements = []
-    for da in basis_a.diagrams():
+    for da, span in basis_a.spans.items():
+        rows_a = np.arange(span.start, span.stop)
+        # (-1)^(lam - k), k the A mode's weight; two_j = k = 0 for Z_N
+        signs = (-1.0) ** ((da.lam.two_j - basis_a.k[rows_a]) // 2)
         dual = da.lam.dual()
-        for db in diags_b:
+        for db, span in basis_b.spans.items():
             if db.lam != dual:
                 continue
-            theta = BipartiteDiagram(da, db)
-            elements.append(SymmetricElement(theta, _chi(basis_a, basis_b, theta)))
+            rows_b = np.arange(span.stop - 1, span.start - 1, -1)
+            elements.append(SymmetricElement(BipartiteDiagram(da, db), basis_a,
+                                             basis_b, rows_a, rows_b, signs))
     return SymmetricBasis(basis_a, basis_b, tuple(elements))
 
 
@@ -119,19 +150,33 @@ class SymmetricCoefficients:
     residual: float
 
     def reconstruct(self) -> Superoperator:
-        el = self.basis.elements[0].op
-        out = Superoperator.zero(el.dim_in, el.dim_out)
-        for e in self.basis.elements:
-            out = out + self.values[e.diagram] * e.op
-        return out
+        rows_a, rows_b, w = (np.concatenate(x) for x in zip(*(
+            (e.rows_a, e.rows_b, self.values[e.diagram] * e.signs)
+            for e in self.basis.elements)))
+        return pair_sum(self.basis.basis_a, self.basis.basis_b, rows_a, rows_b,
+                        w)
 
 
 def decompose_symmetric(S: Superoperator, basis: SymmetricBasis) -> SymmetricCoefficients:
     """Expand S over the invariant basis; the residual is the norm of the
-    non-invariant part of S.  The elements are orthogonal with
-    <chi, chi> = dim(lam)."""
-    values = {e.diagram: hs_inner(e.op, S) / e.diagram.diag_a.lam.dim
-              for e in basis.elements}
+    non-invariant part of S.  C[i, j] = <M^A_i (x) M^B_j, S> comes from two
+    mode contractions, and each coefficient is the signed sum of C over its
+    element's pairs divided by dim(lam) = <chi, chi>, their number."""
+    A, B = basis.basis_a, basis.basis_b
+    d_ao, d_bo, d_ai, d_bi = (A.rep_out.dim, B.rep_out.dim, A.rep_in.dim,
+                              B.rep_in.dim)
+    if (S.dim_in, S.dim_out) != (d_ai * d_bi, d_ao * d_bo):
+        raise ValueError("superoperator/basis dimension mismatch")
+    K = S.transfer.reshape(d_ao, d_bo, d_ao, d_bo, d_ai, d_bi, d_ai, d_bi)
+    # S realigned as a stack over B transfer entries of A transfer matrices
+    # gives the A values, read as a stack over A modes of B transfer
+    # matrices; nested, so that each stage's input is freed once it is read
+    C = _mode_values(_mode_values(
+        K.transpose(1, 3, 5, 7, 0, 2, 4, 6).reshape(-1, d_ao ** 2, d_ai ** 2),
+        A).T.reshape(-1, d_bo ** 2, d_bi ** 2), B)
+    values = {e.diagram: complex(e.signs @ C[e.rows_a, e.rows_b])
+              / len(e.signs) for e in basis.elements}
+    del C
     out = SymmetricCoefficients(basis, values, 0.0)
     residual = (S - out.reconstruct()).norm()
     return SymmetricCoefficients(basis, values, float(residual))
@@ -150,41 +195,26 @@ def twirl_rank(basis: SymmetricBasis, tol: float = 1e-8) -> int:
 
 _QUBIT = RepSpec.su2_spins([1])
 
-_SIG = [
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-]
-_ID2 = np.eye(2, dtype=complex)
+# 1 and the Pauli matrices
+_PAULI = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]],
+                   [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
+                  dtype=complex)
 
 
 def state_from_bloch(a, b, T) -> np.ndarray:
-    """Two-qubit state 1/4 (1 + a.sigma (x) 1 + 1 (x) b.sigma + T_ij s_i s_j)."""
+    """Two-qubit state 1/4 (1 + a.sigma (x) 1 + 1 (x) b.sigma + T_ij s_i s_j),
+    that is 1/4 sum_ij c_ij s_i (x) s_j over s = (1, sigma), with
+    c = [[1, b], [a, T]]."""
     a, b, T = np.asarray(a, float), np.asarray(b, float), np.asarray(T, float)
-    rho = kron(_ID2, _ID2).astype(complex)
-    for i in range(3):
-        rho += a[i] * kron(_SIG[i], _ID2)
-        rho += b[i] * kron(_ID2, _SIG[i])
-        for j in range(3):
-            rho += T[i, j] * kron(_SIG[i], _SIG[j])
-    return rho / 4.0
+    c = np.block([[1.0, b], [a[:, None], T]])
+    return np.einsum("ij,iab,jcd->acbd", c, _PAULI, _PAULI).reshape(4, 4) / 4.0
 
 
 def bloch_of_state(rho: np.ndarray):
-    """Inverse of state_from_bloch: (a, b, T)."""
-    a = np.array([np.trace(rho @ kron(s, _ID2)).real for s in _SIG])
-    b = np.array([np.trace(rho @ kron(_ID2, s)).real for s in _SIG])
-    T = np.array(
-        [
-            [np.trace(rho @ kron(si, sj)).real for sj in _SIG]
-            for si in _SIG
-        ]
-    )
-    return a, b, T
-
-
-def _two_qubit_basis() -> SymmetricBasis:
-    return build_symmetric_basis(_QUBIT, _QUBIT, _QUBIT, _QUBIT)
+    """Inverse of state_from_bloch: (a, b, T) from c_ij = tr(rho s_i s_j)."""
+    c = np.einsum("acbd,iba,jdc->ij", np.reshape(rho, (2, 2, 2, 2)), _PAULI,
+                  _PAULI).real
+    return c[1:, 0], c[0, 1:], c[1:, 1:]
 
 
 def _diagram_key(theta: BipartiteDiagram):
@@ -228,13 +258,10 @@ class TwoQubitCatalog:
     """Cached two-qubit symmetric basis plus named diagram lookups."""
 
     def __init__(self):
-        self.basis = _two_qubit_basis()
-        self.by_key = {}
-        for e in self.basis.elements:
-            self.by_key[_diagram_key(e.diagram)] = e
-        self.named = {
-            name: self.by_key[key] for name, key in _THETA_KEYS.items()
-        }
+        self.basis = build_symmetric_basis(_QUBIT, _QUBIT, _QUBIT, _QUBIT)
+        self.by_key = {_diagram_key(e.diagram): e for e in self.basis.elements}
+        self.named = {name: self.by_key[key]
+                      for name, key in _THETA_KEYS.items()}
         self.phi_choi = {name: self.phi(name).choi for name in _THETA_KEYS}
 
     def phi(self, name: str) -> Superoperator:
@@ -248,14 +275,9 @@ class TwoQubitCatalog:
         return self.by_key[(0, 0, 0, 0, 0)].op
 
 
-_CATALOG = None
-
-
+@lru_cache(maxsize=None)
 def two_qubit_catalog() -> TwoQubitCatalog:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = TwoQubitCatalog()
-    return _CATALOG
+    return TwoQubitCatalog()
 
 
 def injection_channel(x: float, y: float, z: float) -> Superoperator:
@@ -270,9 +292,7 @@ def injection_bloch_formula(x, y, z, a, b, T):
     """Closed-form output Bloch vector at A:
     a~ = -(x a / sqrt3 + y b + z T_vec / sqrt2), T_vec_k = eps_kij T_ij."""
     a, b, T = np.asarray(a, float), np.asarray(b, float), np.asarray(T, float)
-    tvec = np.array(
-        [T[1, 2] - T[2, 1], T[2, 0] - T[0, 2], T[0, 1] - T[1, 0]]
-    )
+    tvec = np.einsum("kij,ij->k", _EPS, T)
     return -(x * a / math.sqrt(3.0) + y * b + z * tvec / math.sqrt(2.0))
 
 
@@ -309,11 +329,9 @@ def relational_channel(x4: float, x5: float, x6: float, x7: float,
                        x8: float) -> Superoperator:
     """E = E0 + x4 Phi_theta4 + ... + x8 Phi_theta8."""
     cat = two_qubit_catalog()
-    out = cat.e0
-    for name, c in zip(("theta4", "theta5", "theta6", "theta7", "theta8"),
-                       (x4, x5, x6, x7, x8)):
-        out = out + c * cat.phi(name)
-    return out
+    return sum((c * cat.phi(name) for name, c in zip(
+        ("theta4", "theta5", "theta6", "theta7", "theta8"),
+        (x4, x5, x6, x7, x8))), cat.e0)
 
 
 def relational_r_matrix(name: str, a, b, T) -> np.ndarray:
@@ -328,29 +346,16 @@ def relational_r_matrix(name: str, a, b, T) -> np.ndarray:
         # invariant ray of this diagram and contradicts the published
         # Bell-state actions of E1/E2; the oracle fixes the sign to -T^T.
         return (-T.T + np.trace(T) * eye) / 8.0
-    if name == "theta6":
-        R = np.zeros((3, 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    R[i, j] += 1j * math.sqrt(2.0) / 2.0 * _EPS[i, j, k] * a[k]
-        return R
+    if name == "theta6":  # R_ij = i/sqrt2 eps_ijk a_k
+        return 1j * math.sqrt(2.0) / 2.0 * (_EPS @ a)
     if name == "theta7":
-        R = np.zeros((3, 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    R[i, j] -= 1j * math.sqrt(2.0) / 2.0 * _EPS[i, j, k] * b[k]
-        return R
+        return -1j * math.sqrt(2.0) / 2.0 * (_EPS @ b)
     if name == "theta8":
         return (T.T - 2.0 * T / 3.0 + np.trace(T) * eye) / 8.0
     raise KeyError(name)
 
 
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_i, _j, _k] = 1.0
-    _EPS[_i, _k, _j] = -1.0
+_EPS = np.cross(np.eye(3)[:, None], np.eye(3))  # eps_ijk = (e_i x e_j)_k
 
 
 def swap_invariant_relational(x: float, y: float, z: float) -> Superoperator:
@@ -434,9 +439,11 @@ def bell_states():
 
 def heisenberg_unitary(t: float) -> Superoperator:
     """Conjugation by V(t) = exp(it (sx sx + sy sy + sz sz)): the only
-    nontrivial symmetric two-qubit unitary family."""
-    H = sum(kron(s, s) for s in _SIG)
-    return unitary_channel(expm(1j * t * H))
+    nontrivial symmetric two-qubit unitary family.  The sum of sigma (x)
+    sigma is 2 SWAP - 1, so V(t) = e^(it) P_sym + e^(-3it) P_anti."""
+    sym = (np.eye(4) + np.eye(4)[[0, 2, 1, 3]]) / 2.0
+    return unitary_channel(np.exp(1j * t) * sym
+                           + np.exp(-3j * t) * (np.eye(4) - sym))
 
 
 def diagonal_action(S: Superoperator, g: GroupElement,

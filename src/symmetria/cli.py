@@ -21,8 +21,8 @@ import numpy as np
 
 from .axial import axial_table, polar_decompose
 from .bipartite import (INJECTION, classify, decompose_symmetric,
-                        injection_coords, region_scan, two_qubit_catalog,
-                        two_qubit_product_rep, twirl_rank)
+                        injection_coords, pair_sum, region_scan,
+                        two_qubit_catalog, two_qubit_product_rep, twirl_rank)
 from .gauge import (build_gauged_lattice, free_state_check, gauge_2symmetric,
                     gauge_fix_stabilizer)
 from .groups import LinkFrame, RepSpec
@@ -379,15 +379,11 @@ def cmd_gauge(args, out: list) -> int:
     worst = 0.0
     for trial in range(args.trials):
         lam = charges[rng.integers(0, len(charges))]
-        mx = [basis.modes[i] for i in np.flatnonzero(basis.lam == lam)]
-        my = [basis.modes[i]
-              for i in np.flatnonzero(basis.lam == (-lam) % N)]
-        chi = None
-        for m1 in mx:
-            for m2 in my:
-                c = rng.normal() + 1j * rng.normal()
-                term = c * m1.op.tensor(m2.op)
-                chi = term if chi is None else chi + term
+        x, y = (np.flatnonzero(basis.lam == q % N) for q in (lam, -lam))
+        # c = normal + 1j normal for each mode pair, x outermost
+        c = rng.normal(size=(len(x), len(y), 2)) @ [1.0, 1.0j]
+        chi = pair_sum(basis, basis, np.repeat(x, len(y)), np.tile(y, len(x)),
+                       c.ravel())
         G = gauge_2symmetric(chi, lam, frame, basis, basis)
         worst = max(worst, G.invariance_residual)
         if trial == 0:

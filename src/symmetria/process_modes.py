@@ -381,40 +381,45 @@ def superop_group_action(S: Superoperator, g: GroupElement,
     return conjugate(S, rep_matrix(rep_out, g), rep_matrix(rep_in, g))
 
 
-def _mode_values(S: Superoperator, basis: ProcessModeBasis) -> np.ndarray:
-    """The coefficients c_i = <mode_i, S> = conj(R conj(vec(conj(A) K B^dag)))
-    for A = ito_out, B = ito_in and R = coupling: two small products and one
-    sparse product."""
-    if (S.dim_in, S.dim_out) != (basis.rep_in.dim, basis.rep_out.dim):
+def _mode_values(K: np.ndarray, basis: ProcessModeBasis) -> np.ndarray:
+    """The coefficients c_i = <mode_i, K> = conj(R conj(vec(conj(A) K B^dag)))
+    for A = ito_out, B = ito_in and R = coupling, of a transfer matrix K or
+    along a leading stack axis of them: two small products per matrix and
+    one sparse product."""
+    if K.shape[-2:] != (basis.ito_out.shape[0], basis.ito_in.shape[0]):
         raise ValueError("superoperator/basis dimension mismatch")
-    y = basis.ito_out @ S.transfer.conj() @ basis.ito_in.T
-    values = _coupling_product(basis.coupling, y.reshape(-1))
+    y = basis.ito_out @ K.conj() @ basis.ito_in.T
+    values = _coupling_product(basis.coupling,
+                               y.reshape(*K.shape[:-2], -1).T).T
     np.conjugate(values, out=values)
     values.setflags(write=False)
     return values
 
 
 def _coupling_product(R, x: np.ndarray) -> np.ndarray:
-    """R x for a sparse coupling R (or its transpose) and a complex x.  A
-    real R, as every built basis has, multiplies the (real, imag) pairs of
-    x in one real product: R @ x would first copy R's data to complex."""
+    """R x for a sparse coupling R (or its transpose) and a complex vector
+    or matrix x.  A real R, as every built basis has, multiplies the (real,
+    imag) pairs of x in one real product: R @ x would first copy R's data
+    to complex."""
     if R.dtype.kind == "c":
         return R @ x
-    pairs = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
-    return (R @ pairs).view(complex).reshape(-1)
+    pairs = np.ascontiguousarray(x, dtype=complex).view(float)
+    return (R @ pairs.reshape(len(x), -1)).view(complex).reshape(
+        -1, *x.shape[1:])
 
 
 def _transfer_of(values: np.ndarray, basis: ProcessModeBasis) -> np.ndarray:
     """sum_i values_i * (transfer matrix of mode i) = A^T Z B, with Z the
-    coupling's transpose applied to the values."""
-    Z = _coupling_product(basis._coupling_t, values)
-    Z = Z.reshape(len(basis.ito_out), -1)
+    coupling's transpose applied to the values, for one vector of values or
+    along a leading stack axis of them."""
+    Z = _coupling_product(basis._coupling_t, values.T).T
+    Z = Z.reshape(*values.shape[:-1], len(basis.ito_out), -1)
     return basis.ito_out.T @ Z @ basis.ito_in
 
 
 def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:
     """Coefficients c_i = <mode_i, S> and the norm of what they leave out."""
-    values = _mode_values(S, basis)
+    values = _mode_values(S.transfer, basis)
     residual = np.linalg.norm(S.transfer - _transfer_of(values, basis))
     return ModeCoefficients(basis, values, float(residual))
 
@@ -512,7 +517,7 @@ def project_isotypic(S: Superoperator, lam: IrrepLabel, quadrature: HaarQuadratu
 def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
                            basis: ProcessModeBasis) -> Superoperator:
     """Algebraic isotypic projection via the mode basis (primary route)."""
-    values = _mode_values(S, basis)
+    values = _mode_values(S.transfer, basis)
     code = lam.two_j if lam.kind == SU2 else lam.charge
     # an irrep of another group or modulus keeps no row
     kept = np.where((basis.lam == code) & (basis._irrep(code) == lam),
@@ -528,4 +533,5 @@ def twirl(S: Superoperator, quadrature: HaarQuadrature,
 
 def is_symmetric(S: Superoperator, basis: ProcessModeBasis, tol: float = 1e-10) -> bool:
     """``ModeCoefficients.is_symmetric`` without decompose's residual."""
-    return ModeCoefficients(basis, _mode_values(S, basis), 0.0).is_symmetric(tol)
+    values = _mode_values(S.transfer, basis)
+    return ModeCoefficients(basis, values, 0.0).is_symmetric(tol)

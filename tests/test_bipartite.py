@@ -2,25 +2,36 @@
 injection and relational regions, and the published closed-form actions."""
 
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, bell_states,
-                                 bloch_of_state, classify, decompose_symmetric,
-                                 diagonal_action, extremal_e1, extremal_e2,
-                                 heisenberg_unitary, injection_bloch_formula,
-                                 injection_channel, injection_coords,
-                                 injection_region_test, region_choi_stack,
-                                 region_scan, relational_channel,
-                                 relational_quartics, relational_r_matrix,
-                                 singlet_channel, state_from_bloch,
-                                 swap_invariant_relational, twirl_rank,
-                                 two_qubit_catalog, two_qubit_product_rep)
-from symmetria.groups import RepSpec, haar_quadrature, random_su2, rep_matrix
+import symmetria
+from symmetria import bipartite
+from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, BipartiteDiagram,
+                                 bell_states, bloch_of_state,
+                                 build_symmetric_basis, classify,
+                                 decompose_symmetric, diagonal_action,
+                                 extremal_e1, extremal_e2, heisenberg_unitary,
+                                 injection_bloch_formula, injection_channel,
+                                 injection_coords, injection_region_test,
+                                 pair_sum, region_choi_stack, region_scan,
+                                 relational_channel, relational_quartics,
+                                 relational_r_matrix, singlet_channel,
+                                 state_from_bloch, swap_invariant_relational,
+                                 twirl_rank, two_qubit_catalog,
+                                 two_qubit_product_rep)
+from symmetria.groups import (SU2, RepSpec, haar_quadrature, random_su2,
+                              rep_matrix)
 from symmetria.linalg_core import (Superoperator, apply, check_cptp, conjugate,
-                                   depolarizing_channel, random_cptp)
-from symmetria.process_modes import twirl
+                                   depolarizing_channel, random_cptp,
+                                   unitary_channel)
+from symmetria.process_modes import (MAX_STACK_BYTES, ProcessModeBasis,
+                                     twirl)
 
 CAT = two_qubit_catalog()
 BASIS = CAT.basis
@@ -55,6 +66,139 @@ def test_basis_gram_structure():
     assert np.linalg.norm(G - np.diag(np.diag(G))) < 1e-10
     norms = sorted(round(float(x.real), 6) for x in np.diag(G))
     assert norms == sorted([1, 1, 3, 3, 3, 3, 3, 3, 1, 1, 3, 3, 3, 5])
+
+
+def _chi(basis_a: ProcessModeBasis, basis_b: ProcessModeBasis,
+         theta: BipartiteDiagram) -> Superoperator:
+    fam_a = basis_a.family(theta.diag_a)
+    fam_b = {m.k: m for m in basis_b.family(theta.diag_b)}
+    kind = theta.diag_a.lam.kind
+    acc = None
+    for ma in fam_a:
+        if kind == SU2:
+            sign = (-1.0) ** ((theta.diag_a.lam.two_j - ma.k) // 2)
+            mb = fam_b[-ma.k]
+        else:
+            sign = 1.0
+            mb = fam_b[ma.k]
+        term = sign * ma.op.tensor(mb.op)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _Z3(*charges):
+    return RepSpec.zn_charges(list(charges), 3)
+
+
+_SU2 = RepSpec.su2_spins
+# (A in, A out, B in, B out)
+_PARITY_CASES = {
+    "spin 1/2 (x) 1/2": (_SU2([1]),) * 4,
+    "spin 1 (x) 1": (_SU2([2]),) * 4,
+    "spin 3/2 (x) 3/2": (_SU2([3]),) * 4,
+    "A spin 1/2 -> 1, B spin 1/2": (_SU2([1]), _SU2([2]), _SU2([1]),
+                                    _SU2([1])),
+    "A spin 1, B spins 1/2 + 1/2 -> 1": (_SU2([2]), _SU2([2]), _SU2([1, 1]),
+                                         _SU2([2])),
+    "Z_3 charges (0, 1, 2)": (_Z3(0, 1, 2),) * 4,
+    "mixed Z_3 reps": (_Z3(0, 1), _Z3(2), _Z3(1, 1), _Z3(0, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARITY_CASES))
+def test_factored_route_matches_the_dense_chi_oracle(case):
+    # the parent's dense route: every chi_theta as a sum of mode tensor
+    # products, one inner product per element, and the superoperator sum
+    reps = _PARITY_CASES[case]
+    basis = build_symmetric_basis(*reps)
+    A, B = basis.basis_a, basis.basis_b
+    order = [BipartiteDiagram(da, db) for da in A.diagrams()
+             for db in B.diagrams() if db.lam == da.lam.dual()]
+    assert [e.diagram for e in basis.elements] == order
+    d_in, d_out = reps[0].dim * reps[2].dim, reps[1].dim * reps[3].dim
+    S = random_cptp(d_in, d_out, np.random.default_rng(47))
+    coeffs = decompose_symmetric(S, basis)
+    assert list(coeffs.values) == order
+    expect = Superoperator.zero(d_in, d_out)
+    for e in basis.elements:
+        chi = _chi(A, B, e.diagram)
+        # e.op without caching it: its pairs through pair_sum
+        got = pair_sum(A, B, e.rows_a, e.rows_b, e.signs)
+        assert (got - chi).norm() <= 1e-13
+        c = complex(np.vdot(chi.transfer, S.transfer))
+        c /= e.diagram.diag_a.lam.dim
+        assert abs(coeffs.values[e.diagram] - c) <= 1e-13
+        expect = expect + c * chi
+    assert abs(coeffs.residual - (S - expect).norm()) <= 1e-13
+    assert (coeffs.reconstruct() - expect).norm() <= 1e-13
+
+
+def test_element_op_is_its_pair_sum_formed_once():
+    basis = build_symmetric_basis(*_PARITY_CASES["spin 1 (x) 1"])
+    e = basis.elements[len(basis.elements) // 2]
+    assert "op" not in e.__dict__
+    assert e.op is e.op
+    want = pair_sum(basis.basis_a, basis.basis_b, e.rows_a, e.rows_b, e.signs)
+    assert e.op.transfer.tobytes() == want.transfer.tobytes()
+    assert abs(e.op.norm() ** 2 - e.diagram.diag_a.lam.dim) < 1e-12
+
+
+def test_decompose_symmetric_refuses_a_superoperator_of_other_dims():
+    # 2 -> 8 has the 4 -> 4 transfer's size, but not its factor dims
+    S = Superoperator.zero(2, 8)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        decompose_symmetric(S, BASIS)
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_refuses_a_decomposition_over_the_budget_before_building():
+    rep = RepSpec.su2_spins([9])  # spin 9/2 (x) 9/2: transfer 16 * 10^8 B
+
+    def build():
+        with pytest.raises(ValueError, match="GiB"):
+            build_symmetric_basis(rep, rep, rep, rep)
+    assert _traced_peak(build) < 1 << 16
+
+
+def test_build_and_decompose_peak_is_inside_the_prediction():
+    rep = RepSpec.su2_spins([3])  # spin 3/2 (x) 3/2
+    S = random_cptp(16, 16, np.random.default_rng(48))
+    predicted = bipartite._PAIR_WORKSPACE * 16 * (4 ** 4) ** 2
+    peak = _traced_peak(lambda: decompose_symmetric(
+        S, build_symmetric_basis(rep, rep, rep, rep)))
+    assert predicted / 2 < peak <= predicted
+
+
+def test_spin_five_halves_pair_decomposes_inside_the_budget():
+    rep = RepSpec.su2_spins([5])
+    assert bipartite._PAIR_WORKSPACE * 16 * 6 ** 8 <= MAX_STACK_BYTES
+    basis = build_symmetric_basis(rep, rep, rep, rep)
+    S = random_cptp(36, 36, np.random.default_rng(49), env_dim=4)
+    coeffs = decompose_symmetric(S, basis)
+    # the reconstruction is the orthogonal projection of S on the span
+    square = coeffs.residual ** 2 + coeffs.reconstruct().norm() ** 2
+    assert abs(square - S.norm() ** 2) < 1e-10
+    # a product of two symmetric channels is invariant
+    P = depolarizing_channel(0.3, 6).tensor(depolarizing_channel(0.6, 6))
+    assert decompose_symmetric(P, basis).residual < 1e-10
+
+
+def test_library_forms_mode_pair_products_only_with_pair_sum():
+    # bipartite.pair_sum is the one place that assembles mode pairs
+    pattern = re.compile(r"\.op\.tensor\(")
+    hits = [f"{path.name}:{n}"
+            for path in sorted(Path(symmetria.__file__).parent.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
 
 
 def test_twirl_rank_is_fourteen():
@@ -134,6 +278,15 @@ def test_local_class_closure():
     for e in BASIS.elements:
         if classify(e.diagram) != LOCAL:
             assert abs(coeffs.values[e.diagram]) < 1e-10
+
+
+@pytest.mark.parametrize("t", [-2.3, 0.0, 0.4, 1.1, 7.9])
+def test_heisenberg_unitary_closed_form_matches_expm(t):
+    sig = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.diag([1, -1])]
+    H = sum(np.kron(s, s) for s in sig)
+    want = unitary_channel(expm(1j * t * H))
+    assert (heisenberg_unitary(t) - want).norm() < 1e-13
 
 
 def test_heisenberg_unitary_is_symmetric():

@@ -52,6 +52,21 @@ def test_bipartite_catalog():
         assert cls in r.stdout
 
 
+def test_gauge_pair_weights_are_the_scalar_normal_stream():
+    # cmd_gauge draws the weights of a random two-site element as one
+    # vector, (x mode, y mode, real/imag); the golden outputs were made with
+    # one scalar draw per part, x outermost
+    import numpy as np
+
+    vector_rng, scalar_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for rng in (vector_rng, scalar_rng):
+        rng.integers(0, 3)
+    vector = vector_rng.normal(size=(3, 4, 2))
+    scalar = [[[scalar_rng.normal(), scalar_rng.normal()] for _ in range(4)]
+              for _ in range(3)]
+    assert np.array_equal(vector, scalar)
+
+
 def test_region_csv_shape():
     r = run_cli("region", "--kind", "injection", "--grid", "4")
     assert r.returncode == 0, r.stderr
