@@ -18,6 +18,7 @@ import os
 import sys
 
 import numpy as np
+from scipy import sparse
 
 from .axial import axial_table, polar_decompose
 from .bipartite import (INJECTION, classify, decompose_symmetric,
@@ -396,18 +397,20 @@ def cmd_gauge(args, out: list) -> int:
     lat = build_gauged_lattice(Lx, Ly, args.lattice_n)
     out.append(f"lattice: {Lx}x{Ly} sites, {len(lat.links)} links, "
                f"Z_{lat.N} frames, dim {lat.dim}")
-    gauged = lat.gauss_commutators(lat.H_gauged)
+    # the sparse forms: no dense Hamiltonian or loop is formed
+    gauged = lat.gauss_commutators(lat.hamiltonian(gauged=True))
     for (s, g), c in gauged.items():
         out.append(f"  [G_{s}({g}), H_gauged] norm: {fmt(c)}")
     worst_comm = max(gauged.values())
     out.append(f"max Gauss commutator with H_gauged: {fmt(worst_comm)}")
-    free = lat.gauss_commutators(lat.H_free)
+    free = lat.gauss_commutators(lat.hamiltonian(gauged=False))
     out.append(f"min Gauss commutator with H_free: {fmt(min(free.values()))}")
-    wilson = [max(lat.gauss_commutators(W).values()) for W in lat.wilson_ops]
+    wilson = [max(lat.gauss_commutators(sparse.diags(p)).values())
+              for p in lat.wilson_phases]
     worst_wilson = max(wilson, default=0.0)
     out.append(f"max Gauss commutator with a Wilson loop: {fmt(worst_wilson)}")
-    for wi, W in enumerate(lat.wilson_ops):
-        ev = np.sort(np.diag(W).real)  # the loops are diagonal
+    for wi, p in enumerate(lat.wilson_phases):
+        ev = np.sort(p.real)  # the loops are diagonal
         out.append(f"wilson op {wi} spectrum (real parts): "
                    + " ".join(fmt(v) for v in ev[:4]) + " ...")
     v = free_state_check(lat, np.eye(lat.dim) / lat.dim)

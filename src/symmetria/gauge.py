@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 from scipy import sparse
@@ -42,20 +43,6 @@ class GaugeCoupling:
         L = self.frame.charge_operator(self.lam)
         return Superoperator.from_transfer(kron(L, np.eye(self.frame.N)),
                                            self.frame.N, self.frame.N)
-
-    def covariance_phase(self, g_x: int, g_y: int) -> complex:
-        """A_lambda picks up omega^{-lambda g_x + lambda g_y} under the
-        link action conjugation."""
-        return np.exp(2j * np.pi * self.lam * (g_y - g_x) / self.frame.N)
-
-
-def coupling_covariance_defect(c: GaugeCoupling) -> float:
-    """Max residual of the exact covariance law over all of Z_N x Z_N."""
-    K, N = c.superop.transfer, c.frame.N
-    shift = [Monomial((np.arange(N) + k) % N, np.ones(N)) for k in range(N)]
-    return max(float(np.linalg.norm(shift[gx - gy].transfer().conjugate(K)
-                                    - c.covariance_phase(gx, gy) * K))
-               for gx in range(N) for gy in range(N))
 
 
 @dataclass(frozen=True)
@@ -196,22 +183,22 @@ class GaugedLattice:
 
     A product-basis index has one digit per site (its occupation, most
     significant first), then one per link (its group element).  Every lattice
-    operator is monomial in that basis and is built from the digit tables.
-    The Gauss unitaries are kept as ``Monomial`` actions; ``gauss_ops``, their
-    dense form, is formed on demand (at first read), as are the gauge-orbit
-    tables of the twirl checks."""
+    operator is monomial in that basis and is held as index structure, with
+    sparse forms ``hamiltonian`` and ``wilson_phases``; the dense ``H_free``,
+    ``H_gauged``, ``wilson_ops`` and ``gauss_ops`` and the twirl checks'
+    gauge-orbit tables are formed at first read."""
 
     Lx: int
     Ly: int
     N: int
     sites: tuple            # site coordinates (x, y)
     links: tuple            # oriented links ((x1,y1), (x2,y2))
-    H_free: np.ndarray      # matter-only Hamiltonian, embedded in full space
-    H_gauged: np.ndarray    # hopping dressed with link operators
-    wilson_ops: tuple       # plaquette loop operators (both orientations)
     _occ: np.ndarray        # (num sites, dim) site occupations per basis index
     _linkval: np.ndarray    # (num links, dim) link group elements per index
     _incidence: np.ndarray  # (num sites, num links): +1 source, -1 target
+    _number: np.ndarray     # (dim,) the number term's diagonal
+    _hops: np.ndarray       # (3, hops): link, k, moved = a_src^dag a_tgt k
+    _loops: tuple           # per Wilson loop, its exponent vector mod N
 
     @property
     def dim(self) -> int:
@@ -239,11 +226,42 @@ class GaugedLattice:
         """(site_index, g) -> the dense Gauss unitary G_s(g)."""
         return {key: U.dense() for key, U in self._gauss_actions.items()}
 
-    def gauss_commutators(self, M: np.ndarray) -> dict:
+    def hamiltonian(self, gauged: bool = True) -> sparse.coo_matrix:
+        """H_gauged (or H_free) as COO: the number diagonal, each hop at
+        (moved, k), times omega^h if gauged, its adjoint at (k, moved)."""
+        (li, k, moved), n = self._hops, np.arange(self.dim)
+        w = LinkFrame(self.N).charge_operator(1).diagonal()  # omega^h
+        v = w[self._linkval[li, k]] if gauged else np.ones(len(k))
+        return sparse.coo_matrix((np.r_[self._number, v, np.conj(v)],
+                                  (np.r_[n, moved, k], np.r_[n, k, moved])),
+                                 (self.dim,) * 2, dtype=complex)
+
+    @property
+    def wilson_phases(self) -> tuple:
+        """The diagonals of ``wilson_ops``: omega^(loop exponent)."""
+        w = LinkFrame(self.N).charge_operator(1).diagonal()
+        return tuple(w[e] for e in self._loops)
+
+    @cached_property
+    def H_free(self) -> np.ndarray:
+        """Matter-only hopping plus the number term, dense."""
+        return _dense(self.hamiltonian(gauged=False))
+
+    @cached_property
+    def H_gauged(self) -> np.ndarray:
+        """Hopping dressed with the link operators, dense."""
+        return _dense(self.hamiltonian(gauged=True))
+
+    @cached_property
+    def wilson_ops(self) -> tuple:
+        """The plaquette loop operators (both orientations), dense."""
+        return tuple(np.diag(p) for p in self.wilson_phases)
+
+    def gauss_commutators(self, M) -> dict:
         """||G M - M G|| for every Gauss unitary G, keyed and ordered as
-        ``gauss_ops``.  G is unitary, so this equals ||G M G^dag - M||, which
-        the nonzeros of M give without a matrix product."""
-        M = sparse.coo_matrix(np.asarray(M, dtype=complex))
+        ``gauss_ops``, M dense or sparse.  G is unitary, so this equals
+        ||G M G^dag - M||, which M's nonzeros give without a matrix product."""
+        M = sparse.coo_matrix(M, dtype=complex)
         out = {}
         for key, U in self._gauss_actions.items():
             GMG = sparse.coo_matrix(U.move(M.row, M.col, M.data), M.shape)
@@ -267,20 +285,19 @@ class GaugedLattice:
 
     def twirl_enumerate(self, rho: np.ndarray) -> np.ndarray:
         """Direct group-sum twirl; the oracle for ``twirl``."""
-        rho = np.asarray(rho, dtype=complex)
-        group = list(np.ndindex((self.N,) * len(self.sites)))
+        rho, ns = np.asarray(rho, dtype=complex), len(self.sites)
         return sum(self._monomial_action(c).conjugate(rho)
-                   for c in group) / len(group)
+                   for c in np.ndindex((self.N,) * ns)) / self.N ** ns
 
     def dynamics_commutation_defects(self, V: np.ndarray, states) -> list:
         """Norms of (V G(rho) V^dag - G(V rho V^dag)) for each state, where
         G is the local twirl, computed in the product basis.  States given
         as 1-D arrays are treated as pure-state vectors: then
         G(|phi><phi|) = Y Y^dag with one column P_q phi per charge sector q,
-        so the difference is W W^dag - Y Y^dag with W = V [P_q phi]_q and
-        Y = [P_q V phi]_q.  Its norm is ||R_W R_W^dag - R_Y R_Y^dag|| for the
-        triangular factor R = [R_W R_Y] of [W Y] = Q R, with no d x d
-        product."""
+        so the difference is D = W W^dag - Y Y^dag with W = V [P_q phi]_q and
+        Y = [P_q V phi]_q.  With E = W - Y, D = M C M^dag for M = [Y E] and
+        C = [[0, 1], [1, 1]], so ||D||^2 = tr((C M^dag M)^2): no d x d
+        product, and each term scales with E, so small defects stay precise."""
         d = self.dim
         V = np.asarray(V, dtype=complex)
         if V.shape != (d, d):
@@ -293,26 +310,28 @@ class GaugedLattice:
             if s.shape == (d,):
                 phi, psi = self._sector_columns(s), self._sector_columns(V @ s)
                 n = sum(cols.shape[1] for _, cols in phi)
-                A = np.zeros((d, 2 * n), dtype=complex)  # [W Y]
+                M = np.zeros((d, 2 * n), dtype=complex)  # [Y W], then [Y E]
+                Y, E = M[:, :n], M[:, n:]
                 at = 0
                 for (idx, cols), (_, ycols) in zip(phi, psi):
                     k = cols.shape[1]
                     # V on the class's link blocks only, as column slices
                     for b, start in enumerate(idx[::L]):
-                        A[:, at:at + k] += (V[:, start:start + L]
+                        E[:, at:at + k] += (V[:, start:start + L]
                                             @ cols[b * L:(b + 1) * L])
-                    A[idx, n + at:n + at + k] = ycols
+                    Y[idx, at:at + k] = ycols
                     at += k
-                R = np.linalg.qr(A, mode="r")
-                RW, RY = R[:, :n], R[:, n:]
-                diff = RW @ RW.conj().T - RY @ RY.conj().T
+                E -= Y
+                G = M.conj().T @ M
+                CG = np.r_[G[n:], G[:n] + G[n:]]  # by row blocks
+                out.append(float(np.sqrt(max((CG * CG.T).sum().real, 0.0))))
             elif s.shape == (d, d):
-                diff = (V @ self.twirl(s) @ V.conj().T
-                        - self.twirl(V @ s @ V.conj().T))
+                out.append(float(np.linalg.norm(
+                    V @ self.twirl(s) @ V.conj().T
+                    - self.twirl(V @ s @ V.conj().T))))
             else:
                 raise ValueError(f"state {i} has shape {s.shape}, expected "
                                  f"({d},) or ({d}, {d})")
-            out.append(float(np.linalg.norm(diff)))
         return out
 
     def _sector_columns(self, phi: np.ndarray) -> list:
@@ -340,8 +359,7 @@ class GaugedLattice:
     def _density(self, rho) -> np.ndarray:
         """rho as a C-contiguous complex (dim, dim) array; ValueError naming
         the shape otherwise."""
-        rho = np.ascontiguousarray(rho, dtype=complex)
-        d = self.dim
+        rho, d = np.ascontiguousarray(rho, dtype=complex), self.dim
         if rho.shape != (d, d):
             raise ValueError(f"state has shape {rho.shape}, expected "
                              f"({d}, {d})")
@@ -391,11 +409,11 @@ class GaugedLattice:
 
 
 def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
-    """Assemble the free and gauged hopping Hamiltonians and the plaquette
-    loop operators.  Sites carry one hardcore mode (a qubit); each oriented
-    link between adjacent sites carries a Z_N frame.  Parallel duplicate
-    edges from the periodic wrap are deduplicated, so the default 2x2
-    lattice has 4 sites and 4 links forming a single plaquette."""
+    """The lattice's index structure (digit tables, number term, hops and
+    plaquette loop exponents; no d x d array).  Sites carry one hardcore
+    mode (a qubit), each oriented link between adjacent sites a Z_N frame.
+    Parallel duplicate edges from the periodic wrap are deduplicated, so
+    the default 2x2 lattice has 4 sites and 4 links forming one plaquette."""
     if Lx < 1 or Ly < 1:
         raise ValueError("lattice sides must be at least 1")
     if N < 2:
@@ -421,60 +439,43 @@ def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
     digits = np.array(np.unravel_index(np.arange(dim), shape))
     occ, linkval = digits[:ns], digits[ns:]
     stride = dim // np.cumprod(shape)
-    w = np.diag(LinkFrame(N).charge_operator(1))  # w[h] = omega^h
-
-    H_free = np.diag(occ.sum(axis=0)).astype(complex)
-    H_gauged = H_free.copy()
     incidence = np.zeros((ns, nl), dtype=int)
+    hops = [np.zeros((3, 0), dtype=int)]  # a 1x1 lattice has no link
     for li, (src, tgt) in enumerate(links):
         i, j = s_index[src], s_index[tgt]
         incidence[i, li], incidence[j, li] = 1, -1
-        # a_i^dag a_j moves the particle from j to i; the gauged copy picks
-        # up the link phase omega^h, and the adjoint sits at the transpose
+        # a_i^dag a_j moves the particle from j to i
         k = np.flatnonzero((occ[i] == 0) & (occ[j] == 1))
-        moved = k + stride[i] - stride[j]
-        H_free[moved, k] = H_free[k, moved] = 1.0
-        H_gauged[moved, k] = w[linkval[li, k]]
-        H_gauged[k, moved] = w[linkval[li, k]].conj()
-
-    return GaugedLattice(Lx, Ly, N, tuple(sites), tuple(links), H_free,
-                         H_gauged, _wilson_loops(sites, links, linkval, w),
-                         occ, linkval, incidence)
-
-
-def _wilson_loops(sites, links, linkval, w):
-    """Plaquette loop operators: the product of L over the cycle, with L^{-1}
-    on links traversed against their orientation, both orientations.  Each
-    is the diagonal omega^(sum of +-h) along the cycle."""
+        hops.append([np.full_like(k, li), k, k + stride[i] - stride[j]])
+    # plaquette loops: the product of L over the cycle, L^{-1} on links
+    # traversed against their orientation, is the diagonal omega^(sum of +-h)
     l_index = {l: i for i, l in enumerate(links)}
     loops = []
     for cyc in _plaquette_cycles(sites, links):
         expo = sum(linkval[l_index[(u, v)]] if (u, v) in l_index
                    else -linkval[l_index[(v, u)]]
                    for u, v in zip(cyc, cyc[1:] + cyc[:1]))
-        # the reversed cycle traverses every link the other way
-        loops += [np.diag(w[expo % len(w)]), np.diag(w[-expo % len(w)])]
-    return tuple(loops)
+        loops += [expo % N, -expo % N]  # the reversed cycle's is -expo
+    return GaugedLattice(Lx, Ly, N, tuple(sites), tuple(links), occ, linkval,
+                         incidence, occ.sum(axis=0), np.hstack(hops),
+                         tuple(loops))
+
+
+def _dense(M: sparse.coo_matrix) -> np.ndarray:
+    """M as a complex array: one zeros and one scatter (no duplicates)."""
+    out = np.zeros(M.shape, dtype=complex)
+    out[M.row, M.col] = M.data
+    return out
 
 
 def _plaquette_cycles(sites, links):
-    """Elementary 4-cycles of the (undirected) link graph."""
-    adj = {s: set() for s in sites}
-    for (u, v) in links:
-        adj[u].add(v)
-        adj[v].add(u)
-    found = []
-    seen = set()
-    for a in sites:
-        for b in adj[a]:
-            for c in adj[b] - {a}:
-                for d in adj[c] - {b}:
-                    if d != a and a in adj[d]:
-                        key = frozenset((a, b, c, d))
-                        if len(key) == 4 and key not in seen:
-                            seen.add(key)
-                            found.append((a, b, c, d))
-    return found
+    """Elementary 4-cycles of the (undirected) link graph, each once, as the
+    first of its orderings in ``sites`` order."""
+    edges, found = {frozenset(l) for l in links}, {}
+    for cyc in permutations(sites, 4):
+        if all(frozenset(e) in edges for e in zip(cyc, cyc[1:] + cyc[:1])):
+            found.setdefault(frozenset(cyc), cyc)
+    return list(found.values())
 
 
 @dataclass(frozen=True)
@@ -493,10 +494,9 @@ def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
     squares are summed directly: ||rho||^2 - ||twirl(rho)||^2 would cancel
     to about 1e-10 at rho = I/d."""
     rho = lattice._density(rho)
-    d = lattice.dim
     # squared norm of every (site block, site block) pair of link blocks
     S = 2 ** len(lattice.sites)
-    L = d // S
+    L = lattice.dim // S
     X = rho.view(float).reshape(S, L, S, 2 * L)
     pairs = np.einsum("aibj,aibj->ab", X, X)
     number = lattice._occ[:, ::L].sum(axis=0) % lattice.N

@@ -12,13 +12,12 @@ from scipy import sparse
 from symmetria import linalg_core
 from symmetria.gauge import (GaugeCoupling, GaugedProcess, LinkFrame,
                              _local_action, _plaquette_cycles,
-                             build_gauged_lattice,
-                             coupling_covariance_defect, degauge_marginal,
+                             build_gauged_lattice, degauge_marginal,
                              free_state_check, gauge_2symmetric, gauge_fix,
                              gauge_fix_stabilizer, local_invariance_residual)
 from symmetria.groups import GroupElement, RepSpec, rep_matrix
-from symmetria.linalg_core import (Superoperator, conjugate, hs_inner,
-                                   identity_channel)
+from symmetria.linalg_core import (Monomial, Superoperator, conjugate,
+                                   hs_inner, identity_channel)
 from symmetria.process_modes import build_canonical_modes, superop_group_action
 
 N = 3
@@ -77,8 +76,16 @@ def test_link_action_is_a_representation():
 
 
 def test_coupling_covariance_exact():
+    # A_lambda picks up omega^(lambda (g_y - g_x)) under the link action
+    # conjugation, over all of Z_N x Z_N
+    shift = [Monomial((np.arange(N) + k) % N, np.ones(N)) for k in range(N)]
     for lam in range(N):
-        assert coupling_covariance_defect(GaugeCoupling(FRAME, lam)) < 1e-14
+        K = GaugeCoupling(FRAME, lam).superop.transfer
+        for gx in range(N):
+            for gy in range(N):
+                phase = np.exp(2j * np.pi * lam * (gy - gx) / N)
+                assert np.linalg.norm(shift[gx - gy].transfer().conjugate(K)
+                                      - phase * K) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +377,27 @@ def test_gauge_layer_makes_no_dense_conjugation(monkeypatch):
     gauge_fix_stabilizer(G, 0, 0)
     assert calls == []
 
+    # the build holds index structure only: one d x d complex array at
+    # 2x2 Z_3 (d = 1,296) is 25.6 MiB, and the build traces about 0.16 MiB
     tracemalloc.start()
     try:
         lat = build_gauged_lattice(2, 2, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
     rho = np.eye(lat.dim, dtype=complex) / lat.dim
-    lat.gauss_commutators(lat.H_gauged)
+    psi = np.ones(lat.dim, dtype=complex) / np.sqrt(lat.dim)
+    V = np.diag(np.exp(2j * np.pi * np.arange(lat.dim) / lat.dim))
+    for gauged in (True, False):
+        lat.gauss_commutators(lat.hamiltonian(gauged))
+    for p in lat.wilson_phases:
+        lat.gauss_commutators(sparse.diags(p))
     lat.twirl(rho)
     free_state_check(lat, rho)
-    assert "gauss_ops" not in lat.__dict__
-    assert peak < 150 * 2 ** 20
+    lat.dynamics_commutation_defects(V, [psi])
+    for name in ("gauss_ops", "H_free", "H_gauged", "wilson_ops"):
+        assert name not in lat.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +475,18 @@ def test_gauss_commutators_match_dense_products(Lx, Ly, n):
     # oracle: ||U M - M U|| with the stored dense Gauss unitaries.  Each has
     # one nonzero per row and column, so multiplying it in CSR form gives
     # the dense product without the d^3 cost (64 products at d = 1,296)
+    # the dense input and the sparse forms give the same values
     lat = build_gauged_lattice(Lx, Ly, n)
     gauss = {key: sparse.csr_matrix(U) for key, U in lat.gauss_ops.items()}
-    for M in (lat.H_free, lat.H_gauged) + lat.wilson_ops:
-        got = lat.gauss_commutators(M)
-        assert list(got) == list(gauss)
+    sparse_forms = [lat.hamiltonian(gauged=False), lat.hamiltonian(gauged=True)]
+    sparse_forms += [sparse.diags(p) for p in lat.wilson_phases]
+    for M, S in zip((lat.H_free, lat.H_gauged) + lat.wilson_ops,
+                    sparse_forms):
+        got, from_sparse = lat.gauss_commutators(M), lat.gauss_commutators(S)
+        assert list(got) == list(from_sparse) == list(gauss)
         for key, U in gauss.items():
             assert abs(got[key] - np.linalg.norm(U @ M - M @ U)) <= 1e-12
+            assert abs(from_sparse[key] - got[key]) <= 1e-12
 
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # a |1> = |0>
@@ -534,9 +555,15 @@ def _dense_lattice(Lx, Ly, n):
     return tuple(links), operators()
 
 
-@pytest.mark.parametrize("Lx, Ly, n", [
-    (1, 2, 2), (2, 1, 2), (1, 3, 2), (1, 4, 2), (2, 2, 2),
-    (1, 2, 3), (2, 1, 3), (1, 3, 3), (1, 4, 3), (2, 2, 3), (1, 2, 4)])
+# every lattice the guard accepts up to dim 1,296; 3x1 and 4x1 are left out,
+# as they build the same graphs as 1x3 and 1x4
+_PARITY_LATTICES = [(1, 1, 2), (1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3),
+                    (2, 1, 4), (1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 3, 2),
+                    (1, 3, 3), (1, 3, 4), (1, 4, 2), (1, 4, 3), (2, 2, 2),
+                    (2, 2, 3)]
+
+
+@pytest.mark.parametrize("Lx, Ly, n", _PARITY_LATTICES)
 def test_lattice_matches_the_dense_oracle(Lx, Ly, n):
     lat = build_gauged_lattice(Lx, Ly, n)
     links, operators = _dense_lattice(Lx, Ly, n)
@@ -554,6 +581,51 @@ def test_lattice_matches_the_dense_oracle(Lx, Ly, n):
         assert np.array_equal(got, want)  # bit for bit
     assert list(lat.gauss_ops) == gauss_keys
     assert next(wilson, None) is None
+
+
+def _digit_table_fields(lat):
+    """Oracle: H_free, H_gauged and the Wilson loops formed eagerly and
+    densely from the digit tables, by an int np.diag, astype, copy and
+    scatters."""
+    ns, n, d = len(lat.sites), lat.N, lat.dim
+    shape = (2,) * ns + (n,) * len(lat.links)
+    digits = np.array(np.unravel_index(np.arange(d), shape))
+    occ, linkval = digits[:ns], digits[ns:]
+    stride = d // np.cumprod(shape)
+    w = np.diag(LinkFrame(n).charge_operator(1))
+    s_index = {s: i for i, s in enumerate(lat.sites)}
+    H_free = np.diag(occ.sum(axis=0)).astype(complex)
+    H_gauged = H_free.copy()
+    for li, (src, tgt) in enumerate(lat.links):
+        i, j = s_index[src], s_index[tgt]
+        k = np.flatnonzero((occ[i] == 0) & (occ[j] == 1))
+        moved = k + stride[i] - stride[j]
+        H_free[moved, k] = H_free[k, moved] = 1.0
+        H_gauged[moved, k] = w[linkval[li, k]]
+        H_gauged[k, moved] = w[linkval[li, k]].conj()
+    l_index = {l: i for i, l in enumerate(lat.links)}
+    loops = []
+    for cyc in _plaquette_cycles(lat.sites, lat.links):
+        expo = sum(linkval[l_index[(u, v)]] if (u, v) in l_index
+                   else -linkval[l_index[(v, u)]]
+                   for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+        loops += [np.diag(w[expo % n]), np.diag(w[-expo % n])]
+    return H_free, H_gauged, loops
+
+
+@pytest.mark.parametrize("Lx, Ly, n", _PARITY_LATTICES)
+def test_lazy_fields_match_the_digit_table_build(Lx, Ly, n):
+    # bit for bit, signed zeros included: the same dtype, and the same
+    # 64-bit words for the real and imaginary parts
+    lat = build_gauged_lattice(Lx, Ly, n)
+    H_free, H_gauged, loops = _digit_table_fields(lat)
+    assert len(lat.wilson_ops) == len(loops)
+    for got, want in zip((lat.H_free, lat.H_gauged) + lat.wilson_ops,
+                         [H_free, H_gauged] + loops):
+        assert got.dtype == want.dtype == complex
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for p, W in zip(lat.wilson_phases, loops):
+        assert np.array_equal(p, np.diag(W))
 
 
 def _link_dft(lat):
@@ -676,12 +748,20 @@ def _lattice_evolutions(lat, rng, t=0.6):
     yield "non-unitary", G / np.sqrt(2 * lat.dim)
 
 
-# every lattice the guard accepts up to dim 1,296; 3x1 and 4x1 are left out,
-# as they build the same graphs as 1x3 and 1x4
-_PARITY_LATTICES = [(1, 1, 2), (1, 1, 3), (1, 1, 4), (2, 1, 2), (2, 1, 3),
-                    (2, 1, 4), (1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 3, 2),
-                    (1, 3, 3), (1, 3, 4), (1, 4, 2), (1, 4, 3), (2, 2, 2),
-                    (2, 2, 3)]
+def _qr_pure_defect(lat, V, phi):
+    """Oracle: the pure-state defect ||W W^dag - Y Y^dag|| from the
+    triangular factor R = [R_W R_Y] of [W Y] = Q R, W = V [P_q phi]_q and
+    Y = [P_q V phi]_q."""
+    W, Y = [], []
+    for (idx, cols), (_, ycols) in zip(lat._sector_columns(phi),
+                                       lat._sector_columns(V @ phi)):
+        for stack, c in ((W, cols), (Y, ycols)):
+            stack.append(np.zeros((lat.dim, c.shape[1]), dtype=complex))
+            stack[-1][idx] = c
+    W = V @ np.hstack(W)
+    R = np.linalg.qr(np.hstack([W] + Y), mode="r")
+    RW, RY = R[:, :W.shape[1]], R[:, W.shape[1]:]
+    return float(np.linalg.norm(RW @ RW.conj().T - RY @ RY.conj().T))
 
 
 @pytest.mark.parametrize("Lx, Ly, n", _PARITY_LATTICES)
@@ -712,6 +792,8 @@ def test_class_blocked_twirl_checks_match_the_dense_link_frame(Lx, Ly, n):
         got = lat.dynamics_commutation_defects(V, states)
         want = defects(V, states)
         assert np.abs(np.subtract(got, want)).max() <= 1e-12
+        for psi, gram in zip(pures, got):  # the Gram route against QR
+            assert abs(gram - _qr_pure_defect(lat, V, psi)) <= 1e-12
         if name == "gauged":
             assert max(got) <= 1e-12
         elif name == "haar":
