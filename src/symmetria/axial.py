@@ -413,7 +413,7 @@ def axial_table(p: float = 0.3, angle: float = 0.7) -> list[TableRow]:
             rotation_channel(angle),
             (-(1 + 2 * c) / math.sqrt(3.0),
              0.0,
-             -1j * math.sqrt(2.0) * math.sin(2 * angle),
+             -1j * math.sqrt(2.0) * 2.0 * s * c,  # sin(2 angle)
              2.0 * s * s),
             "published row mixes angle conventions: a0 uses the half-angle "
             "unitary exp(i phi/2 sigma_z) while a1, a2 are printed for the "

@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
 
 SU2 = "su2"
 ZN = "zn"
@@ -308,9 +307,13 @@ def cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
     columns over (m1, m2) row-major, both descending.  Every (J, M, m1, m2)
     with m1 + m2 = M is stored, so the sparsity pattern is the selection
     rule.  On each weight-M subspace J^2 is tridiagonal with the distinct
-    eigenvalues J(J + 1), so one ``eigh`` per M gives the coupled states up
-    to sign.  The Condon-Shortley signs follow: |J J> has sign (-1)^(j1-m1)
-    on every component, and |J, M-1> is a positive multiple of J_- |J M>.
+    eigenvalues J(J + 1).  All d1 + d2 - 1 subspaces take one batched
+    ``eigh``, each padded to min(d1, d2) with decoupled diagonal entries
+    below every J(J + 1), so that eigenvector column t is J = |j1 - j2| + t.
+    The Condon-Shortley signs come from overlaps, never from a single
+    component: |J J> has sign (-1)^(j1-m1) on every component, and
+    |J, M-1> is a positive multiple of J_- |J M>, so the signs of the raw
+    overlaps <J, M-1| J_- |J M> multiply down each J.
     The matrix is cached and shared: do not modify it.
     """
     d1, d2 = two_j1 + 1, two_j2 + 1
@@ -321,38 +324,53 @@ def cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
     low2 = np.sqrt((j2 + m2) * (j2 - m2 + 1))
     raise2 = np.sqrt((j2 - m2) * (j2 + m2 + 1))  # J_+ |j2 m2> = raise2 |j2 m2+1>
     two_min, two_top = abs(two_j1 - two_j2), two_j1 + two_j2
-    rows, cols, vals = [], [], []
-    prev_a = prev_V = None
-    # s = (two_top - two_M) / 2 indexes M descending; the subspace holds
-    # (m1 index a, m2 index s - a), ordered by a ascending
-    for s in range(d1 + d2 - 1):
-        a = np.arange(max(0, s - d2 + 1), min(s, d1 - 1) + 1)
-        b = s - a
-        two_M = two_top - 2 * s
-        off = low1[a[:-1]] * raise2[b[:-1]]  # J1_- J2_+ between neighbours
-        _, V = eigh_tridiagonal(  # columns: J ascending
-            j1 * (j1 + 1) + j2 * (j2 + 1) + 2 * m1[a] * m2[b], off)
-        two_J = np.arange(max(two_min, abs(two_M)), two_top + 1, 2)
-        top = two_J == two_M  # the highest weight |J J>, if J = M occurs
-        sign = np.empty(len(two_J))
-        sign[top] = (-1.0) ** a @ V[:, top]
-        if prev_V is not None:  # overlap with J_- applied to |J, M+1>
-            lowered = np.zeros((d1 + 1, prev_V.shape[1]))
-            lowered[prev_a + 1] += low1[prev_a, None] * prev_V
-            lowered[prev_a] += low2[s - 1 - prev_a, None] * prev_V
-            prev_col = (two_J[~top] - max(two_min, abs(two_M + 2))) // 2
-            sign[~top] = np.sum(lowered[a][:, prev_col] * V[:, ~top], axis=0)
-        V *= np.where(sign < 0, -1.0, 1.0)
-        t = (two_J - two_min) // 2  # rows of the spins below J
-        rows.append(np.repeat(t * (two_min + 1) + t * (t - 1)
-                              + (two_J - two_M) // 2, len(a)))
-        cols.append(np.tile(a * d2 + b, len(two_J)))
-        vals.append(V.T.reshape(-1))
-        prev_a, prev_V = a, V
-    n = d1 * d2
-    C = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                  np.concatenate(cols))),
-                          shape=(n, n))
+    k, n_sub = min(d1, d2), d1 + d2 - 1
+    # subspace s has two_M = two_top - 2 s and holds J = two_min / 2 + t
+    # for t >= skip[s]; its position i is (m1 index a = first[s] + i, m2
+    # index s - a) for i < size[s]
+    s = np.arange(n_sub)
+    skip = (np.maximum(two_min, np.abs(two_top - 2 * s)) - two_min) // 2
+    size = k - skip
+    first = np.maximum(0, s - d2 + 1)
+    i = t = np.arange(k)
+    a = first[:, None] + i
+    inside = i < size[:, None]
+    a_in, b_in = np.minimum(a, d1 - 1), np.clip(s[:, None] - a, 0, d2 - 1)
+    casimir = np.zeros((n_sub, k, k))
+    casimir[:, i, i] = np.where(
+        inside, j1 * (j1 + 1) + j2 * (j2 + 1) + 2 * m1[a_in] * m2[b_in], -1.0)
+    off = np.where(inside[:, 1:], low1[a_in[:, :-1]] * raise2[b_in[:, :-1]],
+                   0.0)
+    casimir[:, i[1:], i[:-1]] = off
+    casimir[:, i[:-1], i[1:]] = off
+    V = np.linalg.eigh(casimir)[1]
+    # raw <J M| J_- |J, M+1>: J1_- feeds position a from a - 1 and J2_- from
+    # a, which sit at positions i - 1 and i of subspace s - 1 while s < d2
+    # and at i and i + 1 once its first m1 index has moved
+    feed1 = np.where(a > 0, low1[np.maximum(a_in - 1, 0)], 0.0)[:, :, None]
+    feed2 = np.where(s[:, None] > a, low2[np.maximum(b_in - 1, 0)],
+                     0.0)[:, :, None]
+    lo, hi = slice(1, d2), slice(d2, n_sub)
+    lo_prev, hi_prev = slice(0, d2 - 1), slice(d2 - 1, n_sub - 1)
+    overlap = np.zeros((n_sub, k))
+    overlap[lo] = ((feed2[lo] * V[lo] * V[lo_prev]).sum(1)
+                   + (feed1[lo, 1:] * V[lo, 1:] * V[lo_prev, :-1]).sum(1))
+    overlap[hi] = ((feed1[hi] * V[hi] * V[hi_prev]).sum(1)
+                   + (feed2[hi, :-1] * V[hi, :-1] * V[hi_prev, 1:]).sum(1))
+    present = t >= skip[:, None]
+    sign = np.where(present & (overlap < 0), -1.0, 1.0)
+    # the highest weight |J J> starts J's run at s = k - 1 - t, first = 0
+    top = (-1.0) ** i @ V[k - 1 - t, :, t].T
+    sign[k - 1 - t, t] = np.where(top < 0, -1.0, 1.0)
+    V *= np.cumprod(sign, axis=0)[:, None, :]
+    # CSR rows (J ascending, M descending) are (t, s) in C order, each row
+    # the positions of its subspace, columns a d2 + b ascending
+    keep = present.T[:, :, None] & inside
+    row_end = np.cumsum(np.broadcast_to(size, (k, n_sub))[present.T])
+    C = sparse.csr_matrix(
+        (V.transpose(2, 0, 1)[keep],
+         np.broadcast_to(a * (d2 - 1) + s[:, None], keep.shape)[keep],
+         np.concatenate(([0], row_end))), shape=(d1 * d2, d1 * d2))
     for arr in (C.data, C.indices, C.indptr):
         arr.setflags(write=False)
     return C

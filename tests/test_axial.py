@@ -269,6 +269,14 @@ def test_axial_table_refuses_a_non_finite_angle():
             axial_table(angle=angle)
 
 
+def test_axial_table_at_an_angle_whose_double_overflows():
+    # the rotation row's published sin(2 angle) is 2 sin(angle) cos(angle):
+    # 2 angle is inf for |angle| > 8.99e307
+    for angle in (1e308, -1e308):
+        for row in axial_table(angle=angle):
+            assert row.reconstruction_residual <= 1e-8
+
+
 def test_dephasing_amplitudes_closed_form():
     p = 0.35
     rows = {r.name: r for r in axial_table(p=p)}

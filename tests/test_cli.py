@@ -45,6 +45,12 @@ def test_table_lists_all_rows():
         assert name in r.stdout
 
 
+def test_table_accepts_an_angle_whose_double_overflows():
+    r = run_cli("table", "--angle", "1e308")
+    assert r.returncode == 0, r.stderr
+    assert "angle=1e+308" in r.stdout
+
+
 def test_bipartite_catalog():
     r = run_cli("bipartite")
     assert r.returncode == 0, r.stderr
@@ -406,13 +412,14 @@ def test_decompose_d16_channel_in_process(tmp_path, capsys):
     assert "symmetric: no" in out
 
 
-def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
-    # nothing in the library needs either, the polar axis of a channel with
-    # a trivial stabilizer included
+def test_cli_import_leaves_scipy_special_optimize_and_linalg_unloaded():
+    # nothing in the library needs any of them, the polar axis of a channel
+    # with a trivial stabilizer and its Clebsch-Gordan blocks included
     r = subprocess.run(
         [sys.executable, "-c", "import sys, numpy as np, symmetria.cli\n"
          "def unloaded():\n"
-         "    return not {'scipy.special', 'scipy.optimize'} & set(sys.modules)\n"
+         "    return not {'scipy.special', 'scipy.optimize', 'scipy.linalg'}"
+         " & set(sys.modules)\n"
          "assert unloaded()\n"
          "from symmetria.axial import FULL_GROUP, polar_decompose\n"
          "from symmetria.groups import RepSpec\n"

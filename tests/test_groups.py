@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 
 from symmetria import gauge
 from symmetria.groups import (GroupElement, IrrepLabel, LinkFrame, RepSpec,
@@ -130,6 +132,83 @@ def test_cg_block_matches_racah_coefficients():
                 for M in J.components()])
             assert np.abs(C - exact).max() <= 1e-14
             assert np.abs(C @ C.T - np.eye(len(C))).max() <= 1e-14
+
+
+def _per_weight_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
+    """The per-weight route to cg_block: one ``eigh_tridiagonal`` and one
+    J_- sign pass per weight M, in the same row and column layout."""
+    d1, d2 = two_j1 + 1, two_j2 + 1
+    j1, j2 = two_j1 / 2.0, two_j2 / 2.0
+    m1 = j1 - np.arange(d1)
+    m2 = j2 - np.arange(d2)
+    low1 = np.sqrt((j1 + m1) * (j1 - m1 + 1))  # J_- |j1 m1> = low1 |j1 m1-1>
+    low2 = np.sqrt((j2 + m2) * (j2 - m2 + 1))
+    raise2 = np.sqrt((j2 - m2) * (j2 + m2 + 1))  # J_+ |j2 m2> = raise2 |j2 m2+1>
+    two_min, two_top = abs(two_j1 - two_j2), two_j1 + two_j2
+    rows, cols, vals = [], [], []
+    prev_a = prev_V = None
+    # s = (two_top - two_M) / 2 indexes M descending; the subspace holds
+    # (m1 index a, m2 index s - a), ordered by a ascending
+    for s in range(d1 + d2 - 1):
+        a = np.arange(max(0, s - d2 + 1), min(s, d1 - 1) + 1)
+        b = s - a
+        two_M = two_top - 2 * s
+        off = low1[a[:-1]] * raise2[b[:-1]]  # J1_- J2_+ between neighbours
+        _, V = eigh_tridiagonal(  # columns: J ascending
+            j1 * (j1 + 1) + j2 * (j2 + 1) + 2 * m1[a] * m2[b], off)
+        two_J = np.arange(max(two_min, abs(two_M)), two_top + 1, 2)
+        top = two_J == two_M  # the highest weight |J J>, if J = M occurs
+        sign = np.empty(len(two_J))
+        sign[top] = (-1.0) ** a @ V[:, top]
+        if prev_V is not None:  # overlap with J_- applied to |J, M+1>
+            lowered = np.zeros((d1 + 1, prev_V.shape[1]))
+            lowered[prev_a + 1] += low1[prev_a, None] * prev_V
+            lowered[prev_a] += low2[s - 1 - prev_a, None] * prev_V
+            prev_col = (two_J[~top] - max(two_min, abs(two_M + 2))) // 2
+            sign[~top] = np.sum(lowered[a][:, prev_col] * V[:, ~top], axis=0)
+        V *= np.where(sign < 0, -1.0, 1.0)
+        t = (two_J - two_min) // 2  # rows of the spins below J
+        rows.append(np.repeat(t * (two_min + 1) + t * (t - 1)
+                              + (two_J - two_M) // 2, len(a)))
+        cols.append(np.tile(a * d2 + b, len(two_J)))
+        vals.append(V.T.reshape(-1))
+        prev_a, prev_V = a, V
+    n = d1 * d2
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                     np.concatenate(cols))),
+                             shape=(n, n))
+
+
+@pytest.mark.parametrize("pairs", [
+    [(a, b) for a in range(25) for b in range(25)],
+    [(76, 76), (76, 0), (0, 76), (76, 1), (60, 17), (38, 76)],
+], ids=["up-to-24", "large"])
+def test_cg_block_matches_the_per_weight_route(pairs):
+    # the batched eigensolve against one eigh_tridiagonal per weight: the
+    # same CSR layout, index dtypes included, and the same coefficients
+    for two_j1, two_j2 in pairs:
+        C, oracle = cg_block(two_j1, two_j2), _per_weight_cg_block(two_j1,
+                                                                   two_j2)
+        for got, want in ((C.indptr, oracle.indptr),
+                          (C.indices, oracle.indices)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.abs(C.data - oracle.data).max() <= 1e-13
+
+
+def test_cg_block_signs_at_spin_38_match_racah():
+    # rows J = 72, M = 0 and M = -1 of 38 x 38, where the component that a
+    # single-endpoint sign rule would read is below rounding
+    j = IrrepLabel.su2(76)
+    C = cg_block(76, 76)
+    J = IrrepLabel.su2(144)
+    first = sum(t + 1 for t in range(0, 144, 2))  # rows of J < 72
+    for two_M in (0, -2):
+        row = C[first + (144 - two_M) // 2].toarray()[0]
+        exact = [cgc(j, m1, j, m2, J, two_M)
+                 for m1 in j.components() for m2 in j.components()]
+        assert np.abs(row - exact).max() <= 1e-13
+        assert np.abs(row).max() > 0.1
 
 
 def test_dual_sign_permutation_intertwines_conjugate():

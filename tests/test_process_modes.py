@@ -7,13 +7,14 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from symmetria import process_modes
 from symmetria.axial import single_qubit_modes
 from symmetria.bipartite import two_qubit_product_rep
 from symmetria.groups import (GroupElement, HaarQuadrature, IrrepLabel,
-                              RepSpec, cgc, haar_quadrature, random_su2,
-                              wigner_D)
+                              RepSpec, cg_block, cgc, generators,
+                              haar_quadrature, random_su2, wigner_D)
 from symmetria.ito import build_itos
 from symmetria.linalg_core import (Superoperator, check_cptp,
                                    depolarizing_channel, hs_inner,
@@ -365,6 +366,31 @@ def test_build_refuses_a_basis_over_the_memory_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_block_layout_closed_forms_match_cg_block():
+    # _basis_bytes counts a block's entries with _cg_nnz, and the mode
+    # labels read each row's (J, M) from _block_rows; both must describe
+    # the blocks that cg_block stores
+    spin = [[sparse.csr_matrix(J) for J in generators(RepSpec.su2_spins([t]))]
+            for t in range(25)]
+    for two_j1 in range(25):
+        for two_j2 in range(25):
+            C = cg_block(two_j1, two_j2)
+            assert process_modes._cg_nnz(two_j1, two_j2) == C.nnz
+            two_J, two_M = process_modes._block_rows(two_j1, two_j2)
+            assert len(two_J) == len(two_M) == C.shape[0]
+            # every stored (m1, m2) of row (J, M) has m1 + m2 = M
+            a, b = np.divmod(C.indices, two_j2 + 1)
+            row = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+            assert np.array_equal(two_j1 - 2 * a + two_j2 - 2 * b, two_M[row])
+            # and each row is a J^2 eigenvector with eigenvalue J(J + 1)
+            casimir = sum(
+                (sparse.kron(J1, sparse.identity(two_j2 + 1))
+                 + sparse.kron(sparse.identity(two_j1 + 1), J2)) ** 2
+                for J1, J2 in zip(spin[two_j1], spin[two_j2]))
+            defect = C @ casimir - sparse.diags(two_J * (two_J + 2) / 4) @ C
+            assert abs(defect).max() <= 1e-10
 
 
 def _coupled(a: IrrepLabel, b: IrrepLabel) -> list[IrrepLabel]:
