@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .groups import (SU2, GroupElement, IrrepLabel, RepSpec, cg_block,
-                     dual_sign_permutation, wigner_D)
+                     cg_rows, dual_sign_permutation, wigner_D)
 from .linalg_core import (Superoperator, choi_of, depolarizing_channel, kron,
                           unitary_channel, vec)
 from .process_modes import (Diagram, ModeCoefficients, ProcessModeBasis,
@@ -74,16 +74,16 @@ def _axis_map(two_lam: int) -> np.ndarray:
     if two_lam % 2 != 0:  # no harmonic pattern, and <lam 0; lam 0 | 2 0> = 0
         raise ValueError("spherical harmonics exist for integer j, m only")
     lam = IrrepLabel.su2(two_lam)
-    # rows 4..8 of a CG block are its J = 2 rows (J ascends from 0); the
-    # second factor of alpha (x) conj(alpha) is taken to beta by Y^T; the
-    # norm <lam 0; lam 0 | 2 0> is the J = 2, M = 0 row at column (lam, lam)
+    # the J = 2 rows of each CG block, M descending; the second factor of
+    # alpha (x) conj(alpha) is taken to beta by Y^T; the norm
+    # <lam 0; lam 0 | 2 0> is the J = 2, M = 0 row at column (lam, lam)
     dim = two_lam + 1
-    rows = cg_block(two_lam, two_lam)[4:9].toarray()
+    rows, to_matrix = (cg_block(t, t)[cg_rows(t, t)[0] == 4].toarray()
+                       for t in (two_lam, 2))
     couple = (rows.reshape(5, dim, dim)
               @ dual_sign_permutation(lam).T).reshape(5, dim * dim)
-    to_matrix = cg_block(2, 2)[4:9].toarray().T
     norm = (-1) ** (two_lam // 2) * rows[2, two_lam // 2 * (dim + 1)]
-    M = kron(_U.conj().T, _U.conj().T) @ to_matrix @ couple / norm
+    M = kron(_U.conj().T, _U.conj().T) @ to_matrix.T @ couple / norm
     M.setflags(write=False)
     return M
 

@@ -20,7 +20,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .groups import GroupElement, IrrepLabel, RepSpec, cg_block, rep_matrix
+from .groups import (ZN, GroupElement, IrrepLabel, RepSpec, cg_block,
+                     rep_matrix)
 from .linalg_core import (TP_TOL, CptpReport, Superoperator,
                           check_cptp_stack, conjugate, kron, unitary_channel,
                           vec)
@@ -118,9 +119,11 @@ def build_symmetric_basis(rep_a_in: RepSpec, rep_a_out: RepSpec,
                           rep_b_in: RepSpec, rep_b_out: RepSpec) -> SymmetricBasis:
     """All invariant basis elements chi_theta for T(AB, A'B'), as pairs of
     rows of the two local mode bases."""
-    kinds = {rep_a_in.kind, rep_a_out.kind, rep_b_in.kind, rep_b_out.kind}
-    if len(kinds) != 1:
+    reps = (rep_a_in, rep_a_out, rep_b_in, rep_b_out)
+    if len({rep.kind for rep in reps}) != 1:
         raise ValueError("all four reps must share the group kind")
+    if rep_a_in.kind == ZN and len({rep.modulus for rep in reps}) != 1:
+        raise ValueError("all four Z_N reps must share the modulus")
     need = _PAIR_WORKSPACE * 16 * (rep_a_in.dim * rep_a_out.dim
                                    * rep_b_in.dim * rep_b_out.dim) ** 2
     if need > MAX_STACK_BYTES:

@@ -376,6 +376,20 @@ def cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
     return C
 
 
+@lru_cache(maxsize=None)
+def cg_rows(two_j1: int, two_j2: int) -> tuple:
+    """(doubled J, doubled M) of each row of cg_block(two_j1, two_j2): J
+    ascending from |j1 - j2|, M descending within each J.  Cached beside
+    the block, and read-only."""
+    two_J = np.arange(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)
+    J = np.repeat(two_J, two_J + 1)
+    first = np.repeat(np.cumsum(two_J + 1) - (two_J + 1), two_J + 1)
+    M = J - 2 * (np.arange(len(J)) - first)
+    J.setflags(write=False)
+    M.setflags(write=False)
+    return J, M
+
+
 @dataclass(frozen=True)
 class RepSpec:
     """An ordered direct sum of irreps, optionally conjugated by a fixed
@@ -386,6 +400,8 @@ class RepSpec:
     intertwiner: np.ndarray | None = None
 
     def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("a rep needs at least one irrep block")
         for lab, mult in self.blocks:
             if lab.kind != self.kind:
                 raise ValueError("block irrep kind mismatch")

@@ -15,120 +15,86 @@ satisfying the column-form covariance law
 For Z_N every block is one-dimensional with charge c and |b1><b2| is itself
 an ITO of charge c1 - c2.
 
-The global phase of each (lam, multiplicity) family is fixed by making the
-first nonzero entry (row-major) of the highest-k component real positive.
+The global phase of each (lam, multiplicity) family makes the first nonzero
+entry (row-major) of its highest-k component real positive.  That entry is
+<j1 j1; j2 lam-j1 | lam lam> (-1)^(j1+j2-lam) at |b1,j1><b2,j1-lam|, and the
+Condon-Shortley coefficient is positive, so the family sign is the closed
+form (-1)^(j1+j2-lam): no phase is computed from an entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .groups import ZN, IrrepLabel, RepSpec, cg_block
-
-
-@dataclass(frozen=True)
-class ItoElement:
-    lam: IrrepLabel
-    mult_index: tuple  # (input/bra block index, output/ket block index)
-    k: int             # doubled component weight for SU(2), 0 for Z_N
-    matrix: np.ndarray
+from .groups import ZN, IrrepLabel, RepSpec, cg_block, cg_rows
 
 
 @dataclass(frozen=True)
 class ITOBasis:
+    """The ITO basis of B(H) as one read-only (d^2, d, d) array: family f
+    of ``families`` (keys (lam, (bra block, ket block))) is the next lam.dim
+    matrices, in descending doubled weight ``k`` (0 for Z_N)."""
+
     rep: RepSpec
-    elements: tuple  # of ItoElement
-
-    def select(self, lam: IrrepLabel | None = None, mult_index=None):
-        out = []
-        for e in self.elements:
-            if lam is not None and e.lam != lam:
-                continue
-            if mult_index is not None and e.mult_index != mult_index:
-                continue
-            out.append(e)
-        return out
-
-    def lams(self) -> list[IrrepLabel]:
-        seen = []
-        for e in self.elements:
-            if e.lam not in seen:
-                seen.append(e.lam)
-        return seen
-
-    def families(self):
-        """Yield ((lam, mult_index), [elements ordered by descending k])."""
-        groups: dict = {}
-        for e in self.elements:
-            groups.setdefault((e.lam, e.mult_index), []).append(e)
-        for key, elems in groups.items():
-            elems.sort(key=lambda e: -e.k)
-            yield key, elems
+    matrices: np.ndarray  # (d^2, d, d) complex
+    families: tuple  # of (IrrepLabel, (bra block, ket block))
+    k: np.ndarray  # (d^2,) int
 
 
-def _phase_fixed(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Multiply the family by a unit phase so the first nonzero entry of the
-    highest-k component (first element) is real positive."""
-    top = mats[0]
-    flat = top.reshape(-1)
-    idx = np.flatnonzero(np.abs(flat) > 1e-12)
-    if len(idx) == 0:
-        return mats
-    ph = flat[idx[0]] / abs(flat[idx[0]])
-    return [m / ph for m in mats]
+def family_keys(rep: RepSpec) -> list:
+    """The ITO family keys (lam, (bra block, ket block)) of B(H) in basis
+    order: bra block outermost, then ket block, then lam ascending (the row
+    order of ``cg_block``)."""
+    pairs = product([(lab, b) for lab, b, _ in rep.irrep_blocks()], repeat=2)
+    if rep.kind == ZN:
+        return [(IrrepLabel.zn(lab1.charge - lab2.charge, rep.modulus),
+                 (b2, b1)) for (lab2, b2), (lab1, b1) in pairs]
+    return [(IrrepLabel.su2(t), (b2, b1)) for (lab2, b2), (lab1, b1) in pairs
+            for t in range(abs(lab1.two_j - lab2.two_j),
+                           lab1.two_j + lab2.two_j + 1, 2)]
 
 
 def build_itos(rep: RepSpec) -> ITOBasis:
-    dim = rep.dim
-    blocks = list(rep.irrep_blocks())  # (label, block_index, offset)
-    elements = []
-    # multiplicity ordered lexicographically by (bra block, ket block)
-    for lab2, b2, off2 in blocks:      # bra / input side
-        for lab1, b1, off1 in blocks:  # ket / output side
-            if rep.kind == ZN:
-                lam = IrrepLabel.zn(lab1.charge - lab2.charge, rep.modulus)
-                m = np.zeros((dim, dim), dtype=complex)
-                m[off1, off2] = 1.0
-                elements.append(ItoElement(lam, (b2, b1), 0, m))
-                continue
-            # row (lam, k) of the Clebsch-Gordan block over (m1, mu) lands
-            # on |b1,m1><b2,-mu| with the sign (-1)^(j2-mu)
-            d1, d2 = lab1.dim, lab2.dim
-            C = cg_block(lab1.two_j, lab2.two_j).toarray().reshape(-1, d1, d2)
-            C = (C * (-1.0) ** np.arange(d2))[:, :, ::-1]
-            row = 0
-            for two_lam in range(abs(lab1.two_j - lab2.two_j),
-                                 lab1.two_j + lab2.two_j + 2, 2):
-                lam = IrrepLabel.su2(two_lam)
-                mats = []
-                for block in C[row:row + lam.dim]:
-                    m = np.zeros((dim, dim), dtype=complex)
-                    m[off1:off1 + d1, off2:off2 + d2] = block
-                    mats.append(m)
-                row += lam.dim
-                mats = _phase_fixed(mats)
-                for two_k, m in zip(lam.components(), mats):
-                    elements.append(ItoElement(lam, (b2, b1), two_k, m))
-    basis = ITOBasis(rep, tuple(elements))
+    d = rep.dim
+    T = np.zeros((d * d, d, d), dtype=complex)
+    k = np.zeros(d * d, dtype=int)
+    if rep.kind == ZN:  # matrix b2 d + b1 is |b1><b2|
+        b2, b1 = np.divmod(np.arange(d * d), d)
+        T[np.arange(d * d), b1, b2] = 1.0
+    else:
+        first = 0
+        for (lab2, _, off2), (lab1, _, off1) in product(rep.irrep_blocks(),
+                                                        repeat=2):
+            # entry (J, M; m1 index a, mu index b) of the Clebsch-Gordan
+            # block lands on |b1,m1><b2,-mu| of matrix (J, M), with the
+            # sign (-1)^(j2-mu) = (-1)^b times the family's (-1)^(j1+j2-J)
+            t1, t2 = lab1.two_j, lab2.two_j
+            C = cg_block(t1, t2)
+            n = C.shape[0]
+            two_lam, k[first:first + n] = cg_rows(t1, t2)
+            r = np.repeat(np.arange(n), np.diff(C.indptr))
+            a, b = np.divmod(C.indices, t2 + 1)
+            odd = ((t1 + t2 - two_lam[r]) // 2 + b) % 2
+            T[first + r, off1 + a, off2 + t2 - b] = np.where(odd, -C.data,
+                                                             C.data)
+            first += n
     if rep.intertwiner is not None:
         Q = rep.intertwiner
-        elements = tuple(
-            ItoElement(e.lam, e.mult_index, e.k, Q @ e.matrix @ Q.conj().T)
-            for e in basis.elements
-        )
-        basis = ITOBasis(rep, elements)
-    return basis
+        T = Q @ T @ Q.conj().T
+    T.setflags(write=False)
+    k.setflags(write=False)
+    return ITOBasis(rep, T, tuple(family_keys(rep)), k)
 
 
 def state_mode_project(rho: np.ndarray, basis: ITOBasis, lam: IrrepLabel) -> np.ndarray:
     """Orthogonal projection of rho onto the lam asymmetry mode:
     rho^lam = sum_{mult,k} T tr(T^dag rho)."""
-    rho = np.asarray(rho, dtype=complex)
-    if lam not in basis.lams():
+    kept = np.repeat([key == lam for key, _ in basis.families],
+                     [key.dim for key, _ in basis.families])
+    if not kept.any():
         raise ValueError(f"irrep {lam} not present in the operator space")
-    out = np.zeros_like(rho)
-    for e in basis.select(lam=lam):
-        out += e.matrix * np.trace(e.matrix.conj().T @ rho)
-    return out
+    T = basis.matrices[kept]
+    return np.tensordot(np.tensordot(T.conj(), rho, 2), T, 1)

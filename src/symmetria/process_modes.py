@@ -32,15 +32,15 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .groups import (SU2, ZN, GroupElement, HaarQuadrature, IrrepLabel,
-                     RepSpec, cg_block, rep_matrix, wigner_d)
-from .ito import build_itos
-from .linalg_core import Superoperator, conjugate, vec
+                     RepSpec, cg_block, cg_rows, rep_matrix, wigner_d)
+from .ito import build_itos, family_keys
+from .linalg_core import Superoperator, conjugate
 
 
 @dataclass(frozen=True)
@@ -254,30 +254,6 @@ class ModeCoefficients:
         return bool(np.all(np.abs(self.values[self.basis._nontrivial]) <= tol))
 
 
-@lru_cache(maxsize=None)
-def _block_rows(two_j1: int, two_j2: int) -> tuple:
-    """(doubled J, doubled M) of each row of cg_block(two_j1, two_j2): J
-    ascending from |j1 - j2|, M descending within each J.  Cached beside
-    the block, and read-only."""
-    two_J = np.arange(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)
-    J = np.repeat(two_J, two_J + 1)
-    first = np.repeat(np.cumsum(two_J + 1) - (two_J + 1), two_J + 1)
-    M = J - 2 * (np.arange(len(J)) - first)
-    J.setflags(write=False)
-    M.setflags(write=False)
-    return J, M
-
-
-def _family_spins(rep: RepSpec) -> list[int]:
-    """Doubled spin of each ITO family of B(H), in build_itos order; 0 for
-    every (one-element) Z_N family."""
-    if rep.kind == ZN:
-        return [0] * rep.dim ** 2
-    tjs = [lab.two_j for lab, _, _ in rep.irrep_blocks()]
-    return [t for t2 in tjs for t1 in tjs
-            for t in range(abs(t1 - t2), t1 + t2 + 1, 2)]
-
-
 def _cg_nnz(two_j1: int, two_j2: int) -> int:
     """Stored entries of cg_block(two_j1, two_j2): the squared sizes of its
     weight subspaces, (d1 - 1) d1 (2 d1 - 1) / 3 + (d2 - d1 + 1) d1^2 for
@@ -296,14 +272,16 @@ _DIAGRAM_BYTES = 104
 
 def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     """Bytes build_canonical_modes holds for the basis of (rep_in, rep_out),
-    predicted from the ITO family spins alone: the ITO bases and the two
-    matrices made of them, the Clebsch-Gordan blocks read (cached by
-    ``cg_block``), the CSR coupling, the row arrays and the labels."""
+    predicted from the ITO family spins alone: per side its ITO array and a
+    working copy, the Clebsch-Gordan blocks read (cached by ``cg_block``),
+    the CSR coupling, the row arrays and the labels."""
     n = rep_in.dim ** 2 * rep_out.dim ** 2
-    spins_in = Counter(_family_spins(rep_in)).items()
+    # how many ITO families have each doubled spin (0 for Z_N)
+    spins_out, spins_in = (Counter(lam.two_j for lam, _ in family_keys(rep))
+                           for rep in (rep_out, rep_in))
     nnz = blocks = diagrams = 0
-    for a, count_a in Counter(_family_spins(rep_out)).items():
-        for b, count_b in spins_in:
+    for a, count_a in spins_out.items():
+        for b, count_b in spins_in.items():
             pairs, k = count_a * count_b, _cg_nnz(a, b)
             nnz, blocks = nnz + pairs * k, blocks + k
             diagrams += pairs * (min(a, b) + 1)
@@ -316,18 +294,20 @@ def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
 def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis:
     if rep_in.kind != rep_out.kind:
         raise ValueError("input and output reps must share the group kind")
+    if rep_in.kind == ZN and rep_in.modulus != rep_out.modulus:
+        raise ValueError("input and output Z_N reps must share the modulus")
     need = _basis_bytes(rep_in, rep_out)
     if need > MAX_STACK_BYTES:
         raise ValueError(f"the process-mode basis needs {need / 2**30:.1f}"
                          " GiB, over the 2 GiB limit")
     itos_out = build_itos(rep_out)
     itos_in = itos_out if rep_in is rep_out else build_itos(rep_in)
-    ito_out = np.array([vec(e.matrix) for e in itos_out.elements])
-    ito_in = np.array([vec(e.matrix.T) for e in itos_in.elements])
-    families = tuple(tuple(key for key, _ in itos.families())
-                     for itos in (itos_out, itos_in))
-    s_out = np.array(_family_spins(rep_out))
-    s_in = np.array(_family_spins(rep_in))
+    # row i of ito_out is vec(T_i), of ito_in vec(T_i^T)
+    ito_out = itos_out.matrices.reshape(len(itos_out.k), -1)
+    ito_in = itos_in.matrices.transpose(0, 2, 1).reshape(len(itos_in.k), -1)
+    families = (itos_out.families, itos_in.families)
+    s_out, s_in = (np.array([lam.two_j for lam, _ in keys])
+                   for keys in families)
     n_in = len(ito_in)
 
     # one pair of families per block of rows, output family outermost; the
@@ -360,7 +340,7 @@ def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis
         indices[where] = base[pairs, None] + (m_out * n_in + m_in)
         rows = row0[pairs, None] + np.arange(C.shape[0])
         row_nnz[rows] = np.diff(C.indptr)
-        lam[rows], k[rows] = _block_rows(int(p // radix), int(p % radix))
+        lam[rows], k[rows] = cg_rows(int(p // radix), int(p % radix))
     indptr = np.zeros(len(row_nnz) + 1, dtype=index)
     np.cumsum(row_nnz, out=indptr[1:])
     coupling = sparse.csr_matrix((data, indices, indptr),

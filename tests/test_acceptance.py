@@ -68,9 +68,10 @@ def test_criterion_1_covariant_bases_at_all_nodes():
         basis = build_itos(rep)
         for g, _w in quad.nodes:
             U = rep_matrix(rep, g)
-            for (lam, mult), fam in basis.families():
+            dims = [lam.dim for lam, _ in basis.families]
+            for (lam, mult), mats in zip(basis.families, np.split(
+                    basis.matrices, np.cumsum(dims)[:-1])):
                 D = wigner_D(lam, g)
-                mats = [e.matrix for e in fam]
                 for c, Tk in enumerate(mats):
                     lhs = U @ Tk @ U.conj().T
                     rhs = sum(D[r, c] * mats[r] for r in range(len(mats)))

@@ -150,6 +150,13 @@ def test_decompose_symmetric_refuses_a_superoperator_of_other_dims():
         decompose_symmetric(S, BASIS)
 
 
+def test_build_refuses_z_n_reps_of_different_moduli():
+    # each side's pair shares its modulus, so only the four together clash
+    z3, z4 = RepSpec.zn_charges([0, 1], 3), RepSpec.zn_charges([0, 1], 4)
+    with pytest.raises(ValueError, match="modulus"):
+        build_symmetric_basis(z3, z3, z4, z4)
+
+
 def _traced_peak(f):
     tracemalloc.start()
     try:

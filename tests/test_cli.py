@@ -271,6 +271,22 @@ def _modulus_zero(d):
     d["group"] = {"kind": "zn", "charges": [0, 1], "modulus": 0}
 
 
+def _mixed_moduli(d):
+    # Z_3 in, Z_4 out: charges mod 3 and mod 4 share no irrep labels
+    d["group"] = {"kind": "zn", "charges": [0, 1], "modulus": 3}
+    d["group_out"] = {"kind": "zn", "charges": [0, 1], "modulus": 4}
+
+
+def _empty_su2(d):
+    d.update(dim_in=0, dim_out=0, group={"kind": "su2", "two_j": []},
+             kraus=[])
+
+
+def _empty_zn(d):
+    d.update(dim_in=0, dim_out=0,
+             group={"kind": "zn", "charges": [], "modulus": 3}, kraus=[])
+
+
 def _spin_39_2_identity(d):
     # d = 40: the smallest single-spin carrier whose factored mode basis is
     # predicted over 2 GiB
@@ -283,6 +299,9 @@ def _spin_39_2_identity(d):
     (("decompose", _nan_entry), 3),
     (("decompose", _negative_two_j), 3),
     (("decompose", _modulus_zero), 3),
+    (("decompose", _mixed_moduli), 3),
+    (("decompose", _empty_su2), 3),
+    (("decompose", _empty_zn), 3),
     (("catalytic", "--dim-a", "0"), 2),
     (("catalytic", "--ladder", "1"), 2),
     (("catalytic", "--rounds", "0"), 2),
@@ -308,7 +327,8 @@ def _spin_39_2_identity(d):
     (("--seed", "-1", "catalytic", "--ladder", "8"), 2),
     (("SYMMETRIA_SEED=abc", "catalytic", "--ladder", "8"), 2),
     (("SYMMETRIA_SEED=1.5", "catalytic", "--ladder", "8"), 2),
-], ids=["nan-entry", "negative-two-j", "modulus-zero", "dim-a-0", "ladder-1",
+], ids=["nan-entry", "negative-two-j", "modulus-zero", "mixed-moduli",
+        "empty-su2", "empty-zn", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
         "lattice-0x0", "lattice-2x0", "lattice-n-1", "table-p-2",
         "table-angle-inf", "table-angle-nan",

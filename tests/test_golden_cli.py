@@ -1,6 +1,8 @@
-"""Golden CLI outputs: the README command set plus decompose/polar/bipartite
-on every fixture, compared numerically with outputs captured before the
-superoperator storage refactor.
+"""Golden CLI outputs: the README command set, decompose/polar/bipartite
+on every fixture and decompose on the hand-written channels beside the
+golden file (a Z_3 carrier and a spin-1 (+) spin-1/2 carrier), compared
+numerically with outputs captured before the superoperator storage
+refactor (the two channels: before the ITO bases became one array).
 
 Regenerate (only for a change meant to alter CLI output, and review the
 diff) from the repository root with
@@ -25,9 +27,11 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json.gz"
 FIXTURES = ("fixtures/dephasing.json", "fixtures/heisenberg-2qubit.json",
             "fixtures/identity.json")
+CHANNELS = ("tests/golden/z3-rotation.json", "tests/golden/spin1-half.json")
 
 # README usage block, then each fixture through decompose/polar/bipartite
-# (the README's decompose and polar fixtures are not repeated)
+# (the README's decompose and polar fixtures are not repeated), then
+# decompose on each hand-written channel
 COMMANDS = (
     ["table", "--p", "0.3", "--angle", "0.7"],
     ["bipartite"],
@@ -39,7 +43,7 @@ COMMANDS = (
     ["gauge", "--n", "4", "--lattice", "2x2", "--lattice-n", "3"],
     ["gauge", "--n", "8", "--trials", "3", "--lattice", "1x2"],
 ) + tuple([cmd, f] for cmd in ("decompose", "polar", "bipartite")
-          for f in FIXTURES)
+          for f in FIXTURES) + tuple(["decompose", f] for f in CHANNELS)
 
 TOL = 1e-12
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")

@@ -13,7 +13,7 @@ from symmetria import process_modes
 from symmetria.axial import single_qubit_modes
 from symmetria.bipartite import two_qubit_product_rep
 from symmetria.groups import (GroupElement, HaarQuadrature, IrrepLabel,
-                              RepSpec, cg_block, cgc, generators,
+                              RepSpec, cg_block, cg_rows, cgc, generators,
                               haar_quadrature, random_su2, wigner_D)
 from symmetria.ito import build_itos
 from symmetria.linalg_core import (Superoperator, check_cptp,
@@ -370,7 +370,7 @@ def test_build_refuses_a_basis_over_the_memory_limit():
 
 def test_block_layout_closed_forms_match_cg_block():
     # _basis_bytes counts a block's entries with _cg_nnz, and the mode
-    # labels read each row's (J, M) from _block_rows; both must describe
+    # labels read each row's (J, M) from cg_rows; both must describe
     # the blocks that cg_block stores
     spin = [[sparse.csr_matrix(J) for J in generators(RepSpec.su2_spins([t]))]
             for t in range(25)]
@@ -378,7 +378,7 @@ def test_block_layout_closed_forms_match_cg_block():
         for two_j2 in range(25):
             C = cg_block(two_j1, two_j2)
             assert process_modes._cg_nnz(two_j1, two_j2) == C.nnz
-            two_J, two_M = process_modes._block_rows(two_j1, two_j2)
+            two_J, two_M = cg_rows(two_j1, two_j2)
             assert len(two_J) == len(two_M) == C.shape[0]
             # every stored (m1, m2) of row (J, M) has m1 + m2 = M
             a, b = np.divmod(C.indices, two_j2 + 1)
@@ -410,23 +410,30 @@ def _dense_oracle(rep_in: RepSpec, rep_out: RepSpec):
     n = (rep_in.dim * rep_out.dim) ** 2
     stack = np.zeros((n, n), dtype=complex)
     labels = []
-    for (a_out_lam, a_out_mult), out_fam in itos_out.families():
-        for (a_in_lam, a_in_mult), in_fam in itos_in.families():
+    for (a_out_lam, a_out_mult), out_fam in _family_elements(itos_out):
+        for (a_in_lam, a_in_mult), in_fam in _family_elements(itos_in):
             for lam in _coupled(a_out_lam, a_in_lam):
                 diagram = Diagram((a_in_lam, a_in_mult),
                                   (a_out_lam, a_out_mult), lam)
                 for two_k in lam.components():
                     row = stack[len(labels)].reshape(rep_out.dim**2,
                                                      rep_in.dim**2)
-                    for e_out in out_fam:
-                        for e_in in in_fam:
-                            c = cgc(e_out.lam, e_out.k, e_in.lam, e_in.k,
+                    for k_out, T_out in out_fam:
+                        for k_in, T_in in in_fam:
+                            c = cgc(a_out_lam, k_out, a_in_lam, k_in,
                                     lam, two_k)
                             if c != 0.0:
-                                row += c * np.outer(vec(e_out.matrix),
-                                                    vec(e_in.matrix.T))
+                                row += c * np.outer(vec(T_out), vec(T_in.T))
                     labels.append((diagram, two_k))
     return tuple(labels), stack
+
+
+def _family_elements(itos):
+    """((lam, mult), [(k, matrix)] in descending k) per ITO family."""
+    elements = list(zip(itos.k.tolist(), itos.matrices))
+    starts = np.cumsum([0] + [lam.dim for lam, _ in itos.families])
+    return [(key, elements[a:b])
+            for key, a, b in zip(itos.families, starts, starts[1:])]
 
 
 def _intertwined_rep():
@@ -481,8 +488,8 @@ def test_factored_basis_matches_the_dense_oracle(case):
 def _label_loop(rep_in: RepSpec, rep_out: RepSpec) -> tuple:
     """The per-mode label loop the row arrays replaced: one (Diagram, k)
     per mode over the ITO family pairs, output family outermost."""
-    fams_out = [key for key, _ in build_itos(rep_out).families()]
-    fams_in = [key for key, _ in build_itos(rep_in).families()]
+    fams_out = build_itos(rep_out).families
+    fams_in = build_itos(rep_in).families
     labels = []
     for a_out in fams_out:
         for a_in in fams_in:
