@@ -351,6 +351,14 @@ def cmd_catalytic(args, out: list) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _gauge_bytes(n: int) -> int:
+    """Predicted peak bytes of ``gauge --n n``: one gauged two-site element,
+    a (4n)^2 x (4n)^2 complex transfer matrix, the two copies that a
+    generator's monomial conjugation gathers in its invariance residual, and
+    1 MiB of small arrays."""
+    return 3 * 16 * (4 * n) ** 4 + (1 << 20)
+
+
 def cmd_gauge(args, out: list) -> int:
     rng = np.random.default_rng(args.seed)
     N = args.n
@@ -360,13 +368,12 @@ def cmd_gauge(args, out: list) -> int:
         raise ParseError("lattice must look like '2x2'")
     if Lx < 1 or Ly < 1:
         raise ParseError(f"lattice sides must be >= 1, got {args.lattice}")
-    # the gauged two-site element is a (4N)^2 x (4N)^2 complex transfer
-    # matrix, and each monomial conjugation gathers a copy of the same size
-    need = 2 * 16 * (4 * N) ** 4
+    need = _gauge_bytes(N)
     if N > 0 and need > MAX_STACK_BYTES:
         raise SemanticError(
             f"gauge --n {N} needs about {need / 2**30:.3g} GiB for the gauged "
-            f"element, over the {MAX_STACK_BYTES / 2**30:g} GiB budget")
+            f"element and its invariance check, over the "
+            f"{MAX_STACK_BYTES / 2**30:g} GiB budget")
     out.append(f"command: gauge n={N} lattice={args.lattice} "
                f"seed={args.seed}")
     out.extend(convention_block())
@@ -390,6 +397,7 @@ def cmd_gauge(args, out: list) -> int:
         if trial == 0:
             stab = gauge_fix_stabilizer(G, 0, 0)
             out.append(f"gauge fix h1=h2=0 stabilizer: {stab}")
+        del G  # the byte budget counts one gauged element at a time
     out.append(f"max local-invariance residual over {args.trials} random "
                f"elements: {fmt(worst)}")
 

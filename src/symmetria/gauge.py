@@ -3,16 +3,18 @@ one via link reference frames.
 
 Each oriented link (x -> y) carries a Hilbert space of dimension N with a
 group-element basis |h>, transforming under the local action as
-|h> -> |g_x + h - g_y mod N>.  A charge-lambda coupling acts on the link by
-left multiplication with L_lambda = sum_h omega^{lambda h} |h><h|, which
-carries exactly the covariance phase needed to cancel the transformation of
-the matter factors.  Every local action is a ``Monomial`` (charges are
+|h> -> |g_x + h - g_y mod N>.  The charge-lambda coupling
+A_lambda(sigma) = L_lambda sigma, with L_lambda = sum_h omega^{lambda h}
+|h><h|, carries exactly the covariance phase needed to cancel the
+transformation of the matter factors; gauging inserts it between the two
+factors by one product.  Every local action is a ``Monomial`` (charges are
 phases, link actions are shifts) that moves matrix entries; no dense unitary
 is multiplied.  Local invariance is checked exactly on the generators (1, 0)
-and (0, 1) of Z_N x Z_N, and a gauge-fixed stabilizer is read off the charge
-support of the fixed element in the link Fourier frame.  On the lattice the
-local twirl is a projection whose finest blocks in the product basis are the
-gauge orbits, so the twirl checks gather entries along those orbits.
+and (0, 1) of Z_N x Z_N.  Gauge fixing keeps one link block, which every
+g_x != g_y moves to other link digits, so the stabilizer is read off that
+block alone.  On the lattice the local twirl is a projection whose finest
+blocks in the product basis are the gauge orbits, so the twirl checks
+gather entries along those orbits.
 """
 
 from __future__ import annotations
@@ -27,22 +29,6 @@ from scipy import sparse
 from .groups import ZN, LinkFrame, RepSpec
 from .linalg_core import Monomial, Superoperator, conjugate, kron
 from .process_modes import ProcessModeBasis, _charges
-
-
-@dataclass(frozen=True)
-class GaugeCoupling:
-    """Charge-lambda link coupling: the (non-CP, building-block)
-    superoperator A_lambda(sigma) = L_lambda sigma."""
-
-    frame: LinkFrame
-    lam: int
-
-    @property
-    def superop(self) -> Superoperator:
-        # row-major vec: vec(L sigma) = (L kron I) vec(sigma)
-        L = self.frame.charge_operator(self.lam)
-        return Superoperator.from_transfer(kron(L, np.eye(self.frame.N)),
-                                           self.frame.N, self.frame.N)
 
 
 @dataclass(frozen=True)
@@ -100,9 +86,9 @@ def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
     """Insert the charge-lambda link coupling into a globally symmetric
     bipartite element chi = sum_j Phi^lam_{x,j} (x) Phi^{lam*}_{y,j},
     producing sum_j Phi^lam_{x,j} (x) A_lam (x) Phi^{lam*}_{y,j} on
-    A_x (x) link (x) A_y.  Raises ValueError unless chi carries charge lam at
-    x and -lam at y (to tol relative to |chi|); the mode bases give the reps.
-    """
+    A_x (x) link (x) A_y, with A_lam(sigma) = L_lam sigma on the link.
+    Raises ValueError unless chi carries charge lam at x and -lam at y (to
+    tol relative to |chi|); the mode bases give the reps."""
     rep_x, rep_y = modes_x.rep_in, modes_y.rep_in
     if rep_x.kind != ZN or rep_y.kind != ZN:
         raise ValueError("gauging is implemented for Z_N reps")
@@ -120,12 +106,12 @@ def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
         if np.linalg.norm(U.conjugate(K) - phase * K) > tol * chi.norm():
             raise ValueError("element is not globally symmetric with charge "
                              f"{lam} at x and {(-lam) % N} at y")
-    # insert the coupling: x (x) y (x) link -> x (x) link (x) y
-    order = np.arange(dx * N * dy).reshape(dx, N, dy).transpose(0, 2, 1)
-    P = Monomial(order.ravel(), np.ones(order.size, dtype=complex))
-    lifted = chi.tensor(GaugeCoupling(frame, lam).superop)
-    gauged = Superoperator(lifted.dim_in, lifted.dim_out,
-                           P.transfer().conjugate(lifted.transfer))
+    # insert the coupling: the transfer of sigma -> L_lam sigma on the link
+    # is L_lam (x) I, its digits placed between x's and y's on each side
+    d = dx * N * dy
+    gauged = Superoperator(d, d, np.einsum(
+        "abcdefgh,ik,jl->aibcjdekfglh", chi.transfer.reshape((dx, dy) * 4),
+        frame.charge_operator(lam), np.eye(N)).reshape(d * d, d * d))
     res = local_invariance_residual(gauged, rep_x, rep_y, frame)
     return GaugedProcess(rep_x, rep_y, frame, lam, gauged, res)
 
@@ -156,25 +142,22 @@ def gauge_fix(G: GaugedProcess, h1: int, h2: int) -> Superoperator:
 def gauge_fix_stabilizer(G: GaugedProcess, h1: int, h2: int,
                          tol: float = 1e-10) -> list:
     """All pairs g = (g_x, g_y) that leave the gauge-fixed element invariant
-    to tol.  It transforms as E_{h1,h2} -> E_{g_x+h1-g_y, g_x+h2-g_y}, so for
-    h1 = h2 the stabilizer is the diagonal {(g, g)}.  In the reps' canonical
-    frames and the link Fourier frame, state (a, r, b) picks up
-    omega^(g_x c_x + g_y c_y) with c_x = q_x(a) + r, c_y = q_y(b) - r, and a
-    transfer entry omega^(g . Q) for its charge pair Q.  So the defect of g
-    is sqrt(sum_Q |omega^(g . Q) - 1|^2 w_Q), w_Q the squared weight on Q."""
-    N, dims = G.frame.N, (G.rep_x.dim, G.frame.N, G.rep_y.dim)
-    K = _canonical(gauge_fix(G, h1, h2), G.rep_x, G.rep_y, N).transfer
-    # the link DFT |h> -> N^-1/2 sum_r omega^(rh) |r> on the four link digits
-    K = np.fft.ifftn(np.fft.fftn(K.reshape(dims * 4), axes=(4, 7),
-                                 norm="ortho"), axes=(1, 10), norm="ortho")
-    a, r, b = np.indices(dims).reshape(3, -1)
-    c = np.stack([_charges(G.rep_x)[a] + r, _charges(G.rep_y)[b] - r])
-    v = (c[:, :, None] - c[:, None]).reshape(2, -1)  # per vec index (i, j)
-    Q = (v[:, :, None] - v[:, None]) % N  # c_i - c_j - c_k + c_l per entry
-    w = np.bincount((Q[0] * N + Q[1]).ravel(), abs(K.ravel()) ** 2, N * N)
-    pairs = np.indices((N, N)).reshape(2, -1)  # every g, and every Q
-    defect = abs(np.exp(2j * np.pi * (pairs.T @ pairs % N) / N) - 1) ** 2 @ w
-    return [(int(gx), int(gy)) for gx, gy in pairs.T[np.sqrt(defect) <= tol]]
+    to tol.  The fixed element is one link block E (output link digits h2,
+    input digits h1), and g moves it to the digits (g_x + h2 - g_y,
+    g_x + h1 - g_y).  For g_x != g_y those entries are disjoint from E's, so
+    the defect is sqrt(2) ||E||; a pair (g, g) leaves the link alone and
+    acts on E's matter block by the gather U_g (x) U_g."""
+    rep_x, rep_y, N = G.rep_x, G.rep_y, G.frame.N
+    d = rep_x.dim * rep_y.dim
+    at = (np.s_[:], h2 % N, np.s_[:]) * 2 + (np.s_[:], h1 % N, np.s_[:]) * 2
+    E = G.superop.transfer.reshape((rep_x.dim, N, rep_y.dim) * 4)[at]
+    K = _canonical(Superoperator(d, d, E.reshape(d * d, d * d)), rep_x,
+                   rep_y).transfer
+    moved = np.sqrt(2) * np.linalg.norm(K) <= tol
+    fixed = [np.linalg.norm(_local_action(rep_x, rep_y, 1, g, g).transfer()
+                            .conjugate(K) - K) <= tol for g in range(N)]
+    return [(gx, gy) for gx in range(N) for gy in range(N)
+            if (fixed[gx] if gx == gy else moved)]
 
 
 @dataclass(frozen=True)

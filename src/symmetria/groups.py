@@ -542,6 +542,8 @@ def haar_quadrature(kind: str, bandlimit: int, modulus: int = 0) -> HaarQuadratu
             (GroupElement.zn(k, modulus), 1.0 / modulus) for k in range(modulus)
         )
         return HaarQuadrature(ZN, nodes, bandlimit, modulus=modulus)
+    if kind != SU2:
+        raise ValueError(f"unknown group kind {kind!r}")
     two_b = max(int(bandlimit), 0)
     n_ang = 2 * two_b + 2
     n_beta = two_b + 1

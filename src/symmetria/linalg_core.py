@@ -11,8 +11,8 @@ For E(X) = sum_k A_k X B_k^dag:
     transfer K = sum_k A_k (x) B_k^*             shape d_out^2 x d_in^2
     choi     J = sum_k |vec A_k><vec B_k|        shape (d_out*d_in)^2
 
-and vec(E(X)) = K vec(X).  Sums, scalings, composition, tensor products,
-adjoints, conjugations and Hilbert-Schmidt inner products all act on K.
+and vec(E(X)) = K vec(X).  Sums, scalings, tensor products, conjugations
+and Hilbert-Schmidt inner products all act on K.
 J is the reshuffle of K (``transfer_to_choi``), a permutation of entries,
 so Hilbert-Schmidt norms and inner products agree in both pictures; it is
 built only for the checks that need it (CP eigenvalues, partial traces,
@@ -132,14 +132,6 @@ class Superoperator:
 
     __rmul__ = __mul__
 
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other (self o other)."""
-        if other.dim_out != self.dim_in:
-            raise ValueError("composition dimension mismatch")
-        return Superoperator.from_transfer(
-            self.transfer @ other.transfer, other.dim_in, self.dim_out
-        )
-
     def tensor(self, other: "Superoperator") -> "Superoperator":
         """Tensor product of superoperators (self on the left factor)."""
         d_in = self.dim_in * other.dim_in
@@ -152,12 +144,6 @@ class Superoperator:
         )
         K = np.einsum("abcd,efgh->aebfcgdh", K1, K2).reshape(d_out**2, d_in**2)
         return Superoperator.from_transfer(K, d_in, d_out)
-
-    def adjoint(self) -> "Superoperator":
-        """Hilbert-Schmidt adjoint map."""
-        return Superoperator.from_transfer(
-            self.transfer.conj().T, self.dim_out, self.dim_in
-        )
 
     def norm(self) -> float:
         """Hilbert-Schmidt norm sqrt(tr J^dag J) = sqrt(tr K^dag K)."""
@@ -184,29 +170,17 @@ class CptpReport:
 
 
 def choi_of(kraus, dim_in: int, dim_out: int) -> Superoperator:
-    """Build a Superoperator from a Kraus set.
-
-    ``kraus`` is a sequence of either single operators A (meaning (A, A))
-    or explicit (A, B) pairs, each of shape dim_out x dim_in.
-    """
-    pairs = []
-    for item in kraus:
-        if isinstance(item, (tuple, list)) and len(item) == 2:
-            A, B = item
-        else:
-            A = B = item
-        A = as_cmatrix(A)
-        B = as_cmatrix(B)
-        if A.shape != (dim_out, dim_in) or B.shape != (dim_out, dim_in):
-            raise ValueError(
-                f"Kraus operator shape {A.shape}/{B.shape} != {(dim_out, dim_in)}"
-            )
-        pairs.append((A, B))
+    """Build a Superoperator from a Kraus set: a sequence of operators, each
+    of shape dim_out x dim_in."""
     d2 = dim_out * dim_in
     J = np.zeros((d2, d2), dtype=complex)
-    for A, B in pairs:
-        va, vb = vec(A), vec(B)
-        J += np.outer(va, vb.conj())
+    for A in kraus:
+        A = as_cmatrix(A)
+        if A.shape != (dim_out, dim_in):
+            raise ValueError(
+                f"Kraus operator shape {A.shape} != {(dim_out, dim_in)}")
+        va = vec(A)
+        J += np.outer(va, va.conj())
     return Superoperator(dim_in, dim_out, choi_to_transfer(J, dim_in, dim_out))
 
 

@@ -212,6 +212,26 @@ def test_catalytic_byte_prediction_bounds_the_peak(capsys, d, D, rounds):
         d, D, rounds)
 
 
+@pytest.mark.parametrize("n, trials", [(6, 1), (8, 2)])
+def test_gauge_byte_prediction_bounds_the_peak(capsys, n, trials):
+    # the peak is one gauged element beside the two gathers of its
+    # invariance residual; a second trial gauges only after the first's
+    # element is freed.  The 1x1 lattice adds no array of note.
+    from symmetria import cli
+
+    tracemalloc.start()
+    try:
+        code = cli.main(["gauge", "--n", str(n), "--trials", str(trials),
+                         "--lattice", "1x1", "--lattice-n", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert cli._gauge_bytes(n) / 2 < peak <= cli._gauge_bytes(n)
+    # the largest modulus the budget admits
+    assert cli._gauge_bytes(20) <= cli.MAX_STACK_BYTES < cli._gauge_bytes(21)
+
+
 def test_catalytic_passes():
     r = run_cli("catalytic", "--ladder", "8", "--rounds", "3")
     assert r.returncode == 0, r.stderr

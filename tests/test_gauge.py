@@ -10,7 +10,8 @@ import pytest
 from scipy import sparse
 
 from symmetria import linalg_core
-from symmetria.gauge import (GaugeCoupling, GaugedProcess, LinkFrame,
+from symmetria.bipartite import pair_sum
+from symmetria.gauge import (GaugedProcess, LinkFrame, _canonical,
                              _local_action, _plaquette_cycles,
                              build_gauged_lattice, degauge_marginal,
                              free_state_check, gauge_2symmetric, gauge_fix,
@@ -18,7 +19,8 @@ from symmetria.gauge import (GaugeCoupling, GaugedProcess, LinkFrame,
 from symmetria.groups import GroupElement, RepSpec, rep_matrix
 from symmetria.linalg_core import (Monomial, Superoperator, conjugate,
                                    hs_inner, identity_channel)
-from symmetria.process_modes import build_canonical_modes, superop_group_action
+from symmetria.process_modes import (_charges, build_canonical_modes,
+                                     superop_group_action)
 
 N = 3
 REP = RepSpec.zn_charges([0, 1], N)
@@ -65,6 +67,14 @@ def _random_2symmetric(rng, lam):
 # link frames and couplings
 # ---------------------------------------------------------------------------
 
+def _coupling(frame, lam):
+    """The charge-lambda link coupling A_lam(sigma) = L_lam sigma as a
+    superoperator: row-major vec(L sigma) = (L (x) I) vec(sigma)."""
+    return Superoperator.from_transfer(
+        linalg_core.kron(frame.charge_operator(lam), np.eye(frame.N)),
+        frame.N, frame.N)
+
+
 def test_link_action_is_a_representation():
     for gx, gy in ((1, 2), (2, 0)):
         for hx, hy in ((0, 1), (2, 2)):
@@ -80,7 +90,7 @@ def test_coupling_covariance_exact():
     # conjugation, over all of Z_N x Z_N
     shift = [Monomial((np.arange(N) + k) % N, np.ones(N)) for k in range(N)]
     for lam in range(N):
-        K = GaugeCoupling(FRAME, lam).superop.transfer
+        K = _coupling(FRAME, lam).transfer
         for gx in range(N):
             for gy in range(N):
                 phase = np.exp(2j * np.pi * lam * (gy - gx) / N)
@@ -206,7 +216,7 @@ def test_gauging_matches_the_per_pair_route(n):
                         and my.diagram.lam.charge == (-lam) % n):
                     c = rng.normal() + 1j * rng.normal()
                     chi = chi + c * mx.op.tensor(my.op)
-        coupling = GaugeCoupling(frame, lam).superop
+        coupling = _coupling(frame, lam)
         expect = Superoperator.zero(d * n * d, d * n * d)
         for mx in basis.modes:
             for my in basis.modes:
@@ -259,7 +269,7 @@ def _dense_gauging(chi, lam, rep, frame):
     (x) y permutation, and its generator residual by dense conjugations."""
     d, n = rep.dim, frame.N
     P = _link_to_middle(d, n)
-    gauged = conjugate(chi.tensor(GaugeCoupling(frame, lam).superop), P, P)
+    gauged = conjugate(chi.tensor(_coupling(frame, lam)), P, P)
     res = max((conjugate(gauged, U, U) - gauged).norm()
               for U in (_local_unitary(rep, rep, frame, 1, 0),
                         _local_unitary(rep, rep, frame, 0, 1)))
@@ -356,6 +366,95 @@ def test_intertwined_rep_gauges_as_the_dense_route():
                - max((conjugate(lifted, U, U) - lifted).norm()
                      for U in (_local_unitary(rep, rep, frame, 1, 0),
                                _local_unitary(rep, rep, frame, 0, 1)))) <= 1e-12
+
+
+def _link_between(chi, link, dx, dy):
+    """Oracle: the former insertion, chi (x) link on x (x) y (x) link,
+    reordered to x (x) link (x) y by a Monomial gather."""
+    n = link.dim_in
+    order = np.arange(dx * n * dy).reshape(dx, n, dy).transpose(0, 2, 1)
+    P = Monomial(order.ravel(), np.ones(order.size, dtype=complex))
+    lifted = chi.tensor(link)
+    return Superoperator(lifted.dim_in, lifted.dim_out,
+                         P.transfer().conjugate(lifted.transfer))
+
+
+def _link_fourier_stabilizer(G, h1, h2, tol=1e-10):
+    """Oracle: the former route.  In the reps' canonical frames and the link
+    Fourier frame, state (a, r, b) picks up omega^(g_x c_x + g_y c_y) with
+    c_x = q_x(a) + r, c_y = q_y(b) - r, and a transfer entry omega^(g . Q)
+    for its charge pair Q, so the defect of g is
+    sqrt(sum_Q |omega^(g . Q) - 1|^2 w_Q), w_Q the squared weight on Q."""
+    N, dims = G.frame.N, (G.rep_x.dim, G.frame.N, G.rep_y.dim)
+    K = _canonical(gauge_fix(G, h1, h2), G.rep_x, G.rep_y, N).transfer
+    K = np.fft.ifftn(np.fft.fftn(K.reshape(dims * 4), axes=(4, 7),
+                                 norm="ortho"), axes=(1, 10), norm="ortho")
+    a, r, b = np.indices(dims).reshape(3, -1)
+    c = np.stack([_charges(G.rep_x)[a] + r, _charges(G.rep_y)[b] - r])
+    v = (c[:, :, None] - c[:, None]).reshape(2, -1)
+    Q = (v[:, :, None] - v[:, None]) % N
+    w = np.bincount((Q[0] * N + Q[1]).ravel(), abs(K.ravel()) ** 2, N * N)
+    pairs = np.indices((N, N)).reshape(2, -1)
+    defect = abs(np.exp(2j * np.pi * (pairs.T @ pairs % N) / N) - 1) ** 2 @ w
+    return [(int(gx), int(gy)) for gx, gy in pairs.T[np.sqrt(defect) <= tol]]
+
+
+def _assert_insertion_is_the_tensor_route(rng, rep_x, rep_y, n):
+    """For every charge, gauge_2symmetric's transfer equals the former
+    route's bit for bit."""
+    frame = LinkFrame(n)
+    bx, by = build_canonical_modes(rep_x, rep_x), build_canonical_modes(
+        rep_y, rep_y)
+    for lam in range(n):
+        x, y = np.flatnonzero(bx.lam == lam), np.flatnonzero(by.lam == -lam % n)
+        c = rng.normal(size=(len(x), len(y), 2)) @ [1.0, 1.0j]
+        chi = pair_sum(bx, by, np.repeat(x, len(y)), np.tile(y, len(x)),
+                       c.ravel())
+        G = gauge_2symmetric(chi, lam, frame, bx, by)
+        want = _link_between(chi, _coupling(frame, lam), rep_x.dim, rep_y.dim)
+        assert np.array_equal(G.superop.transfer, want.transfer)
+
+
+@pytest.mark.parametrize("n, dy", [(2, 3), (3, 3), (4, 3), (5, 3), (4, 2),
+                                   (8, 2)])
+def test_insertion_matches_the_tensor_route(n, dy):
+    # site x carries charges {0, 1}, site y charges {0, ..., dy - 1}
+    _assert_insertion_is_the_tensor_route(
+        np.random.default_rng(110 + n), RepSpec.zn_charges([0, 1], n),
+        RepSpec.zn_charges(range(dy), n), n)
+
+
+def test_insertion_matches_the_tensor_route_for_an_intertwined_rep():
+    rng = np.random.default_rng(76)
+    Q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    rep = RepSpec.zn_charges([0, 1], 3, intertwiner=Q)
+    _assert_insertion_is_the_tensor_route(rng, rep, rep, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_stabilizer_matches_the_link_fourier_route(n):
+    # gauged, lifted (not locally invariant) and charge-(1, 1) elements; at
+    # h1 != h2 the fixed block of each is zero, so every pair fixes it.  A
+    # random element with its (h1, h2) = (0, 1) block zeroed tells the
+    # blocks apart.
+    rng = np.random.default_rng(120 + n)
+    rep = RepSpec.zn_charges([0, 1], n)
+    basis = build_canonical_modes(rep, rep)
+    frame = LinkFrame(n)
+    chi = _charge_pair_element(rng, basis, n, 1, -1)
+    charged = _charge_pair_element(rng, basis, n, 1, 1)
+    noise = rng.normal(size=(2, (4 * n) ** 4)).T @ [1.0, 1.0j]
+    noise.reshape((2, n, 2) * 4)[(np.s_[:], 1, np.s_[:]) * 2
+                                 + (np.s_[:], 0, np.s_[:]) * 2] = 0
+    elements = [gauge_2symmetric(chi, 1, frame, basis, basis)] + [
+        GaugedProcess(rep, rep, frame, 1, S, np.nan) for S in (
+            _link_between(chi, identity_channel(n), 2, 2),
+            _link_between(charged, identity_channel(n), 2, 2),
+            Superoperator(4 * n, 4 * n, noise.reshape((4 * n) ** 2, -1)))]
+    for G in elements:
+        for h1, h2 in ((0, 0), (1, 1), (0, 1)):
+            assert gauge_fix_stabilizer(G, h1, h2) == (
+                _link_fourier_stabilizer(G, h1, h2))
 
 
 def test_gauge_layer_makes_no_dense_conjugation(monkeypatch):

@@ -4,10 +4,17 @@ golden file (a Z_3 carrier and a spin-1 (+) spin-1/2 carrier), compared
 numerically with outputs captured before the superoperator storage
 refactor (the two channels: before the ITO bases became one array).
 
-Regenerate (only for a change meant to alter CLI output, and review the
-diff) from the repository root with
+From the repository root,
 
-    PYTHONPATH=src python tests/test_golden_cli.py --write
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+adds the entries of commands that the golden file lacks, and
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write "gauge --n 4 ..."
+
+runs the named entries again (each key is a command line as in the file,
+quoted; only for a change meant to alter that output, and review the diff).
+Every other entry stays byte-identical.
 """
 
 import contextlib
@@ -92,6 +99,29 @@ def load_golden() -> dict:
         return json.load(f)
 
 
+def test_golden_file_is_its_entries_encoded():
+    # so a refresh that keeps an entry keeps its bytes
+    with gzip.open(GOLDEN, "rb") as f:
+        assert f.read() == encode(load_golden())
+
+
+def test_refresh_runs_only_missing_and_named_entries(monkeypatch):
+    calls = []
+
+    def stub(argv):
+        calls.append(" ".join(argv))
+        return {"code": 0, "stdout": "", "stderr": ""}
+    monkeypatch.setattr(sys.modules[__name__], "run", stub)
+    keys = [" ".join(argv) for argv in COMMANDS]
+    stored = {key: {"stored": key} for key in keys[1:] + ["retired command"]}
+    golden = refresh(stored, [keys[2]])
+    assert calls == keys[:1] + keys[2:3]
+    assert golden.keys() == stored.keys() | {keys[0]}
+    assert all(golden[k] is stored[k] for k in stored if k != keys[2])
+    with pytest.raises(KeyError, match="not golden commands"):
+        refresh(stored, ["no such command"])
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_cli_matches_golden(argv):
     want = load_golden()[" ".join(argv)]
@@ -101,11 +131,37 @@ def test_cli_matches_golden(argv):
     assert got["stderr"] == want["stderr"]
 
 
+def refresh(golden: dict, rewrite=()) -> dict:
+    """golden with each command it lacks run and added, and each entry named
+    in rewrite run again; every other entry is kept as stored."""
+    keys = {" ".join(argv): argv for argv in COMMANDS}
+    unknown = sorted(set(rewrite) - keys.keys())
+    if unknown:
+        raise KeyError(f"not golden commands: {unknown}")
+    return {**golden, **{key: run(argv) for key, argv in keys.items()
+                         if key not in golden or key in rewrite}}
+
+
+def encode(golden: dict) -> bytes:
+    """The golden file's JSON text (before compression)."""
+    return json.dumps(golden, indent=1, sort_keys=True).encode()
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden_cli.py --write")
-    golden = {" ".join(argv): run(argv) for argv in COMMANDS}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    with gzip.GzipFile(GOLDEN, "wb", mtime=0) as f:
-        f.write(json.dumps(golden, indent=1, sort_keys=True).encode())
-    print(f"wrote {len(golden)} golden outputs to {GOLDEN}")
+    args = sys.argv[1:]
+    if args[:1] == ["--write"] and len(args) > 1:
+        rewrite = args[1:]
+    elif not args:
+        rewrite = []
+    else:
+        sys.exit('usage: python tests/test_golden_cli.py [--write "KEY" ...]')
+    stored = load_golden() if GOLDEN.exists() else {}
+    golden = refresh(stored, rewrite)
+    changed = sorted(k for k in golden if golden[k] != stored.get(k))
+    if golden != stored:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        with gzip.GzipFile(GOLDEN, "wb", mtime=0) as f:
+            f.write(encode(golden))
+    print(f"{len(changed)} of {len(golden)} golden outputs changed in {GOLDEN}")
+    for key in changed:
+        print(f"  {key}")

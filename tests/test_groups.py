@@ -253,6 +253,11 @@ def test_haar_quadrature_zn():
         assert abs(val - (1.0 if c == 0 else 0.0)) < 1e-14
 
 
+def test_haar_quadrature_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown group kind 'u1'"):
+        haar_quadrature("u1", 2)
+
+
 @pytest.mark.parametrize("kind,bandlimit", [("su2", 0), ("su2", 1),
                                              ("su2", 4), ("zn", 5)])
 def test_haar_quadrature_is_the_product_of_its_factors(kind, bandlimit):

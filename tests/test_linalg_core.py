@@ -83,6 +83,13 @@ def test_identity_and_unitary_channels():
     assert np.linalg.norm(apply(C, X) - U @ X @ U.conj().T) < 1e-12
 
 
+def test_choi_of_reads_a_two_row_nested_list_as_one_operator():
+    # a 2 x 2 Kraus operator given as nested lists has two rows, and is not
+    # an (A, B) pair
+    S = choi_of([[[1, 0], [0, 1]]], 2, 2)
+    assert np.array_equal(S.transfer, identity_channel(2).transfer)
+
+
 def test_depolarizing_channel_fixed_point():
     # p is the identity survival weight, so p = 0 is fully depolarizing
     S = depolarizing_channel(0.0, dim=2)
