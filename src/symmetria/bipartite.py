@@ -25,8 +25,8 @@ from .groups import (ZN, GroupElement, IrrepLabel, RepSpec, cg_block,
 from .linalg_core import (TP_TOL, CptpReport, Superoperator,
                           check_cptp_stack, conjugate, kron, unitary_channel,
                           vec)
-from .process_modes import (MAX_STACK_BYTES, Diagram, ProcessModeBasis,
-                            _mode_values, _transfer_of, build_canonical_modes)
+from .process_modes import (Diagram, ProcessModeBasis, _mode_values,
+                            _transfer_of, build_canonical_modes, check_budget)
 
 LOCAL = "local"
 INJECTION = "injection"
@@ -124,11 +124,9 @@ def build_symmetric_basis(rep_a_in: RepSpec, rep_a_out: RepSpec,
         raise ValueError("all four reps must share the group kind")
     if rep_a_in.kind == ZN and len({rep.modulus for rep in reps}) != 1:
         raise ValueError("all four Z_N reps must share the modulus")
-    need = _PAIR_WORKSPACE * 16 * (rep_a_in.dim * rep_a_out.dim
-                                   * rep_b_in.dim * rep_b_out.dim) ** 2
-    if need > MAX_STACK_BYTES:
-        raise ValueError(f"the bipartite decomposition needs "
-                         f"{need / 2**30:.1f} GiB, over the 2 GiB limit")
+    check_budget(_PAIR_WORKSPACE * 16 * (rep_a_in.dim * rep_a_out.dim
+                                         * rep_b_in.dim * rep_b_out.dim) ** 2,
+                 "the bipartite decomposition")
     basis_a = build_canonical_modes(rep_a_in, rep_a_out)
     basis_b = build_canonical_modes(rep_b_in, rep_b_out)
     elements = []

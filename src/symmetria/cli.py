@@ -28,7 +28,7 @@ from .gauge import (build_gauged_lattice, free_state_check, gauge_2symmetric,
                     gauge_fix_stabilizer)
 from .groups import LinkFrame, RepSpec
 from .linalg_core import Superoperator, check_cptp, choi_of
-from .process_modes import MAX_STACK_BYTES, build_canonical_modes, decompose
+from .process_modes import build_canonical_modes, check_budget, decompose
 from .repeatability import (build_protocol, catalytic_bytes,
                             measure_prepare_form, sequential_use)
 
@@ -282,11 +282,8 @@ def _region_bytes(n: int, columns: int) -> int:
 def cmd_region(args, out: list) -> int:
     n = args.grid
     injection = args.kind == INJECTION
-    need = _region_bytes(n, 8 if injection else 5)
-    if need > MAX_STACK_BYTES:
-        raise SemanticError(
-            f"region grid {n} needs about {need / 2**30:.3g} GiB of CSV rows, "
-            f"over the {MAX_STACK_BYTES / 2**30:g} GiB budget")
+    check_budget(_region_bytes(n, 8 if injection else 5),
+                 f"the CSV rows of region --grid {n}")
     out.append("x,y,z,X,Y,Z,min_eig,inside" if injection
                else "x,y,z,min_eig,inside")
     axis = -1.0 + 2.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
@@ -313,12 +310,8 @@ def _random_state(rng, n: int) -> np.ndarray:
 def cmd_catalytic(args, out: list) -> int:
     d = args.dim_a
     D = args.ladder
-    need = catalytic_bytes(d, D, args.rounds)
-    if need > MAX_STACK_BYTES:
-        raise SemanticError(
-            f"catalytic --dim-a {d} --ladder {D} --rounds {args.rounds} needs "
-            f"about {need / 2**30:.3g} GiB, over the "
-            f"{MAX_STACK_BYTES / 2**30:g} GiB budget")
+    check_budget(catalytic_bytes(d, D, args.rounds),
+                 f"catalytic --dim-a {d} --ladder {D} --rounds {args.rounds}")
     rng = np.random.default_rng(args.seed)
     q, r = np.linalg.qr(rng.normal(size=(d, d))
                         + 1j * rng.normal(size=(d, d)))
@@ -353,10 +346,10 @@ def cmd_catalytic(args, out: list) -> int:
 
 def _gauge_bytes(n: int) -> int:
     """Predicted peak bytes of ``gauge --n n``: one gauged two-site element,
-    a (4n)^2 x (4n)^2 complex transfer matrix, the two copies that a
-    generator's monomial conjugation gathers in its invariance residual, and
-    1 MiB of small arrays."""
-    return 3 * 16 * (4 * n) ** 4 + (1 << 20)
+    a (4n)^2 x (4n)^2 complex transfer matrix, the copy that a generator's
+    monomial conjugation gathers in its invariance residual, and 1 MiB of
+    small arrays (the lattice's index structure among them)."""
+    return 2 * 16 * (4 * n) ** 4 + (1 << 20)
 
 
 def cmd_gauge(args, out: list) -> int:
@@ -368,12 +361,11 @@ def cmd_gauge(args, out: list) -> int:
         raise ParseError("lattice must look like '2x2'")
     if Lx < 1 or Ly < 1:
         raise ParseError(f"lattice sides must be >= 1, got {args.lattice}")
-    need = _gauge_bytes(N)
-    if N > 0 and need > MAX_STACK_BYTES:
-        raise SemanticError(
-            f"gauge --n {N} needs about {need / 2**30:.3g} GiB for the gauged "
-            f"element and its invariance check, over the "
-            f"{MAX_STACK_BYTES / 2**30:g} GiB budget")
+    if N > 0:
+        check_budget(_gauge_bytes(N), f"gauge --n {N}")
+    # the lattice is index structure only, so it is built (and its guards
+    # checked) before the two-site trials
+    lat = build_gauged_lattice(Lx, Ly, args.lattice_n)
     out.append(f"command: gauge n={N} lattice={args.lattice} "
                f"seed={args.seed}")
     out.extend(convention_block())
@@ -402,7 +394,6 @@ def cmd_gauge(args, out: list) -> int:
                f"elements: {fmt(worst)}")
 
     # lattice demo
-    lat = build_gauged_lattice(Lx, Ly, args.lattice_n)
     out.append(f"lattice: {Lx}x{Ly} sites, {len(lat.links)} links, "
                f"Z_{lat.N} frames, dim {lat.dim}")
     # the sparse forms: no dense Hamiltonian or loop is formed

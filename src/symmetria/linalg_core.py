@@ -217,14 +217,14 @@ class Monomial:
 
     def conjugate(self, M: np.ndarray) -> np.ndarray:
         """U M U^dag: entry (i, j) of M moves to (perm[i], perm[j]) with
-        phase[i] conj(phase[j]), gathered through the inverse permutation;
-        a pure permutation (every phase 1) is the gather alone."""
+        phase[i] conj(phase[j]), by one gather through the inverse permutation
+        and the phases in place; a pure permutation is the gather alone."""
         src = np.argsort(self.perm)
-        out = M.take(src, axis=0).take(src, axis=1)
-        if np.all(self.phase == 1):
-            return out
-        out = out * self.phase[src, None]
-        out *= self.phase[src].conj()
+        out = M[np.ix_(src, src)]
+        if np.any(self.phase != 1):
+            out = out.astype(np.result_type(out, self.phase), copy=False)
+            out *= self.phase[src, None]
+            out *= self.phase[src].conj()
         return out
 
     def move(self, rows, cols, vals):

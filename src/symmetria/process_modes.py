@@ -107,10 +107,19 @@ def _collector_paused():
             gc.enable()
 
 
-# Largest allocation of a mode basis: build_canonical_modes refuses a basis
-# whose predicted size (_basis_bytes) is over it, and ``stack`` a dense
-# matrix of 16 (d_in d_out)^4 bytes over it (square d >= 11).
+# The memory budget of one library call or CLI command: build_canonical_modes
+# refuses a basis whose predicted size (_basis_bytes) is over it, ``stack`` a
+# dense matrix of 16 (d_in d_out)^4 bytes over it (square d >= 11), and every
+# other predicted peak is refused through ``check_budget``.
 MAX_STACK_BYTES = 2 << 30
+
+
+def check_budget(need: int, what: str):
+    """Raise ValueError if ``what`` is predicted to need more than
+    MAX_STACK_BYTES; the one place the budget is compared."""
+    if need > MAX_STACK_BYTES:
+        raise ValueError(f"{what} needs about {need / 2**30:.3g} GiB, over "
+                         f"the {MAX_STACK_BYTES / 2**30:g} GiB budget")
 
 
 @dataclass(frozen=True)
@@ -215,10 +224,7 @@ class ProcessModeBasis:
         by row, and refused over MAX_STACK_BYTES."""
         d_out2, d_in2 = self.ito_out.shape[0], self.ito_in.shape[0]
         n = self.coupling.shape[0]
-        need = 16 * n * d_out2 * d_in2
-        if need > MAX_STACK_BYTES:
-            raise ValueError(f"the dense mode stack needs {need / 2**30:.1f}"
-                             " GiB, over the 2 GiB limit")
+        check_budget(16 * n * d_out2 * d_in2, "the dense mode stack")
         stack = np.empty((n, d_out2 * d_in2), dtype=complex)
         rows = stack.reshape(n, d_out2, d_in2)
         for row in range(n):
@@ -272,10 +278,13 @@ _DIAGRAM_BYTES = 104
 
 def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     """Bytes build_canonical_modes holds for the basis of (rep_in, rep_out),
-    predicted from the ITO family spins alone: per side its ITO array and a
-    working copy, the Clebsch-Gordan blocks read (cached by ``cg_block``),
-    the CSR coupling, the row arrays and the labels."""
+    predicted from the ITO family spins alone: per side its ITO array, the
+    Clebsch-Gordan blocks read (cached by ``cg_block``), the CSR coupling,
+    the row arrays and the labels, and beside them the larger of the build's
+    working copy of each ITO array and one ``decompose``'s three working
+    arrays of n complex entries (its products, values and reconstruction)."""
     n = rep_in.dim ** 2 * rep_out.dim ** 2
+    itos = rep_in.dim ** 4 + rep_out.dim ** 4
     # how many ITO families have each doubled spin (0 for Z_N)
     spins_out, spins_in = (Counter(lam.two_j for lam, _ in family_keys(rep))
                            for rep in (rep_out, rep_in))
@@ -286,7 +295,7 @@ def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
             nnz, blocks = nnz + pairs * k, blocks + k
             diagrams += pairs * (min(a, b) + 1)
     index = 4 if max(n, nnz) < 2 ** 31 else 8
-    return (32 * (rep_in.dim ** 4 + rep_out.dim ** 4)
+    return (16 * (itos + max(itos, 3 * n))
             + (8 + index) * (nnz + blocks) + index * (n + 1)
             + (_ROW_BYTES + _LABEL_BYTES) * n + _DIAGRAM_BYTES * diagrams)
 
@@ -296,10 +305,7 @@ def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis
         raise ValueError("input and output reps must share the group kind")
     if rep_in.kind == ZN and rep_in.modulus != rep_out.modulus:
         raise ValueError("input and output Z_N reps must share the modulus")
-    need = _basis_bytes(rep_in, rep_out)
-    if need > MAX_STACK_BYTES:
-        raise ValueError(f"the process-mode basis needs {need / 2**30:.1f}"
-                         " GiB, over the 2 GiB limit")
+    check_budget(_basis_bytes(rep_in, rep_out), "the process-mode basis")
     itos_out = build_itos(rep_out)
     itos_in = itos_out if rep_in is rep_out else build_itos(rep_in)
     # row i of ito_out is vec(T_i), of ito_in vec(T_i^T)
@@ -393,15 +399,18 @@ def _transfer_of(values: np.ndarray, basis: ProcessModeBasis) -> np.ndarray:
     coupling's transpose applied to the values, for one vector of values or
     along a leading stack axis of them."""
     Z = _coupling_product(basis._coupling_t, values.T).T
-    Z = Z.reshape(*values.shape[:-1], len(basis.ito_out), -1)
-    return basis.ito_out.T @ Z @ basis.ito_in
+    # rebinding Z frees each product's input as the next is formed
+    Z = basis.ito_out.T @ Z.reshape(*values.shape[:-1], len(basis.ito_out),
+                                    -1)
+    return Z @ basis.ito_in
 
 
 def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:
     """Coefficients c_i = <mode_i, S> and the norm of what they leave out."""
     values = _mode_values(S.transfer, basis)
-    residual = np.linalg.norm(S.transfer - _transfer_of(values, basis))
-    return ModeCoefficients(basis, values, float(residual))
+    left_out = _transfer_of(values, basis)
+    left_out -= S.transfer
+    return ModeCoefficients(basis, values, float(np.linalg.norm(left_out)))
 
 
 def _charges(rep: RepSpec) -> np.ndarray:

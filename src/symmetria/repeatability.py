@@ -9,9 +9,9 @@ charge-conserving interaction
 where Delta is the cyclic shift on the ladder and C|m, h> = |m, h - m> is a
 controlled ladder shift: V is U relativised to the Z_D frame.  V is applied
 through these factors, two monomial conjugations and U on one axis, and is
-never formed as a matrix.  Tracing out the ladder gives
-an induced channel on A that depends on the reference state sigma only
-through the expectation values tr(Delta^k sigma).  Frame states (discrete
+never formed as a matrix; no round applies it: a round's channel on A reads
+the reference only through tr(Delta^k sigma), a profile V conserves, and the
+round moves sigma by a sum of its shifted copies.  Frame states (discrete
 Fourier vectors, the Delta eigenbasis) yield perfect rotated-target
 simulation, are not disturbed, and support arbitrary sequential reuse.
 """
@@ -25,8 +25,8 @@ import numpy as np
 
 from .groups import LinkFrame, RepSpec
 from .linalg_core import Monomial, Superoperator, apply, kron
-from .process_modes import (MAX_STACK_BYTES, ProcessModeBasis,
-                            build_canonical_modes, decompose)
+from .process_modes import (ProcessModeBasis, _mode_values,
+                            build_canonical_modes, check_budget)
 
 
 @dataclass(frozen=True)
@@ -89,22 +89,12 @@ def _joint_out(P: Protocol, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return _apply_v(P, kron(rho, sigma), (P.dim_a, P.ladder.N), 0)
 
 
-def _trace_ladder(P: Protocol, M: np.ndarray) -> np.ndarray:
-    d, D = P.dim_a, P.ladder.N
-    return np.einsum("injn->ij", M.reshape(d, D, d, D))
-
-
-def _trace_system(P: Protocol, M: np.ndarray) -> np.ndarray:
-    d, D = P.dim_a, P.ladder.N
-    return np.einsum("inim->nm", M.reshape(d, D, d, D))
-
-
 def induced_channel(P: Protocol, sigma) -> Superoperator:
     """Partial-trace route to E(rho) = tr_B [V (rho (x) sigma) V^dag] on A."""
     sigma = _check_state(sigma, P.ladder.N)
-    d = P.dim_a
-    K = [_trace_ladder(P, _joint_out(P, E, sigma)).ravel()
-         for E in np.eye(d * d, dtype=complex).reshape(-1, d, d)]
+    d, D = P.dim_a, P.ladder.N
+    K = [np.einsum("injn->ij", _joint_out(P, E, sigma).reshape(d, D, d, D))
+         .ravel() for E in np.eye(d * d, dtype=complex).reshape(-1, d, d)]
     return Superoperator.from_transfer(np.transpose(K), d, d)
 
 
@@ -112,17 +102,31 @@ def induced_channel_closed_form(P: Protocol, sigma) -> Superoperator:
     """Closed form: E(rho)[m,m'] = sum_{nn'} U_mn conj(U_m'n') rho[n,n']
     tr(Delta^{(n-m)-(n'-m')} sigma) — the reference enters only through the
     Delta expectation profile."""
-    return _closed_form(P, P.ladder.delta_profile(_check_state(sigma, P.ladder.N)))
+    profile = P.ladder.delta_profile(_check_state(sigma, P.ladder.N))
+    return Superoperator(P.dim_a, P.dim_a, _closed_form(P, profile))
 
 
-def _closed_form(P: Protocol, profile: np.ndarray) -> Superoperator:
-    """The closed form for any Delta expectation profile; it is linear in
-    the profile, so ``measure_prepare_form`` evaluates it at unit ones."""
+def _closed_form(P: Protocol, profile: np.ndarray) -> np.ndarray:
+    """Transfer matrix of the closed form at a Delta profile, or their stack
+    at a stack of profiles; ``measure_prepare_form`` reads the unit ones."""
     d, D = P.dim_a, P.ladder.N
     n_minus_m = np.arange(d)[None, :] - np.arange(d)[:, None]  # [m, n]
     k = np.subtract.outer(n_minus_m, n_minus_m) % D  # [m, n, m', n']
-    K = np.einsum("mn,pq,mnpq->mpnq", P.U, P.U.conj(), profile[k])
-    return Superoperator.from_transfer(K.reshape(d * d, d * d), d, d)
+    K = np.einsum("mn,pq,...mnpq->...mpnq", P.U, P.U.conj(), profile[..., k])
+    return K.reshape(*profile.shape[:-1], d * d, d * d)
+
+
+def _ladder_round(P: Protocol, rho, sigma) -> np.ndarray:
+    """tr_A[V (rho (x) sigma) V^dag]: sigma circularly convolved, by 2-d DFTs,
+    with weights U_mn rho_np conj(U_mp) on the shifts (n - m, p - m) mod D."""
+    d, D = P.dim_a, P.ladder.N
+    m, n, p = np.indices((d, d, d))
+    w = np.zeros((D, D), dtype=complex)
+    np.add.at(w, ((n - m) % D, (p - m) % D),
+              np.einsum("mn,np,mp->mnp", P.U, rho, P.U.conj()))
+    F = np.fft.fftn(sigma, out=np.empty_like(w))
+    F *= np.fft.fftn(w, out=w)
+    return np.fft.ifftn(F, out=F)
 
 
 def rotated_target(P: Protocol, r) -> np.ndarray:
@@ -138,17 +142,15 @@ def rotated_target(P: Protocol, r) -> np.ndarray:
 def catalytic_bytes(dim_a: int, D: int, rounds: int) -> int:
     """Predicted peak bytes of a catalytic run: the larger of its two stages,
     plus one d_A^4 channel per round, (rounds + 2) reference states of side
-    D (the initial one, one per round, one for transients such as a Delta
-    profile's gather) and 1 MiB of small arrays and objects.  The rounds stage
-    holds four complex copies of the cross-check state on A1 (x) A2 (x) B
-    (the caller's, ``_apply_v``'s and the two gathers of
-    ``Monomial.conjugate``), or for one round three of the state on A (x) B;
-    the measure-and-prepare stage four of the (D, d_A^4) profile (with its
-    deviation and the residual norm's two temporaries)."""
-    joint = (4 * (dim_a ** 2 * D) ** 2 if rounds >= 2
-             else 3 * (dim_a * D) ** 2)
-    return 16 * (max(joint, 4 * dim_a ** 4 * D) + rounds * dim_a ** 4
-                 + (rounds + 2) * D ** 2) + (1 << 20)
+    D (the initial one, one per round, one for a round's DFT weights or a
+    Delta profile's gather), that gather's int64 index and 1 MiB of small
+    arrays.  Two or more rounds' cross-check holds two copies of the state on
+    A1 (x) A2 (x) B (each step's input and output); the measure-and-prepare
+    stage four of the (D, d_A^4) profile (the stacked transfers and products,
+    or the profile, its deviation and the residual norm's temporaries)."""
+    crosscheck = 2 * (dim_a ** 2 * D) ** 2 if rounds >= 2 else 0
+    return (16 * (max(crosscheck, 4 * dim_a ** 4 * D) + rounds * dim_a ** 4
+                  + (rounds + 2) * D ** 2) + 8 * D ** 2 + (1 << 20))
 
 
 @dataclass(frozen=True)
@@ -175,18 +177,14 @@ def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
     sigma0 = _check_state(sigma, P.ladder.N)
     if len(inputs) < 1:
         raise ValueError("at least one input state required")
-    need = catalytic_bytes(P.dim_a, P.ladder.N, len(inputs))
-    if need > MAX_STACK_BYTES:
-        what = ("the two-round cross-check" if len(inputs) >= 2
-                else "one round's joint state")
-        raise ValueError(f"{what} needs about {need / 2**30:.3g} GiB, over "
-                         f"the {MAX_STACK_BYTES / 2**30:g} GiB budget")
+    check_budget(catalytic_bytes(P.dim_a, P.ladder.N, len(inputs)),
+                 "the two-round cross-check" if len(inputs) >= 2
+                 else "one round's reference states")
     rounds = []
     sig, profile = sigma0, P.ladder.delta_profile(sigma0)
     for rho in inputs:
-        chan = _closed_form(P, profile)
-        # the joint state is released as soon as the ladder is read off
-        sig = _trace_system(P, _joint_out(P, np.asarray(rho, complex), sig))
+        chan = Superoperator(P.dim_a, P.dim_a, _closed_form(P, profile))
+        sig = _ladder_round(P, np.asarray(rho, complex), sig)
         profile = P.ladder.delta_profile(sig)
         first = rounds[0].channel if rounds else chan
         rounds.append(RoundRecord(
@@ -203,10 +201,10 @@ def _two_round_crosscheck(P: Protocol, sigma0, rho1, rho2, rounds) -> float:
     """Full tensor computation on A1 (x) A2 (x) B versus the iterated
     reduced-reference propagation."""
     d, D = P.dim_a, P.ladder.N
-    state = kron(kron(np.asarray(rho1, complex),
-                      np.asarray(rho2, complex)), sigma0)
-    state = _apply_v(P, state, (d, d, D), 0)  # V on (A1, B)
-    out = _apply_v(P, state, (d, d, D), 1).reshape(d, d, D, d, d, D)
+    rho12 = kron(np.asarray(rho1, complex), np.asarray(rho2, complex))
+    # V on (A1, B), then on (A2, B), nested so that no name holds the input
+    out = _apply_v(P, _apply_v(P, kron(rho12, sigma0), (d, d, D), 0),
+                   (d, d, D), 1).reshape(d, d, D, d, d, D)
     marg1 = np.einsum("iabjab->ij", out)
     marg2 = np.einsum("aibajb->ij", out)
     r1 = np.linalg.norm(marg1 - apply(rounds[0].channel, rho1))
@@ -243,8 +241,7 @@ def measure_prepare_form(P: Protocol) -> MeasurePrepareForm:
     # E_sigma depends on sigma only through p_k = tr(Delta^k sigma), and
     # linearly, so alpha(E_sigma) = sum_k p_k alpha(B_k) with B_k the closed
     # form at the unit profile e_k: X = sum_k alpha(B_k) Delta^k
-    profile = np.array([decompose(_closed_form(P, e_k), basis).values
-                        for e_k in np.eye(D)])
+    profile = _mode_values(_closed_form(P, np.eye(D)), basis)
     # the r = 0 frame state has p_k = 1 for every k
     a0 = profile.sum(axis=0)
     # X - a0 Delta^{-lam} is the circulant of profile - a0 e_{-lam}, and a

@@ -166,14 +166,37 @@ def test_gauge_refuses_a_modulus_over_the_memory_budget(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("lattice, lattice_n", [("1x1", "5"), ("2x3", "3")])
+def test_gauge_refuses_a_guarded_lattice_before_the_trials(capsys, lattice,
+                                                          lattice_n):
+    # the lattice is index structure, built before the two-site trials, so
+    # its desk-scale guard refuses before any 655 MB gauged element is formed
+    from symmetria import cli
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(["gauge", "--n", "20", "--trials", "2", "--lattice",
+                         lattice, "--lattice-n", lattice_n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "desk-scale" in err and "Traceback" not in err
+    assert out == ""
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ["catalytic", "--dim-a", "16", "--ladder", "64", "--rounds", "2"],
-    ["catalytic", "--ladder", "4096", "--rounds", "1"],
-], ids=["crosscheck-17GB", "joint-state-4GB"])
+    ["catalytic", "--ladder", "8192", "--rounds", "1"],
+], ids=["crosscheck-17GB", "reference-states-4GB"])
 def test_catalytic_refuses_a_run_over_the_memory_budget(capsys, argv):
-    # the first would hold a 17 GB cross-check, the second a 3.2 GB joint
-    # state beside 1.3 GB of reference states; both are refused before the
-    # protocol is built
+    # the first would hold a 17 GB cross-check, the second 3.2 GB of
+    # reference states beside a 0.5 GB profile index; both are refused
+    # before the protocol is built
     from symmetria import cli
 
     start = time.perf_counter()
@@ -192,11 +215,13 @@ def test_catalytic_refuses_a_run_over_the_memory_budget(capsys, argv):
 
 
 @pytest.mark.parametrize("d, D, rounds", [(8, 16, 2), (4, 128, 1),
-                                         (2, 512, 2), (2, 512, 5)])
+                                         (2, 1024, 1), (2, 512, 2),
+                                         (2, 512, 5)])
 def test_catalytic_byte_prediction_bounds_the_peak(capsys, d, D, rounds):
-    # (8, 16, 2) peaks in the cross-check, (4, 128, 1) in one round's joint
-    # state; at D = 512 the reference states of every round are live beside
-    # the cross-check
+    # (8, 16, 2) peaks in the cross-check, (4, 128, 1) in the
+    # measure-and-prepare profile, (2, 1024, 1) in one round's reference
+    # states; at D = 512 the reference states of every round are live
+    # beside the cross-check
     from symmetria import cli
     from symmetria.repeatability import catalytic_bytes
 
@@ -214,10 +239,11 @@ def test_catalytic_byte_prediction_bounds_the_peak(capsys, d, D, rounds):
 
 @pytest.mark.parametrize("n, trials", [(6, 1), (8, 2)])
 def test_gauge_byte_prediction_bounds_the_peak(capsys, n, trials):
-    # the peak is one gauged element beside the two gathers of its
+    # the peak is one gauged element beside the one gather of its
     # invariance residual; a second trial gauges only after the first's
     # element is freed.  The 1x1 lattice adds no array of note.
     from symmetria import cli
+    from symmetria.process_modes import MAX_STACK_BYTES
 
     tracemalloc.start()
     try:
@@ -229,7 +255,7 @@ def test_gauge_byte_prediction_bounds_the_peak(capsys, n, trials):
     assert code == 0, capsys.readouterr().err
     assert cli._gauge_bytes(n) / 2 < peak <= cli._gauge_bytes(n)
     # the largest modulus the budget admits
-    assert cli._gauge_bytes(20) <= cli.MAX_STACK_BYTES < cli._gauge_bytes(21)
+    assert cli._gauge_bytes(22) <= MAX_STACK_BYTES < cli._gauge_bytes(23)
 
 
 def test_catalytic_passes():

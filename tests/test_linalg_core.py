@@ -2,6 +2,7 @@
 
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,3 +222,72 @@ def test_monomial_with_unit_phases_conjugates_by_the_gather_alone():
     D = U.dense()
     assert np.abs(U.conjugate(M) - D @ M @ D.conj().T).max() <= 1e-14
     assert not np.shares_memory(Monomial(perm, np.ones(n)).conjugate(M), M)
+
+
+def _two_take_conjugate(U, M):
+    """Oracle: the two-``take`` route, one gather per axis, then the
+    phases by one product and one in-place product."""
+    src = np.argsort(U.perm)
+    out = M.take(src, axis=0).take(src, axis=1)
+    if np.all(U.phase == 1):
+        return out
+    out = out * U.phase[src, None]
+    out *= U.phase[src].conj()
+    return out
+
+
+def test_monomial_conjugation_matches_the_two_take_route_bit_for_bit():
+    rng = np.random.default_rng(34)
+    n = 6
+    perm = rng.permutation(n)
+    for phase in (np.ones(n), np.ones(n, dtype=complex),
+                  np.exp(2j * np.pi * rng.uniform(size=n)),
+                  rng.choice([1.0, -1.0], size=n)):
+        for U in (Monomial(perm, phase), Monomial(perm, phase).transfer()):
+            for M in (_rand_complex((len(U.perm),) * 2, rng),
+                      rng.normal(size=(len(U.perm),) * 2)):
+                got = U.conjugate(M)
+                assert got.dtype == _two_take_conjugate(U, M).dtype
+                assert np.array_equal(got, _two_take_conjugate(U, M))
+
+
+def test_monomial_conjugation_holds_one_copy_beside_its_input():
+    # one gather, the phases applied in place: the traced peak is one
+    # n x n copy plus O(n) index and phase arrays
+    rng = np.random.default_rng(35)
+    n = 512
+    U = Monomial(rng.permutation(n), np.exp(2j * np.pi * rng.uniform(size=n)))
+    M = _rand_complex((n, n), rng)
+    tracemalloc.start()
+    try:
+        out = U.conjugate(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.nbytes <= peak < 1.1 * M.nbytes
+    assert np.abs(out - U.dense() @ M @ U.dense().conj().T).max() <= 1e-12
+
+
+def _budget_compares(source: str) -> list:
+    """Lines of the comparisons that read the name MAX_STACK_BYTES."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(getattr(n, "id", getattr(n, "attr", None))
+                    == "MAX_STACK_BYTES" for n in ast.walk(node))]
+
+
+def test_budget_compare_scan_flags_names_and_attributes():
+    source = ("if need > MAX_STACK_BYTES:\n    pass\n"
+              "ok = pm.MAX_STACK_BYTES >= need\n"
+              "limit = MAX_STACK_BYTES / 2\n")
+    assert _budget_compares(source) == [1, 3]
+
+
+def test_only_the_budget_helper_compares_against_the_budget():
+    # every predicted peak is refused through process_modes.check_budget,
+    # so the policy and its wording live in one place
+    hits = {path.name: _budget_compares(path.read_text())
+            for path in sorted(Path(symmetria.__file__).parent.glob("*.py"))}
+    assert {name: lines for name, lines in hits.items() if lines} \
+        == {"process_modes.py": hits["process_modes.py"]}
+    assert len(hits["process_modes.py"]) == 1

@@ -350,7 +350,7 @@ def test_build_refuses_a_stack_over_the_memory_limit():
 # The smallest square carrier whose factored mode basis is predicted over
 # the limit.  Of all SU(2) carriers of one dimension the single spin
 # predicts the most (checked over every partition of d = 38 and 39; at
-# d = 39 it predicts 1.9 GiB), and Z_N carriers predict less.
+# d = 39 it predicts 1.96 GiB), and Z_N carriers predict less.
 SMALLEST_REFUSED = RepSpec.su2_spins([39])  # d = 40
 
 
@@ -366,6 +366,22 @@ def test_build_refuses_a_basis_over_the_memory_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_build_and_decompose_peak_is_inside_the_basis_prediction():
+    # the prediction counts, beside the basis, decompose's working arrays;
+    # the single spin predicts the most of all carriers of one dimension
+    rep = RepSpec.su2_spins([15])  # d = 16
+    S = identity_channel(16)
+    tracemalloc.start()
+    try:
+        coeffs = decompose(S, build_canonical_modes(rep, rep))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    predicted = process_modes._basis_bytes(rep, rep)
+    assert predicted / 2 < peak <= predicted
+    assert coeffs.residual < 1e-10
 
 
 def test_block_layout_closed_forms_match_cg_block():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symmetria import repeatability
+from symmetria import process_modes, repeatability
 from symmetria.groups import LinkFrame
 from symmetria.linalg_core import apply, check_cptp, kron, unitary_channel
 from symmetria.process_modes import decompose
@@ -68,10 +68,10 @@ def test_build_protocol_rejects_bad_inputs():
 
 
 def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
-    # two rounds at d_A^2 D = 12 * 12 * 48 = 6,912 would need a cross-check
-    # of about 2.8 GiB, over the budget; the refusal comes before the first
+    # two rounds at d_A^2 D = 12 * 12 * 64 = 9,216 would need a cross-check
+    # of about 2.7 GB, over the budget; the refusal comes before the first
     # round runs
-    P = build_protocol(np.eye(12), D=48)
+    P = build_protocol(np.eye(12), D=64)
     rho = np.eye(12) / 12
 
     def no_round(*args):
@@ -103,6 +103,71 @@ def test_factored_interaction_matches_the_dense_oracle(d, D):
     state = repeatability._apply_v(P, state, dims, 1)
     oracle = _dense_two_round_state(P, V, sigma, rho1, rho2)
     assert np.linalg.norm(state - oracle) < 1e-13
+
+
+def _trace_system(P, M):
+    """Oracle: the ladder's reduced state of a joint state on A (x) B."""
+    d, D = P.dim_a, P.ladder.N
+    return np.einsum("inim->nm", M.reshape(d, D, d, D))
+
+
+@pytest.mark.parametrize("d, D", [(1, 2), (2, 2), (2, 3), (3, 3), (3, 11),
+                                  (5, 7), (2, 16), (3, 16), (16, 16)])
+def test_ladder_rounds_match_the_joint_state_partial_trace(d, D):
+    # the shift sum against tr_A of the joint state V (rho (x) sigma) V^dag,
+    # round after round; for D < 2 d_A - 1 the shifts alias mod D
+    rng = np.random.default_rng(63)
+    P = build_protocol(_random_unitary(rng, d), D)
+    fast = oracle = _random_state(rng, D)
+    for _ in range(5):
+        rho = _random_state(rng, d)
+        fast = repeatability._ladder_round(P, rho, fast)
+        oracle = _trace_system(P, repeatability._joint_out(P, rho, oracle))
+        assert np.linalg.norm(fast - oracle) < 1e-13
+        assert np.linalg.norm(P.ladder.delta_profile(fast)
+                              - P.ladder.delta_profile(oracle)) < 1e-13
+
+
+def test_sequential_rounds_propagate_the_joint_state_reference(protocol):
+    rng = np.random.default_rng(64)
+    sigma = _random_state(rng, 8)
+    inputs = [_random_state(rng, 2) for _ in range(5)]
+    report = sequential_use(protocol, sigma, inputs)
+    for rho, rec in zip(inputs, report.rounds):
+        sigma = _trace_system(protocol,
+                              repeatability._joint_out(protocol, rho, sigma))
+        assert np.linalg.norm(rec.reference_after - sigma) < 1e-13
+
+
+def test_one_round_holds_no_joint_state():
+    # the joint state on A (x) B at d_A = 8, D = 256 is 16 (d_A D)^2 = 67 MB;
+    # a round holds a few D x D arrays (1 MiB each) instead
+    rng = np.random.default_rng(65)
+    D = 256
+    P = build_protocol(_random_unitary(rng, 8), D)
+    sigma, rho = _random_state(rng, D), _random_state(rng, 8)
+    tracemalloc.start()
+    try:
+        report = sequential_use(P, sigma, [rho])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.crosscheck_residual is None
+    assert peak < 4 * 16 * D ** 2
+
+
+@pytest.mark.parametrize("rounds, applications", [(1, 0), (2, 2), (5, 2)])
+def test_v_is_applied_only_by_the_two_round_crosscheck(protocol, monkeypatch,
+                                                        rounds, applications):
+    rng = np.random.default_rng(66)
+    calls = []
+    apply_v = repeatability._apply_v
+    monkeypatch.setattr(repeatability, "_apply_v",
+                        lambda *a: calls.append(1) or apply_v(*a))
+    report = sequential_use(protocol, _random_state(rng, 8),
+                            [_random_state(rng, 2) for _ in range(rounds)])
+    assert len(calls) == applications
+    assert len(report.rounds) == rounds
 
 
 def test_build_protocol_forms_no_dense_interaction():
@@ -271,10 +336,10 @@ def test_measure_prepare_x_ops_match_partial_trace_route(d, D, monkeypatch):
     P = build_protocol(_random_unitary(rng, d), D)
     basis = zd_mode_basis(P)
     calls = []
-    monkeypatch.setattr(repeatability, "decompose",
+    monkeypatch.setattr(process_modes, "decompose",
                         lambda *a: calls.append(1) or decompose(*a))
     mp = measure_prepare_form(P)
-    assert len(calls) == D  # one per unit Delta profile
+    assert calls == []  # one stacked contraction over the unit profiles
     assert mp.max_x_residual < 1e-10
     # mode i's X is the circulant X[a, b, i] = profile[(a - b) mod D, i]
     h = np.arange(D)
