@@ -26,7 +26,7 @@ from .groups import (SU2, GroupElement, IrrepLabel, RepSpec, cg_block,
 from .linalg_core import (Superoperator, choi_of, depolarizing_channel, kron,
                           unitary_channel, vec)
 from .process_modes import (Diagram, ModeCoefficients, ProcessModeBasis,
-                            build_canonical_modes, decompose)
+                            _mode_values, build_canonical_modes, decompose)
 
 POINT = "point"          # symmetric process: orbit is a single point
 SPHERE = "sphere"        # axial process: orbit is S^2, point (theta, phi)
@@ -143,11 +143,11 @@ class PolarData:
         return self.invariants.get(diagram, 0.0 + 0.0j)
 
 
-def _family_coeffs(coeffs, basis: ProcessModeBasis):
+def _family_coeffs(values: np.ndarray, basis: ProcessModeBasis):
     """Per-diagram coefficient vectors (k descending), split by triviality."""
     trivial, vector = [], []
-    for d in basis.diagrams():
-        alpha = coeffs.by_diagram(d)
+    for d, span in basis.spans.items():
+        alpha = values[span]
         if d.lam.is_trivial:
             trivial.append((d, alpha))
         else:
@@ -166,8 +166,8 @@ def polar_decompose(S: Superoperator, basis: ProcessModeBasis) -> PolarData:
     """
     if basis.rep_in.kind != SU2:
         raise ValueError("polar decomposition over the sphere requires SU(2)")
-    coeffs = decompose(S, basis)
-    trivial, vector = _family_coeffs(coeffs, basis)
+    # the coefficients alone: decompose's residual is never read here
+    trivial, vector = _family_coeffs(_mode_values(S.transfer, basis), basis)
     scale = max(1.0, S.norm())
 
     # a lam = 0 family is one coefficient, a_0 Y_00 with Y_00 = 1/sqrt(4 pi)

@@ -13,6 +13,7 @@ semantic error (dimensions, group kind, or any value the library rejects).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -344,12 +345,22 @@ def cmd_catalytic(args, out: list) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _gauge_bytes(n: int) -> int:
-    """Predicted peak bytes of ``gauge --n n``: one gauged two-site element,
-    a (4n)^2 x (4n)^2 complex transfer matrix, the copy that a generator's
-    monomial conjugation gathers in its invariance residual, and 1 MiB of
-    small arrays (the lattice's index structure among them)."""
-    return 2 * 16 * (4 * n) ** 4 + (1 << 20)
+def _gauge_bytes(n: int, lat) -> int:
+    """Predicted peak bytes of ``gauge --n n`` on the lattice ``lat``: the
+    larger of its two stages, plus 1 MiB of small arrays.  The two-site
+    stage holds a (4n)^2 x (4n)^2 complex gauged element and the gather of
+    its invariance residual; the lattice stage the int64 digit tables, the
+    complex maximally mixed state, the int32 orbit tables of each number
+    class's diagonal block, and two classes' gathers beside the int64 copy
+    that ``take`` makes of the largest class's table."""
+    sites, L = len(lat.sites), lat.N ** len(lat.links)
+    # squared site-block count of each number class n mod N, ascending
+    blocks = sorted(c * c for c in np.bincount(
+        [bin(a).count("1") % lat.N for a in range(2 ** sites)]).tolist())
+    lattice = (8 * (sites + len(lat.links) + 1) * lat.dim + 16 * lat.dim ** 2
+               + (4 * sum(blocks) + 16 * sum(blocks[-2:]) + 8 * blocks[-1])
+               * L * L)
+    return max(2 * 16 * (4 * n) ** 4, lattice) + (1 << 20)
 
 
 def cmd_gauge(args, out: list) -> int:
@@ -361,11 +372,11 @@ def cmd_gauge(args, out: list) -> int:
         raise ParseError("lattice must look like '2x2'")
     if Lx < 1 or Ly < 1:
         raise ParseError(f"lattice sides must be >= 1, got {args.lattice}")
-    if N > 0:
-        check_budget(_gauge_bytes(N), f"gauge --n {N}")
     # the lattice is index structure only, so it is built (and its guards
-    # checked) before the two-site trials
+    # checked) before the prediction and the two-site trials
     lat = build_gauged_lattice(Lx, Ly, args.lattice_n)
+    if N > 0:
+        check_budget(_gauge_bytes(N, lat), f"gauge --n {N}")
     out.append(f"command: gauge n={N} lattice={args.lattice} "
                f"seed={args.seed}")
     out.extend(convention_block())
@@ -412,7 +423,9 @@ def cmd_gauge(args, out: list) -> int:
         ev = np.sort(p.real)  # the loops are diagonal
         out.append(f"wilson op {wi} spectrum (real parts): "
                    + " ".join(fmt(v) for v in ev[:4]) + " ...")
-    v = free_state_check(lat, np.eye(lat.dim) / lat.dim)
+    mixed = np.eye(lat.dim, dtype=complex)
+    mixed /= lat.dim
+    v = free_state_check(lat, mixed)
     out.append(f"maximally mixed state free: {v.is_free} "
                f"(twirl distance {fmt(v.twirl_distance)})")
     ok = worst <= 1e-10 and max(worst_comm, worst_wilson) <= 1e-10
@@ -437,6 +450,7 @@ def _at_least(kind, lo):
     return parse
 
 
+@functools.cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="symmetria",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -513,20 +513,32 @@ class HaarQuadrature:
     Exact for products f * conj(h) of matrix coefficients of irreps up to the
     bandlimit (doubled spin two_j for SU(2); always exact for Z_N).
 
-    The rule is a product of its Euler factors, which group averages use in
-    place of ``nodes``.  SU(2): alpha and gamma each run over the uniform
-    grid 4 pi k / n_angle with weight 1 / n_angle, beta over ``betas`` with
+    The rule is stored as its Euler factors; ``nodes``, their product, is
+    formed on first read.  SU(2): alpha and gamma each run over the grid
+    4 pi k / n_angle with weight 1 / n_angle, beta over ``betas`` with
     ``beta_weights``; ``nodes`` lists alpha outermost, gamma innermost.
     Z_N: the N elements g = 0, ..., N - 1 of ``modulus``, weight 1 / N each.
     """
 
     kind: str
-    nodes: tuple  # tuple of (GroupElement, float weight)
     bandlimit: int
     n_angle: int = 0  # SU(2): 2 * bandlimit + 2
     betas: tuple = ()  # SU(2): arccos of the Gauss-Legendre nodes
     beta_weights: tuple = ()  # SU(2): Gauss-Legendre weights / 2, sum 1
     modulus: int = 0  # Z_N: N
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """Every node as a (GroupElement, float weight) pair."""
+        if self.kind == ZN:
+            return tuple((GroupElement.zn(k, self.modulus), 1.0 / self.modulus)
+                         for k in range(self.modulus))
+        n = self.n_angle
+        grid = [4.0 * math.pi * k / n for k in range(n)]
+        return tuple((GroupElement.su2(alpha, beta, gamma), wb / (n * n))
+                     for alpha in grid
+                     for beta, wb in zip(self.betas, self.beta_weights)
+                     for gamma in grid)
 
     def integrate(self, f) -> complex:
         return sum(w * f(g) for g, w in self.nodes)
@@ -538,28 +550,14 @@ def haar_quadrature(kind: str, bandlimit: int, modulus: int = 0) -> HaarQuadratu
     if kind == ZN:
         if modulus <= 0:
             raise ValueError("Z_N quadrature requires a modulus")
-        nodes = tuple(
-            (GroupElement.zn(k, modulus), 1.0 / modulus) for k in range(modulus)
-        )
-        return HaarQuadrature(ZN, nodes, bandlimit, modulus=modulus)
+        return HaarQuadrature(ZN, bandlimit, modulus=modulus)
     if kind != SU2:
         raise ValueError(f"unknown group kind {kind!r}")
     two_b = max(int(bandlimit), 0)
-    n_ang = 2 * two_b + 2
-    n_beta = two_b + 1
-    xs, ws = np.polynomial.legendre.leggauss(n_beta)
+    xs, ws = np.polynomial.legendre.leggauss(two_b + 1)
     betas = tuple(math.acos(float(np.clip(x, -1.0, 1.0))) for x in xs)
-    beta_weights = tuple(float(wb) / 2.0 for wb in ws)
-    nodes = []
-    for ia in range(n_ang):
-        alpha = 4.0 * math.pi * ia / n_ang
-        for beta, wb in zip(betas, ws):
-            for ic in range(n_ang):
-                gamma = 4.0 * math.pi * ic / n_ang
-                w = (wb / 2.0) / (n_ang * n_ang)
-                nodes.append((GroupElement.su2(alpha, beta, gamma), w))
-    return HaarQuadrature(SU2, tuple(nodes), two_b, n_ang, betas,
-                          beta_weights)
+    return HaarQuadrature(SU2, two_b, 2 * two_b + 2, betas,
+                          tuple(float(wb) / 2.0 for wb in ws))
 
 
 @dataclass(frozen=True)

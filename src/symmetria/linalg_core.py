@@ -34,11 +34,9 @@ TP_TOL = 1e-10
 CMatrix = np.ndarray  # dense complex matrix, row-major
 
 
-def as_cmatrix(entries, rows=None, cols=None) -> CMatrix:
+def as_cmatrix(entries) -> CMatrix:
     """Validate and return a finite complex matrix."""
     m = np.asarray(entries, dtype=complex)
-    if m.ndim == 1 and rows is not None and cols is not None:
-        m = m.reshape(rows, cols)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):

@@ -432,75 +432,55 @@ def _beta_conjugations(rep: RepSpec, betas) -> np.ndarray:
                                                      rep.dim ** 2)
 
 
-def _group_average(S: Superoperator, quadrature: HaarQuadrature,
-                   rep_in: RepSpec, rep_out: RepSpec, shift: int = 0,
-                   beta_weights=None) -> Superoperator:
-    """sum_g w(g) c(g) U'_g o S o U_g^dag over the quadrature nodes, computed
-    from the quadrature's Euler factors instead of its nodes.
+def project_isotypic(S: Superoperator, lam: IrrepLabel, quadrature: HaarQuadrature,
+                     rep_in: RepSpec, rep_out: RepSpec) -> Superoperator:
+    """Isotypic projector E^lam = dim(lam) sum_g w(g) conj(character_lam(g))
+    U'_g o E o U_g^dag, from the quadrature's Euler factors, not its nodes.
 
     In the canonical frame (intertwiners removed) U_g is diagonal times
     d(beta) times diagonal, and conjugating by a diagonal phase multiplies
     the transfer entry [(a, b), (c, e)] by a phase in its charge difference
     q = q'_a - q'_b - q_c + q_e (doubled weights for SU(2)).  The uniform
-    average over n grid points of that phase is the mask q = shift mod n,
-    exactly for every input, whether or not it is bandlimited.
-
-    SU(2): c(g) = exp(i shift (alpha + gamma) / 2) with w(g) the node weight,
-    or with the beta weight replaced by ``beta_weights`` when given; the sum
-    is the gamma mask, the weighted d(beta) conjugations, then the alpha mask.
-    Z_N: c(g) = omega^(-shift g), a single mask.
+    average over n grid points of that phase times conj(omega^(m g)) is the
+    mask q = m mod n, exactly, bandlimited input or not.  Z_N: one mask at
+    m = charge (the conjugated character matters: it is complex).  SU(2):
+    the character is sum_m exp(-i m alpha) d^lam_mm(beta) exp(-i m gamma),
+    so each weight m adds the gamma mask, the d(beta) conjugations weighted
+    by w(beta) d^lam_mm(beta), then the alpha mask.
     """
     if S.dim_in != rep_in.dim or S.dim_out != rep_out.dim:
         raise ValueError("superoperator/rep dimension mismatch")
-    if not quadrature.kind == rep_in.kind == rep_out.kind:
-        raise ValueError("group kind mismatch")
-    if quadrature.kind == ZN:
-        n = quadrature.modulus
-        if rep_in.modulus != n or rep_out.modulus != n:
-            raise ValueError("Z_N modulus mismatch")
-    else:
-        n = quadrature.n_angle
-        if n <= 0:
-            raise ValueError("the quadrature carries no Euler factors")
-    frames = [np.eye(rep.dim) if rep.intertwiner is None else rep.intertwiner
-              for rep in (rep_out, rep_in)]
-    K = conjugate(S, frames[0].conj().T, frames[1].conj().T).transfer
+    if (not lam.kind == quadrature.kind == rep_in.kind == rep_out.kind
+            or lam.modulus != quadrature.modulus):
+        raise ValueError("irrep, quadrature and reps of different groups")
+    n = quadrature.modulus if lam.kind == ZN else quadrature.n_angle
+    if lam.kind == ZN and not rep_in.modulus == rep_out.modulus == n:
+        raise ValueError("Z_N modulus mismatch")
+    if n <= 0:
+        raise ValueError("the quadrature carries no Euler factors")
+    frames = None
+    if rep_out.intertwiner is not None or rep_in.intertwiner is not None:
+        frames = [np.eye(rep.dim) if rep.intertwiner is None
+                  else rep.intertwiner for rep in (rep_out, rep_in)]
+        S = conjugate(S, frames[0].conj().T, frames[1].conj().T)
     q_out, q_in = _charges(rep_out), _charges(rep_in)
     q = ((q_out[:, None] - q_out).reshape(-1, 1)
          - (q_in[:, None] - q_in).reshape(-1))
-    mask = (q - shift) % n == 0
-    K = np.where(mask, K, 0.0)
-    if quadrature.kind == SU2:
-        v = quadrature.beta_weights if beta_weights is None else beta_weights
+    if quadrature.kind == ZN:
+        K = np.where((q - lam.charge) % n == 0, S.transfer, 0.0)
+    else:
         A = _beta_conjugations(rep_out, quadrature.betas)
-        B = A if rep_in is rep_out else _beta_conjugations(rep_in,
-                                                           quadrature.betas)
-        K = np.where(mask, np.tensordot(v, A @ K @ B.transpose(0, 2, 1), 1),
-                     0.0)
-    return conjugate(Superoperator(S.dim_in, S.dim_out, K), *frames)
-
-
-def project_isotypic(S: Superoperator, lam: IrrepLabel, quadrature: HaarQuadrature,
-                     rep_in: RepSpec, rep_out: RepSpec) -> Superoperator:
-    """Quadrature isotypic projector
-    E^lam = dim(lam) * integral of conj(character_lam(g)) U'_g o E o U_g^dag.
-
-    (The conjugated character is required for complex characters, e.g. Z_N;
-    SU(2) characters are real so conjugation is a no-op there.)  The SU(2)
-    character is sum_m exp(-i m alpha) d^lam_mm(beta) exp(-i m gamma), so
-    the integral is one shifted group average per weight m.
-    """
-    if (lam.kind, lam.modulus) != (quadrature.kind, quadrature.modulus):
-        raise ValueError("irrep and quadrature belong to different groups")
-    if lam.kind == ZN:
-        return _group_average(S, quadrature, rep_in, rep_out, lam.charge)
-    d = wigner_d(lam.two_j, quadrature.betas)
-    acc = Superoperator.zero(S.dim_in, S.dim_out)
-    for i, two_m in enumerate(lam.components()):
-        acc = acc + _group_average(S, quadrature, rep_in, rep_out, two_m,
-                                   np.multiply(quadrature.beta_weights,
-                                               d[:, i, i]))
-    return lam.dim * acc
+        B = (A if rep_in is rep_out else _beta_conjugations(
+            rep_in, quadrature.betas)).transpose(0, 2, 1)
+        d = wigner_d(lam.two_j, quadrature.betas)
+        K = 0.0
+        for i, two_m in enumerate(lam.components()):
+            mask = (q - two_m) % n == 0
+            w = np.multiply(quadrature.beta_weights, d[:, i, i])
+            K = K + np.where(mask, np.tensordot(
+                w, A @ np.where(mask, S.transfer, 0.0) @ B, 1), 0.0)
+    P = Superoperator(S.dim_in, S.dim_out, lam.dim * K)
+    return P if frames is None else conjugate(P, *frames)
 
 
 def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
@@ -516,8 +496,10 @@ def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
 
 def twirl(S: Superoperator, quadrature: HaarQuadrature,
           rep_in: RepSpec, rep_out: RepSpec) -> Superoperator:
-    """Group average (G-twirl) of a superoperator."""
-    return _group_average(S, quadrature, rep_in, rep_out)
+    """Group average (G-twirl) of a superoperator: the isotypic projection
+    onto the trivial irrep, whose character is 1."""
+    trivial = IrrepLabel(quadrature.kind, modulus=quadrature.modulus)
+    return project_isotypic(S, trivial, quadrature, rep_in, rep_out)
 
 
 def is_symmetric(S: Superoperator, basis: ProcessModeBasis, tol: float = 1e-10) -> bool:

@@ -62,8 +62,14 @@ def _check_state(sigma: np.ndarray, dim: int):
         raise ValueError("reference state dimension mismatch")
     if abs(np.trace(sigma) - 1.0) > 1e-10:
         raise ValueError("reference state must have unit trace")
-    w = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2)
-    if w[0] < -1e-10 or np.linalg.norm(sigma - sigma.conj().T) > 1e-10:
+    psd = np.linalg.norm(sigma - sigma.conj().T) <= 1e-10
+    H = sigma + sigma.conj().T
+    H.flat[::dim + 1] += 2e-10
+    try:  # factored iff (sigma + sigma^dag) / 2 has no eigenvalue <= -1e-10
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        psd = False
+    if not psd:
         raise ValueError("reference state must be positive semidefinite")
     return sigma
 

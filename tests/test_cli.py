@@ -237,25 +237,56 @@ def test_catalytic_byte_prediction_bounds_the_peak(capsys, d, D, rounds):
         d, D, rounds)
 
 
-@pytest.mark.parametrize("n, trials", [(6, 1), (8, 2)])
-def test_gauge_byte_prediction_bounds_the_peak(capsys, n, trials):
-    # the peak is one gauged element beside the one gather of its
-    # invariance residual; a second trial gauges only after the first's
-    # element is freed.  The 1x1 lattice adds no array of note.
+@pytest.mark.parametrize("n, trials, lattice, lattice_n", [
+    pytest.param(6, 1, "1x1", 2, id="6-1"),
+    pytest.param(8, 2, "1x1", 2, id="8-2"),
+    pytest.param(4, 1, "2x2", 3, id="4-1-2x2-Z3"),
+    pytest.param(4, 1, "2x2", 4, id="4-1-2x2-Z4"),
+])
+def test_gauge_byte_prediction_bounds_the_peak(capsys, n, trials, lattice,
+                                               lattice_n):
+    # on the 1x1 lattice the peak is one gauged element beside the one
+    # gather of its invariance residual; a second trial gauges only after
+    # the first's element is freed.  On the 2x2 tori (dim 1,296 and 4,096)
+    # the lattice stage is the peak: the maximally mixed state and the
+    # free-state check's gauge-orbit gathers.
     from symmetria import cli
+    from symmetria.gauge import build_gauged_lattice
     from symmetria.process_modes import MAX_STACK_BYTES
 
     tracemalloc.start()
     try:
         code = cli.main(["gauge", "--n", str(n), "--trials", str(trials),
-                         "--lattice", "1x1", "--lattice-n", "2"])
+                         "--lattice", lattice, "--lattice-n", str(lattice_n)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
-    assert cli._gauge_bytes(n) / 2 < peak <= cli._gauge_bytes(n)
-    # the largest modulus the budget admits
-    assert cli._gauge_bytes(22) <= MAX_STACK_BYTES < cli._gauge_bytes(23)
+    lat = build_gauged_lattice(*map(int, lattice.split("x")), lattice_n)
+    predicted = cli._gauge_bytes(n, lat)
+    assert predicted / 2 < peak <= predicted
+    # the largest modulus the budget admits, on the default lattice
+    default = build_gauged_lattice(2, 2, 3)
+    assert cli._gauge_bytes(22, default) <= MAX_STACK_BYTES \
+        < cli._gauge_bytes(23, default)
+
+
+def test_the_cached_parser_serves_a_valid_call_after_refused_ones():
+    # build_parser is built once per process, so neither a refused call
+    # nor a parse error may leave state behind for the next command
+    from symmetria import cli
+    from test_golden_cli import assert_numeric_equal, load_golden, run
+
+    assert cli.build_parser() is cli.build_parser()
+    refused = run(["table", "--p", "2"])
+    assert refused["code"] == 3 and refused["stdout"] == ""
+    malformed = run(["table", "--p", "not-a-number"])
+    assert malformed["code"] == 2 and "invalid float" in malformed["stderr"]
+    argv = ["table", "--p", "0.3", "--angle", "0.7"]
+    want = load_golden()[" ".join(argv)]
+    got = run(argv)
+    assert got["code"] == want["code"] == 0, got["stderr"]
+    assert_numeric_equal(got["stdout"], want["stdout"])
 
 
 def test_catalytic_passes():

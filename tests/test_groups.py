@@ -258,10 +258,32 @@ def test_haar_quadrature_refuses_an_unknown_kind():
         haar_quadrature("u1", 2)
 
 
+def _eager_nodes(kind, bandlimit):
+    """The node tuple as it was once built eagerly, node by node: the
+    oracle for the nodes formed from the factors on read."""
+    if kind == "zn":
+        return tuple((GroupElement.zn(k, bandlimit), 1.0 / bandlimit)
+                     for k in range(bandlimit))
+    n_ang = 2 * bandlimit + 2
+    xs, ws = np.polynomial.legendre.leggauss(bandlimit + 1)
+    betas = [math.acos(float(np.clip(x, -1.0, 1.0))) for x in xs]
+    nodes = []
+    for ia in range(n_ang):
+        alpha = 4.0 * math.pi * ia / n_ang
+        for beta, wb in zip(betas, ws):
+            for ic in range(n_ang):
+                gamma = 4.0 * math.pi * ic / n_ang
+                w = (wb / 2.0) / (n_ang * n_ang)
+                nodes.append((GroupElement.su2(alpha, beta, gamma), w))
+    return tuple(nodes)
+
+
 @pytest.mark.parametrize("kind,bandlimit", [("su2", 0), ("su2", 1),
-                                             ("su2", 4), ("zn", 5)])
+                                             ("su2", 4), ("su2", 7),
+                                             ("zn", 5)])
 def test_haar_quadrature_is_the_product_of_its_factors(kind, bandlimit):
-    # group averages read the factors in place of the nodes
+    # group averages read the factors in place of the nodes, which are
+    # formed from the factors on first read
     if kind == "zn":
         quad = haar_quadrature("zn", 0, modulus=bandlimit)
         product = [((0.0, 0.0, 0.0, k), 1.0 / quad.modulus)
@@ -275,11 +297,13 @@ def test_haar_quadrature_is_the_product_of_its_factors(kind, bandlimit):
                    for alpha in grid
                    for beta, wb in zip(quad.betas, quad.beta_weights)
                    for gamma in grid]
+    assert "nodes" not in vars(quad)
     assert len(quad.nodes) == len(product)
     for (g, w), (euler, w_product) in zip(quad.nodes, product):
         assert np.abs(np.subtract((g.alpha, g.beta, g.gamma, g.g),
                                   euler)).max() <= 1e-15
         assert abs(w - w_product) <= 1e-15
+    assert quad.nodes == _eager_nodes(kind, bandlimit)
 
 
 def test_mode_matrix_is_transpose_of_wigner():

@@ -1,14 +1,16 @@
 """Process-mode bases: covariance, decomposition, twirl, isotypic parts."""
 
-import dataclasses
+import ast
 import gc
 import tracemalloc
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import symmetria
 from symmetria import process_modes
 from symmetria.axial import single_qubit_modes
 from symmetria.bipartite import two_qubit_product_rep
@@ -199,20 +201,31 @@ def test_group_averages_never_read_the_nodes():
              IrrepLabel.su2(2)),
             (RepSpec.zn_charges([0, 2], 5), haar_quadrature("zn", 0, modulus=5),
              IrrepLabel.zn(3, 5))):
-        bare = dataclasses.replace(quad, nodes=())
         S = random_cptp(rep.dim, rep.dim, rng)
-        assert np.array_equal(twirl(S, bare, rep, rep).transfer,
-                              twirl(S, quad, rep, rep).transfer)
-        assert np.array_equal(project_isotypic(S, lam, bare, rep, rep).transfer,
-                              project_isotypic(S, lam, quad, rep, rep).transfer)
+        twirl(S, quad, rep, rep)
+        project_isotypic(S, lam, quad, rep, rep)
+        # the nodes are a cached property, formed only on first read
+        assert "nodes" not in vars(quad)
+
+
+@pytest.mark.parametrize("case", ["su2[1,1]", "two-qubit product",
+                                  "su2[1]->su2[2]", "z7[0,1,3,5]"])
+def test_twirl_is_the_trivial_irrep_projection(case):
+    rep_in, rep_out, quad = GROUP_AVERAGE_CASES[case]()
+    S = random_cptp(rep_in.dim, rep_out.dim, np.random.default_rng(53))
+    trivial = (IrrepLabel.zn(0, 7) if quad.kind == "zn"
+               else IrrepLabel.su2(0))
+    assert np.array_equal(
+        twirl(S, quad, rep_in, rep_out).transfer,
+        project_isotypic(S, trivial, quad, rep_in, rep_out).transfer)
 
 
 def test_group_averages_refuse_a_foreign_or_factorless_quadrature():
     S = random_cptp(2, 2, np.random.default_rng(52))
     z5, z7 = RepSpec.zn_charges([0, 1], 5), RepSpec.zn_charges([0, 1], 7)
     quad_z5 = haar_quadrature("zn", 0, modulus=5)
-    nodes_only = HaarQuadrature("su2", haar_quadrature("su2", 1).nodes, 1)
-    for call in (lambda: twirl(S, nodes_only, QUBIT, QUBIT),
+    factorless = HaarQuadrature("su2", 1)
+    for call in (lambda: twirl(S, factorless, QUBIT, QUBIT),
                  lambda: twirl(S, quad_z5, QUBIT, QUBIT),
                  lambda: twirl(S, quad_z5, z7, z7),
                  lambda: project_isotypic(S, IrrepLabel.zn(1, 5),
@@ -222,6 +235,45 @@ def test_group_averages_refuse_a_foreign_or_factorless_quadrature():
                                           z5, z5)):
         with pytest.raises(ValueError):
             call()
+
+
+_QUADRATURE_FACTORS = {"betas", "beta_weights", "n_angle"}
+
+
+def _factor_reads(source: str) -> list:
+    """(enclosing function, line) of every read of a quadrature factor
+    attribute on anything but ``self``."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in _QUADRATURE_FACTORS
+                    and getattr(child.value, "id", None) != "self"):
+                hits.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return hits
+
+
+def test_factor_read_scan_flags_attributes_in_their_function():
+    source = ("def f(quad):\n    return quad.betas\n"
+              "def g(self):\n    return self.n_angle\n"
+              "x = q.beta_weights\n")
+    assert _factor_reads(source) == [("f", 2), (None, 5)]
+
+
+def test_only_the_projector_reads_the_quadrature_factors():
+    # every group average goes through project_isotypic, so the Euler
+    # factors (and their layout) are read in one place
+    hits = {path.name: _factor_reads(path.read_text())
+            for path in sorted(Path(symmetria.__file__).parent.glob("*.py"))}
+    found = {(name, scope) for name, lines in hits.items()
+             for scope, _ in lines}
+    assert found == {("process_modes.py", "project_isotypic")}
 
 
 def test_unphysical_diagram_has_no_weight():

@@ -314,6 +314,35 @@ def test_sequential_use_validates_the_reference_once(protocol, monkeypatch):
         assert (rec.channel - oracle).norm() < 1e-14
 
 
+@pytest.mark.parametrize("sigma, dim, message", [
+    (np.eye(3) / 3, 2, "dimension mismatch"),
+    (np.diag([0.7, 0.7]), 2, "unit trace"),
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), 2, "positive semidefinite"),
+    (np.diag([1.5, -0.5]), 2, "positive semidefinite"),
+], ids=["shape", "trace", "non-hermitian", "negative"])
+def test_reference_state_check_refuses_a_bad_state(sigma, dim, message):
+    with pytest.raises(ValueError, match=message):
+        repeatability._check_state(sigma, dim)
+
+
+def test_reference_state_check_admits_edge_states():
+    # a rank-one frame projector sits on the PSD boundary, and an
+    # eigenvalue of -5e-11 is inside the -1e-10 tolerance; the check
+    # returns the state itself as a complex array
+    frame = LinkFrame(16).frame_projector(3)
+    assert np.array_equal(repeatability._check_state(frame, 16), frame)
+    Q = _random_unitary(np.random.default_rng(63), 4)
+    w = np.array([0.6, 0.3, 0.1 + 5e-11, -5e-11])
+    sigma = (Q * w) @ Q.conj().T
+    sigma = (sigma + sigma.conj().T) / 2
+    assert np.linalg.eigvalsh(sigma)[0] < -4e-11
+    assert np.array_equal(repeatability._check_state(sigma, 4), sigma)
+    # the same state a little further out is refused
+    w[2:] = [0.1 + 2e-10, -2e-10]
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        repeatability._check_state((Q * w) @ Q.conj().T, 4)
+
+
 def test_broadcast_iff_commuting_references(protocol):
     lad = protocol.ladder
     frames = [lad.frame_projector(r) for r in range(4)]
