@@ -22,9 +22,8 @@ import numpy as np
 
 from .groups import (ZN, GroupElement, IrrepLabel, RepSpec, cg_block,
                      rep_matrix)
-from .linalg_core import (TP_TOL, CptpReport, Superoperator,
-                          check_cptp_stack, conjugate, kron, unitary_channel,
-                          vec)
+from .linalg_core import (TP_TOL, CptpReport, Superoperator, conjugate,
+                          cptp_report, kron, unitary_channel, vec)
 from .process_modes import (Diagram, ProcessModeBasis, _mode_values,
                             _transfer_of, build_canonical_modes, check_budget)
 
@@ -255,6 +254,16 @@ _THETA_SCALES = {
 }
 
 
+# Product indices (out A, out B, in A, in B) of a two-qubit Choi matrix with
+# zero total weight m_outA + m_outB - m_inA - m_inB.  A globally SU(2)-
+# invariant Choi matrix commutes with U (x) U (x) conj(U) (x) conj(U), and
+# (1/2)^(x)4 = 2 (0) + 3 (1) + (2): every irrep holds an M = 0 vector, so
+# this 6 x 6 block holds every eigenvalue of the 16 x 16 matrix (Gour and
+# Spekkens, NJP 10, 033023 (2008)).
+_ZERO_WEIGHT = np.flatnonzero(
+    np.array([1, 1, -1, -1]) @ np.indices((2,) * 4).reshape(4, -1) == 0)
+
+
 class TwoQubitCatalog:
     """Cached two-qubit symmetric basis plus named diagram lookups."""
 
@@ -264,6 +273,16 @@ class TwoQubitCatalog:
         self.named = {name: self.by_key[key]
                       for name, key in _THETA_KEYS.items()}
         self.phi_choi = {name: self.phi(name).choi for name in _THETA_KEYS}
+
+    @cached_property
+    def region_terms(self) -> dict:
+        """Per term name (e0 and each theta): the zero-weight block, the
+        partial trace over the output and the flattened J - J^dag of its
+        Choi matrix J, for ``region_scan``."""
+        return {name: (J[np.ix_(_ZERO_WEIGHT, _ZERO_WEIGHT)],
+                       np.einsum("ijil->jl", J.reshape(4, 4, 4, 4)),
+                       (J - J.conj().T).ravel())
+                for name, J in {"e0": self.e0.choi, **self.phi_choi}.items()}
 
     def phi(self, name: str) -> Superoperator:
         """The published-normalisation diagram superoperator Phi_theta."""
@@ -365,37 +384,43 @@ def swap_invariant_relational(x: float, y: float, z: float) -> Superoperator:
     return relational_channel(x, y, 0.0, 0.0, z)
 
 
-def region_choi_stack(kind: str, x: np.ndarray, y: np.ndarray,
-                      z: np.ndarray) -> np.ndarray:
-    """Choi matrices of the injection channels E0 + x Phi_theta1
+def _region_blocks(kind: str, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Zero-weight Choi blocks, partial traces over the output and Frobenius
+    norms of the whole J - J^dag of the injection channels E0 + x Phi_theta1
     + y Phi_theta2 + z Phi_theta3 or of the swap-invariant relational
     channels E0 + x Phi_theta4 + y Phi_theta5 + z Phi_theta8 at the points
     (x[i], y[i], z[i]).  The terms are added in the order
     ``injection_channel`` and ``relational_channel`` add them, zero-weight
-    theta6 and theta7 included, so each matrix is bit-identical to the Choi
-    matrix of the per-point channel."""
+    theta6 and theta7 included, so each block is bit-identical to the
+    zero-weight block of the per-point channel's Choi matrix."""
     if kind == INJECTION:
-        terms = zip(("theta1", "theta2", "theta3"), (x, y, z))
+        names, coeffs = ("theta1", "theta2", "theta3"), (x, y, z)
     elif kind == RELATIONAL:
         zero = np.zeros_like(x)
-        terms = zip(("theta4", "theta5", "theta6", "theta7", "theta8"),
-                    (x, y, zero, zero, z))
+        names = ("theta4", "theta5", "theta6", "theta7", "theta8")
+        coeffs = (x, y, zero, zero, z)
     else:
         raise ValueError(f"unknown region kind {kind!r}")
-    cat = two_qubit_catalog()
-    J = cat.e0.choi
-    for name, c in terms:
-        J = J + c[:, None, None] * cat.phi_choi[name]
-    return J
+    terms = two_qubit_catalog().region_terms
+    B, T, _ = terms["e0"]
+    for name, c in zip(names, coeffs):
+        B = B + c[:, None, None] * terms[name][0]
+        T = T + c[:, None, None] * terms[name][1]
+    # ||J - J^dag||^2 = c^T G c over the coefficients (1, c...), with G the
+    # Gram matrix of the terms' anti-Hermitian parts (theta6 and theta7 are
+    # not Hermitian; the others only to rounding)
+    A = np.array([terms[name][2] for name in ("e0",) + names])
+    C = np.stack((np.ones_like(x),) + coeffs, axis=1)
+    herm = np.einsum("ns,st,nt->n", C, (A.conj() @ A.T).real, C)
+    return B, T, np.sqrt(np.maximum(herm, 0.0))
 
 
 def region_scan(kind: str, x: np.ndarray, y: np.ndarray, z: np.ndarray,
                 psd_tol: float, tp_tol: float = TP_TOL) -> CptpReport:
-    """CPTP figures of a region family at the points (x[i], y[i], z[i]),
-    from one batched solve of their Choi matrices: arrays of minimum Choi
-    eigenvalues and verdicts."""
-    return check_cptp_stack(region_choi_stack(kind, x, y, z), 4, 4,
-                            psd_tol, tp_tol)
+    """CPTP figures of a region family at the points (x[i], y[i], z[i]):
+    arrays of minimum Choi eigenvalues and verdicts, from one batched 6 x 6
+    eigensolve of the zero-weight Choi blocks (see ``_ZERO_WEIGHT``)."""
+    return cptp_report(*_region_blocks(kind, x, y, z), psd_tol, tp_tol)
 
 
 def relational_quartics(x: float, y: float, z: float):

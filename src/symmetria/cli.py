@@ -269,7 +269,8 @@ def cmd_bipartite(args, out: list) -> int:
 
 
 # Grid points per stacked CPTP solve: enough to amortise the per-call cost,
-# few enough that a chunk's Choi stack stays well under a megabyte.
+# few enough that a chunk's (128, 6, 6) stack of zero-weight Choi blocks
+# stays at 74 KB.
 REGION_CHUNK = 128
 
 
@@ -350,16 +351,16 @@ def _gauge_bytes(n: int, lat) -> int:
     larger of its two stages, plus 1 MiB of small arrays.  The two-site
     stage holds a (4n)^2 x (4n)^2 complex gauged element and the gather of
     its invariance residual; the lattice stage the int64 digit tables, the
-    complex maximally mixed state, the int32 orbit tables of each number
-    class's diagonal block, and two classes' gathers beside the int64 copy
-    that ``take`` makes of the largest class's table."""
+    complex maximally mixed state, the intp orbit tables of each number
+    class's diagonal block, and the largest class's gather beside its mean
+    over the K = N^(sites - 1) orbit positions."""
     sites, L = len(lat.sites), lat.N ** len(lat.links)
     # squared site-block count of each number class n mod N, ascending
     blocks = sorted(c * c for c in np.bincount(
         [bin(a).count("1") % lat.N for a in range(2 ** sites)]).tolist())
     lattice = (8 * (sites + len(lat.links) + 1) * lat.dim + 16 * lat.dim ** 2
-               + (4 * sum(blocks) + 16 * sum(blocks[-2:]) + 8 * blocks[-1])
-               * L * L)
+               + (8 * sum(blocks) + 16 * blocks[-1]) * L * L
+               + 16 * blocks[-1] * L * L // lat.N ** (sites - 1))
     return max(2 * 16 * (4 * n) ** 4, lattice) + (1 << 20)
 
 

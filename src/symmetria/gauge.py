@@ -264,6 +264,7 @@ class GaugedLattice:
         out = np.zeros_like(rho)
         for at, v, x in self._orbit_gathers(rho):
             out.put(at, np.multiply(v, x.mean(axis=0), out=x))
+            del x  # freed before the next class's gather
         return out
 
     def twirl_enumerate(self, rho: np.ndarray) -> np.ndarray:
@@ -350,12 +351,16 @@ class GaugedLattice:
 
     def _orbit_gathers(self, rho: np.ndarray):
         """(at, v, conj(v) x) per number class: x is the class's diagonal
-        block of rho (C-contiguous) along its gauge orbits (axis 0)."""
+        block of rho (C-contiguous) along its gauge orbits (axis 0).  The
+        tables are intp, the index type ``take`` reads without a copy, and
+        each gather is dropped before the next forms once the caller drops
+        it."""
         for _, _, u, at in self._orbits[2]:
             v = (u[:, :, None] * u[:, None].conj())[..., None]
             x = rho.take(at)
             x *= v.conj()
             yield at, v, x
+            del x
 
     @cached_property
     def _orbits(self) -> tuple:
@@ -367,14 +372,14 @@ class GaugedLattice:
         per holonomy class), the columns of ``orbit`` (K, R), in every site
         block.  E[h, p] = omega^(p . h) is the character table.  Per number
         class: (indices, site blocks, u, at), at (K, blocks, blocks, R L) the
-        int32 flat positions of its diagonal block along the entry orbits
+        intp flat positions of its diagonal block along the entry orbits
         (a L + orbit[g, r], b L + perm_g m), which g moves with the phase
         u[g, a] conj(u[g, b])."""
         N, ns, d = self.N, len(self.sites), self.dim
         L = d >> ns
         g = np.array(list(np.ndindex((1,) + (N,) * (ns - 1))))
         actions = [self._monomial_action(c) for c in g]
-        shift = np.array([U.perm[:L] for U in actions], dtype=np.int32)
+        shift = np.array([U.perm[:L] for U in actions], dtype=np.intp)
         phase = np.array([U.phase[::L] for U in actions])  # (K, site blocks)
         orbit = shift[:, np.unique(shift.min(axis=0))]
         E = np.exp(2j * np.pi * (g @ g.T % N) / N)
@@ -382,7 +387,7 @@ class GaugedLattice:
         number = self._occ[:, ::L].sum(axis=0) % N
         classes = []
         for c in range(N):
-            blocks = np.flatnonzero(number == c).astype(np.int32)
+            blocks = np.flatnonzero(number == c)
             if len(blocks):
                 corner = blocks[:, None] * (L * d) + blocks * L
                 classes.append(((blocks[:, None] * L + np.arange(L)).ravel(),
@@ -488,5 +493,6 @@ def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
         x -= x.mean(axis=0)
         x = x.view(float).ravel()
         sq += x @ x
+        del x  # freed before the next class's gather
     dist = float(np.sqrt(sq))
     return FreeStateVerdict(dist <= tol, dist)

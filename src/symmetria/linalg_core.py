@@ -235,26 +235,37 @@ class Monomial:
         return np.eye(len(self.perm), dtype=complex)[:, self.perm] * self.phase
 
 
-def check_cptp_stack(J: np.ndarray, dim_in: int, dim_out: int,
-                     psd_tol: float = PSD_TOL,
-                     tp_tol: float = TP_TOL) -> CptpReport:
-    """CP/TP verdicts of a stack of Choi matrices J[n] from one batched
-    Hermitian eigensolve; the report's fields are length-n arrays."""
+def cptp_report(J: np.ndarray, tr_out: np.ndarray, herm_defect=None,
+                psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> CptpReport:
+    """CP/TP verdicts of a stack of channels from one batched Hermitian
+    eigensolve: J[n] is a Choi matrix (or a block of it that holds every
+    eigenvalue), tr_out[n] its partial trace over the output factor and
+    herm_defect[n] the Frobenius norm of the whole Choi matrix's J - J^dag,
+    J's own if None.  The report's fields are length-n arrays."""
     Jh = J.conj().swapaxes(-1, -2)
-    # Frobenius norms of J - J^dag over its real and imaginary parts
-    D = (J - Jh).view(float).reshape(len(J), -1)
-    herm_defect = np.sqrt(np.einsum("ni,ni->n", D, D))
+    if herm_defect is None:
+        # Frobenius norms of J - J^dag over its real and imaginary parts
+        D = (J - Jh).view(float).reshape(len(J), -1)
+        herm_defect = np.sqrt(np.einsum("ni,ni->n", D, D))
     H = J + Jh
     H *= 0.5
     min_eig = np.linalg.eigvalsh(H)[:, 0]
     # A non-Hermitian Choi matrix cannot be CP; report via min eigenvalue
     # of the Hermitian part penalised by the defect.
     min_eig = np.where(herm_defect > psd_tol, min_eig - herm_defect, min_eig)
-    # partial trace over the output factor
-    tr_out = np.einsum("nijil->njl", J.reshape(-1, dim_out, dim_in, dim_out, dim_in))
-    trace_defect = np.linalg.norm(tr_out - np.eye(dim_in), ord=2, axis=(-2, -1))
+    trace_defect = np.linalg.norm(tr_out - np.eye(tr_out.shape[-1]), ord=2,
+                                  axis=(-2, -1))
     return CptpReport(min_eig, trace_defect, min_eig >= -psd_tol,
                       trace_defect <= tp_tol)
+
+
+def check_cptp_stack(J: np.ndarray, dim_in: int, dim_out: int,
+                     psd_tol: float = PSD_TOL,
+                     tp_tol: float = TP_TOL) -> CptpReport:
+    """CP/TP verdicts of a stack of Choi matrices J[n] (``cptp_report``)."""
+    # partial trace over the output factor
+    tr_out = np.einsum("nijil->njl", J.reshape(-1, dim_out, dim_in, dim_out, dim_in))
+    return cptp_report(J, tr_out, None, psd_tol, tp_tol)
 
 
 def check_cptp(S: Superoperator, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> CptpReport:

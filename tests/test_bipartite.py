@@ -19,7 +19,7 @@ from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, BipartiteDiagram,
                                  extremal_e1, extremal_e2, heisenberg_unitary,
                                  injection_bloch_formula, injection_channel,
                                  injection_coords, injection_region_test,
-                                 pair_sum, region_choi_stack, region_scan,
+                                 pair_sum, region_scan,
                                  relational_channel, relational_quartics,
                                  relational_r_matrix, singlet_channel,
                                  state_from_bloch, swap_invariant_relational,
@@ -27,7 +27,8 @@ from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, BipartiteDiagram,
                                  two_qubit_product_rep)
 from symmetria.groups import (SU2, RepSpec, haar_quadrature, random_su2,
                               rep_matrix)
-from symmetria.linalg_core import (Superoperator, apply, check_cptp, conjugate,
+from symmetria.linalg_core import (Superoperator, apply, check_cptp,
+                                   check_cptp_stack, conjugate,
                                    depolarizing_channel, random_cptp,
                                    unitary_channel)
 from symmetria.process_modes import (MAX_STACK_BYTES, ProcessModeBasis,
@@ -371,6 +372,30 @@ def test_injection_coords_roundtrip():
     assert np.allclose(_xyz_from_coords(*injection_coords(x, y, z)), (x, y, z))
 
 
+def region_choi_stack(kind: str, x: np.ndarray, y: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    """Choi matrices of the injection channels E0 + x Phi_theta1
+    + y Phi_theta2 + z Phi_theta3 or of the swap-invariant relational
+    channels E0 + x Phi_theta4 + y Phi_theta5 + z Phi_theta8 at the points
+    (x[i], y[i], z[i]).  The terms are added in the order
+    ``injection_channel`` and ``relational_channel`` add them, zero-weight
+    theta6 and theta7 included, so each matrix is bit-identical to the Choi
+    matrix of the per-point channel."""
+    if kind == INJECTION:
+        terms = zip(("theta1", "theta2", "theta3"), (x, y, z))
+    elif kind == RELATIONAL:
+        zero = np.zeros_like(x)
+        terms = zip(("theta4", "theta5", "theta6", "theta7", "theta8"),
+                    (x, y, zero, zero, z))
+    else:
+        raise ValueError(f"unknown region kind {kind!r}")
+    cat = two_qubit_catalog()
+    J = cat.e0.choi
+    for name, c in terms:
+        J = J + c[:, None, None] * cat.phi_choi[name]
+    return J
+
+
 # 9 points per axis, then the injection apex (0, 1/3, 0), the singlet
 # point and the unital extremal points E1, E2 of the relational family
 _AXIS = np.linspace(-1.0, 1.0, 9)
@@ -410,6 +435,77 @@ def test_injection_region_test_reads_its_row_of_the_scan():
 def test_region_choi_stack_refuses_an_unknown_kind():
     with pytest.raises(ValueError, match="region kind"):
         region_choi_stack(LOCAL, np.zeros(1), np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match="region kind"):
+        region_scan(LOCAL, np.zeros(1), np.zeros(1), np.zeros(1), psd_tol=1e-8)
+
+
+_ZW = bipartite._ZERO_WEIGHT
+
+
+@pytest.mark.parametrize("kind", [INJECTION, RELATIONAL])
+def test_region_blocks_are_the_gather_of_the_choi_stack(kind):
+    # the zero-weight product indices: as many up qubits among the outputs
+    # as among the inputs
+    assert _ZW.tolist() == [0, 5, 6, 9, 10, 15]
+    x, y, z = np.array(_SCAN_POINTS).T
+    J = region_choi_stack(kind, x, y, z)
+    B = bipartite._region_blocks(kind, x, y, z)[0]
+    assert B.tobytes() == J[:, _ZW][:, :, _ZW].tobytes()
+    # every eigenvalue of the 16 x 16 matrix is one of the block's
+    H16 = (J + J.conj().swapaxes(-1, -2)) / 2
+    H6 = (B + B.conj().swapaxes(-1, -2)) / 2
+    w16, w6 = np.linalg.eigvalsh(H16), np.linalg.eigvalsh(H6)
+    assert np.abs(w16[:, :, None] - w6[:, None]).min(axis=2).max() <= 1e-12
+    assert np.abs(w16[:, 0] - w6[:, 0]).max() <= 1e-12
+
+
+def _assert_scan_matches_the_full_stack(kind, x, y, z):
+    J = region_choi_stack(kind, x, y, z)
+    for tols in ((1e-8, 1e-8), (1e-8, 1e-10)):
+        want = check_cptp_stack(J, 4, 4, *tols)
+        got = region_scan(kind, x, y, z, *tols)
+        for field in ("min_choi_eigenvalue", "trace_defect"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+        for field in ("is_cp", "is_tp", "is_cptp"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("kind", [INJECTION, RELATIONAL])
+def test_region_scan_matches_the_full_choi_stack(kind):
+    # 1,000 seeded points in [-3, 3]^3, then the singlet, E1, E2 and the
+    # paraboloid apex
+    rng = np.random.default_rng(29)
+    x, y, z = np.hstack([rng.uniform(-3.0, 3.0, (3, 1000)), np.array(
+        [(1.0, 0.0, 0.0), (0.0, -0.5, 0.3), (0.0, 0.5, 0.3),
+         (0.0, 1.0 / 3.0, 0.0)]).T])
+    _assert_scan_matches_the_full_stack(kind, x, y, z)
+
+
+@pytest.mark.parametrize("kind", [INJECTION, RELATIONAL])
+def test_region_scan_penalises_the_full_hermiticity_defect(kind):
+    # at huge coordinates the terms' rounding-level anti-Hermitian parts
+    # exceed psd_tol.  The block route takes the defect of the whole Choi
+    # matrix, ||sum_t c_t (J_t - J_t^dag)||, from the terms' Gram matrix;
+    # the full stack's figure is the same up to the rounding of its sum,
+    # and the penalty and verdicts follow the full stack's
+    rng = np.random.default_rng(30)
+    x, y, z = rng.uniform(-1e12, 1e12, (3, 200))
+    herm = bipartite._region_blocks(kind, x, y, z)[2]
+    names = (("theta1", "theta2", "theta3") if kind == INJECTION
+             else ("theta4", "theta5", "theta8"))
+    anti = [M - M.conj().T for M in
+            [CAT.e0.choi] + [CAT.phi_choi[name] for name in names]]
+    exact = anti[0] + sum(c[:, None, None] * A
+                          for c, A in zip((x, y, z), anti[1:]))
+    exact = np.linalg.norm(exact.reshape(len(x), -1), axis=1)
+    assert np.all(np.abs(herm - exact) <= 1e-9 * exact)
+    J = region_choi_stack(kind, x, y, z)
+    full = np.linalg.norm((J - J.conj().swapaxes(-1, -2)).reshape(len(J), -1),
+                          axis=1)
+    assert np.all(herm > 1e-8) and np.all(full > 1e-8)
+    assert np.all((full / 2 <= herm) & (herm <= 2 * full))
+    _assert_scan_matches_the_full_stack(kind, x, y, z)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,26 @@ def test_region_scan_cost_does_not_grow_with_the_grid(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_region_scan_forms_no_full_choi_stack(monkeypatch, capsys):
+    # both kinds scan the 6 x 6 zero-weight blocks: the 16 x 16 stack and
+    # its general CPTP check, the test oracles, are never reached
+    from symmetria import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the region scan formed a full Choi stack")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symmetria"):
+            assert not hasattr(module, "region_choi_stack"), name
+            if hasattr(module, "check_cptp_stack"):
+                monkeypatch.setattr(module, "check_cptp_stack", refuse)
+    for kind, columns in (("injection", 8), ("relational", 5)):
+        assert cli.main(["region", "--kind", kind, "--grid", "8"]) == 0
+        rows = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.count(",") == columns - 1]
+        assert len(rows) == 8 ** 3 + 1
+
+
 def test_region_row_bytes_bound_the_output(capsys):
     from symmetria import cli
 
@@ -404,6 +424,8 @@ def _spin_39_2_identity(d):
     (("--seed", "-1", "catalytic", "--ladder", "8"), 2),
     (("SYMMETRIA_SEED=abc", "catalytic", "--ladder", "8"), 2),
     (("SYMMETRIA_SEED=1.5", "catalytic", "--ladder", "8"), 2),
+    (("gauge", "--n", "0"), 3),
+    (("gauge", "--n", "-3"), 3),
 ], ids=["nan-entry", "negative-two-j", "modulus-zero", "mixed-moduli",
         "empty-su2", "empty-zn", "dim-a-0", "ladder-1",
         "rounds-0", "lattice-3x3", "trials-0", "trials-negative",
@@ -412,7 +434,7 @@ def _spin_39_2_identity(d):
         "region-grid-0", "region-grid-over-budget", "gauge-n-over-budget",
         "over-memory-limit", "tol-negative", "tol-nan", "tol-inf",
         "bipartite-tol-nan", "crosscheck-over-limit", "seed-negative",
-        "env-seed-abc", "env-seed-float"])
+        "env-seed-abc", "env-seed-float", "gauge-n-0", "gauge-n-negative"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     if callable(args[1]):
         args = (args[0], _fixture_variant(tmp_path, args[1].__name__, args[1]))

@@ -813,7 +813,7 @@ def test_link_frame_matches_the_dense_fourier_matrix(Lx, Ly, n):
     actions = [lat._monomial_action((0,) + g)
                for g in np.ndindex((n,) * (len(lat.sites) - 1))]
     for idx, blocks, u, at in classes:
-        assert at.dtype == np.int32 and len(at) == K
+        assert at.dtype == np.intp and len(at) == K
         np.add.at(seen, at.ravel(), 1)
         at = at.reshape(K, -1)
         i, j = np.divmod(at.astype(int), d)
@@ -902,7 +902,7 @@ def test_class_blocked_twirl_checks_match_the_dense_link_frame(Lx, Ly, n):
 def test_lattice_twirl_checks_make_no_full_link_transform():
     # free_state_check, twirl and the pure-state defect gather entries along
     # gauge orbits and change no basis: the lattice has no link DFT, and its
-    # orbit tables hold one int32 position per class-diagonal entry plus
+    # orbit tables hold one intp position per class-diagonal entry plus
     # O(K dim).  Their tracemalloc peaks at 2x2 Z_3 (d = 1,296, one d x d
     # complex array is 25.6 MiB) measured 9.8, 40.3 and 7.9 MiB through the
     # link DFT, and 7.9, 33.6 and 7.9 MiB along the orbits; the bounds below
@@ -932,7 +932,7 @@ def test_lattice_twirl_checks_make_no_full_link_transform():
     K = len(E)
     diagonal = sum(len(idx) ** 2 for idx, _, _, _ in classes)
     held = orbit.nbytes + E.nbytes + sum(a.nbytes for c in classes for a in c)
-    assert held <= 4 * diagonal + 16 * K * d
+    assert held <= 8 * diagonal + 16 * K * d
 
 
 def test_twirl_matches_group_enumeration(lattice):
