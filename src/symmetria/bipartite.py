@@ -385,14 +385,16 @@ def swap_invariant_relational(x: float, y: float, z: float) -> Superoperator:
 
 
 def _region_blocks(kind: str, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """Zero-weight Choi blocks, partial traces over the output and Frobenius
-    norms of the whole J - J^dag of the injection channels E0 + x Phi_theta1
-    + y Phi_theta2 + z Phi_theta3 or of the swap-invariant relational
-    channels E0 + x Phi_theta4 + y Phi_theta5 + z Phi_theta8 at the points
-    (x[i], y[i], z[i]).  The terms are added in the order
+    """Zero-weight Choi blocks, the partial trace over the output and
+    Frobenius norms of the whole J - J^dag of the injection channels E0
+    + x Phi_theta1 + y Phi_theta2 + z Phi_theta3 or of the swap-invariant
+    relational channels E0 + x Phi_theta4 + y Phi_theta5 + z Phi_theta8 at
+    the points (x[i], y[i], z[i]).  The terms are added in the order
     ``injection_channel`` and ``relational_channel`` add them, zero-weight
     theta6 and theta7 included, so each block is bit-identical to the
-    zero-weight block of the per-point channel's Choi matrix."""
+    zero-weight block of the per-point channel's Choi matrix.  Every
+    Phi_theta's partial trace over the output is exactly zero (it carries
+    no trace), so the one partial trace, e0's, is every point's."""
     if kind == INJECTION:
         names, coeffs = ("theta1", "theta2", "theta3"), (x, y, z)
     elif kind == RELATIONAL:
@@ -405,7 +407,6 @@ def _region_blocks(kind: str, x: np.ndarray, y: np.ndarray, z: np.ndarray):
     B, T, _ = terms["e0"]
     for name, c in zip(names, coeffs):
         B = B + c[:, None, None] * terms[name][0]
-        T = T + c[:, None, None] * terms[name][1]
     # ||J - J^dag||^2 = c^T G c over the coefficients (1, c...), with G the
     # Gram matrix of the terms' anti-Hermitian parts (theta6 and theta7 are
     # not Hermitian; the others only to rounding)
@@ -419,7 +420,13 @@ def region_scan(kind: str, x: np.ndarray, y: np.ndarray, z: np.ndarray,
                 psd_tol: float, tp_tol: float = TP_TOL) -> CptpReport:
     """CPTP figures of a region family at the points (x[i], y[i], z[i]):
     arrays of minimum Choi eigenvalues and verdicts, from one batched 6 x 6
-    eigensolve of the zero-weight Choi blocks (see ``_ZERO_WEIGHT``)."""
+    eigensolve of the zero-weight Choi blocks (see ``_ZERO_WEIGHT``).  A
+    NaN or infinite coordinate is refused (ValueError) before the solve."""
+    for name, c in zip("xyz", (x, y, z)):
+        finite = np.isfinite(c)
+        if not finite.all():
+            raise ValueError(f"region coordinate {name} = "
+                             f"{c[~finite][0]} is not finite")
     return cptp_report(*_region_blocks(kind, x, y, z), psd_tol, tp_tol)
 
 

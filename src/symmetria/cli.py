@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain, islice
 
 import numpy as np
 from scipy import sparse
@@ -51,20 +52,42 @@ class SemanticError(Exception):
 # Formatting: 12 significant digits, deterministic
 # ---------------------------------------------------------------------------
 
+# one printf spec per number; the imaginary part carries its own sign
+_REAL = "%.12g"
+_COMPLEX = "%.12g%+.12gj"
+
+
+def _format_rows(row: str, values: np.ndarray) -> list:
+    """One string per row of the float array values (n, k), formatted by
+    the printf row of k fields in one pass.  Adding 0.0 turns -0.0 into 0.0
+    (and no nonzero float prints as 0 at 12 significant digits), so no
+    number prints as -0; a signalling NaN stays a NaN, without a warning."""
+    with np.errstate(invalid="ignore"):
+        values = values + 0.0
+    if not len(values):
+        return []
+    return ("\n".join([row] * len(values))
+            % tuple(values.ravel().tolist())).split("\n")
+
+
+def fmt_all(a) -> list:
+    """The numbers of a (any shape, real or complex) in C order, each with
+    12 significant digits: 1.5, 0, nan, -inf, 1e-05-2j, 0+nanj."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        return _format_rows(_COMPLEX, a.astype(complex).reshape(-1)
+                            .view(float).reshape(-1, 2))
+    return _format_rows(_REAL, a.astype(float).reshape(-1, 1))
+
+
 def fmt(x) -> str:
-    if type(x) is not float:
-        if isinstance(x, complex) or (isinstance(x, np.generic)
-                                      and np.iscomplexobj(x)):
-            x = complex(x)
-            re, im = f"{x.real:.12g}", f"{x.imag:.12g}"
-            # normalise negative zeros for byte-stable output
-            re = "0" if re == "-0" else re
-            im = "0" if im == "-0" else im
-            sign = "+" if not im.startswith("-") else ""
-            return f"{re}{sign}{im}j"
-        x = float(x)
-    v = f"{x:.12g}"
-    return "0" if v == "-0" else v
+    return fmt_all(x)[0]
+
+
+def _fmt_each(groups: list) -> list:
+    """fmt_all of each collection of numbers in groups, all in one pass."""
+    texts = iter(fmt_all(list(chain.from_iterable(groups))))
+    return [list(islice(texts, len(g))) for g in groups]
 
 
 def convention_block() -> list:
@@ -96,18 +119,24 @@ def _integer(value, field: str) -> int:
     return value
 
 
+_NUMBER_TYPES = (int, float)
+
+
 def _as_matrix(data, field: str) -> np.ndarray:
     """Nested lists with complex entries as [re, im] pairs of numbers."""
-    if any(type(c) is not list or len(c) != 2
-           or not all(type(x) in (int, float) for x in c)
-           for row in _list(data, field) for c in _list(row, field)):
-        raise ParseError(f"bad matrix payload in {field!r}: an entry is not "
-                         "an [re, im] pair of numbers")
+    for row in _list(data, field):
+        for c in _list(row, field):
+            if (type(c) is not list or len(c) != 2
+                    or type(c[0]) not in _NUMBER_TYPES
+                    or type(c[1]) not in _NUMBER_TYPES):
+                raise ParseError(f"bad matrix payload in {field!r}: an entry "
+                                 "is not an [re, im] pair of numbers")
     try:
-        return np.array([[complex(*c) for c in row] for row in data],
-                        dtype=complex)
+        pairs = np.array(data, dtype=float)
     except (ValueError, OverflowError) as e:  # ragged rows, a huge integer
         raise ParseError(f"bad matrix payload in {field!r}: {e}")
+    # (rows, columns, 2) unless there is no entry at all
+    return pairs.view(complex)[..., 0] if pairs.ndim == 3 else pairs + 0j
 
 
 def _parse_group(desc) -> RepSpec:
@@ -147,7 +176,10 @@ def load_channel(path: str, allow_nonphysical: bool = False):
     dim_in = _integer(data["dim_in"], "dim_in")
     dim_out = _integer(data["dim_out"], "dim_out")
     rep_in = _parse_group(data["group"])
-    rep_out = _parse_group(data.get("group_out", data["group"]))
+    # one rep object when the file names one group: the basis build then
+    # forms its ITO basis once
+    rep_out = (_parse_group(data["group_out"]) if "group_out" in data
+               else rep_in)
     if rep_in.dim != dim_in or rep_out.dim != dim_out:
         raise SemanticError(
             f"group dims ({rep_in.dim}, {rep_out.dim}) do not match "
@@ -189,11 +221,17 @@ def cmd_decompose(args, out: list) -> int:
     out.append(f"tolerance: {fmt(args.tol)}")
     out.extend(convention_block())
     out.append("modes:")
-    for diagram, span in basis.spans.items():
-        vecs = coeffs.values[span]
-        mag = float(np.linalg.norm(vecs))
-        comps = " ".join(fmt(v) for v in vecs)
-        out.append(f"  {diagram}  |a| = {fmt(mag)}  components: {comps}")
+    bounds = basis.diagram_rows[0].tolist()
+    values = coeffs.values
+    starts = bounds[:-1]
+    # each diagram's |a| as np.linalg.norm forms it, sqrt(re.re + im.im)
+    mags = np.sqrt(np.add.reduceat(values.real ** 2, starts)
+                   + np.add.reduceat(values.imag ** 2, starts))
+    comps = fmt_all(values)
+    for label, mag, start, stop in zip(basis.diagram_labels(),
+                                       fmt_all(mags), starts, bounds[1:]):
+        out.append(f"  {label}  |a| = {mag}  components: "
+                   + " ".join(comps[start:stop]))
     sym = coeffs.is_symmetric(tol=args.tol)
     out.append(f"symmetric: {'yes' if sym else 'no'}")
     out.append(f"reconstruction residual: {fmt(coeffs.residual)}")
@@ -213,8 +251,11 @@ def cmd_polar(args, out: list) -> int:
         out.append("warning: residual above sphere tolerance; "
                    "orbit may exceed the axial class")
     out.append("invariant amplitudes:")
-    for diagram, a in sorted(pd.invariants.items(), key=lambda kv: str(kv[0])):
-        out.append(f"  {diagram}  a = {fmt(a)}  |a| = {fmt(abs(a))}")
+    items = sorted(pd.invariants.items(), key=lambda kv: str(kv[0]))
+    amps = np.array([a for _, a in items], dtype=complex)
+    for (diagram, _), a, mag in zip(items, fmt_all(amps),
+                                    fmt_all(abs(amps))):
+        out.append(f"  {diagram}  a = {a}  |a| = {mag}")
     out.append(f"fit residual: {fmt(pd.fit_residual)}")
     return EXIT_OK
 
@@ -223,22 +264,25 @@ def cmd_table(args, out: list) -> int:
     rows = axial_table(p=args.p, angle=args.angle)
     out.append(f"command: table p={fmt(args.p)} angle={fmt(args.angle)}")
     out.extend(convention_block())
-    worst = 0.0
-    for row in rows:
+    # every number of the table in three passes: parameters, amplitudes
+    # (complex) and deviations with their maximum and the residual (real)
+    params = _fmt_each([row.params.values() for row in rows])
+    amps = _fmt_each([row.computed + row.printed for row in rows])
+    reals = _fmt_each([row.deviation + (max(row.deviation),
+                                        row.reconstruction_residual)
+                       for row in rows])
+    for row, par, amp, real in zip(rows, params, amps, reals):
+        k = len(row.computed)
         out.append(f"row: {row.name}  params: "
-                   + " ".join(f"{k}={fmt(v)}" for k, v in row.params.items()))
-        out.append("  computed : "
-                   + " ".join(fmt(v) for v in row.computed))
-        out.append("  published: "
-                   + " ".join(fmt(v) for v in row.printed))
-        out.append("  deviation: "
-                   + " ".join(fmt(v) for v in row.deviation)
-                   + f"  (max {fmt(max(row.deviation))})")
-        out.append(f"  reconstruction residual: "
-                   f"{fmt(row.reconstruction_residual)}")
+                   + " ".join(map("=".join, zip(row.params, par))))
+        out.append("  computed : " + " ".join(amp[:k]))
+        out.append("  published: " + " ".join(amp[k:]))
+        out.append("  deviation: " + " ".join(real[:-2])
+                   + f"  (max {real[-2]})")
+        out.append(f"  reconstruction residual: {real[-1]}")
         if row.note:
             out.append(f"  note: {row.note}")
-        worst = max(worst, row.reconstruction_residual)
+    worst = max(0.0, *(row.reconstruction_residual for row in rows))
     out.append(f"worst reconstruction residual: {fmt(worst)}")
     return EXIT_OK if worst <= 1e-8 else EXIT_FAIL
 
@@ -250,9 +294,11 @@ def cmd_bipartite(args, out: list) -> int:
     out.append(f"invariant space dimension (twirl rank): "
                f"{twirl_rank(cat.basis)}")
     out.append("symmetric basis elements:")
-    for el in cat.basis.elements:
+    elements = cat.basis.elements
+    norms = fmt_all([el.op.norm() ** 2 for el in elements])
+    for el, norm in zip(elements, norms):
         out.append(f"  {el.diagram}  class={classify(el.diagram)}  "
-                   f"|chi|^2 = {fmt(el.op.norm() ** 2)}")
+                   f"|chi|^2 = {norm}")
     if args.file:
         S, rep_in, rep_out = load_channel(args.file, args.allow_nonphysical)
         if S.dim_in != 4 or S.dim_out != 4:
@@ -260,9 +306,8 @@ def cmd_bipartite(args, out: list) -> int:
                                 "two-qubit (4x4) channel")
         coeffs = decompose_symmetric(S, cat.basis)
         out.append("symmetric-basis coefficients:")
-        for el in cat.basis.elements:
-            out.append(f"  {el.diagram}  c = "
-                       f"{fmt(coeffs.values[el.diagram])}")
+        c = fmt_all([coeffs.values[el.diagram] for el in elements])
+        out.extend(f"  {el.diagram}  c = {v}" for el, v in zip(elements, c))
         out.append(f"non-invariant residual: {fmt(coeffs.residual)}")
         return EXIT_OK if coeffs.residual <= args.tol else EXIT_FAIL
     return EXIT_OK
@@ -289,15 +334,14 @@ def cmd_region(args, out: list) -> int:
     out.append("x,y,z,X,Y,Z,min_eig,inside" if injection
                else "x,y,z,min_eig,inside")
     axis = -1.0 + 2.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+    row = ",".join([_REAL] * (7 if injection else 4)) + ",%d"
     for start in range(0, n ** 3, REGION_CHUNK):
         p = np.arange(start, min(start + REGION_CHUNK, n ** 3))
         x, y, z = axis[p // (n * n)], axis[p // n % n], axis[p % n]
         rep = region_scan(args.kind, x, y, z, psd_tol=1e-8)
         cols = ((x, y, z) + (injection_coords(x, y, z) if injection else ())
-                + (rep.min_choi_eigenvalue,))
-        for row, ok in zip(zip(*(c.tolist() for c in cols)),
-                           rep.is_cptp.tolist()):
-            out.append(",".join(map(fmt, row)) + (",1" if ok else ",0"))
+                + (rep.min_choi_eigenvalue, rep.is_cptp))
+        out.extend(_format_rows(row, np.column_stack(cols)))
     return EXIT_OK
 
 
@@ -330,12 +374,12 @@ def cmd_catalytic(args, out: list) -> int:
         sigma = _random_state(rng, D)
     inputs = [_random_state(rng, d) for _ in range(args.rounds)]
     rep = sequential_use(P, sigma, inputs)
-    worst = 0.0
-    for i, rec in enumerate(rep.rounds):
-        out.append(f"round {i + 1}: choi distance to round 1 = "
-                   f"{fmt(rec.choi_distance_to_first)}  "
-                   f"reference overlap = {fmt(rec.reference_fidelity)}")
-        worst = max(worst, rec.choi_distance_to_first)
+    figures = [(rec.choi_distance_to_first, rec.reference_fidelity)
+               for rec in rep.rounds]
+    for i, (d, f) in enumerate(_fmt_each(figures)):
+        out.append(f"round {i + 1}: choi distance to round 1 = {d}  "
+                   f"reference overlap = {f}")
+    worst = max(0.0, *(d for d, _ in figures))
     if rep.crosscheck_residual is not None:
         out.append(f"two-round full-tensor cross-check: "
                    f"{fmt(rep.crosscheck_residual)}")
@@ -410,8 +454,8 @@ def cmd_gauge(args, out: list) -> int:
                f"Z_{lat.N} frames, dim {lat.dim}")
     # the sparse forms: no dense Hamiltonian or loop is formed
     gauged = lat.gauss_commutators(lat.hamiltonian(gauged=True))
-    for (s, g), c in gauged.items():
-        out.append(f"  [G_{s}({g}), H_gauged] norm: {fmt(c)}")
+    for (s, g), c in zip(gauged, fmt_all(list(gauged.values()))):
+        out.append(f"  [G_{s}({g}), H_gauged] norm: {c}")
     worst_comm = max(gauged.values())
     out.append(f"max Gauss commutator with H_gauged: {fmt(worst_comm)}")
     free = lat.gauss_commutators(lat.hamiltonian(gauged=False))
@@ -423,7 +467,7 @@ def cmd_gauge(args, out: list) -> int:
     for wi, p in enumerate(lat.wilson_phases):
         ev = np.sort(p.real)  # the loops are diagonal
         out.append(f"wilson op {wi} spectrum (real parts): "
-                   + " ".join(fmt(v) for v in ev[:4]) + " ...")
+                   + " ".join(fmt_all(ev[:4])) + " ...")
     mixed = np.eye(lat.dim, dtype=complex)
     mixed /= lat.dim
     v = free_state_check(lat, mixed)

@@ -239,9 +239,10 @@ def cptp_report(J: np.ndarray, tr_out: np.ndarray, herm_defect=None,
                 psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> CptpReport:
     """CP/TP verdicts of a stack of channels from one batched Hermitian
     eigensolve: J[n] is a Choi matrix (or a block of it that holds every
-    eigenvalue), tr_out[n] its partial trace over the output factor and
-    herm_defect[n] the Frobenius norm of the whole Choi matrix's J - J^dag,
-    J's own if None.  The report's fields are length-n arrays."""
+    eigenvalue), tr_out[n] its partial trace over the output factor (or one
+    matrix, the partial trace of every J[n]) and herm_defect[n] the
+    Frobenius norm of the whole Choi matrix's J - J^dag, J's own if None.
+    The report's fields are length-n arrays."""
     Jh = J.conj().swapaxes(-1, -2)
     if herm_defect is None:
         # Frobenius norms of J - J^dag over its real and imaginary parts
@@ -255,6 +256,7 @@ def cptp_report(J: np.ndarray, tr_out: np.ndarray, herm_defect=None,
     min_eig = np.where(herm_defect > psd_tol, min_eig - herm_defect, min_eig)
     trace_defect = np.linalg.norm(tr_out - np.eye(tr_out.shape[-1]), ord=2,
                                   axis=(-2, -1))
+    trace_defect = np.broadcast_to(trace_defect, min_eig.shape)
     return CptpReport(min_eig, trace_defect, min_eig >= -psd_tol,
                       trace_defect <= tp_tol)
 

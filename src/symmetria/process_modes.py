@@ -57,14 +57,26 @@ class Diagram:
     lam: IrrepLabel
 
     def __str__(self):
-        (ai, mi), (ao, mo) = self.a_in, self.a_out
-        return f"[{_lab(ai)}{mi} -> {_lab(self.lam)} -> {_lab(ao)}{mo}]"
+        return _diagram_label(_family_label(self.a_in), _lab(self.lam),
+                              _family_label(self.a_out))
 
 
 def _lab(l: IrrepLabel) -> str:
     if l.kind == SU2:
         return f"j{l.two_j}/2" if l.two_j % 2 else f"j{l.two_j // 2}"
     return f"q{l.charge}"
+
+
+def _family_label(key: tuple) -> str:
+    """Text of an ITO family key (IrrepLabel, multiplicity index)."""
+    irrep, m = key
+    return f"{_lab(irrep)}{m}"
+
+
+def _diagram_label(a_in: str, lam: str, a_out: str) -> str:
+    """Text of a diagram from the texts of its families and irrep: the one
+    label format, read by ``Diagram.__str__`` and ``diagram_labels``."""
+    return f"[{a_in} -> {lam} -> {a_out}]"
 
 
 @dataclass(frozen=True)
@@ -139,9 +151,12 @@ class ProcessModeBasis:
     key (IrrepLabel, multiplicity index); ``lam[i]`` is the irrep it
     exchanges (doubled J for SU(2), charge for Z_N); ``k[i]`` its doubled
     component weight (0 for Z_N).  The rows of one diagram are consecutive
-    in descending k.  ``labels`` ((Diagram, k) per row), ``spans`` (each
-    diagram's slice), ``diagrams()``, ``family()`` and ``modes`` are formed
-    from the arrays on first read, with one Diagram per diagram.
+    in descending k.  ``diagram_rows`` (the change points of (pair, lam):
+    each diagram's rows, families and lam as arrays) is formed from them on
+    first read, and ``labels`` ((Diagram, k) per row), ``spans`` (each
+    diagram's slice), ``diagrams()``, ``family()`` and ``modes`` from those,
+    with one Diagram per diagram.  ``diagram_labels()`` (a report's text)
+    forms no Diagram.
     """
 
     rep_in: RepSpec
@@ -167,21 +182,41 @@ class ProcessModeBasis:
         return IrrepLabel.zn(lam, self.rep_out.modulus)
 
     @cached_property
-    def spans(self) -> dict:
-        """Each diagram's slice of rows, in row order."""
+    def diagram_rows(self) -> tuple:
+        """Read-only integer arrays (bounds, f_out, f_in, lam) over the
+        diagrams in row order: diagram i holds rows bounds[i] to
+        bounds[i + 1] (bounds ends with the row count), its output and input
+        family indices into ``families`` and its ``lam``."""
         new = ((self.pair[1:] != self.pair[:-1])
                | (self.lam[1:] != self.lam[:-1]))
-        bounds = [0, *(np.flatnonzero(new) + 1).tolist(), len(self.k)]
+        bounds = np.concatenate(([0], np.flatnonzero(new) + 1, [len(self.k)]))
         starts = bounds[:-1]
-        f_out, f_in = np.divmod(self.pair[starts], len(self.families[1]))
-        lams = self.lam[starts].tolist()
+        rows = (bounds, *np.divmod(self.pair[starts], len(self.families[1])),
+                self.lam[starts])
+        for arr in rows:
+            arr.setflags(write=False)
+        return rows
+
+    @cached_property
+    def spans(self) -> dict:
+        """Each diagram's slice of rows, in row order."""
+        bounds, f_out, f_in, lams = (a.tolist() for a in self.diagram_rows)
         irreps = {lam: self._irrep(lam) for lam in set(lams)}
         keys_out, keys_in = self.families
         with _collector_paused():
             diagrams = [Diagram(keys_in[i], keys_out[o], irreps[lam])
-                        for o, i, lam in zip(f_out.tolist(), f_in.tolist(),
-                                             lams)]
-            return dict(zip(diagrams, map(slice, starts, bounds[1:])))
+                        for o, i, lam in zip(f_out, f_in, lams)]
+            return dict(zip(diagrams, map(slice, bounds[:-1], bounds[1:])))
+
+    def diagram_labels(self) -> list[str]:
+        """``str`` of each diagram in row order, joined from one text per
+        family and per irrep: no Diagram is formed."""
+        _, f_out, f_in, lams = (a.tolist() for a in self.diagram_rows)
+        outs, ins = ([_family_label(key) for key in keys]
+                     for keys in self.families)
+        irreps = {lam: _lab(self._irrep(lam)) for lam in set(lams)}
+        return [_diagram_label(ins[i], irreps[lam], outs[o])
+                for o, i, lam in zip(f_out, f_in, lams)]
 
     @cached_property
     def labels(self) -> tuple:

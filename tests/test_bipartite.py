@@ -565,3 +565,31 @@ def test_relational_quartics_at_landmarks():
     v = injection_region_test  # noqa: F841  (naming aid only)
     rep = check_cptp(swap_invariant_relational(0.05, 0.02, 0.01))
     assert rep.is_cptp
+
+
+def test_every_theta_term_carries_no_partial_trace():
+    # region_scan takes every point's partial trace over the output from e0
+    # alone, which holds because each Phi_theta's is exactly zero
+    terms = CAT.region_terms
+    assert set(terms) == {"e0"} | {f"theta{i}" for i in range(1, 9)}
+    for name, (_, trace, _) in terms.items():
+        if name != "e0":
+            assert np.all(trace == 0), name
+    x, y, z = np.array(_SCAN_POINTS).T
+    for kind in (INJECTION, RELATIONAL):
+        rep = region_scan(kind, x, y, z, psd_tol=1e-8)
+        assert rep.trace_defect.shape == x.shape
+        assert np.all(rep.trace_defect == rep.trace_defect[0])
+        assert rep.trace_defect[0] <= 1e-15
+
+
+@pytest.mark.parametrize("kind", [INJECTION, RELATIONAL])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_region_scan_refuses_a_non_finite_coordinate(kind, bad):
+    x, y, z = np.zeros((3, 5))
+    for name, c in zip("xyz", (x, y, z)):
+        c[3] = bad
+        with pytest.raises(ValueError, match=f"coordinate {name} = {bad} "
+                                             "is not finite"):
+            region_scan(kind, x, y, z, psd_tol=1e-8)
+        c[3] = 0.0

@@ -10,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -509,10 +511,10 @@ def test_gauge_with_a_modulus_missing_some_mode_charges():
     assert "verdict: pass" in r.stdout
 
 
-def test_decompose_d16_channel_in_process(tmp_path, capsys):
-    # 65,536 process modes, whose dense matrix would be 68.7 GB
+def _d16_channel(tmp_path) -> str:
+    """A seeded random channel on four spin-3/2 copies, written as Kraus
+    operators: 65,536 process modes, whose dense matrix would be 68.7 GB."""
     import numpy as np
-    from symmetria import cli
     from symmetria.linalg_core import kraus_of_choi, random_cptp
 
     S = random_cptp(16, 16, np.random.default_rng(16), env_dim=2)
@@ -522,7 +524,13 @@ def test_decompose_d16_channel_in_process(tmp_path, capsys):
                        for row in A] for A in kraus_of_choi(S)]}
     f = tmp_path / "su2-d16.json"
     f.write_text(json.dumps(data))
-    code = cli.main(["decompose", str(f)])
+    return str(f)
+
+
+def test_decompose_d16_channel_in_process(tmp_path, capsys):
+    from symmetria import cli
+
+    code = cli.main(["decompose", _d16_channel(tmp_path)])
     out, err = capsys.readouterr()
     assert code == 0, err
     assert "Traceback" not in err
@@ -551,3 +559,157 @@ def test_cli_import_leaves_scipy_special_optimize_and_linalg_unloaded():
          "assert unloaded()"],
         capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+# ---------------------------------------------------------------------------
+# Array passes: the per-number and per-line routes they replaced, as oracles
+# ---------------------------------------------------------------------------
+
+def _fmt_oracle(x) -> str:
+    """One number at a time: 12 significant digits, -0 printed as 0, and a
+    complex number's imaginary part with its own sign."""
+    import numpy as np
+
+    if type(x) is not float:
+        if isinstance(x, complex) or (isinstance(x, np.generic)
+                                      and np.iscomplexobj(x)):
+            x = complex(x)
+            re, im = f"{x.real:.12g}", f"{x.imag:.12g}"
+            re = "0" if re == "-0" else re
+            im = "0" if im == "-0" else im
+            sign = "+" if not im.startswith("-") else ""
+            return f"{re}{sign}{im}j"
+        x = float(x)
+    v = f"{x:.12g}"
+    return "0" if v == "-0" else v
+
+
+# signed zeros, NaN, infinities, subnormals, the largest doubles, and
+# 13-digit integers ending in 5 (exact ties at 12 significant digits)
+_SPECIAL = (0.0, -0.0, float("nan"), -float("nan"), float("inf"),
+            -float("inf"), 5e-324, -5e-324, 2.2250738585072009e-308, 1e308,
+            -1e308, 1.7976931348623157e308, 1234567890125.0,
+            -1234567890135.0, 9999999999995.0, 1.0000000000005, 0.5)
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL),
+                    st.integers(10 ** 11, 10 ** 12 - 1).map(
+                        lambda k: float(10 * k + 5)))
+
+
+@given(values=st.lists(_FLOATS, max_size=24),
+       parts=st.lists(st.tuples(_FLOATS, _FLOATS), max_size=24))
+@settings(max_examples=300, deadline=None)
+@example(values=list(_SPECIAL), parts=[(a, b) for a in _SPECIAL[:4]
+                                       for b in _SPECIAL[:4]])
+def test_array_format_is_the_scalar_format_byte_for_byte(values, parts):
+    import numpy as np
+    from symmetria import cli
+
+    reals = np.array(values, dtype=float)
+    complexes = np.array([complex(a, b) for a, b in parts], dtype=complex)
+    for a in (reals, complexes, reals.reshape(-1, 1)):
+        want = [_fmt_oracle(v) for v in a.ravel()]
+        assert cli.fmt_all(a) == want
+        assert [cli.fmt(v) for v in a.ravel()] == want
+    # Python numbers, not only numpy scalars
+    assert [cli.fmt(v) for v in values] == [_fmt_oracle(v) for v in values]
+    assert ([cli.fmt(complex(a, b)) for a, b in parts]
+            == [_fmt_oracle(complex(a, b)) for a, b in parts])
+
+
+def _decompose_oracle(path: str) -> str:
+    """``decompose``'s stdout as printed one diagram at a time: one Diagram,
+    one norm and one format call per number on each line."""
+    import numpy as np
+    from symmetria import cli
+    from symmetria.process_modes import build_canonical_modes, decompose
+
+    S, rep_in, rep_out = cli.load_channel(path)
+    basis = build_canonical_modes(rep_in, rep_out)
+    coeffs = decompose(S, basis)
+    out = [f"command: decompose {path}", f"tolerance: {_fmt_oracle(1e-10)}",
+           *cli.convention_block(), "modes:"]
+    for diagram, span in basis.spans.items():
+        vecs = coeffs.values[span]
+        mag = float(np.linalg.norm(vecs))
+        comps = " ".join(_fmt_oracle(v) for v in vecs)
+        out.append(f"  {diagram}  |a| = {_fmt_oracle(mag)}  "
+                   f"components: {comps}")
+    sym = coeffs.is_symmetric(tol=1e-10)
+    out.append(f"symmetric: {'yes' if sym else 'no'}")
+    out.append(f"reconstruction residual: {_fmt_oracle(coeffs.residual)}")
+    return "\n".join(out) + "\n"
+
+
+GOLDEN_CHANNELS = Path(__file__).resolve().parent / "golden"
+
+
+def test_decompose_table_is_the_per_line_oracle_byte_for_byte(tmp_path,
+                                                              capsys):
+    from symmetria import cli
+
+    paths = [str(FIXTURES / f"{name}.json")
+             for name in ("identity", "dephasing", "heisenberg-2qubit")]
+    paths += [str(GOLDEN_CHANNELS / f"{name}.json")
+              for name in ("z3-rotation", "spin1-half", "z7-d6")]
+    for path in paths + [_d16_channel(tmp_path)]:
+        assert cli.main(["decompose", path]) == 0
+        assert capsys.readouterr().out == _decompose_oracle(path), path
+
+
+def test_decompose_cost_does_not_grow_with_the_table(monkeypatch, capsys):
+    # the table is formatted and labelled in array passes: as many scalar
+    # format calls for 16 modes as for 1,296, and no Diagram per line
+    from symmetria import cli
+
+    calls, bases = [0], []
+    fmt, build = cli.fmt, cli.build_canonical_modes
+
+    def counted_fmt(x):
+        calls[0] += 1
+        return fmt(x)
+
+    def kept_build(*args):
+        bases.append(build(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(cli, "fmt", counted_fmt)
+    monkeypatch.setattr(cli, "build_canonical_modes", kept_build)
+    made = []
+    for path, modes in ((FIXTURES / "dephasing.json", 16),
+                        (GOLDEN_CHANNELS / "z7-d6.json", 1296)):
+        before = calls[0]
+        assert cli.main(["decompose", str(path)]) == 0
+        made.append(calls[0] - before)
+        assert len(bases[-1].k) == modes
+        assert not {"spans", "labels", "modes"} & bases[-1].__dict__.keys()
+    assert made[0] == made[1], made
+    capsys.readouterr()
+
+
+def test_channel_payload_parses_to_the_per_entry_complex_numbers():
+    import numpy as np
+    from symmetria import cli
+
+    data = json.loads((GOLDEN_CHANNELS / "z7-d6.json").read_text())["choi"]
+    want = np.array([[complex(*c) for c in row] for row in data])
+    got = cli._as_matrix(data, "choi")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # signed zeros and integers too; no entry at all keeps its shape
+    edge = [[[-0.0, 0], [3, -0.0]], [[2 ** 70, -1], [0.5, 1e-320]]]
+    want = np.array([[complex(*c) for c in row] for row in edge])
+    assert cli._as_matrix(edge, "kraus").tobytes() == want.tobytes()
+    for empty in ([], [[]], [[], []]):
+        assert cli._as_matrix(empty, "kraus").shape == np.array(empty).shape
+
+
+def test_stdout_is_byte_stable_across_blas_thread_counts():
+    # one subprocess per command and thread count
+    for args in (("decompose", str(GOLDEN_CHANNELS / "z7-d6.json")),
+                 ("region", "--grid", "8")):
+        runs = [run_cli(*args, env_extra={"OPENBLAS_NUM_THREADS": threads})
+                for threads in ("1", "2")]
+        assert all(r.returncode == 0 for r in runs), runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout, args

@@ -1,8 +1,10 @@
 """Golden CLI outputs: the README command set, decompose/polar/bipartite
-on every fixture and decompose on the hand-written channels beside the
-golden file (a Z_3 carrier and a spin-1 (+) spin-1/2 carrier), compared
-numerically with outputs captured before the superoperator storage
-refactor (the two channels: before the ITO bases became one array).
+on every fixture and decompose on the channels beside the golden file (a
+hand-written Z_3 carrier, a hand-written spin-1 (+) spin-1/2 carrier and a
+seeded random Z_7 channel on charges 0..5, whose table has 1,296 modes),
+compared numerically with outputs captured before the superoperator storage
+refactor (the two hand-written channels: before the ITO bases became one
+array; the Z_7 channel: before the tables were formatted in array passes).
 
 From the repository root,
 
@@ -34,7 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json.gz"
 FIXTURES = ("fixtures/dephasing.json", "fixtures/heisenberg-2qubit.json",
             "fixtures/identity.json")
-CHANNELS = ("tests/golden/z3-rotation.json", "tests/golden/spin1-half.json")
+CHANNELS = ("tests/golden/z3-rotation.json", "tests/golden/spin1-half.json",
+            "tests/golden/z7-d6.json")
 
 # README usage block, then each fixture through decompose/polar/bipartite
 # (the README's decompose and polar fixtures are not repeated), then
