@@ -45,6 +45,11 @@ class BipartiteDiagram:
         la, lb = self.diag_a.lam, self.diag_b.lam
         if la.dual() != lb:
             raise ValueError("B-side irrep must be dual to the A-side irrep")
+        # hashed once: it keys every coefficient dict
+        object.__setattr__(self, "_hash", hash((self.diag_a, self.diag_b)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self):
         return f"{self.diag_a} (x) {self.diag_b}"
@@ -107,6 +112,25 @@ class SymmetricBasis:
     basis_b: ProcessModeBasis
     elements: tuple  # of SymmetricElement
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """(rows_a, rows_b, signs), each of shape (longest element,
+        elements): column e holds element e's pairs in order, padded with
+        sign 0 at the row pair (0, 0), so one gather C[rows_a, rows_b] reads
+        every element's pairs and a sum over axis 0 adds each element's
+        terms in order.  Cached, and read-only."""
+        n = max(len(e.signs) for e in self.elements)
+        shape = (n, len(self.elements))
+        rows_a, rows_b = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+        signs = np.zeros(shape)
+        for i, e in enumerate(self.elements):
+            k = len(e.signs)
+            rows_a[:k, i], rows_b[:k, i], signs[:k, i] = (e.rows_a, e.rows_b,
+                                                          e.signs)
+        for arr in (rows_a, rows_b, signs):
+            arr.setflags(write=False)
+        return rows_a, rows_b, signs
+
 
 # Bound on the traced peak of decompose_symmetric, in units of S's transfer
 # matrix, 16 (d_Ain d_Aout d_Bin d_Bout)^2 bytes: measured 4.1-4.4 at equal
@@ -150,18 +174,19 @@ class SymmetricCoefficients:
     residual: float
 
     def reconstruct(self) -> Superoperator:
-        rows_a, rows_b, w = (np.concatenate(x) for x in zip(*(
-            (e.rows_a, e.rows_b, self.values[e.diagram] * e.signs)
-            for e in self.basis.elements)))
-        return pair_sum(self.basis.basis_a, self.basis.basis_b, rows_a, rows_b,
-                        w)
+        rows_a, rows_b, signs = self.basis.pairs
+        keep = signs != 0
+        w = np.array([self.values[e.diagram] for e in self.basis.elements])
+        return pair_sum(self.basis.basis_a, self.basis.basis_b, rows_a[keep],
+                        rows_b[keep], (w * signs)[keep])
 
 
 def decompose_symmetric(S: Superoperator, basis: SymmetricBasis) -> SymmetricCoefficients:
     """Expand S over the invariant basis; the residual is the norm of the
     non-invariant part of S.  C[i, j] = <M^A_i (x) M^B_j, S> comes from two
     mode contractions, and each coefficient is the signed sum of C over its
-    element's pairs divided by dim(lam) = <chi, chi>, their number."""
+    element's pairs divided by dim(lam) = <chi, chi>, their number; every
+    pair is read by one gather (``SymmetricBasis.pairs``)."""
     A, B = basis.basis_a, basis.basis_b
     d_ao, d_bo, d_ai, d_bi = (A.rep_out.dim, B.rep_out.dim, A.rep_in.dim,
                               B.rep_in.dim)
@@ -174,9 +199,12 @@ def decompose_symmetric(S: Superoperator, basis: SymmetricBasis) -> SymmetricCoe
     C = _mode_values(_mode_values(
         K.transpose(1, 3, 5, 7, 0, 2, 4, 6).reshape(-1, d_ao ** 2, d_ai ** 2),
         A).T.reshape(-1, d_bo ** 2, d_bi ** 2), B)
-    values = {e.diagram: complex(e.signs @ C[e.rows_a, e.rows_b])
-              / len(e.signs) for e in basis.elements}
+    rows_a, rows_b, signs = basis.pairs
+    sums = (signs * C[rows_a, rows_b]).sum(axis=0)
     del C
+    # real and imaginary parts divided apart, as a complex scalar divides
+    sums.view(float).reshape(-1, 2)[:] /= (signs != 0).sum(axis=0)[:, None]
+    values = dict(zip((e.diagram for e in basis.elements), sums.tolist()))
     out = SymmetricCoefficients(basis, values, 0.0)
     residual = (S - out.reconstruct()).norm()
     return SymmetricCoefficients(basis, values, float(residual))

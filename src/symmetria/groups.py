@@ -13,6 +13,7 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,12 +133,16 @@ def wigner_D(j: IrrepLabel, g: GroupElement) -> np.ndarray:
     For SU(2): D^j(a,b,c) = exp(-i a J_z) exp(-i b J_y) exp(-i c J_z).  The
     real orthogonal d^j(b) = V diag(exp(-i b w)) V^dag comes from the exact
     diagonalisation of J_y, so D is unitary for every j.
+    Spin 1/2 takes the closed form of ``su2_matrix``; the eigen-route
+    (through ``wigner_d(1, betas)``) is its oracle in the tests.
     For Z_N:   the 1x1 phase omega^(charge * g), omega = exp(2 pi i / N).
     """
     if j.kind != g.kind:
         raise ValueError("group kind mismatch between irrep and element")
     if j.kind == ZN:
         return np.array([[np.exp(2j * np.pi * j.charge * g.g / j.modulus)]])
+    if j.two_j == 1:
+        return su2_matrix(g)
     w, V, Vh, m = _jy_eigensystem(j.two_j)
     d = ((V * np.exp(-1j * g.beta * w)) @ Vh).real
     return np.exp(-1j * g.alpha * m)[:, None] * d * np.exp(-1j * g.gamma * m)
@@ -181,8 +186,21 @@ def dual_sign_permutation(j: IrrepLabel) -> np.ndarray:
 
 
 def su2_matrix(g: GroupElement) -> np.ndarray:
-    """Fundamental (spin-1/2) matrix of an SU(2) element."""
-    return wigner_D(IrrepLabel.su2(1), g)
+    """Fundamental (spin-1/2) matrix of an SU(2) element, the Cayley-Klein
+    matrix in the descending-weight basis:
+
+        [[e^(-i(a+c)/2) cos(b/2), -e^(-i(a-c)/2) sin(b/2)],
+         [ e^( i(a-c)/2) sin(b/2),  e^( i(a+c)/2) cos(b/2)]]
+
+    for (a, b, c) = (alpha, beta, gamma), built from scalar half-angle
+    phases as D^(1/2) = diag(e^(-i a m)) d^(1/2)(b) diag(e^(-i c m))."""
+    if g.kind != SU2:
+        raise ValueError("su2_matrix needs an SU(2) element")
+    a, c = cmath.exp(-0.5j * g.alpha), cmath.exp(-0.5j * g.gamma)
+    cb, sb = math.cos(0.5 * g.beta), math.sin(0.5 * g.beta)
+    diag, off = a * c, a * c.conjugate()
+    return np.array([[diag * cb, -off * sb],
+                     [off.conjugate() * sb, diag.conjugate() * cb]])
 
 
 def su2_from_matrix(U: np.ndarray) -> GroupElement:
@@ -448,9 +466,12 @@ class RepSpec:
 
 def rep_matrix(R: RepSpec, g: GroupElement) -> np.ndarray:
     """Unitary representation matrix: block-diagonal canonical form,
-    conjugated by the intertwiner if present."""
+    conjugated by the intertwiner if present.  A rep of one irrep copy and
+    no intertwiner is its Wigner matrix, returned as built."""
     if R.kind != g.kind:
         raise ValueError("group kind mismatch")
+    if R.intertwiner is None and len(R.blocks) == 1 and R.blocks[0][1] == 1:
+        return wigner_D(R.blocks[0][0], g)
     blocks = []
     for lab, _, _ in R.irrep_blocks():
         blocks.append(wigner_D(lab, g))

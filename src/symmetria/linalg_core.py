@@ -195,7 +195,9 @@ def conjugate(S: Superoperator, U_out: CMatrix, U_in: CMatrix) -> Superoperator:
     matrix (U_out (x) U_out^*) K (U_in (x) U_in^*)^dag."""
     A = kron(U_out, U_out.conj())
     B = A if U_in is U_out else kron(U_in, U_in.conj())
-    return Superoperator(S.dim_in, S.dim_out, A @ S.transfer @ B.conj().T)
+    # np.dot calls the same gemm as @ with less dispatch per call
+    return Superoperator(S.dim_in, S.dim_out,
+                         np.dot(np.dot(A, S.transfer), B.conj().T))
 
 
 @dataclass(frozen=True)

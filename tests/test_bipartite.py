@@ -32,7 +32,7 @@ from symmetria.linalg_core import (Superoperator, apply, check_cptp,
                                    depolarizing_channel, random_cptp,
                                    unitary_channel)
 from symmetria.process_modes import (MAX_STACK_BYTES, ProcessModeBasis,
-                                     twirl)
+                                     _mode_values, twirl)
 
 CAT = two_qubit_catalog()
 BASIS = CAT.basis
@@ -132,6 +132,37 @@ def test_factored_route_matches_the_dense_chi_oracle(case):
         expect = expect + c * chi
     assert abs(coeffs.residual - (S - expect).norm()) <= 1e-13
     assert (coeffs.reconstruct() - expect).norm() <= 1e-13
+
+
+@pytest.mark.parametrize("case", list(_PARITY_CASES))
+def test_coefficients_in_one_gather_match_the_per_element_sums(case):
+    basis = build_symmetric_basis(*_PARITY_CASES[case])
+    A, B = basis.basis_a, basis.basis_b
+    d_ao, d_bo, d_ai, d_bi = (A.rep_out.dim, B.rep_out.dim, A.rep_in.dim,
+                              B.rep_in.dim)
+    S = random_cptp(d_ai * d_bi, d_ao * d_bo, np.random.default_rng(50))
+    coeffs = decompose_symmetric(S, basis)
+    # oracle: C[i, j] = <M^A_i (x) M^B_j, S> from the same two contractions,
+    # then one signed sum per element over its own pairs
+    K = S.transfer.reshape(d_ao, d_bo, d_ao, d_bo, d_ai, d_bi, d_ai, d_bi)
+    C = _mode_values(_mode_values(
+        K.transpose(1, 3, 5, 7, 0, 2, 4, 6).reshape(-1, d_ao ** 2, d_ai ** 2),
+        A).T.reshape(-1, d_bo ** 2, d_bi ** 2), B)
+    want = {e.diagram: complex(e.signs @ C[e.rows_a, e.rows_b])
+            / len(e.signs) for e in basis.elements}
+    assert list(coeffs.values) == list(want)
+    for diagram, c in want.items():
+        assert type(coeffs.values[diagram]) is complex
+        assert abs(coeffs.values[diagram] - c) <= 1e-15
+    # the reconstruction from the concatenated pairs, bit for bit
+    rows_a, rows_b, w = (np.concatenate(x) for x in zip(*(
+        (e.rows_a, e.rows_b, coeffs.values[e.diagram] * e.signs)
+        for e in basis.elements)))
+    expect = pair_sum(A, B, rows_a, rows_b, w)
+    assert coeffs.reconstruct().transfer.tobytes() == expect.transfer.tobytes()
+    assert coeffs.residual == (S - expect).norm()
+    assert basis.pairs is basis.pairs
+    assert not any(arr.flags.writeable for arr in basis.pairs)
 
 
 def test_element_op_is_its_pair_sum_formed_once():

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 
-from symmetria import gauge
+from symmetria import gauge, groups
+from symmetria.bipartite import two_qubit_product_rep
 from symmetria.groups import (GroupElement, IrrepLabel, LinkFrame, RepSpec,
                               cg_block, cgc, compose,
                               dual_sign_permutation, generators,
                               haar_quadrature, inverse, mode_matrix,
                               random_su2, rep_matrix, su2_from_matrix,
-                              su2_matrix, wigner_D)
+                              su2_matrix, wigner_D, wigner_d)
 from symmetria.repeatability import build_protocol
 
 RNG = np.random.default_rng(8)
@@ -86,6 +87,103 @@ def test_su2_euler_round_trip():
         U = su2_matrix(g)
         g2 = su2_from_matrix(U)
         assert np.linalg.norm(su2_matrix(g2) - U) < 1e-10
+
+
+def _eigen_route_half(g):
+    # oracle: the J_y eigen-route d^(1/2)(beta) between the alpha and gamma
+    # weight phases, as wigner_D forms every spin j >= 1
+    m = np.array([0.5, -0.5])
+    return (np.exp(-1j * g.alpha * m)[:, None] * wigner_d(1, [g.beta])[0]
+            * np.exp(-1j * g.gamma * m))
+
+
+def _spin_half_cases():
+    rng = np.random.default_rng(9)
+    edge = (0.0, math.nextafter(4 * math.pi, 0.0), 4 * math.pi,
+            4 * math.pi - 1e-9, 4 * math.pi + 1e-9)
+    return ([g for g, _ in haar_quadrature("su2", 4).nodes]
+            + [random_su2(rng) for _ in range(200)]
+            + [GroupElement.su2(a, b, c) for b in (0.0, math.pi, 2 * math.pi)
+               for a in edge for c in edge])
+
+
+def test_spin_half_closed_form_matches_the_eigen_route():
+    qubit = RepSpec.su2_spins([1])
+    half = IrrepLabel.su2(1)
+    cases = _spin_half_cases()
+    assert len(cases) == 500 + 200 + 75
+    for g in cases:
+        want = _eigen_route_half(g)
+        for got in (su2_matrix(g), wigner_D(half, g), rep_matrix(qubit, g)):
+            assert got.shape == (2, 2) and got.dtype == complex
+            assert np.abs(got - want).max() <= 1e-15
+
+
+def test_su2_matrix_refuses_a_z_n_element():
+    with pytest.raises(ValueError, match="SU\\(2\\)"):
+        su2_matrix(GroupElement.zn(1, 3))
+
+
+def test_compose_inverse_and_round_trip_match_the_eigen_route():
+    # the eigen-route results, as compose and inverse formed them with the
+    # eigen-route matrix.  An Euler triple names its element only up to
+    # (alpha, gamma) -> (alpha + 2 pi, gamma + 2 pi) and the 4 pi period,
+    # and rounding can pick either label at a branch cut of the angles, so
+    # the elements are compared through the oracle's matrices
+    cases = _spin_half_cases()
+    for i, g in enumerate(cases):
+        h = cases[(7 * i + 3) % len(cases)]
+        U, V = _eigen_route_half(g), _eigen_route_half(h)
+        for got, want in ((compose(g, h), su2_from_matrix(U @ V)),
+                          (inverse(g), su2_from_matrix(U.conj().T)),
+                          (su2_from_matrix(su2_matrix(g)),
+                           su2_from_matrix(U))):
+            assert abs(got.beta - want.beta) <= 1e-14
+            assert np.abs(_eigen_route_half(got)
+                          - _eigen_route_half(want)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("rep", [RepSpec.su2_spins([1]),
+                                 RepSpec.su2_spins([2]),
+                                 RepSpec.su2_spins([7]),
+                                 RepSpec.zn_charges([3], 7)],
+                         ids=["su2 [1]", "su2 [2]", "su2 [7]", "z7 [3]"])
+def test_one_block_rep_matrix_is_its_wigner_block(rep, monkeypatch):
+    rng = np.random.default_rng(10)
+    elements = ([random_su2(rng) for _ in range(5)] if rep.kind == "su2"
+                else [GroupElement.zn(k, 7) for k in range(7)])
+    (lab, _), = rep.blocks
+    want = [groups._block_diag([wigner_D(lab, g)]) for g in elements]
+    calls = []
+    block_diag = groups._block_diag
+    monkeypatch.setattr(groups, "_block_diag",
+                        lambda blocks: calls.append(1) or block_diag(blocks))
+    for g, w in zip(elements, want):
+        U = rep_matrix(rep, g)
+        assert U.dtype == w.dtype and U.tobytes() == w.tobytes()
+        # a fresh array: writing to it leaves the next call's result alone
+        U[...] = 7.0
+        assert rep_matrix(rep, g).tobytes() == w.tobytes()
+    assert not calls
+
+
+@pytest.mark.parametrize("rep", [RepSpec.su2_spins([1, 1]),
+                                 two_qubit_product_rep()],
+                         ids=["su2 [1, 1]", "two-qubit product"])
+def test_several_blocks_or_an_intertwiner_keep_the_block_route(rep,
+                                                              monkeypatch):
+    calls = []
+    block_diag = groups._block_diag
+    monkeypatch.setattr(groups, "_block_diag",
+                        lambda blocks: calls.append(1) or block_diag(blocks))
+    g = random_su2(np.random.default_rng(11))
+    D = su2_matrix(g)
+    U = rep_matrix(rep, g)
+    assert calls == [1]
+    if rep.intertwiner is None:
+        assert U.tobytes() == block_diag([D, D]).tobytes()
+    else:
+        assert np.abs(U - np.kron(D, D)).max() <= 1e-15
 
 
 def test_cgc_orthogonality_exact():
