@@ -210,11 +210,11 @@ def decompose_symmetric(S: Superoperator, basis: SymmetricBasis) -> SymmetricCoe
     return SymmetricCoefficients(basis, values, float(residual))
 
 
-def twirl_rank(basis: SymmetricBasis, tol: float = 1e-8) -> int:
-    """Rank of the invariant subspace, computed from the basis Gram matrix."""
+def twirl_rank(basis: SymmetricBasis) -> int:
+    """Rank of the invariant subspace: the Gram matrix's rank at 1e-8."""
     V = np.array([vec(e.op.transfer) for e in basis.elements])
     G = V.conj() @ V.T
-    return int(np.linalg.matrix_rank(G, tol=tol))
+    return int(np.linalg.matrix_rank(G, tol=1e-8))
 
 
 # ---------------------------------------------------------------------------

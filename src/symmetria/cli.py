@@ -1,12 +1,14 @@
 """Command-line surface for the symmetria library.
 
-Subcommands wrap the library modules with deterministic, reproducible
-reports: channel files in, diagram-labelled tables / CSV scans out.  All
-floats are printed with 12 significant digits so identical invocations
-produce byte-identical output.
-
-Exit codes: 0 success, 1 assertion/test failure (a residual above
-tolerance), 2 parse error (including out-of-range numeric options), 3
+Subcommands wrap the library modules: channel files in, diagram-labelled
+tables / CSV scans out, every float with 12 significant digits.  Each returns
+its lines and its checks, (value, tol) pairs that hold iff value <= tol (a
+NaN fails): decompose's and each table row's reconstruction residual,
+bipartite FILE's non-invariant residual, each catalytic round's Choi
+distance and the X residual, gauge's worst invariance residual and Gauss
+commutators with H_gauged and a Wilson loop (catalytic and gauge print a
+verdict from them).  Only ``main`` maps checks to exit codes: 0 success, 1 a
+failed check, 2 parse error (including out-of-range numeric options), 3
 semantic error (dimensions, group kind, or any value the library rejects).
 """
 
@@ -98,6 +100,16 @@ def convention_block() -> list:
         "  Clebsch-Gordan phases: Condon-Shortley",
         "  basis ordering: descending weight within each irrep block",
     ]
+
+
+def header(command: str, *before: str) -> list:
+    """The command line, any lines before the conventions, the conventions."""
+    return [f"command: {command}", *before, *convention_block()]
+
+
+def passed(checks) -> bool:
+    """True iff every (value, tol) check holds; a NaN value fails."""
+    return all(value <= tol for value, tol in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +225,11 @@ def load_channel(path: str, allow_nonphysical: bool = False):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_decompose(args, out: list) -> int:
+def cmd_decompose(args):
     S, rep_in, rep_out = load_channel(args.file, args.allow_nonphysical)
     basis = build_canonical_modes(rep_in, rep_out)
     coeffs = decompose(S, basis)
-    out.append(f"command: decompose {args.file}")
-    out.append(f"tolerance: {fmt(args.tol)}")
-    out.extend(convention_block())
+    out = header(f"decompose {args.file}", f"tolerance: {fmt(args.tol)}")
     out.append("modes:")
     bounds = basis.diagram_rows[0].tolist()
     values = coeffs.values
@@ -235,15 +245,14 @@ def cmd_decompose(args, out: list) -> int:
     sym = coeffs.is_symmetric(tol=args.tol)
     out.append(f"symmetric: {'yes' if sym else 'no'}")
     out.append(f"reconstruction residual: {fmt(coeffs.residual)}")
-    return EXIT_OK if coeffs.residual <= max(args.tol, 1e-8) else EXIT_FAIL
+    return out, [(coeffs.residual, max(args.tol, 1e-8))]
 
 
-def cmd_polar(args, out: list) -> int:
+def cmd_polar(args):
     S, rep_in, rep_out = load_channel(args.file, args.allow_nonphysical)
     basis = build_canonical_modes(rep_in, rep_out)
     pd = polar_decompose(S, basis)
-    out.append(f"command: polar {args.file}")
-    out.extend(convention_block())
+    out = header(f"polar {args.file}")
     out.append(f"orbit point: kind={pd.orbit_point.kind} "
                f"theta={fmt(pd.orbit_point.theta)} "
                f"phi={fmt(pd.orbit_point.phi)}")
@@ -257,13 +266,12 @@ def cmd_polar(args, out: list) -> int:
                                     fmt_all(abs(amps))):
         out.append(f"  {diagram}  a = {a}  |a| = {mag}")
     out.append(f"fit residual: {fmt(pd.fit_residual)}")
-    return EXIT_OK
+    return out, []
 
 
-def cmd_table(args, out: list) -> int:
+def cmd_table(args):
     rows = axial_table(p=args.p, angle=args.angle)
-    out.append(f"command: table p={fmt(args.p)} angle={fmt(args.angle)}")
-    out.extend(convention_block())
+    out = header(f"table p={fmt(args.p)} angle={fmt(args.angle)}")
     # every number of the table in three passes: parameters, amplitudes
     # (complex) and deviations with their maximum and the residual (real)
     params = _fmt_each([row.params.values() for row in rows])
@@ -284,13 +292,12 @@ def cmd_table(args, out: list) -> int:
             out.append(f"  note: {row.note}")
     worst = max(0.0, *(row.reconstruction_residual for row in rows))
     out.append(f"worst reconstruction residual: {fmt(worst)}")
-    return EXIT_OK if worst <= 1e-8 else EXIT_FAIL
+    return out, [(row.reconstruction_residual, 1e-8) for row in rows]
 
 
-def cmd_bipartite(args, out: list) -> int:
+def cmd_bipartite(args):
     cat = two_qubit_catalog()
-    out.append("command: bipartite" + (f" {args.file}" if args.file else ""))
-    out.extend(convention_block())
+    out = header("bipartite" + (f" {args.file}" if args.file else ""))
     out.append(f"invariant space dimension (twirl rank): "
                f"{twirl_rank(cat.basis)}")
     out.append("symmetric basis elements:")
@@ -309,8 +316,8 @@ def cmd_bipartite(args, out: list) -> int:
         c = fmt_all([coeffs.values[el.diagram] for el in elements])
         out.extend(f"  {el.diagram}  c = {v}" for el, v in zip(elements, c))
         out.append(f"non-invariant residual: {fmt(coeffs.residual)}")
-        return EXIT_OK if coeffs.residual <= args.tol else EXIT_FAIL
-    return EXIT_OK
+        return out, [(coeffs.residual, args.tol)]
+    return out, []
 
 
 # Grid points per stacked CPTP solve: enough to amortise the per-call cost,
@@ -326,13 +333,13 @@ def _region_bytes(n: int, columns: int) -> int:
     return n ** 3 * (57 + 2 * 19 * columns)
 
 
-def cmd_region(args, out: list) -> int:
+def cmd_region(args):
     n = args.grid
     injection = args.kind == INJECTION
     check_budget(_region_bytes(n, 8 if injection else 5),
                  f"the CSV rows of region --grid {n}")
-    out.append("x,y,z,X,Y,Z,min_eig,inside" if injection
-               else "x,y,z,min_eig,inside")
+    out = ["x,y,z,X,Y,Z,min_eig,inside" if injection
+           else "x,y,z,min_eig,inside"]
     axis = -1.0 + 2.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
     row = ",".join([_REAL] * (7 if injection else 4)) + ",%d"
     for start in range(0, n ** 3, REGION_CHUNK):
@@ -342,7 +349,7 @@ def cmd_region(args, out: list) -> int:
         cols = ((x, y, z) + (injection_coords(x, y, z) if injection else ())
                 + (rep.min_choi_eigenvalue, rep.is_cptp))
         out.extend(_format_rows(row, np.column_stack(cols)))
-    return EXIT_OK
+    return out, []
 
 
 def _random_state(rng, n: int) -> np.ndarray:
@@ -353,7 +360,7 @@ def _random_state(rng, n: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def cmd_catalytic(args, out: list) -> int:
+def cmd_catalytic(args):
     d = args.dim_a
     D = args.ladder
     check_budget(catalytic_bytes(d, D, args.rounds),
@@ -363,9 +370,8 @@ def cmd_catalytic(args, out: list) -> int:
                         + 1j * rng.normal(size=(d, d)))
     U = q * (np.diag(r) / np.abs(np.diag(r)))
     P = build_protocol(U, D)
-    out.append(f"command: catalytic dim_a={d} ladder={D} "
-               f"rounds={args.rounds} sigma={args.sigma} seed={args.seed}")
-    out.extend(convention_block())
+    out = header(f"catalytic dim_a={d} ladder={D} rounds={args.rounds} "
+                 f"sigma={args.sigma} seed={args.seed}")
     if args.sigma == "frame":
         sigma = P.ladder.frame_projector(0)
     elif args.sigma == "mixed":
@@ -379,15 +385,15 @@ def cmd_catalytic(args, out: list) -> int:
     for i, (d, f) in enumerate(_fmt_each(figures)):
         out.append(f"round {i + 1}: choi distance to round 1 = {d}  "
                    f"reference overlap = {f}")
-    worst = max(0.0, *(d for d, _ in figures))
     if rep.crosscheck_residual is not None:
         out.append(f"two-round full-tensor cross-check: "
                    f"{fmt(rep.crosscheck_residual)}")
     mp = measure_prepare_form(P)
     out.append(f"measure-prepare X residual: {fmt(mp.max_x_residual)}")
-    ok = worst <= 1e-10 and mp.max_x_residual <= 1e-10
-    out.append(f"verdict: {'pass' if ok else 'fail'}")
-    return EXIT_OK if ok else EXIT_FAIL
+    checks = [(x, 1e-10)
+              for x in [d for d, _ in figures] + [mp.max_x_residual]]
+    out.append(f"verdict: {'pass' if passed(checks) else 'fail'}")
+    return out, checks
 
 
 def _gauge_bytes(n: int, lat) -> int:
@@ -408,7 +414,7 @@ def _gauge_bytes(n: int, lat) -> int:
     return max(2 * 16 * (4 * n) ** 4, lattice) + (1 << 20)
 
 
-def cmd_gauge(args, out: list) -> int:
+def cmd_gauge(args):
     rng = np.random.default_rng(args.seed)
     N = args.n
     try:
@@ -422,9 +428,7 @@ def cmd_gauge(args, out: list) -> int:
     lat = build_gauged_lattice(Lx, Ly, args.lattice_n)
     if N > 0:
         check_budget(_gauge_bytes(N, lat), f"gauge --n {N}")
-    out.append(f"command: gauge n={N} lattice={args.lattice} "
-               f"seed={args.seed}")
-    out.extend(convention_block())
+    out = header(f"gauge n={N} lattice={args.lattice} seed={args.seed}")
 
     # random 2-symmetric elements, gauged and checked on the generators
     frame = LinkFrame(N)
@@ -473,9 +477,9 @@ def cmd_gauge(args, out: list) -> int:
     v = free_state_check(lat, mixed)
     out.append(f"maximally mixed state free: {v.is_free} "
                f"(twirl distance {fmt(v.twirl_distance)})")
-    ok = worst <= 1e-10 and max(worst_comm, worst_wilson) <= 1e-10
-    out.append(f"verdict: {'pass' if ok else 'fail'}")
-    return EXIT_OK if ok else EXIT_FAIL
+    checks = [(x, 1e-10) for x in (worst, worst_comm, worst_wilson)]
+    out.append(f"verdict: {'pass' if passed(checks) else 'fail'}")
+    return out, checks
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +566,13 @@ def main(argv=None) -> int:
             args.seed = _at_least(int, 0)(seed)
         except (ValueError, argparse.ArgumentTypeError):
             parser.error(f"SYMMETRIA_SEED must be an integer >= 0, got {seed!r}")
-    out: list = []
     try:
-        code = args.func(args, out)
+        lines, checks = args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (SemanticError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
-    print("\n".join(out))
-    return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    print("\n".join(lines))
+    return EXIT_OK if passed(checks) else EXIT_FAIL

@@ -81,14 +81,13 @@ def local_invariance_residual(S: Superoperator, rep_x: RepSpec,
 
 def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
                      modes_x: ProcessModeBasis,
-                     modes_y: ProcessModeBasis,
-                     tol: float = 1e-10) -> GaugedProcess:
+                     modes_y: ProcessModeBasis) -> GaugedProcess:
     """Insert the charge-lambda link coupling into a globally symmetric
     bipartite element chi = sum_j Phi^lam_{x,j} (x) Phi^{lam*}_{y,j},
     producing sum_j Phi^lam_{x,j} (x) A_lam (x) Phi^{lam*}_{y,j} on
     A_x (x) link (x) A_y, with A_lam(sigma) = L_lam sigma on the link.
     Raises ValueError unless chi carries charge lam at x and -lam at y (to
-    tol relative to |chi|); the mode bases give the reps."""
+    1e-10 relative to |chi|); the mode bases give the reps."""
     rep_x, rep_y = modes_x.rep_in, modes_y.rep_in
     if rep_x.kind != ZN or rep_y.kind != ZN:
         raise ValueError("gauging is implemented for Z_N reps")
@@ -103,7 +102,7 @@ def gauge_2symmetric(chi: Superoperator, lam: int, frame: LinkFrame,
     omega = np.exp(2j * np.pi * lam / N)
     for gx, gy, phase in ((1, 0, omega), (0, 1, np.conj(omega))):
         U = _local_action(rep_x, rep_y, 1, gx, gy).transfer()
-        if np.linalg.norm(U.conjugate(K) - phase * K) > tol * chi.norm():
+        if np.linalg.norm(U.conjugate(K) - phase * K) > 1e-10 * chi.norm():
             raise ValueError("element is not globally symmetric with charge "
                              f"{lam} at x and {(-lam) % N} at y")
     # insert the coupling: the transfer of sigma -> L_lam sigma on the link
@@ -139,10 +138,9 @@ def gauge_fix(G: GaugedProcess, h1: int, h2: int) -> Superoperator:
                          fixed.reshape(G.superop.transfer.shape))
 
 
-def gauge_fix_stabilizer(G: GaugedProcess, h1: int, h2: int,
-                         tol: float = 1e-10) -> list:
+def gauge_fix_stabilizer(G: GaugedProcess, h1: int, h2: int) -> list:
     """All pairs g = (g_x, g_y) that leave the gauge-fixed element invariant
-    to tol.  The fixed element is one link block E (output link digits h2,
+    to 1e-10.  The fixed element is one link block E (output link digits h2,
     input digits h1), and g moves it to the digits (g_x + h2 - g_y,
     g_x + h1 - g_y).  For g_x != g_y those entries are disjoint from E's, so
     the defect is sqrt(2) ||E||; a pair (g, g) leaves the link alone and
@@ -153,9 +151,9 @@ def gauge_fix_stabilizer(G: GaugedProcess, h1: int, h2: int,
     E = G.superop.transfer.reshape((rep_x.dim, N, rep_y.dim) * 4)[at]
     K = _canonical(Superoperator(d, d, E.reshape(d * d, d * d)), rep_x,
                    rep_y).transfer
-    moved = np.sqrt(2) * np.linalg.norm(K) <= tol
+    moved = np.sqrt(2) * np.linalg.norm(K) <= 1e-10
     fixed = [np.linalg.norm(_local_action(rep_x, rep_y, 1, g, g).transfer()
-                            .conjugate(K) - K) <= tol for g in range(N)]
+                            .conjugate(K) - K) <= 1e-10 for g in range(N)]
     return [(gx, gy) for gx in range(N) for gy in range(N)
             if (fixed[gx] if gx == gy else moved)]
 
@@ -419,8 +417,6 @@ def build_gauged_lattice(Lx: int = 2, Ly: int = 2, N: int = 3) -> GaugedLattice:
                 links.append(((x, y), tgt))
     ns, nl = len(sites), len(links)
     dim = 2 ** ns * N ** nl
-    if dim > 2 ** 4 * 4 ** 4:
-        raise ValueError("total Hilbert dimension exceeds the guard")
 
     # per-basis-index digit tables (sites most significant, then links)
     shape = (2,) * ns + (N,) * nl
@@ -472,15 +468,15 @@ class FreeStateVerdict:
     twirl_distance: float
 
 
-def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
-                     tol: float = 1e-10) -> FreeStateVerdict:
-    """Is rho invariant under the exact local-group twirl?  (The dynamics
-    check is ``GaugedLattice.dynamics_commutation_defects``.)  The distance
-    ||rho - twirl(rho)|| counts the entries between two number classes as
-    they stand, since the twirl zeroes them, and inside each class the
-    residual conj(v) x - mean(conj(v) x) along every gauge orbit.  The
-    squares are summed directly: ||rho||^2 - ||twirl(rho)||^2 would cancel
-    to about 1e-10 at rho = I/d."""
+def free_state_check(lattice: GaugedLattice,
+                     rho: np.ndarray) -> FreeStateVerdict:
+    """Is rho invariant under the exact local-group twirl, to a distance
+    ||rho - twirl(rho)|| of 1e-10?  (The dynamics check is
+    ``GaugedLattice.dynamics_commutation_defects``.)  The distance counts the
+    entries between two number classes as they stand, since the twirl zeroes
+    them, and inside each class the residual conj(v) x - mean(conj(v) x)
+    along every gauge orbit.  The squares are summed directly:
+    ||rho||^2 - ||twirl(rho)||^2 would cancel to about 1e-10 at rho = I/d."""
     rho = lattice._density(rho)
     # squared norm of every (site block, site block) pair of link blocks
     S = 2 ** len(lattice.sites)
@@ -495,4 +491,4 @@ def free_state_check(lattice: GaugedLattice, rho: np.ndarray,
         sq += x @ x
         del x  # freed before the next class's gather
     dist = float(np.sqrt(sq))
-    return FreeStateVerdict(dist <= tol, dist)
+    return FreeStateVerdict(dist <= 1e-10, dist)

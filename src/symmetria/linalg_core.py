@@ -280,17 +280,17 @@ def check_cptp(S: Superoperator, psd_tol: float = PSD_TOL, tp_tol: float = TP_TO
                       bool(rep.is_tp[0]))
 
 
-def kraus_of_choi(S: Superoperator, psd_tol: float = PSD_TOL) -> list[CMatrix]:
+def kraus_of_choi(S: Superoperator) -> list[CMatrix]:
     """Extract a Kraus set {A_k} from a CP Choi matrix.
 
-    Eigenvalues in [-psd_tol, 0) are clipped to zero; anything more negative
-    is an error rather than silently clipped.
+    A Hermiticity defect above PSD_TOL is an error, and so is an eigenvalue
+    below -PSD_TOL; eigenvalues in [-PSD_TOL, 0) are clipped to zero.
     """
     J = (S.choi + S.choi.conj().T) / 2
-    if np.linalg.norm(S.choi - J) > psd_tol:
+    if np.linalg.norm(S.choi - J) > PSD_TOL:
         raise ValueError("Choi matrix is not Hermitian; map is not CP")
     w, V = np.linalg.eigh(J)
-    if w[0] < -psd_tol:
+    if w[0] < -PSD_TOL:
         raise ValueError(f"Choi matrix has negative eigenvalue {w[0]:.3e}; map is not CP")
     w = np.clip(w, 0.0, None)
     ops = []

@@ -537,7 +537,7 @@ def twirl(S: Superoperator, quadrature: HaarQuadrature,
     return project_isotypic(S, trivial, quadrature, rep_in, rep_out)
 
 
-def is_symmetric(S: Superoperator, basis: ProcessModeBasis, tol: float = 1e-10) -> bool:
-    """``ModeCoefficients.is_symmetric`` without decompose's residual."""
+def is_symmetric(S: Superoperator, basis: ProcessModeBasis) -> bool:
+    """``ModeCoefficients.is_symmetric()`` without decompose's residual."""
     values = _mode_values(S.transfer, basis)
-    return ModeCoefficients(basis, values, 0.0).is_symmetric(tol)
+    return ModeCoefficients(basis, values, 0.0).is_symmetric()

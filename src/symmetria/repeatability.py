@@ -258,15 +258,15 @@ def measure_prepare_form(P: Protocol) -> MeasurePrepareForm:
     return MeasurePrepareForm(profile, rotated_target(P, np.arange(D)), worst)
 
 
-def broadcast_check(sigmas, tol: float = 1e-10) -> bool:
+def broadcast_check(sigmas) -> bool:
     """True iff the ladder references can be broadcast.  A protocol's Delta
     powers are powers of one shift, so they commute for every protocol; the
-    verdict is whether all supplied reference states commute pairwise, i.e.
-    share the frame eigenbasis up to degeneracy."""
+    verdict is whether all supplied reference states commute pairwise (to
+    1e-10), i.e. share the frame eigenbasis up to degeneracy."""
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
     for i in range(len(sigmas)):
         for j in range(i + 1, len(sigmas)):
             if np.linalg.norm(sigmas[i] @ sigmas[j]
-                              - sigmas[j] @ sigmas[i]) > tol:
+                              - sigmas[j] @ sigmas[i]) > 1e-10:
                 return False
     return True

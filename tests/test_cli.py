@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
+import ast
 import copy
 import json
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -493,6 +495,128 @@ def test_channel_file_field_of_a_wrong_type_is_refused(tmp_path, capsys,
     assert err.strip() and "Traceback" not in err
     if code == 2:  # the message names the field
         assert repr([key for key in path if isinstance(key, str)][-1]) in err
+
+
+def _through(name, edit):
+    """A patch of the name ``cli`` reads whose results pass through edit."""
+    def patch(monkeypatch):
+        from symmetria import cli
+        call = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **k: edit(call(*a, **k)))
+    return patch
+
+
+def _last_round_drifts(rep):
+    last = replace(rep.rounds[-1], choi_distance_to_first=1.0)
+    return replace(rep, rounds=rep.rounds[:-1] + (last,))
+
+
+def _gauged_hamiltonian_is_free(monkeypatch):
+    from symmetria.gauge import GaugedLattice
+    free = GaugedLattice.hamiltonian
+    monkeypatch.setattr(GaugedLattice, "hamiltonian",
+                        lambda self, gauged=True: free(self, gauged=False))
+
+
+def _wilson_loops_are_link_clocks(monkeypatch):
+    # the clock of link 0 and its inverse: diagonal, not gauge invariant
+    import numpy as np
+    from symmetria.gauge import GaugedLattice
+    monkeypatch.setattr(GaugedLattice, "wilson_phases", property(
+        lambda self: tuple(np.exp(s * 2j * np.pi * self._linkval[0] / self.N)
+                           for s in (1, -1))))
+
+
+_CATALYTIC = ["catalytic", "--ladder", "8", "--rounds", "3"]
+_GAUGE = ["gauge", "--n", "3", "--trials", "2", "--lattice", "2x2"]
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (["decompose", "fixtures/dephasing.json"],
+     _through("decompose", lambda c: replace(c, residual=1.0))),
+    (["table"], _through("axial_table", lambda rows: [
+        replace(rows[0], reconstruction_residual=1.0), *rows[1:]])),
+    (_CATALYTIC, _through("sequential_use", _last_round_drifts)),
+    (_CATALYTIC, _through("measure_prepare_form",
+                          lambda mp: replace(mp, max_x_residual=1.0))),
+    (_GAUGE, _through("gauge_2symmetric",
+                      lambda G: replace(G, invariance_residual=1.0))),
+    (_GAUGE, _gauged_hamiltonian_is_free),
+    (_GAUGE, _wilson_loops_are_link_clocks),
+], ids=["decompose-residual", "table-row-residual", "catalytic-round-drift",
+        "catalytic-x-residual", "gauge-invariance", "gauge-h-gauged",
+        "gauge-wilson"])
+def test_a_figure_above_its_tolerance_exits_1(monkeypatch, argv, patch):
+    from test_golden_cli import _NUMBER, run
+
+    passed = run(argv)
+    assert passed["code"] == 0, passed["stderr"]
+    patch(monkeypatch)
+    failed = run(argv)
+    assert failed["code"] == 1 and failed["stderr"] == ""
+    # every usual line is printed; only figures and the verdict differ
+    want = passed["stdout"].replace("verdict: pass", "verdict: fail")
+    assert _NUMBER.sub("#", failed["stdout"]) == _NUMBER.sub("#", want)
+    if argv[0] in ("catalytic", "gauge"):
+        assert failed["stdout"].endswith("\nverdict: fail\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--allow-nonphysical"]])
+def test_bipartite_on_a_non_invariant_channel_exits_1(flags):
+    # a seeded random CPTP channel, unpatched
+    r = run_cli("bipartite", str(GOLDEN_CHANNELS / "qubits-random.json"),
+                *flags)
+    assert r.returncode == 1 and r.stderr == ""
+    last = r.stdout.splitlines()[-1]
+    assert last.startswith("non-invariant residual: ")
+    assert float(last.split(": ")[1]) > 1e-10
+
+
+def test_commands_without_checks_exit_0_whatever_they_print(monkeypatch):
+    from test_golden_cli import run
+
+    # polar's sphere warning and fit residual are reported, not checked
+    patch = _through("polar_decompose", lambda pd: replace(
+        pd, fit_residual=1.0,
+        orbit_point=replace(pd.orbit_point, warning=True)))
+    patch(monkeypatch)
+    polar = run(["polar", "fixtures/dephasing.json"])
+    assert polar["code"] == 0 and polar["stderr"] == ""
+    assert "warning: residual above sphere tolerance" in polar["stdout"]
+    assert "fit residual: 1\n" in polar["stdout"]
+    # a scan with points outside the CPTP region
+    region = run(["region", "--kind", "relational", "--grid", "3"])
+    assert region["code"] == 0 and region["stderr"] == ""
+    assert {row[-1] for row in region["stdout"].split()[1:]} == {"0", "1"}
+
+
+def _verdict_code_reads(source: str) -> list:
+    """(top-level definition or None, line) of each read of EXIT_OK or
+    EXIT_FAIL, as a name or an attribute."""
+    return [(getattr(top, "name", None), node.lineno)
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if getattr(node, "id", getattr(node, "attr", None))
+            in ("EXIT_OK", "EXIT_FAIL") and isinstance(node.ctx, ast.Load)]
+
+
+def test_verdict_code_scan_flags_names_and_attributes():
+    source = ("EXIT_OK = 0\n"
+              "def cmd(args):\n    return cli.EXIT_FAIL\n"
+              "def main():\n    return EXIT_OK if ok else EXIT_FAIL\n"
+              "code = EXIT_OK\n")
+    assert _verdict_code_reads(source) == [("cmd", 3), ("main", 5),
+                                           ("main", 5), (None, 6)]
+
+
+def test_only_main_reads_the_verdict_exit_codes():
+    # the commands return their checks, and main alone turns them into 0 or
+    # 1, so no command decides its own exit code
+    import symmetria
+
+    hits = {path.name: _verdict_code_reads(path.read_text())
+            for path in sorted(Path(symmetria.__file__).parent.glob("*.py"))}
+    assert {(name, owner) for name, reads in hits.items()
+            for owner, _ in reads} == {("cli.py", "main")}
 
 
 def test_gauge_lattice_modulus_below_two_names_the_modulus():

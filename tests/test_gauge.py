@@ -515,6 +515,27 @@ def test_lattice_refusals_name_their_cause():
         build_gauged_lattice(2, 2, 5)
 
 
+def test_the_desk_scale_guard_bounds_the_lattice_dimension():
+    # at most 4 sites and 4 links pass the guard, so no admitted lattice
+    # exceeds 2^4 * 4^4 = 4,096 states
+    dims = {}
+    for Lx in range(1, 6):
+        for Ly in range(1, 6):
+            for n in range(2, 6):
+                try:
+                    lat = build_gauged_lattice(Lx, Ly, n)
+                except ValueError as e:
+                    assert "desk-scale" in str(e)
+                    assert Lx * Ly > 4 or n > 4
+                    continue
+                assert len(lat.sites) <= 4 and len(lat.links) <= 4
+                dims[Lx, Ly, n] = lat.dim
+    assert len(dims) == 8 * 3
+    assert max(dims.values()) == 4096
+    assert {k for k, d in dims.items() if d == 4096} == {(1, 4, 4), (4, 1, 4),
+                                                          (2, 2, 4)}
+
+
 def test_dynamics_defects_refuse_mismatched_shapes():
     lat = build_gauged_lattice(2, 1, 2)  # d = 8
     psi = np.ones(8) / np.sqrt(8)

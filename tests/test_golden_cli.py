@@ -1,10 +1,12 @@
 """Golden CLI outputs: the README command set, decompose/polar/bipartite
 on every fixture and decompose on the channels beside the golden file (a
 hand-written Z_3 carrier, a hand-written spin-1 (+) spin-1/2 carrier and a
-seeded random Z_7 channel on charges 0..5, whose table has 1,296 modes),
-compared numerically with outputs captured before the superoperator storage
-refactor (the two hand-written channels: before the ITO bases became one
-array; the Z_7 channel: before the tables were formatted in array passes).
+seeded random Z_7 channel on charges 0..5, whose table has 1,296 modes) and
+bipartite on a seeded random two-qubit channel, compared numerically with
+outputs captured before the superoperator storage refactor (the two
+hand-written channels: before the ITO bases became one array; the Z_7
+channel: before the tables were formatted in array passes; the two-qubit
+channel: before the commands returned their checks to ``main``).
 
 From the repository root,
 
@@ -41,7 +43,8 @@ CHANNELS = ("tests/golden/z3-rotation.json", "tests/golden/spin1-half.json",
 
 # README usage block, then each fixture through decompose/polar/bipartite
 # (the README's decompose and polar fixtures are not repeated), then
-# decompose on each hand-written channel
+# decompose on each hand-written channel, then bipartite on a seeded random
+# two-qubit channel (a failed check: exit 1)
 COMMANDS = (
     ["table", "--p", "0.3", "--angle", "0.7"],
     ["bipartite"],
@@ -53,7 +56,8 @@ COMMANDS = (
     ["gauge", "--n", "4", "--lattice", "2x2", "--lattice-n", "3"],
     ["gauge", "--n", "8", "--trials", "3", "--lattice", "1x2"],
 ) + tuple([cmd, f] for cmd in ("decompose", "polar", "bipartite")
-          for f in FIXTURES) + tuple(["decompose", f] for f in CHANNELS)
+          for f in FIXTURES) + tuple(["decompose", f] for f in CHANNELS) + (
+    ["bipartite", "tests/golden/qubits-random.json"],)
 
 TOL = 1e-12
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
