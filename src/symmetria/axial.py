@@ -25,7 +25,7 @@ from .groups import (SU2, GroupElement, IrrepLabel, RepSpec, cg_block,
                      cg_rows, dual_sign_permutation, wigner_D)
 from .linalg_core import (Superoperator, choi_of, depolarizing_channel, kron,
                           unitary_channel, vec)
-from .process_modes import (Diagram, ModeCoefficients, ProcessModeBasis,
+from .process_modes import (ModeCoefficients, ProcessModeBasis,
                             _mode_values, build_canonical_modes, decompose)
 
 POINT = "point"          # symmetric process: orbit is a single point
@@ -138,9 +138,6 @@ class PolarData:
     invariants: dict = field(default_factory=dict)  # Diagram -> complex
     orbit_point: OrbitPoint = OrbitPoint(POINT)
     fit_residual: float = 0.0
-
-    def amplitude(self, diagram: Diagram) -> complex:
-        return self.invariants.get(diagram, 0.0 + 0.0j)
 
 
 def _family_coeffs(values: np.ndarray, basis: ProcessModeBasis):

@@ -22,16 +22,20 @@ import numpy as np
 
 from .groups import (ZN, GroupElement, IrrepLabel, RepSpec, cg_block,
                      rep_matrix)
-from .linalg_core import (TP_TOL, CptpReport, Superoperator, conjugate,
-                          cptp_report, kron, unitary_channel, vec)
+from .linalg_core import (CptpReport, Superoperator, conjugate, cptp_report,
+                          kron, unitary_channel, vec)
 from .process_modes import (Diagram, ProcessModeBasis, _mode_values,
                             _transfer_of, build_canonical_modes, check_budget)
 
 LOCAL = "local"
 INJECTION = "injection"
 RELATIONAL = "relational"
+# Each region family's theta terms, in the order its channel adds them
+_FAMILY_TERMS = {INJECTION: ("theta1", "theta2", "theta3"),
+                 RELATIONAL: ("theta4", "theta5", "theta6", "theta7", "theta8")}
 
 BOUNDARY_TOL = 1e-9  # slack on the analytic injection-region boundary
+REGION_PSD_TOL = 1e-8  # CP slack of the region scans' minimum eigenvalue
 
 
 @dataclass(frozen=True)
@@ -328,12 +332,17 @@ def two_qubit_catalog() -> TwoQubitCatalog:
     return TwoQubitCatalog()
 
 
+def _family_channel(kind: str, coeffs) -> Superoperator:
+    """E0 plus each of the family's Phi_theta times its coefficient."""
+    cat = two_qubit_catalog()
+    return sum((c * cat.phi(name) for name, c in zip(_FAMILY_TERMS[kind],
+                                                     coeffs)), cat.e0)
+
+
 def injection_channel(x: float, y: float, z: float) -> Superoperator:
     """E = E0 + x Phi_theta1 + y Phi_theta2 + z Phi_theta3: discard-and-
     reprepare with asymmetry injected into A."""
-    cat = two_qubit_catalog()
-    return (cat.e0 + x * cat.phi("theta1") + y * cat.phi("theta2")
-            + z * cat.phi("theta3"))
+    return _family_channel(INJECTION, (x, y, z))
 
 
 def injection_bloch_formula(x, y, z, a, b, T):
@@ -367,8 +376,7 @@ def injection_region_test(x: float, y: float, z: float) -> RegionVerdict:
     versus the numeric CPTP verdict on the assembled channel."""
     X, Y, Z = injection_coords(x, y, z)
     inside = (X * X + Z * Z <= Y + BOUNDARY_TOL) and (2.0 + X - Y >= -BOUNDARY_TOL)
-    rep = region_scan(INJECTION, *np.array([[x], [y], [z]], dtype=float),
-                      psd_tol=1e-8, tp_tol=1e-8)
+    rep = region_scan(INJECTION, *np.array([[x], [y], [z]], dtype=float))
     return RegionVerdict(inside, bool(rep.is_cptp[0]),
                          float(rep.min_choi_eigenvalue[0]), (X, Y, Z))
 
@@ -376,10 +384,7 @@ def injection_region_test(x: float, y: float, z: float) -> RegionVerdict:
 def relational_channel(x4: float, x5: float, x6: float, x7: float,
                        x8: float) -> Superoperator:
     """E = E0 + x4 Phi_theta4 + ... + x8 Phi_theta8."""
-    cat = two_qubit_catalog()
-    return sum((c * cat.phi(name) for name, c in zip(
-        ("theta4", "theta5", "theta6", "theta7", "theta8"),
-        (x4, x5, x6, x7, x8))), cat.e0)
+    return _family_channel(RELATIONAL, (x4, x5, x6, x7, x8))
 
 
 def relational_r_matrix(name: str, a, b, T) -> np.ndarray:
@@ -417,45 +422,44 @@ def _region_blocks(kind: str, x: np.ndarray, y: np.ndarray, z: np.ndarray):
     Frobenius norms of the whole J - J^dag of the injection channels E0
     + x Phi_theta1 + y Phi_theta2 + z Phi_theta3 or of the swap-invariant
     relational channels E0 + x Phi_theta4 + y Phi_theta5 + z Phi_theta8 at
-    the points (x[i], y[i], z[i]).  The terms are added in the order
-    ``injection_channel`` and ``relational_channel`` add them, zero-weight
+    the points (x[i], y[i], z[i]).  The terms are added in the order of
+    ``_FAMILY_TERMS``, as the per-point channels add them, zero-weight
     theta6 and theta7 included, so each block is bit-identical to the
     zero-weight block of the per-point channel's Choi matrix.  Every
     Phi_theta's partial trace over the output is exactly zero (it carries
     no trace), so the one partial trace, e0's, is every point's."""
     if kind == INJECTION:
-        names, coeffs = ("theta1", "theta2", "theta3"), (x, y, z)
+        coeffs = (x, y, z)
     elif kind == RELATIONAL:
         zero = np.zeros_like(x)
-        names = ("theta4", "theta5", "theta6", "theta7", "theta8")
-        coeffs = (x, y, zero, zero, z)
+        coeffs = (x, y, zero, zero, z)  # as ``swap_invariant_relational``
     else:
         raise ValueError(f"unknown region kind {kind!r}")
     terms = two_qubit_catalog().region_terms
     B, T, _ = terms["e0"]
-    for name, c in zip(names, coeffs):
+    for name, c in zip(_FAMILY_TERMS[kind], coeffs):
         B = B + c[:, None, None] * terms[name][0]
     # ||J - J^dag||^2 = c^T G c over the coefficients (1, c...), with G the
     # Gram matrix of the terms' anti-Hermitian parts (theta6 and theta7 are
     # not Hermitian; the others only to rounding)
-    A = np.array([terms[name][2] for name in ("e0",) + names])
+    A = np.array([terms[name][2] for name in ("e0",) + _FAMILY_TERMS[kind]])
     C = np.stack((np.ones_like(x),) + coeffs, axis=1)
     herm = np.einsum("ns,st,nt->n", C, (A.conj() @ A.T).real, C)
     return B, T, np.sqrt(np.maximum(herm, 0.0))
 
 
-def region_scan(kind: str, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                psd_tol: float, tp_tol: float = TP_TOL) -> CptpReport:
+def region_scan(kind: str, x: np.ndarray, y: np.ndarray,
+                z: np.ndarray) -> CptpReport:
     """CPTP figures of a region family at the points (x[i], y[i], z[i]):
-    arrays of minimum Choi eigenvalues and verdicts, from one batched 6 x 6
-    eigensolve of the zero-weight Choi blocks (see ``_ZERO_WEIGHT``).  A
-    NaN or infinite coordinate is refused (ValueError) before the solve."""
+    arrays of minimum Choi eigenvalues and verdicts (CP to REGION_PSD_TOL),
+    from one batched 6 x 6 eigensolve of the zero-weight Choi blocks (see
+    ``_ZERO_WEIGHT``); a NaN or infinite coordinate is a ValueError."""
     for name, c in zip("xyz", (x, y, z)):
         finite = np.isfinite(c)
         if not finite.all():
             raise ValueError(f"region coordinate {name} = "
                              f"{c[~finite][0]} is not finite")
-    return cptp_report(*_region_blocks(kind, x, y, z), psd_tol, tp_tol)
+    return cptp_report(*_region_blocks(kind, x, y, z), REGION_PSD_TOL)
 
 
 def relational_quartics(x: float, y: float, z: float):
@@ -525,6 +529,6 @@ def two_qubit_product_rep() -> RepSpec:
     Q = cg_block(1, 1).toarray().T.astype(complex)
     return RepSpec(
         "su2",
-        ((IrrepLabel.su2(0), 1), (IrrepLabel.su2(2), 1)),
+        (IrrepLabel.su2(0), IrrepLabel.su2(2)),
         intertwiner=Q,
     )

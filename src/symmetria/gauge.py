@@ -185,6 +185,12 @@ class GaugedLattice:
     def dim(self) -> int:
         return 2 ** len(self.sites) * self.N ** len(self.links)
 
+    @cached_property
+    def number_class(self) -> np.ndarray:
+        """The number class n mod N of each site block: block a holds the
+        indices whose site digits are the bits of a, so n is a's bit count."""
+        return self._occ[:, ::self.dim >> len(self.sites)].sum(axis=0) % self.N
+
     def _monomial_action(self, charges) -> Monomial:
         """The local-group unitary for a charge tuple: link (x -> y) shifts
         by g_x - g_y, and site x contributes the phase omega^(g_x n_x)."""
@@ -382,10 +388,9 @@ class GaugedLattice:
         orbit = shift[:, np.unique(shift.min(axis=0))]
         E = np.exp(2j * np.pi * (g @ g.T % N) / N)
         pairs = (orbit[:, :, None] * d + shift[:, None]).reshape(len(g), -1)
-        number = self._occ[:, ::L].sum(axis=0) % N
         classes = []
         for c in range(N):
-            blocks = np.flatnonzero(number == c)
+            blocks = np.flatnonzero(self.number_class == c)
             if len(blocks):
                 corner = blocks[:, None] * (L * d) + blocks * L
                 classes.append(((blocks[:, None] * L + np.arange(L)).ravel(),
@@ -483,7 +488,7 @@ def free_state_check(lattice: GaugedLattice,
     L = lattice.dim // S
     X = rho.view(float).reshape(S, L, S, 2 * L)
     pairs = np.einsum("aibj,aibj->ab", X, X)
-    number = lattice._occ[:, ::L].sum(axis=0) % lattice.N
+    number = lattice.number_class
     sq = pairs[number[:, None] != number].sum()
     for _, _, x in lattice._orbit_gathers(rho):
         x -= x.mean(axis=0)

@@ -107,12 +107,6 @@ class GroupElement:
     def zn(g: int, modulus: int) -> "GroupElement":
         return GroupElement(ZN, g=g, modulus=modulus)
 
-    @staticmethod
-    def identity(kind: str, modulus: int = 0) -> "GroupElement":
-        if kind == SU2:
-            return GroupElement.su2(0.0, 0.0, 0.0)
-        return GroupElement.zn(0, modulus)
-
 
 @lru_cache(maxsize=None)
 def _fact(n: int) -> int:
@@ -154,18 +148,6 @@ def wigner_d(two_j: int, betas) -> np.ndarray:
     w, V, Vh, _ = _jy_eigensystem(two_j)
     phases = np.exp(-1j * np.asarray(betas, dtype=float)[:, None, None] * w)
     return ((V * phases) @ Vh).real
-
-
-def mode_matrix(j: IrrepLabel, g: GroupElement) -> np.ndarray:
-    """Coefficient matrix V(g) of the adjoint action on tensor components.
-
-    Irreducible tensor families built here satisfy the column-form law
-    U_g T_k U_g^dag = sum_j D(g)_{jk} T_j, i.e. T_k picks up column k of the
-    Wigner matrix.  Read as "T_k -> sum_j V_{kj} T_j" this is V(g) = D(g)^T,
-    which composes contravariantly (V(g1 g2) = V(g2) V(g1)) as required for
-    a conjugation action.
-    """
-    return wigner_D(j, g).T
 
 
 def dual_sign_permutation(j: IrrepLabel) -> np.ndarray:
@@ -414,17 +396,14 @@ class RepSpec:
     intertwiner unitary applied after the block-diagonal canonical form."""
 
     kind: str
-    blocks: tuple  # tuple of (IrrepLabel, multiplicity)
+    blocks: tuple  # of IrrepLabel, one per block (an irrep in two blocks twice)
     intertwiner: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("a rep needs at least one irrep block")
-        for lab, mult in self.blocks:
-            if lab.kind != self.kind:
-                raise ValueError("block irrep kind mismatch")
-            if mult <= 0:
-                raise ValueError("multiplicities must be positive")
+        if any(lab.kind != self.kind for lab in self.blocks):
+            raise ValueError("block irrep kind mismatch")
         if self.intertwiner is not None:
             Q = np.asarray(self.intertwiner, dtype=complex)
             if Q.shape != (self.dim, self.dim):
@@ -435,43 +414,40 @@ class RepSpec:
 
     @staticmethod
     def su2_spins(two_js, intertwiner=None) -> "RepSpec":
-        return RepSpec(SU2, tuple((IrrepLabel.su2(t), 1) for t in two_js),
+        return RepSpec(SU2, tuple(IrrepLabel.su2(t) for t in two_js),
                        intertwiner=intertwiner)
 
     @staticmethod
     def zn_charges(charges, modulus: int, intertwiner=None) -> "RepSpec":
-        return RepSpec(ZN, tuple((IrrepLabel.zn(c, modulus), 1) for c in charges),
+        return RepSpec(ZN, tuple(IrrepLabel.zn(c, modulus) for c in charges),
                        intertwiner=intertwiner)
 
     @property
     def dim(self) -> int:
-        return sum(lab.dim * mult for lab, mult in self.blocks)
+        return sum(lab.dim for lab in self.blocks)
 
     @property
     def modulus(self) -> int:
         if self.kind != ZN:
             raise ValueError("modulus only defined for Z_N reps")
-        return self.blocks[0][0].modulus
+        return self.blocks[0].modulus
 
     def irrep_blocks(self):
-        """Yield (IrrepLabel, block_index, offset) for each irrep copy."""
+        """Yield (IrrepLabel, block_index, offset) for each block."""
         off = 0
-        idx = 0
-        for lab, mult in self.blocks:
-            for _ in range(mult):
-                yield lab, idx, off
-                idx += 1
-                off += lab.dim
+        for idx, lab in enumerate(self.blocks):
+            yield lab, idx, off
+            off += lab.dim
 
 
 def rep_matrix(R: RepSpec, g: GroupElement) -> np.ndarray:
     """Unitary representation matrix: block-diagonal canonical form,
-    conjugated by the intertwiner if present.  A rep of one irrep copy and
-    no intertwiner is its Wigner matrix, returned as built."""
+    conjugated by the intertwiner if present.  A rep of one block and no
+    intertwiner is its Wigner matrix, returned as built."""
     if R.kind != g.kind:
         raise ValueError("group kind mismatch")
-    if R.intertwiner is None and len(R.blocks) == 1 and R.blocks[0][1] == 1:
-        return wigner_D(R.blocks[0][0], g)
+    if R.intertwiner is None and len(R.blocks) == 1:
+        return wigner_D(R.blocks[0], g)
     blocks = []
     for lab, _, _ in R.irrep_blocks():
         blocks.append(wigner_D(lab, g))

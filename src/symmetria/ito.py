@@ -15,7 +15,7 @@ satisfying the column-form covariance law
 For Z_N every block is one-dimensional with charge c and |b1><b2| is itself
 an ITO of charge c1 - c2.
 
-The global phase of each (lam, multiplicity) family makes the first nonzero
+The global phase of each (lam, (b2, b1)) family makes the first nonzero
 entry (row-major) of its highest-k component real positive.  That entry is
 <j1 j1; j2 lam-j1 | lam lam> (-1)^(j1+j2-lam) at |b1,j1><b2,j1-lam|, and the
 Condon-Shortley coefficient is positive, so the family sign is the closed
@@ -91,7 +91,7 @@ def build_itos(rep: RepSpec) -> ITOBasis:
 
 def state_mode_project(rho: np.ndarray, basis: ITOBasis, lam: IrrepLabel) -> np.ndarray:
     """Orthogonal projection of rho onto the lam asymmetry mode:
-    rho^lam = sum_{mult,k} T tr(T^dag rho)."""
+    rho^lam = sum_{(b2, b1),k} T tr(T^dag rho)."""
     kept = np.repeat([key == lam for key, _ in basis.families],
                      [key.dim for key, _ in basis.families])
     if not kept.any():

@@ -154,8 +154,8 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class CptpReport:
-    """CPTP figures of one channel (floats and bools) or of a stack of
-    channels (arrays of them, from ``check_cptp_stack``)."""
+    """CPTP figures of one channel (floats and bools, from ``check_cptp``)
+    or of a stack of channels (arrays of them, from ``cptp_report``)."""
 
     min_choi_eigenvalue: float
     trace_defect: float
@@ -238,13 +238,13 @@ class Monomial:
 
 
 def cptp_report(J: np.ndarray, tr_out: np.ndarray, herm_defect=None,
-                psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> CptpReport:
+                psd_tol: float = PSD_TOL) -> CptpReport:
     """CP/TP verdicts of a stack of channels from one batched Hermitian
     eigensolve: J[n] is a Choi matrix (or a block of it that holds every
     eigenvalue), tr_out[n] its partial trace over the output factor (or one
     matrix, the partial trace of every J[n]) and herm_defect[n] the
     Frobenius norm of the whole Choi matrix's J - J^dag, J's own if None.
-    The report's fields are length-n arrays."""
+    The report's fields are length-n arrays; TP is a trace defect <= TP_TOL."""
     Jh = J.conj().swapaxes(-1, -2)
     if herm_defect is None:
         # Frobenius norms of J - J^dag over its real and imaginary parts
@@ -260,21 +260,16 @@ def cptp_report(J: np.ndarray, tr_out: np.ndarray, herm_defect=None,
                                   axis=(-2, -1))
     trace_defect = np.broadcast_to(trace_defect, min_eig.shape)
     return CptpReport(min_eig, trace_defect, min_eig >= -psd_tol,
-                      trace_defect <= tp_tol)
+                      trace_defect <= TP_TOL)
 
 
-def check_cptp_stack(J: np.ndarray, dim_in: int, dim_out: int,
-                     psd_tol: float = PSD_TOL,
-                     tp_tol: float = TP_TOL) -> CptpReport:
-    """CP/TP verdicts of a stack of Choi matrices J[n] (``cptp_report``)."""
-    # partial trace over the output factor
-    tr_out = np.einsum("nijil->njl", J.reshape(-1, dim_out, dim_in, dim_out, dim_in))
-    return cptp_report(J, tr_out, None, psd_tol, tp_tol)
-
-
-def check_cptp(S: Superoperator, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> CptpReport:
-    """CP/TP verdict of one channel: ``check_cptp_stack`` on a stack of one."""
-    rep = check_cptp_stack(S.choi[None], S.dim_in, S.dim_out, psd_tol, tp_tol)
+def check_cptp(S: Superoperator) -> CptpReport:
+    """CP/TP verdict of one channel: ``cptp_report`` on a stack of one, with
+    its partial trace over the output factor."""
+    J = S.choi[None]
+    tr_out = np.einsum("nijil->njl", J.reshape(1, S.dim_out, S.dim_in,
+                                               S.dim_out, S.dim_in))
+    rep = cptp_report(J, tr_out)
     return CptpReport(float(rep.min_choi_eigenvalue[0]),
                       float(rep.trace_defect[0]), bool(rep.is_cp[0]),
                       bool(rep.is_tp[0]))

@@ -47,9 +47,9 @@ from .linalg_core import Superoperator, conjugate
 class Diagram:
     """Diagram label of a canonical mode.
 
-    ``a_in``/``a_out`` are (IrrepLabel, multiplicity-index) pairs referring
-    to state-modes of the input/output operator spaces; ``lam`` is the irrep
-    exchanged with the environment.
+    ``a_in``/``a_out`` are ITO family keys (IrrepLabel, (bra block, ket
+    block)) naming state-modes of the input/output operator spaces; ``lam``
+    is the irrep exchanged with the environment.
     """
 
     a_in: tuple
@@ -68,9 +68,9 @@ def _lab(l: IrrepLabel) -> str:
 
 
 def _family_label(key: tuple) -> str:
-    """Text of an ITO family key (IrrepLabel, multiplicity index)."""
-    irrep, m = key
-    return f"{_lab(irrep)}{m}"
+    """Text of an ITO family key (IrrepLabel, (bra block, ket block))."""
+    irrep, blocks = key
+    return f"{_lab(irrep)}{blocks}"
 
 
 def _diagram_label(a_in: str, lam: str, a_out: str) -> str:
@@ -148,7 +148,7 @@ class ProcessModeBasis:
     Mode i is labelled by three read-only integer arrays: ``pair[i]`` is its
     (output family, input family) pair, f_out * len(families[1]) + f_in,
     over the ITO family keys ``families`` = (output keys, input keys), each
-    key (IrrepLabel, multiplicity index); ``lam[i]`` is the irrep it
+    key (IrrepLabel, (bra block, ket block)); ``lam[i]`` is the irrep it
     exchanges (doubled J for SU(2), charge for Z_N); ``k[i]`` its doubled
     component weight (0 for Z_N).  The rows of one diagram are consecutive
     in descending k.  ``diagram_rows`` (the change points of (pair, lam):

@@ -12,7 +12,8 @@ from scipy.linalg import expm
 
 import symmetria
 from symmetria import bipartite
-from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, BipartiteDiagram,
+from symmetria.bipartite import (INJECTION, LOCAL, REGION_PSD_TOL, RELATIONAL,
+                                 BipartiteDiagram,
                                  bell_states, bloch_of_state,
                                  build_symmetric_basis, classify,
                                  decompose_symmetric, diagonal_action,
@@ -28,7 +29,7 @@ from symmetria.bipartite import (INJECTION, LOCAL, RELATIONAL, BipartiteDiagram,
 from symmetria.groups import (SU2, RepSpec, haar_quadrature, random_su2,
                               rep_matrix)
 from symmetria.linalg_core import (Superoperator, apply, check_cptp,
-                                   check_cptp_stack, conjugate,
+                                   conjugate, cptp_report,
                                    depolarizing_channel, random_cptp,
                                    unitary_channel)
 from symmetria.process_modes import (MAX_STACK_BYTES, ProcessModeBasis,
@@ -434,18 +435,25 @@ _SCAN_POINTS = [(x, y, z) for x in _AXIS for y in _AXIS for z in _AXIS] + [
     (0.0, 1.0 / 3.0, 0.0), (1.0, 0.0, 0.0), (0.0, -0.5, 0.3), (0.0, 0.5, 0.3)]
 
 
+def _full_stack_report(J):
+    """The oracle: ``cptp_report`` on the 16 x 16 Choi matrices J[n] and
+    their partial traces over the output, at the region scans' tolerance."""
+    tr_out = np.einsum("nijil->njl", J.reshape(-1, 4, 4, 4, 4))
+    return cptp_report(J, tr_out, None, REGION_PSD_TOL)
+
+
 @pytest.mark.parametrize("kind, channel", [
     (INJECTION, injection_channel), (RELATIONAL, swap_invariant_relational)])
 def test_region_scan_matches_the_per_point_route(kind, channel):
     x, y, z = np.array(_SCAN_POINTS).T
     J = region_choi_stack(kind, x, y, z)
-    rep = region_scan(kind, x, y, z, psd_tol=1e-8)
+    rep = region_scan(kind, x, y, z)
     for i, point in enumerate(_SCAN_POINTS):
         S = channel(*point)
         assert J[i].tobytes() == S.choi.tobytes()
-        one = check_cptp(S, psd_tol=1e-8)
-        assert abs(rep.min_choi_eigenvalue[i] - one.min_choi_eigenvalue) <= 1e-12
-        assert rep.is_cptp[i] == one.is_cptp
+        one = _full_stack_report(S.choi[None])
+        assert abs(rep.min_choi_eigenvalue[i] - one.min_choi_eigenvalue[0]) <= 1e-12
+        assert rep.is_cptp[i] == one.is_cptp[0]
     if kind == RELATIONAL:
         # singlet, E1 and E2 lie on the boundary of the region
         assert np.all(rep.is_cptp[-3:])
@@ -454,7 +462,7 @@ def test_region_scan_matches_the_per_point_route(kind, channel):
 
 def test_injection_region_test_reads_its_row_of_the_scan():
     x, y, z = np.array(_SCAN_POINTS).T
-    rep = region_scan(INJECTION, x, y, z, psd_tol=1e-8, tp_tol=1e-8)
+    rep = region_scan(INJECTION, x, y, z)
     for i, point in enumerate(_SCAN_POINTS):
         v = injection_region_test(*point)
         assert v.min_choi_eig == rep.min_choi_eigenvalue[i]
@@ -467,7 +475,7 @@ def test_region_choi_stack_refuses_an_unknown_kind():
     with pytest.raises(ValueError, match="region kind"):
         region_choi_stack(LOCAL, np.zeros(1), np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError, match="region kind"):
-        region_scan(LOCAL, np.zeros(1), np.zeros(1), np.zeros(1), psd_tol=1e-8)
+        region_scan(LOCAL, np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 _ZW = bipartite._ZERO_WEIGHT
@@ -491,15 +499,13 @@ def test_region_blocks_are_the_gather_of_the_choi_stack(kind):
 
 
 def _assert_scan_matches_the_full_stack(kind, x, y, z):
-    J = region_choi_stack(kind, x, y, z)
-    for tols in ((1e-8, 1e-8), (1e-8, 1e-10)):
-        want = check_cptp_stack(J, 4, 4, *tols)
-        got = region_scan(kind, x, y, z, *tols)
-        for field in ("min_choi_eigenvalue", "trace_defect"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
-        for field in ("is_cp", "is_tp", "is_cptp"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+    want = _full_stack_report(region_choi_stack(kind, x, y, z))
+    got = region_scan(kind, x, y, z)
+    for field in ("min_choi_eigenvalue", "trace_defect"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+    for field in ("is_cp", "is_tp", "is_cptp"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 @pytest.mark.parametrize("kind", [INJECTION, RELATIONAL])
@@ -516,8 +522,8 @@ def test_region_scan_matches_the_full_choi_stack(kind):
 @pytest.mark.parametrize("kind", [INJECTION, RELATIONAL])
 def test_region_scan_penalises_the_full_hermiticity_defect(kind):
     # at huge coordinates the terms' rounding-level anti-Hermitian parts
-    # exceed psd_tol.  The block route takes the defect of the whole Choi
-    # matrix, ||sum_t c_t (J_t - J_t^dag)||, from the terms' Gram matrix;
+    # exceed REGION_PSD_TOL.  The block route takes the defect of the whole
+    # Choi matrix, ||sum_t c_t (J_t - J_t^dag)||, from the terms' Gram matrix;
     # the full stack's figure is the same up to the rounding of its sum,
     # and the penalty and verdicts follow the full stack's
     rng = np.random.default_rng(30)
@@ -608,7 +614,7 @@ def test_every_theta_term_carries_no_partial_trace():
             assert np.all(trace == 0), name
     x, y, z = np.array(_SCAN_POINTS).T
     for kind in (INJECTION, RELATIONAL):
-        rep = region_scan(kind, x, y, z, psd_tol=1e-8)
+        rep = region_scan(kind, x, y, z)
         assert rep.trace_defect.shape == x.shape
         assert np.all(rep.trace_defect == rep.trace_defect[0])
         assert rep.trace_defect[0] <= 1e-15
@@ -622,5 +628,5 @@ def test_region_scan_refuses_a_non_finite_coordinate(kind, bad):
         c[3] = bad
         with pytest.raises(ValueError, match=f"coordinate {name} = {bad} "
                                              "is not finite"):
-            region_scan(kind, x, y, z, psd_tol=1e-8)
+            region_scan(kind, x, y, z)
         c[3] = 0.0

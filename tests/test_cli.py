@@ -122,8 +122,8 @@ def test_region_scan_cost_does_not_grow_with_the_grid(monkeypatch, capsys):
 
 
 def test_region_scan_forms_no_full_choi_stack(monkeypatch, capsys):
-    # both kinds scan the 6 x 6 zero-weight blocks: the 16 x 16 stack and
-    # its general CPTP check, the test oracles, are never reached
+    # both kinds scan the 6 x 6 zero-weight blocks: the 16 x 16 stack, a
+    # test oracle, and the one-channel CPTP check are never reached
     from symmetria import cli
 
     def refuse(*args, **kwargs):
@@ -132,8 +132,8 @@ def test_region_scan_forms_no_full_choi_stack(monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.startswith("symmetria"):
             assert not hasattr(module, "region_choi_stack"), name
-            if hasattr(module, "check_cptp_stack"):
-                monkeypatch.setattr(module, "check_cptp_stack", refuse)
+            if hasattr(module, "check_cptp"):
+                monkeypatch.setattr(module, "check_cptp", refuse)
     for kind, columns in (("injection", 8), ("relational", 5)):
         assert cli.main(["region", "--kind", kind, "--grid", "8"]) == 0
         rows = [ln for ln in capsys.readouterr().out.splitlines()
@@ -527,6 +527,37 @@ def _wilson_loops_are_link_clocks(monkeypatch):
                            for s in (1, -1))))
 
 
+def _nan_on_trial_2(monkeypatch):
+    # a NaN after a finite figure: a running max(worst, x) would drop it
+    from symmetria import cli
+    call, trials = cli.gauge_2symmetric, iter(range(1, 3))
+    monkeypatch.setattr(cli, "gauge_2symmetric", lambda *a: replace(
+        call(*a), invariance_residual=float("nan"))
+        if next(trials) == 2 else call(*a))
+    return ["max local-invariance residual over 2 random elements: nan"]
+
+
+def _last_gauss_commutator_is_nan(monkeypatch):
+    from symmetria.gauge import GaugedLattice
+    commutators = GaugedLattice.gauss_commutators
+
+    def patched(self, M):
+        out = commutators(self, M)
+        out[list(out)[-1]] = float("nan")
+        return out
+    monkeypatch.setattr(GaugedLattice, "gauss_commutators", patched)
+    return ["max Gauss commutator with H_gauged: nan",
+            "min Gauss commutator with H_free: nan",
+            "max Gauss commutator with a Wilson loop: nan"]
+
+
+def _nan_table_row(monkeypatch):
+    _through("axial_table", lambda rows: [rows[0], replace(
+        rows[1], reconstruction_residual=float("nan")), *rows[2:]])(
+            monkeypatch)
+    return ["worst reconstruction residual: nan"]
+
+
 _CATALYTIC = ["catalytic", "--ladder", "8", "--rounds", "3"]
 _GAUGE = ["gauge", "--n", "3", "--trials", "2", "--lattice", "2x2"]
 
@@ -543,20 +574,29 @@ _GAUGE = ["gauge", "--n", "3", "--trials", "2", "--lattice", "2x2"]
                       lambda G: replace(G, invariance_residual=1.0))),
     (_GAUGE, _gauged_hamiltonian_is_free),
     (_GAUGE, _wilson_loops_are_link_clocks),
+    (["table"], _nan_table_row),
+    (_GAUGE, _nan_on_trial_2),
+    (_GAUGE, _last_gauss_commutator_is_nan),
 ], ids=["decompose-residual", "table-row-residual", "catalytic-round-drift",
         "catalytic-x-residual", "gauge-invariance", "gauge-h-gauged",
-        "gauge-wilson"])
+        "gauge-wilson", "table-row-nan", "gauge-invariance-nan-trial-2",
+        "gauge-commutator-nan"])
 def test_a_figure_above_its_tolerance_exits_1(monkeypatch, argv, patch):
     from test_golden_cli import _NUMBER, run
 
+    def masked(text):
+        return re.sub(r"\bnan\b", "#", _NUMBER.sub("#", text))
+
     passed = run(argv)
     assert passed["code"] == 0, passed["stderr"]
-    patch(monkeypatch)
+    nan_lines = patch(monkeypatch) or []
     failed = run(argv)
     assert failed["code"] == 1 and failed["stderr"] == ""
     # every usual line is printed; only figures and the verdict differ
     want = passed["stdout"].replace("verdict: pass", "verdict: fail")
-    assert _NUMBER.sub("#", failed["stdout"]) == _NUMBER.sub("#", want)
+    assert masked(failed["stdout"]) == masked(want)
+    # a NaN figure makes the maximum (or minimum) printed over it NaN
+    assert set(nan_lines) <= set(failed["stdout"].splitlines())
     if argv[0] in ("catalytic", "gauge"):
         assert failed["stdout"].endswith("\nverdict: fail\n")
 

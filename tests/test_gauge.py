@@ -30,7 +30,7 @@ FRAME = LinkFrame(N)
 
 
 def _mode_charge(basis, mode):
-    n = basis.rep_in.blocks[0][0].modulus
+    n = basis.rep_in.blocks[0].modulus
     g = GroupElement.zn(1, n)
     rot = superop_group_action(mode.op, g, basis.rep_in, basis.rep_out)
     phase = hs_inner(mode.op, rot) / hs_inner(mode.op, mode.op)

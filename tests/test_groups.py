@@ -15,7 +15,7 @@ from symmetria.bipartite import two_qubit_product_rep
 from symmetria.groups import (GroupElement, IrrepLabel, LinkFrame, RepSpec,
                               cg_block, cgc, compose,
                               dual_sign_permutation, generators,
-                              haar_quadrature, inverse, mode_matrix,
+                              haar_quadrature, inverse,
                               random_su2, rep_matrix, su2_from_matrix,
                               su2_matrix, wigner_D, wigner_d)
 from symmetria.repeatability import build_protocol
@@ -152,7 +152,7 @@ def test_one_block_rep_matrix_is_its_wigner_block(rep, monkeypatch):
     rng = np.random.default_rng(10)
     elements = ([random_su2(rng) for _ in range(5)] if rep.kind == "su2"
                 else [GroupElement.zn(k, 7) for k in range(7)])
-    (lab, _), = rep.blocks
+    lab, = rep.blocks
     want = [groups._block_diag([wigner_D(lab, g)]) for g in elements]
     calls = []
     block_diag = groups._block_diag
@@ -402,13 +402,6 @@ def test_haar_quadrature_is_the_product_of_its_factors(kind, bandlimit):
                                   euler)).max() <= 1e-15
         assert abs(w - w_product) <= 1e-15
     assert quad.nodes == _eager_nodes(kind, bandlimit)
-
-
-def test_mode_matrix_is_transpose_of_wigner():
-    rng = np.random.default_rng(2)
-    j = IrrepLabel.su2(2)
-    g = random_su2(rng)
-    assert np.linalg.norm(mode_matrix(j, g) - wigner_D(j, g).T) < 1e-12
 
 
 def test_zn_rep_matrix_phases():

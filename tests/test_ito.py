@@ -42,7 +42,7 @@ def _covariance_defect(basis, g):
     return worst
 
 
-@pytest.mark.parametrize("rep", REPS, ids=lambda r: str([b[0].two_j for b in r.blocks]))
+@pytest.mark.parametrize("rep", REPS, ids=lambda r: str([b.two_j for b in r.blocks]))
 def test_ito_covariance_random_rotations(rep):
     basis = build_itos(rep)
     rng = np.random.default_rng(4)
@@ -58,7 +58,7 @@ def test_ito_covariance_at_quadrature_nodes():
         assert _covariance_defect(basis, g) < 1e-10
 
 
-@pytest.mark.parametrize("rep", REPS, ids=lambda r: str([b[0].two_j for b in r.blocks]))
+@pytest.mark.parametrize("rep", REPS, ids=lambda r: str([b.two_j for b in r.blocks]))
 def test_ito_orthonormal_complete(rep):
     basis = build_itos(rep)
     V = basis.matrices.reshape(len(basis.matrices), -1)

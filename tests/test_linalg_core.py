@@ -202,6 +202,54 @@ def test_library_modules_read_every_name_they_import():
     assert hits == []
 
 
+_SPAN_TARGET = re.compile(r"symmetria\.\w+:([\w.]+)")
+
+
+def _unread_definitions(library: dict, readers: dict) -> list:
+    """Functions, classes and methods (dunders aside) defined in the sources
+    ``library`` (name -> text) whose name no source of library or readers
+    reads outside that definition: as a name, an attribute, an imported name
+    or a span target "symmetria.<module>:<name>"."""
+    reads = []  # (source, line, name)
+    for src, text in {**library, **readers}.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                reads.append((src, node.lineno,
+                              getattr(node, "id", getattr(node, "attr", ""))))
+            elif isinstance(node, ast.ImportFrom):
+                reads += [(src, node.lineno, a.name) for a in node.names]
+        for n, line in enumerate(text.splitlines(), 1):
+            reads += [(src, n, part) for target in _SPAN_TARGET.findall(line)
+                      for part in target.split(".")]
+    return sorted(
+        f"{src}: {node.name}" for src, text in library.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(name == node.name and not (
+            where == src and node.lineno <= line <= node.end_lineno)
+            for where, line, name in reads))
+
+
+def test_unread_definition_scan_flags_only_unread_names():
+    library = {"lib.py": "def f():\n    return f()\n\n"
+                         "class C:\n    def __init__(self): pass\n"
+                         "    def m(self): pass\n    def n(self): pass\n"
+                         "def g(): pass\ndef h(): pass\n"}
+    readers = {"a.py": "from lib import g\nC().m()\n",
+               "b.py": "TARGET = 'symmetria.lib:C.n'\n"}
+    assert _unread_definitions(library, readers) == ["lib.py: f", "lib.py: h"]
+
+
+def test_every_library_definition_is_read_somewhere():
+    root = Path(__file__).resolve().parents[1]
+    library = {str(p.relative_to(root)): p.read_text()
+               for p in sorted((root / "src").rglob("*.py"))}
+    readers = {str(p.relative_to(root)): p.read_text()
+               for d in ("tests", "perfbench") for p in (root / d).rglob("*.py")}
+    assert _unread_definitions(library, readers) == []
+
+
 def test_monomial_with_unit_phases_conjugates_by_the_gather_alone():
     # every phase 1 (a pure permutation) skips both phase products; the
     # result equals the product route entry for entry, on matrices and on
