@@ -270,7 +270,7 @@ def single_qubit_modes() -> ProcessModeBasis:
         for *_, terms in listed])
     first = [spans[triple].start for triple, _, _ in listed]
     printed = ProcessModeBasis(
-        _QUBIT_REP, _QUBIT_REP, canon.families, canon.pair[first],
+        _QUBIT_REP, _QUBIT_REP, canon.pair[first],
         canon.lam[first], np.array([k for _, k, _ in listed], dtype=np.int32),
         A, B, sparse.csr_matrix(coupling))
 

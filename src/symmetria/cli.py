@@ -276,7 +276,7 @@ def cmd_table(args):
     # (complex) and deviations with their maximum and the residual (real)
     params = _fmt_each([row.params.values() for row in rows])
     amps = _fmt_each([row.computed + row.printed for row in rows])
-    reals = _fmt_each([row.deviation + (max(row.deviation),
+    reals = _fmt_each([row.deviation + (np.max(row.deviation),
                                         row.reconstruction_residual)
                        for row in rows])
     for row, par, amp, real in zip(rows, params, amps, reals):

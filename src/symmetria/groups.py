@@ -298,7 +298,16 @@ def cgc(j1: IrrepLabel, m1: int, j2: IrrepLabel, m2: int,
     return _cgc_doubled(j1.two_j, m1, j2.two_j, m2, J.two_j, M)
 
 
-@lru_cache(maxsize=None)
+# The Clebsch-Gordan blocks solved so far: (two_j1, two_j2) -> read-only
+# arrays (data, indices, indptr, two_J, two_M), the block's CSR arrays and
+# the (doubled J, doubled M) of each row; the one copy of the coefficients.
+_CG_BLOCKS: dict = {}
+
+# The bytes one batch of cold Clebsch-Gordan solves may hold (see
+# _cg_batches); a block larger than this is solved alone.
+_CG_BATCH_BYTES = 16 << 20
+
+
 def cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
     """All Clebsch-Gordan coefficients of j1 x j2 as one real orthogonal
     sparse matrix, C[(J, M), (m1, m2)] = <j1 m1; j2 m2 | J M>.
@@ -306,88 +315,214 @@ def cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
     Rows run over J ascending from |j1 - j2|, M descending within each J;
     columns over (m1, m2) row-major, both descending.  Every (J, M, m1, m2)
     with m1 + m2 = M is stored, so the sparsity pattern is the selection
-    rule.  On each weight-M subspace J^2 is tridiagonal with the distinct
-    eigenvalues J(J + 1).  All d1 + d2 - 1 subspaces take one batched
-    ``eigh``, each padded to min(d1, d2) with decoupled diagonal entries
-    below every J(J + 1), so that eigenvector column t is J = |j1 - j2| + t.
-    The Condon-Shortley signs come from overlaps, never from a single
-    component: |J J> has sign (-1)^(j1-m1) on every component, and
-    |J, M-1> is a positive multiple of J_- |J M>, so the signs of the raw
-    overlaps <J, M-1| J_- |J M> multiply down each J.
-    The matrix is cached and shared: do not modify it.
+    rule.  The matrix is formed over the arrays that ``cg_blocks`` caches:
+    do not modify it.
     """
-    d1, d2 = two_j1 + 1, two_j2 + 1
-    j1, j2 = two_j1 / 2.0, two_j2 / 2.0
-    m1 = j1 - np.arange(d1)
-    m2 = j2 - np.arange(d2)
-    low1 = np.sqrt((j1 + m1) * (j1 - m1 + 1))  # J_- |j1 m1> = low1 |j1 m1-1>
-    low2 = np.sqrt((j2 + m2) * (j2 - m2 + 1))
-    raise2 = np.sqrt((j2 - m2) * (j2 + m2 + 1))  # J_+ |j2 m2> = raise2 |j2 m2+1>
-    two_min, two_top = abs(two_j1 - two_j2), two_j1 + two_j2
-    k, n_sub = min(d1, d2), d1 + d2 - 1
-    # subspace s has two_M = two_top - 2 s and holds J = two_min / 2 + t
-    # for t >= skip[s]; its position i is (m1 index a = first[s] + i, m2
-    # index s - a) for i < size[s]
-    s = np.arange(n_sub)
-    skip = (np.maximum(two_min, np.abs(two_top - 2 * s)) - two_min) // 2
-    size = k - skip
-    first = np.maximum(0, s - d2 + 1)
-    i = t = np.arange(k)
-    a = first[:, None] + i
-    inside = i < size[:, None]
-    a_in, b_in = np.minimum(a, d1 - 1), np.clip(s[:, None] - a, 0, d2 - 1)
-    casimir = np.zeros((n_sub, k, k))
-    casimir[:, i, i] = np.where(
-        inside, j1 * (j1 + 1) + j2 * (j2 + 1) + 2 * m1[a_in] * m2[b_in], -1.0)
-    off = np.where(inside[:, 1:], low1[a_in[:, :-1]] * raise2[b_in[:, :-1]],
-                   0.0)
-    casimir[:, i[1:], i[:-1]] = off
-    casimir[:, i[:-1], i[1:]] = off
-    V = np.linalg.eigh(casimir)[1]
-    # raw <J M| J_- |J, M+1>: J1_- feeds position a from a - 1 and J2_- from
-    # a, which sit at positions i - 1 and i of subspace s - 1 while s < d2
-    # and at i and i + 1 once its first m1 index has moved
-    feed1 = np.where(a > 0, low1[np.maximum(a_in - 1, 0)], 0.0)[:, :, None]
-    feed2 = np.where(s[:, None] > a, low2[np.maximum(b_in - 1, 0)],
-                     0.0)[:, :, None]
-    lo, hi = slice(1, d2), slice(d2, n_sub)
-    lo_prev, hi_prev = slice(0, d2 - 1), slice(d2 - 1, n_sub - 1)
-    overlap = np.zeros((n_sub, k))
-    overlap[lo] = ((feed2[lo] * V[lo] * V[lo_prev]).sum(1)
-                   + (feed1[lo, 1:] * V[lo, 1:] * V[lo_prev, :-1]).sum(1))
-    overlap[hi] = ((feed1[hi] * V[hi] * V[hi_prev]).sum(1)
-                   + (feed2[hi, :-1] * V[hi, :-1] * V[hi_prev, 1:]).sum(1))
-    present = t >= skip[:, None]
-    sign = np.where(present & (overlap < 0), -1.0, 1.0)
-    # the highest weight |J J> starts J's run at s = k - 1 - t, first = 0
-    top = (-1.0) ** i @ V[k - 1 - t, :, t].T
-    sign[k - 1 - t, t] = np.where(top < 0, -1.0, 1.0)
-    V *= np.cumprod(sign, axis=0)[:, None, :]
-    # CSR rows (J ascending, M descending) are (t, s) in C order, each row
-    # the positions of its subspace, columns a d2 + b ascending
-    keep = present.T[:, :, None] & inside
-    row_end = np.cumsum(np.broadcast_to(size, (k, n_sub))[present.T])
-    C = sparse.csr_matrix(
-        (V.transpose(2, 0, 1)[keep],
-         np.broadcast_to(a * (d2 - 1) + s[:, None], keep.shape)[keep],
-         np.concatenate(([0], row_end))), shape=(d1 * d2, d1 * d2))
+    data, indices, indptr = cg_blocks([(two_j1, two_j2)])[0][:3]
+    n = (two_j1 + 1) * (two_j2 + 1)
+    C = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     for arr in (C.data, C.indices, C.indptr):
         arr.setflags(write=False)
     return C
 
 
-@lru_cache(maxsize=None)
 def cg_rows(two_j1: int, two_j2: int) -> tuple:
     """(doubled J, doubled M) of each row of cg_block(two_j1, two_j2): J
     ascending from |j1 - j2|, M descending within each J.  Cached beside
     the block, and read-only."""
-    two_J = np.arange(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)
-    J = np.repeat(two_J, two_J + 1)
-    first = np.repeat(np.cumsum(two_J + 1) - (two_J + 1), two_J + 1)
-    M = J - 2 * (np.arange(len(J)) - first)
-    J.setflags(write=False)
-    M.setflags(write=False)
-    return J, M
+    return cg_blocks([(two_j1, two_j2)])[0][3:]
+
+
+def cg_blocks(pairs) -> list:
+    """The cached arrays (data, indices, indptr, two_J, two_M) of each
+    (two_j1, two_j2) of ``pairs`` (see ``cg_block`` and ``cg_rows``).  The
+    blocks not yet cached are solved together (see _cg_batches and
+    _solve_cg_blocks): one stacked ``eigh`` per padded subspace size."""
+    pairs = list(pairs)
+    for batch, _ in _cg_batches({p for p in pairs if p not in _CG_BLOCKS}):
+        _solve_cg_blocks(batch)
+    return [_CG_BLOCKS[p] for p in pairs]
+
+
+def _cg_batches(pairs):
+    """Yield (batch, bytes): the distinct ``pairs`` in order of padded size
+    k = min(d1, d2), cut into batches before the bytes one would hold pass
+    _CG_BATCH_BYTES.  A batch lays each of its weight subspaces out at its
+    largest k, K, and holds about 24 bytes per entry of the K x K matrices
+    and 300 per entry of the K-vectors, as traced over 2j up to 76."""
+    batch, subs = [], 0
+    for a, b in sorted(pairs, key=lambda p: (min(p), p)):
+        k = min(a, b) + 1
+        if batch and (subs + a + b + 1) * k * (24 * k + 300) > _CG_BATCH_BYTES:
+            yield batch, subs * k_top * (24 * k_top + 300)
+            batch, subs = [], 0
+        batch.append((a, b))
+        subs, k_top = subs + a + b + 1, k
+    if batch:
+        yield batch, subs * k_top * (24 * k_top + 300)
+
+
+def cg_batch_bytes(pairs) -> int:
+    """The most bytes one batch of ``cg_blocks`` holds when it solves the
+    distinct ``pairs`` cold."""
+    return max((held for _, held in _cg_batches(pairs)), default=0)
+
+
+def _lowering(two_j: int, x):
+    """sqrt((2j - x)(x + 1)) from exact integers: J_- |j m> = _lowering
+    |j, m - 1> for weight index x (m = j - x), and at x = 2j - b it is the
+    J_+ coefficient of weight index b."""
+    return np.sqrt((two_j - x) * (x + 1))
+
+
+def _solve_cg_blocks(pairs: list):
+    """Solve the blocks of ``pairs``, in order of k, and cache them.
+
+    On each weight-M subspace J^2 is tridiagonal with the distinct
+    eigenvalues J(J + 1).  Each subspace of a block is padded to that
+    block's k = min(d1, d2) with decoupled diagonal entries below every
+    J(J + 1), so that eigenvector column t is J = |j1 - j2| + t; the
+    subspaces of one k take one stacked ``eigh``.  A padded matrix, and so
+    its eigenvectors, does not depend on the batch.  Around the solves the
+    batch is laid out at its largest k, K, with zeros past each k.
+    The Condon-Shortley signs come from overlaps, never from a single
+    component: |J J> has sign (-1)^(j1-m1) on every component, and
+    |J, M-1> is a positive multiple of J_- |J M>, so the signs of the raw
+    overlaps <J, M-1| J_- |J M> multiply down each J.
+    """
+    t1, t2 = np.array(pairs).T
+    d1, d2 = t1 + 1, t2 + 1
+    k_pair = np.minimum(d1, d2)
+    # subspace g is subspace s of block p, of two_M = two_top - 2 s; it
+    # holds J = two_min / 2 + t for skip <= t < k, and its position i is
+    # (m1 index a = first + i, m2 index b = s - a) for i < size
+    n_sub = d1 + d2 - 1
+    start = n_sub.cumsum() - n_sub
+    p = np.arange(len(pairs)).repeat(n_sub)
+    s = np.arange(len(p)) - start[p]
+    two_min, two_top, k = np.abs(t1 - t2)[p], (t1 + t2)[p], k_pair[p]
+    skip = (np.maximum(two_min, np.abs(two_top - 2 * s)) - two_min) // 2
+    size = k - skip
+    first = np.maximum(0, s - d2[p] + 1)
+    i = t = np.arange(k_pair.max())
+    a = first[:, None] + i
+    inside = i < size[:, None]
+    u1, u2 = t1[p, None], t2[p, None]
+    a_in, b_in = np.minimum(a, u1), np.clip(s[:, None] - a, 0, u2)
+    m1, m2 = (u1 - 2 * a_in) / 2.0, (u2 - 2 * b_in) / 2.0
+    casimir = np.zeros((len(p), len(i), len(i)))
+    casimir[:, i, i] = np.where(
+        inside, u1 / 2.0 * (u1 / 2.0 + 1) + u2 / 2.0 * (u2 / 2.0 + 1)
+        + 2 * m1 * m2, -1.0)
+    off = np.where(inside[:, 1:], _lowering(u1, a_in[:, :-1])
+                   * _lowering(u2, u2 - b_in[:, :-1]), 0.0)
+    casimir[:, i[1:], i[:-1]] = off
+    casimir[:, i[:-1], i[1:]] = off
+    # the pairs come in order of k, so each k is one run of subspaces
+    V = np.zeros_like(casimir)
+    runs = start[np.flatnonzero(np.diff(k_pair)) + 1].tolist() + [len(p)]
+    for lo, hi in zip([0] + runs[:-1], runs):
+        n = k[lo]
+        V[lo:hi, :n, :n] = np.linalg.eigh(casimir[lo:hi, :n, :n])[1]
+    del casimir
+    # raw <J M| J_- |J, M+1>: J1_- feeds position a from m1 index a - 1
+    # and J2_- from m2 index b - 1, at positions i - 1 and i of subspace
+    # s - 1 while s < d2, and at i and i + 1 once its first a has moved.
+    # At s = 0 subspace s - 1 is another block's, but there only the top,
+    # signed below, is present
+    feed1 = np.where(a > 0, _lowering(u1, np.maximum(a_in - 1, 0)), 0.0)
+    feed2 = np.where(b_in > 0, _lowering(u2, np.maximum(b_in - 1, 0)), 0.0)
+    moved = (s >= d2[p])[1:, None]
+    overlap = np.zeros((len(p), len(i)))
+    for w, here, before in (
+            (np.where(moved, feed1[1:], feed2[1:]), V[1:], V[:-1]),
+            (np.where(moved, 0.0, feed1[1:, 1:]), V[1:, 1:], V[:-1, :-1]),
+            (np.where(moved, feed2[1:, :-1], 0.0), V[1:, :-1], V[:-1, 1:])):
+        overlap[1:] += np.einsum("gi,git,git->gt", w, here, before)
+    present = (t >= skip[:, None]) & (t < k[:, None])
+    sign = np.where(present & (overlap < 0), -1.0, 1.0)
+    # the highest weight |J J> starts J's run at s = k - 1 - t, first = 0
+    top_p, top_t = np.nonzero(t < k_pair[:, None])
+    top = start[top_p] + k_pair[top_p] - 1 - top_t
+    sign[top, top_t] = np.where(
+        np.einsum("gi,i->g", V[top, :, top_t], (-1.0) ** i) < 0, -1.0, 1.0)
+    flips = np.cumsum(sign < 0, axis=0)
+    flips -= (flips[start] - (sign[start] < 0))[p]
+    V *= np.where(flips % 2, -1.0, 1.0)[:, None, :]
+    # CSR rows (J ascending, M descending) are each block's (t, s) in C
+    # order; a row holds the positions i < size of its subspace, in the
+    # columns a d2 + b = (first + i)(d2 - 1) + s
+    row_g, row_t = np.nonzero(present)
+    order = np.argsort(p[row_g] * len(i) + row_t, kind="stable")
+    row_g, row_t = row_g[order], row_t[order]
+    keep = i < size[row_g, None]
+    data = V.transpose(0, 2, 1)[row_g, row_t][keep]
+    step = d2[p[row_g]] - 1
+    indices = ((first[row_g] * step + s[row_g])[:, None]
+               + step[:, None] * i)[keep].astype(np.int32)
+    row_end = size[row_g].cumsum()
+    two_J = (two_min[row_g] + 2 * row_t).astype(np.int32)
+    two_M = (two_top[row_g] - 2 * s[row_g]).astype(np.int32)
+    # block p's rows are r0 to r0 + d1 d2, its indptr the d1 d2 + 1 entries
+    # of indptr from r0 + p, and its entries from nz0
+    n_rows = d1 * d2
+    r0 = n_rows.cumsum() - n_rows
+    nz0 = np.concatenate(([0], row_end[r0[1:] - 1]))
+    indptr = np.zeros(len(row_end) + len(pairs), dtype=np.int32)
+    indptr[np.arange(len(row_end)) + np.arange(1, len(pairs) + 1).repeat(
+        n_rows)] = row_end - nz0.repeat(n_rows)
+    nz1 = np.append(nz0[1:], row_end[-1])
+    for arr in (data, indices, indptr, two_J, two_M):
+        arr.setflags(write=False)
+    for j, (pair, n, r, lo, hi) in enumerate(zip(
+            pairs, n_rows.tolist(), r0.tolist(), nz0.tolist(), nz1.tolist())):
+        _CG_BLOCKS[pair] = (data[lo:hi], indices[lo:hi],
+                            indptr[r + j:r + j + n + 1], two_J[r:r + n],
+                            two_M[r:r + n])
+
+
+def cg_layout(two_j1: np.ndarray, two_j2: np.ndarray) -> tuple:
+    """The blocks cg_block(two_j1[i], two_j2[i]) laid end to end, as flat
+    arrays (data, m1 index, m2 index, row_nnz, two_J, two_M, nnz): per
+    stored entry its value and its column's (m1, m2) indices; per row its
+    entry count and (doubled J, doubled M); per block its entry count.
+    Each distinct block is read once, and gathered unless the blocks are
+    distinct and in order."""
+    radix = two_j2.max() + 1
+    keys = two_j1 * radix + two_j2
+    ordered = bool((keys[1:] > keys[:-1]).all())
+    if not ordered:  # the distinct keys, ascending, and each one's place
+        seen = np.zeros(keys.max() + 1, dtype=bool)
+        seen[keys] = True
+        keys, block_of = np.flatnonzero(seen), (seen.cumsum() - 1)[keys]
+    t1, t2 = np.divmod(keys, radix)
+    blocks = cg_blocks(zip(t1.tolist(), t2.tolist()))
+    data, indices, two_J, two_M = (
+        np.concatenate([block[i] for block in blocks]) for i in (0, 1, 3, 4))
+    nnz = np.array([len(block[0]) for block in blocks])
+    n_rows = (t1 + 1) * (t2 + 1)
+    # each row's end less the previous row's, and each block's first row
+    # its end
+    ends = np.concatenate([block[2][1:] for block in blocks])
+    row_nnz = ends.copy()
+    row_nnz[1:] -= ends[:-1]
+    first = n_rows.cumsum() - n_rows
+    row_nnz[first] = ends[first]
+    m1, m2 = np.divmod(indices, (t2 + 1).repeat(nnz))
+    if ordered:
+        return data, m1, m2, row_nnz, two_J, two_M, nnz
+    rows = ragged_ranges(first[block_of], n_rows[block_of])
+    at = ragged_ranges((nnz.cumsum() - nnz)[block_of], nnz[block_of])
+    return (data[at], m1[at], m2[at], row_nnz[rows], two_J[rows],
+            two_M[rows], nnz[block_of])
+
+
+def ragged_ranges(starts, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] + (0, ..., lengths[i] - 1), end to end: the
+    gather that lays out one copy of a block per placement."""
+    ends = lengths.cumsum()
+    return (np.repeat(starts - ends + lengths, lengths)
+            + np.arange(ends[-1] if len(ends) else 0))
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ form (-1)^(j1+j2-lam): no phase is computed from an entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
-from .groups import ZN, IrrepLabel, RepSpec, cg_block, cg_rows
+from .groups import ZN, IrrepLabel, RepSpec, cg_layout, ragged_ranges
 
 
 @dataclass(frozen=True)
@@ -40,53 +40,70 @@ class ITOBasis:
 
     rep: RepSpec
     matrices: np.ndarray  # (d^2, d, d) complex
-    families: tuple  # of (IrrepLabel, (bra block, ket block))
     k: np.ndarray  # (d^2,) int
+
+    @cached_property
+    def families(self) -> tuple:
+        """The family keys, formed from the rep on first read."""
+        return tuple(family_keys(self.rep))
+
+
+def family_table(rep: RepSpec) -> tuple:
+    """Integer arrays (lam, bra block, ket block) over the ITO families of
+    B(H) in basis order: bra block outermost, then ket block, then lam
+    ascending (the row order of ``cg_block``).  lam is the doubled spin
+    for SU(2), the charge for Z_N."""
+    n = len(rep.blocks)
+    bra, ket = np.divmod(np.arange(n * n), n)
+    if rep.kind == ZN:
+        charges = np.array([lab.charge for lab in rep.blocks])
+        return (charges[ket] - charges[bra]) % rep.modulus, bra, ket
+    spins = np.array([lab.two_j for lab in rep.blocks])
+    t2, t1 = spins[bra], spins[ket]
+    count = np.minimum(t1, t2) + 1
+    lam = np.abs(t1 - t2).repeat(count) + 2 * ragged_ranges(0, count)
+    return lam, bra.repeat(count), ket.repeat(count)
 
 
 def family_keys(rep: RepSpec) -> list:
     """The ITO family keys (lam, (bra block, ket block)) of B(H) in basis
-    order: bra block outermost, then ket block, then lam ascending (the row
-    order of ``cg_block``)."""
-    pairs = product([(lab, b) for lab, b, _ in rep.irrep_blocks()], repeat=2)
+    order, from ``family_table``, one IrrepLabel per distinct lam."""
+    lams, bras, kets = (a.tolist() for a in family_table(rep))
     if rep.kind == ZN:
-        return [(IrrepLabel.zn(lab1.charge - lab2.charge, rep.modulus),
-                 (b2, b1)) for (lab2, b2), (lab1, b1) in pairs]
-    return [(IrrepLabel.su2(t), (b2, b1)) for (lab2, b2), (lab1, b1) in pairs
-            for t in range(abs(lab1.two_j - lab2.two_j),
-                           lab1.two_j + lab2.two_j + 1, 2)]
+        irreps = {q: IrrepLabel.zn(q, rep.modulus) for q in set(lams)}
+    else:
+        irreps = {t: IrrepLabel.su2(t) for t in set(lams)}
+    return [(irreps[lam], (b2, b1)) for lam, b2, b1 in zip(lams, bras, kets)]
 
 
 def build_itos(rep: RepSpec) -> ITOBasis:
     d = rep.dim
     T = np.zeros((d * d, d, d), dtype=complex)
-    k = np.zeros(d * d, dtype=int)
     if rep.kind == ZN:  # matrix b2 d + b1 is |b1><b2|
+        k = np.zeros(d * d, dtype=int)
         b2, b1 = np.divmod(np.arange(d * d), d)
         T[np.arange(d * d), b1, b2] = 1.0
     else:
-        first = 0
-        for (lab2, _, off2), (lab1, _, off1) in product(rep.irrep_blocks(),
-                                                        repeat=2):
-            # entry (J, M; m1 index a, mu index b) of the Clebsch-Gordan
-            # block lands on |b1,m1><b2,-mu| of matrix (J, M), with the
-            # sign (-1)^(j2-mu) = (-1)^b times the family's (-1)^(j1+j2-J)
-            t1, t2 = lab1.two_j, lab2.two_j
-            C = cg_block(t1, t2)
-            n = C.shape[0]
-            two_lam, k[first:first + n] = cg_rows(t1, t2)
-            r = np.repeat(np.arange(n), np.diff(C.indptr))
-            a, b = np.divmod(C.indices, t2 + 1)
-            odd = ((t1 + t2 - two_lam[r]) // 2 + b) % 2
-            T[first + r, off1 + a, off2 + t2 - b] = np.where(odd, -C.data,
-                                                             C.data)
-            first += n
+        # entry (J, M; m1 index a, mu index b) of the Clebsch-Gordan block
+        # of block pair (b2, b1) lands on |b1,m1><b2,-mu| of matrix (J, M),
+        # with the sign (-1)^(j2-mu) = (-1)^b times the family's
+        # (-1)^(j1+j2-J); the blocks' rows laid end to end are the matrices
+        spins = np.array([lab.two_j for lab in rep.blocks])
+        offsets = spins.cumsum() + np.arange(len(spins)) - spins
+        bra, ket = np.divmod(np.arange(len(spins) ** 2), len(spins))
+        t2, t1, off2, off1 = spins[bra], spins[ket], offsets[bra], offsets[ket]
+        data, a, b, row_nnz, two_lam, k, nnz = cg_layout(t1, t2)
+        row = np.arange(d * d).repeat(row_nnz)
+        t1, t2, off1, off2 = (x.repeat(nnz) for x in (t1, t2, off1, off2))
+        odd = ((t1 + t2 - two_lam[row]) // 2 + b) % 2
+        T[row, off1 + a, off2 + t2 - b] = np.where(odd, -data, data)
+        k = k.astype(int)  # the cached weights are int32
     if rep.intertwiner is not None:
         Q = rep.intertwiner
         T = Q @ T @ Q.conj().T
     T.setflags(write=False)
     k.setflags(write=False)
-    return ITOBasis(rep, T, tuple(family_keys(rep)), k)
+    return ITOBasis(rep, T, k)
 
 
 def state_mode_project(rho: np.ndarray, basis: ITOBasis, lam: IrrepLabel) -> np.ndarray:

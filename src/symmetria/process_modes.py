@@ -38,8 +38,9 @@ import numpy as np
 from scipy import sparse
 
 from .groups import (SU2, ZN, GroupElement, HaarQuadrature, IrrepLabel,
-                     RepSpec, cg_block, cg_rows, rep_matrix, wigner_d)
-from .ito import build_itos, family_keys
+                     RepSpec, cg_batch_bytes, cg_blocks, cg_layout,
+                     rep_matrix, wigner_d)
+from .ito import build_itos, family_keys, family_table
 from .linalg_core import Superoperator, conjugate
 
 
@@ -148,10 +149,11 @@ class ProcessModeBasis:
     Mode i is labelled by three read-only integer arrays: ``pair[i]`` is its
     (output family, input family) pair, f_out * len(families[1]) + f_in,
     over the ITO family keys ``families`` = (output keys, input keys), each
-    key (IrrepLabel, (bra block, ket block)); ``lam[i]`` is the irrep it
-    exchanges (doubled J for SU(2), charge for Z_N); ``k[i]`` its doubled
-    component weight (0 for Z_N).  The rows of one diagram are consecutive
-    in descending k.  ``diagram_rows`` (the change points of (pair, lam):
+    key (IrrepLabel, (bra block, ket block)) and formed from the reps on
+    first read; ``lam[i]`` is the irrep it exchanges (doubled J for SU(2),
+    charge for Z_N); ``k[i]`` its doubled component weight (0 for Z_N).
+    The rows of one diagram are consecutive in descending k.
+    ``diagram_rows`` (the change points of (pair, lam):
     each diagram's rows, families and lam as arrays) is formed from them on
     first read, and ``labels`` ((Diagram, k) per row), ``spans`` (each
     diagram's slice), ``diagrams()``, ``family()`` and ``modes`` from those,
@@ -161,7 +163,6 @@ class ProcessModeBasis:
 
     rep_in: RepSpec
     rep_out: RepSpec
-    families: tuple  # (output family keys, input family keys)
     pair: np.ndarray  # (n_modes,) int32
     lam: np.ndarray  # (n_modes,) int32
     k: np.ndarray  # (n_modes,) int32
@@ -174,6 +175,12 @@ class ProcessModeBasis:
                     self.coupling.data, self.coupling.indices,
                     self.coupling.indptr):
             arr.setflags(write=False)
+
+    @cached_property
+    def families(self) -> tuple:
+        """(output family keys, input family keys)."""
+        return tuple(tuple(family_keys(rep))
+                     for rep in (self.rep_out, self.rep_in))
 
     def _irrep(self, lam: int) -> IrrepLabel:
         """The irrep of a ``lam`` entry."""
@@ -295,12 +302,13 @@ class ModeCoefficients:
         return bool(np.all(np.abs(self.values[self.basis._nontrivial]) <= tol))
 
 
-def _cg_nnz(two_j1: int, two_j2: int) -> int:
+def _cg_nnz(two_j1, two_j2):
     """Stored entries of cg_block(two_j1, two_j2): the squared sizes of its
     weight subspaces, (d1 - 1) d1 (2 d1 - 1) / 3 + (d2 - d1 + 1) d1^2 for
-    d1 <= d2."""
-    d1, d2 = sorted((two_j1 + 1, two_j2 + 1))
-    return (d1 - 1) * d1 * (2 * d1 - 1) // 3 + (d2 - d1 + 1) * d1 * d1
+    d1 <= d2.  Also elementwise on integer arrays."""
+    gap = abs(two_j1 - two_j2)
+    d1 = (two_j1 + two_j2 - gap) // 2 + 1
+    return (d1 - 1) * d1 * (2 * d1 - 1) // 3 + (gap + 1) * d1 * d1
 
 
 # Bytes of one row's entries in ``pair``, ``lam`` and ``k``; of one label
@@ -310,28 +318,62 @@ _ROW_BYTES = 12
 _LABEL_BYTES = 64
 _DIAGRAM_BYTES = 104
 
+# Coupling entries gathered in one pass of build_canonical_modes: a run of
+# family pairs ends before the first pair that starts past a multiple of
+# it.  A pass holds about _FILL_BYTES per entry, as traced.
+_FILL_ENTRIES = 1 << 15
+_FILL_BYTES = 96
+
+
+def _spin_counts(rep: RepSpec) -> Counter:
+    """How many ITO families of ``rep`` have each doubled spin (all 0 for
+    Z_N): block spins t1 and t2 couple to |t1 - t2|, ..., t1 + t2."""
+    if rep.kind == ZN:
+        return Counter({0: len(rep.blocks) ** 2})
+    blocks, counts = Counter(lab.two_j for lab in rep.blocks), Counter()
+    for t1, n1 in blocks.items():
+        for t2, n2 in blocks.items():
+            for t in range(abs(t1 - t2), t1 + t2 + 1, 2):
+                counts[t] += n1 * n2
+    return counts
+
+
+def _cold_pairs(spins_out, spins_in, rep_in: RepSpec,
+                rep_out: RepSpec) -> set:
+    """The Clebsch-Gordan blocks a build reads, from the doubled spins of
+    the ITO families on each side: each (output, input) family spin pair
+    for the coupling, and each pair of one side's block spins for its ITO
+    basis."""
+    return {(a, b) for a in spins_out for b in spins_in} | {
+        (lab1.two_j, lab2.two_j) for rep in (rep_out, rep_in)
+        if rep.kind == SU2 for lab1 in rep.blocks for lab2 in rep.blocks}
+
 
 def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     """Bytes build_canonical_modes holds for the basis of (rep_in, rep_out),
     predicted from the ITO family spins alone: per side its ITO array, the
-    Clebsch-Gordan blocks read (cached by ``cg_block``), the CSR coupling,
-    the row arrays and the labels, and beside them the larger of the build's
-    working copy of each ITO array and one ``decompose``'s three working
-    arrays of n complex entries (its products, values and reconstruction)."""
+    Clebsch-Gordan blocks read (cached by ``cg_blocks`` with the (J, M) of
+    their rows), the CSR coupling, the row arrays and the labels, and
+    beside them the largest working set: the build's copy of each ITO
+    array, its batch of cold Clebsch-Gordan solves, one pass of its
+    coupling gather, or one ``decompose``'s three working arrays of n
+    complex entries (its products, values and reconstruction)."""
     n = rep_in.dim ** 2 * rep_out.dim ** 2
     itos = rep_in.dim ** 4 + rep_out.dim ** 4
-    # how many ITO families have each doubled spin (0 for Z_N)
-    spins_out, spins_in = (Counter(lam.two_j for lam, _ in family_keys(rep))
-                           for rep in (rep_out, rep_in))
-    nnz = blocks = diagrams = 0
+    spins_out = _spin_counts(rep_out)
+    spins_in = spins_out if rep_in is rep_out else _spin_counts(rep_in)
+    nnz = blocks = rows = largest = diagrams = 0
     for a, count_a in spins_out.items():
         for b, count_b in spins_in.items():
             pairs, k = count_a * count_b, _cg_nnz(a, b)
             nnz, blocks = nnz + pairs * k, blocks + k
+            rows, largest = rows + (a + 1) * (b + 1), max(largest, k)
             diagrams += pairs * (min(a, b) + 1)
+    solve = cg_batch_bytes(_cold_pairs(spins_out, spins_in, rep_in, rep_out))
+    fill = _FILL_BYTES * min(nnz, _FILL_ENTRIES + largest)
     index = 4 if max(n, nnz) < 2 ** 31 else 8
-    return (16 * (itos + max(itos, 3 * n))
-            + (8 + index) * (nnz + blocks) + index * (n + 1)
+    return (16 * itos + max(16 * itos, 48 * n, solve, fill)
+            + (8 + index) * (nnz + blocks) + 8 * rows + index * (n + 1)
             + (_ROW_BYTES + _LABEL_BYTES) * n + _DIAGRAM_BYTES * diagrams)
 
 
@@ -341,57 +383,61 @@ def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis
     if rep_in.kind == ZN and rep_in.modulus != rep_out.modulus:
         raise ValueError("input and output Z_N reps must share the modulus")
     check_budget(_basis_bytes(rep_in, rep_out), "the process-mode basis")
+    # each ITO family's lam: its doubled spin (SU(2)) or charge (Z_N)
+    q_out = family_table(rep_out)[0]
+    q_in = q_out if rep_in is rep_out else family_table(rep_in)[0]
+    s_out, s_in = (q_out, q_in) if rep_out.kind == SU2 else (0 * q_out,
+                                                             0 * q_in)
+    # the blocks the build reads are solved in one batch, before any array
+    # of the basis exists
+    cg_blocks(_cold_pairs(set(s_out.tolist()), set(s_in.tolist()), rep_in,
+                          rep_out))
     itos_out = build_itos(rep_out)
     itos_in = itos_out if rep_in is rep_out else build_itos(rep_in)
     # row i of ito_out is vec(T_i), of ito_in vec(T_i^T)
     ito_out = itos_out.matrices.reshape(len(itos_out.k), -1)
     ito_in = itos_in.matrices.transpose(0, 2, 1).reshape(len(itos_in.k), -1)
-    families = (itos_out.families, itos_in.families)
-    s_out, s_in = (np.array([lam.two_j for lam, _ in keys])
-                   for keys in families)
     n_in = len(ito_in)
 
     # one pair of families per block of rows, output family outermost; the
     # pairs of one spin pair share one Clebsch-Gordan block, whose entry
     # (m_out, m_in) lands in column (first_out + m_out, first_in + m_in)
     # and whose row (J, M) is the mode (pair, lam = J, k = M)
-    first_out = np.cumsum(s_out + 1) - (s_out + 1)
-    first_in = np.cumsum(s_in + 1) - (s_in + 1)
-    base = (first_out[:, None] * n_in + first_in).reshape(-1)
-    radix = s_in.max() + 1
-    spin_pairs, block_of = np.unique(
-        (s_out[:, None] * radix + s_in).reshape(-1), return_inverse=True)
-    blocks = [cg_block(int(p // radix), int(p % radix)) for p in spin_pairs]
-    n_rows = np.array([C.shape[0] for C in blocks])[block_of]
-    nnz = np.array([C.nnz for C in blocks])[block_of]
-    row0 = np.cumsum(n_rows) - n_rows
-    nz0 = np.cumsum(nnz) - nnz
-    index = np.int32 if max(n_rows.sum(), nnz.sum()) < 2 ** 31 else np.int64
-    data = np.empty(nnz.sum())
-    indices = np.empty(nnz.sum(), dtype=index)
-    row_nnz = np.empty(n_rows.sum(), dtype=index)
-    pair = np.repeat(np.arange(len(n_rows), dtype=np.int32), n_rows)
-    lam = np.empty(n_rows.sum(), dtype=np.int32)
-    k = np.empty(n_rows.sum(), dtype=np.int32)
-    for g, (C, p) in enumerate(zip(blocks, spin_pairs)):
-        pairs = np.flatnonzero(block_of == g)
-        m_out, m_in = np.divmod(C.indices, p % radix + 1)
-        where = nz0[pairs, None] + np.arange(C.nnz)
-        data[where] = C.data
-        indices[where] = base[pairs, None] + (m_out * n_in + m_in)
-        rows = row0[pairs, None] + np.arange(C.shape[0])
-        row_nnz[rows] = np.diff(C.indptr)
-        lam[rows], k[rows] = cg_rows(int(p // radix), int(p % radix))
-    indptr = np.zeros(len(row_nnz) + 1, dtype=index)
-    np.cumsum(row_nnz, out=indptr[1:])
+    first_out, first_in = (s.cumsum() + np.arange(len(s)) - s
+                           for s in (s_out, s_in))
+    f_out, f_in = np.divmod(np.arange(len(s_out) * len(s_in)), len(s_in))
+    a, b = s_out[f_out], s_in[f_in]
+    base = first_out[f_out] * n_in + first_in[f_in]
+    nnz, n_rows = _cg_nnz(a, b), (a + 1) * (b + 1)
+    nz0, row0 = nnz.cumsum() - nnz, n_rows.cumsum() - n_rows
+    n_nz, n_modes = int(nz0[-1] + nnz[-1]), int(row0[-1] + n_rows[-1])
+    index = np.int32 if max(n_modes, n_nz) < 2 ** 31 else np.int64
+    data = np.empty(n_nz)
+    indices = np.empty(n_nz, dtype=index)
+    indptr = np.zeros(n_modes + 1, dtype=index)
+    pair = np.arange(len(nnz), dtype=np.int32).repeat(n_rows)
+    lam = np.empty(n_modes, dtype=np.int32)
+    k = np.empty(n_modes, dtype=np.int32)
+    # a run of pairs, gathered in one pass, ends before the first pair to
+    # start past a multiple of _FILL_ENTRIES
+    run = nz0 // _FILL_ENTRIES
+    cuts = [0] + (np.flatnonzero(run[1:] != run[:-1]) + 1).tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [len(nnz)]):
+        c_data, m_out, m_in, c_row_nnz, two_J, two_M, c_nnz = cg_layout(
+            a[lo:hi], b[lo:hi])
+        e0, r0 = nz0[lo], row0[lo]
+        e1, r1 = e0 + len(c_data), r0 + len(two_J)
+        data[e0:e1] = c_data
+        indices[e0:e1] = m_out * n_in + m_in + base[lo:hi].repeat(c_nnz)
+        indptr[r0 + 1:r1 + 1] = c_row_nnz
+        lam[r0:r1], k[r0:r1] = two_J, two_M
+    np.cumsum(indptr, dtype=index, out=indptr)
     coupling = sparse.csr_matrix((data, indices, indptr),
-                                 shape=(len(row_nnz), len(ito_out) * n_in))
+                                 shape=(n_modes, len(ito_out) * n_in))
     if rep_out.kind == ZN:  # one row per pair, of charge q_out + q_in
-        q_out, q_in = (np.array([lab.charge for lab, _ in keys])
-                       for keys in families)
-        lam[:] = (q_out[:, None] + q_in).reshape(-1) % rep_out.modulus
-    return ProcessModeBasis(rep_in, rep_out, families, pair, lam, k, ito_out,
-                            ito_in, coupling)
+        lam[:] = (q_out[f_out] + q_in[f_in]) % rep_out.modulus
+    return ProcessModeBasis(rep_in, rep_out, pair, lam, k, ito_out, ito_in,
+                            coupling)
 
 
 def superop_group_action(S: Superoperator, g: GroupElement,

@@ -558,6 +558,22 @@ def _nan_table_row(monkeypatch):
     return ["worst reconstruction residual: nan"]
 
 
+def test_table_row_maximum_keeps_a_nan_after_the_first_deviation(
+        monkeypatch):
+    # Python's max keeps its running value when a comparison with NaN is
+    # false, so a NaN second deviation would drop out of the printed maximum
+    from test_golden_cli import run
+    _through("axial_table", lambda rows: [replace(row, deviation=(
+        row.deviation[0], float("nan"), *row.deviation[2:])) for row in rows])(
+            monkeypatch)
+    out = run(["table"])
+    assert out["code"] == 0, out["stderr"]
+    lines = [line for line in out["stdout"].splitlines()
+             if line.startswith("  deviation:")]
+    assert len(lines) == 5
+    assert all(line.endswith("(max nan)") for line in lines)
+
+
 _CATALYTIC = ["catalytic", "--ladder", "8", "--rounds", "3"]
 _GAUGE = ["gauge", "--n", "3", "--trials", "2", "--lattice", "2x2"]
 

@@ -18,6 +18,7 @@ from symmetria.groups import (GroupElement, IrrepLabel, LinkFrame, RepSpec,
                               haar_quadrature, inverse,
                               random_su2, rep_matrix, su2_from_matrix,
                               su2_matrix, wigner_D, wigner_d)
+from symmetria.process_modes import build_canonical_modes
 from symmetria.repeatability import build_protocol
 
 RNG = np.random.default_rng(8)
@@ -230,6 +231,96 @@ def test_cg_block_matches_racah_coefficients():
                 for M in J.components()])
             assert np.abs(C - exact).max() <= 1e-14
             assert np.abs(C @ C.T - np.eye(len(C))).max() <= 1e-14
+
+
+def _per_pair_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
+    """The per-pair route to cg_block: one batched ``eigh`` over the weight
+    subspaces of j1 x j2 alone, each padded to min(d1, d2), in the same
+    CSR layout.  Its padded matrices are the batched solve's."""
+    d1, d2 = two_j1 + 1, two_j2 + 1
+    j1, j2 = two_j1 / 2.0, two_j2 / 2.0
+    m1 = j1 - np.arange(d1)
+    m2 = j2 - np.arange(d2)
+    low1 = np.sqrt((j1 + m1) * (j1 - m1 + 1))  # J_- |j1 m1> = low1 |j1 m1-1>
+    low2 = np.sqrt((j2 + m2) * (j2 - m2 + 1))
+    raise2 = np.sqrt((j2 - m2) * (j2 + m2 + 1))  # J_+ |j2 m2> = raise2 |j2 m2+1>
+    two_min, two_top = abs(two_j1 - two_j2), two_j1 + two_j2
+    k, n_sub = min(d1, d2), d1 + d2 - 1
+    # subspace s has two_M = two_top - 2 s and holds J = two_min / 2 + t
+    # for t >= skip[s]; its position i is (m1 index a = first[s] + i, m2
+    # index s - a) for i < size[s]
+    s = np.arange(n_sub)
+    skip = (np.maximum(two_min, np.abs(two_top - 2 * s)) - two_min) // 2
+    size = k - skip
+    first = np.maximum(0, s - d2 + 1)
+    i = t = np.arange(k)
+    a = first[:, None] + i
+    inside = i < size[:, None]
+    a_in, b_in = np.minimum(a, d1 - 1), np.clip(s[:, None] - a, 0, d2 - 1)
+    casimir = np.zeros((n_sub, k, k))
+    casimir[:, i, i] = np.where(
+        inside, j1 * (j1 + 1) + j2 * (j2 + 1) + 2 * m1[a_in] * m2[b_in], -1.0)
+    off = np.where(inside[:, 1:], low1[a_in[:, :-1]] * raise2[b_in[:, :-1]],
+                   0.0)
+    casimir[:, i[1:], i[:-1]] = off
+    casimir[:, i[:-1], i[1:]] = off
+    V = np.linalg.eigh(casimir)[1]
+    # raw <J M| J_- |J, M+1>: J1_- feeds position a from a - 1 and J2_- from
+    # a, which sit at positions i - 1 and i of subspace s - 1 while s < d2
+    # and at i and i + 1 once its first m1 index has moved
+    feed1 = np.where(a > 0, low1[np.maximum(a_in - 1, 0)], 0.0)[:, :, None]
+    feed2 = np.where(s[:, None] > a, low2[np.maximum(b_in - 1, 0)],
+                     0.0)[:, :, None]
+    lo, hi = slice(1, d2), slice(d2, n_sub)
+    lo_prev, hi_prev = slice(0, d2 - 1), slice(d2 - 1, n_sub - 1)
+    overlap = np.zeros((n_sub, k))
+    overlap[lo] = ((feed2[lo] * V[lo] * V[lo_prev]).sum(1)
+                   + (feed1[lo, 1:] * V[lo, 1:] * V[lo_prev, :-1]).sum(1))
+    overlap[hi] = ((feed1[hi] * V[hi] * V[hi_prev]).sum(1)
+                   + (feed2[hi, :-1] * V[hi, :-1] * V[hi_prev, 1:]).sum(1))
+    present = t >= skip[:, None]
+    sign = np.where(present & (overlap < 0), -1.0, 1.0)
+    # the highest weight |J J> starts J's run at s = k - 1 - t, first = 0
+    top = (-1.0) ** i @ V[k - 1 - t, :, t].T
+    sign[k - 1 - t, t] = np.where(top < 0, -1.0, 1.0)
+    V *= np.cumprod(sign, axis=0)[:, None, :]
+    # CSR rows (J ascending, M descending) are (t, s) in C order, each row
+    # the positions of its subspace, columns a d2 + b ascending
+    keep = present.T[:, :, None] & inside
+    row_end = np.cumsum(np.broadcast_to(size, (k, n_sub))[present.T])
+    return sparse.csr_matrix(
+        (V.transpose(2, 0, 1)[keep],
+         np.broadcast_to(a * (d2 - 1) + s[:, None], keep.shape)[keep],
+         np.concatenate(([0], row_end))), shape=(d1 * d2, d1 * d2))
+
+
+_PAIRS_UP_TO_24 = [(a, b) for a in range(25) for b in range(25)]
+
+
+def _build(two_js):
+    rep = RepSpec.su2_spins(two_js)
+    build_canonical_modes(rep, rep)
+
+
+@pytest.mark.parametrize("requests", [
+    [lambda: _build([1]), lambda: _build([3]),
+     lambda: groups.cg_blocks(_PAIRS_UP_TO_24)],
+    [lambda: groups.cg_blocks(_PAIRS_UP_TO_24)],
+    [lambda pair=pair: groups.cg_blocks([pair])
+     for pair in reversed(_PAIRS_UP_TO_24)],
+], ids=["su2[1]-then-su2[3]", "one-batch", "reversed-one-by-one"])
+def test_batched_solves_match_the_per_pair_route_bit_for_bit(requests):
+    # the blocks solved cold in batches of any make-up are the per-pair
+    # route's, to the bit and the index dtype
+    groups._CG_BLOCKS.clear()
+    for request in requests:
+        request()
+    for pair in _PAIRS_UP_TO_24:
+        C, oracle = cg_block(*pair), _per_pair_cg_block(*pair)
+        for got, want in ((C.data, oracle.data), (C.indices, oracle.indices),
+                          (C.indptr, oracle.indptr)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def _per_weight_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:

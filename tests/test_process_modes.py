@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 
 import symmetria
-from symmetria import process_modes
+from symmetria import groups, process_modes
 from symmetria.axial import single_qubit_modes
 from symmetria.bipartite import two_qubit_product_rep
 from symmetria.groups import (GroupElement, HaarQuadrature, IrrepLabel,
@@ -421,19 +421,42 @@ def test_build_refuses_a_basis_over_the_memory_limit():
 
 
 def test_build_and_decompose_peak_is_inside_the_basis_prediction():
-    # the prediction counts, beside the basis, decompose's working arrays;
-    # the single spin predicts the most of all carriers of one dimension
-    rep = RepSpec.su2_spins([15])  # d = 16
-    S = identity_channel(16)
-    tracemalloc.start()
-    try:
-        coeffs = decompose(S, build_canonical_modes(rep, rep))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    predicted = process_modes._basis_bytes(rep, rep)
-    assert predicted / 2 < peak <= predicted
-    assert coeffs.residual < 1e-10
+    # cold builds: the prediction counts the Clebsch-Gordan blocks and the
+    # largest working set, the batch that solves them, a pass of the
+    # coupling gather or decompose's working arrays.  Of all carriers of
+    # one dimension the single spin predicts the most
+    for rep in (RepSpec.su2_spins([15]), RepSpec.su2_spins([1, 2, 3, 0]),
+                RepSpec.zn_charges([0, 1, 1, 3, 4, 6], 7)):
+        S = identity_channel(rep.dim)
+        groups._CG_BLOCKS.clear()
+        tracemalloc.start()
+        try:
+            coeffs = decompose(S, build_canonical_modes(rep, rep))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        predicted = process_modes._basis_bytes(rep, rep)
+        assert peak <= predicted
+        assert coeffs.residual < 1e-10
+        if rep.dim == 16:
+            assert predicted / 2 < peak
+
+
+def test_a_cold_build_solves_once_per_padded_size(monkeypatch):
+    # the Clebsch-Gordan blocks of a cold build take one stacked eigh per
+    # padded subspace size: for spin 3/2 the ITO block (3, 3) of size 4
+    # and the coupling blocks of sizes 1, 3, 5 and 7; a warm build none
+    solves = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (
+        solves.append(a.shape[-1]), eigh(a))[1])
+    rep = RepSpec.su2_spins([3])
+    groups._CG_BLOCKS.clear()
+    build_canonical_modes(rep, rep)
+    assert sorted(solves) == [1, 3, 4, 5, 7]
+    solves.clear()
+    build_canonical_modes(rep, rep)
+    assert solves == []
 
 
 def test_block_layout_closed_forms_match_cg_block():
