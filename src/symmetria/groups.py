@@ -486,15 +486,13 @@ def cg_layout(two_j1: np.ndarray, two_j2: np.ndarray) -> tuple:
     arrays (data, m1 index, m2 index, row_nnz, two_J, two_M, nnz): per
     stored entry its value and its column's (m1, m2) indices; per row its
     entry count and (doubled J, doubled M); per block its entry count.
-    Each distinct block is read once, and gathered unless the blocks are
-    distinct and in order."""
+    Each distinct block is read once and gathered to its places."""
     radix = two_j2.max() + 1
     keys = two_j1 * radix + two_j2
-    ordered = bool((keys[1:] > keys[:-1]).all())
-    if not ordered:  # the distinct keys, ascending, and each one's place
-        seen = np.zeros(keys.max() + 1, dtype=bool)
-        seen[keys] = True
-        keys, block_of = np.flatnonzero(seen), (seen.cumsum() - 1)[keys]
+    # the distinct keys, ascending, and each one's place
+    seen = np.zeros(keys.max() + 1, dtype=bool)
+    seen[keys] = True
+    keys, block_of = np.flatnonzero(seen), (seen.cumsum() - 1)[keys]
     t1, t2 = np.divmod(keys, radix)
     blocks = cg_blocks(zip(t1.tolist(), t2.tolist()))
     data, indices, two_J, two_M = (
@@ -509,8 +507,6 @@ def cg_layout(two_j1: np.ndarray, two_j2: np.ndarray) -> tuple:
     first = n_rows.cumsum() - n_rows
     row_nnz[first] = ends[first]
     m1, m2 = np.divmod(indices, (t2 + 1).repeat(nnz))
-    if ordered:
-        return data, m1, m2, row_nnz, two_J, two_M, nnz
     rows = ragged_ranges(first[block_of], n_rows[block_of])
     at = ragged_ranges((nnz.cumsum() - nnz)[block_of], nnz[block_of])
     return (data[at], m1[at], m2[at], row_nnz[rows], two_J[rows],

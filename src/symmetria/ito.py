@@ -48,18 +48,26 @@ class ITOBasis:
         return tuple(family_keys(self.rep))
 
 
-def family_table(rep: RepSpec) -> tuple:
-    """Integer arrays (lam, bra block, ket block) over the ITO families of
-    B(H) in basis order: bra block outermost, then ket block, then lam
-    ascending (the row order of ``cg_block``).  lam is the doubled spin
-    for SU(2), the charge for Z_N."""
+def block_pairs(rep: RepSpec) -> tuple:
+    """Integer arrays (bra block, ket block) over the ordered pairs of
+    blocks in basis order, bra block outermost, and each block's doubled
+    spin (SU(2)) or charge (Z_N)."""
     n = len(rep.blocks)
     bra, ket = np.divmod(np.arange(n * n), n)
     if rep.kind == ZN:
-        charges = np.array([lab.charge for lab in rep.blocks])
-        return (charges[ket] - charges[bra]) % rep.modulus, bra, ket
-    spins = np.array([lab.two_j for lab in rep.blocks])
-    t2, t1 = spins[bra], spins[ket]
+        return bra, ket, np.array([lab.charge for lab in rep.blocks])
+    return bra, ket, np.array([lab.two_j for lab in rep.blocks])
+
+
+def family_table(rep: RepSpec) -> tuple:
+    """Integer arrays (lam, bra block, ket block) over the ITO families of
+    B(H) in basis order: the block pairs of ``block_pairs``, then lam
+    ascending (the row order of ``cg_block``).  lam is the doubled spin
+    for SU(2), the charge for Z_N."""
+    bra, ket, q = block_pairs(rep)
+    if rep.kind == ZN:
+        return (q[ket] - q[bra]) % rep.modulus, bra, ket
+    t2, t1 = q[bra], q[ket]
     count = np.minimum(t1, t2) + 1
     lam = np.abs(t1 - t2).repeat(count) + 2 * ragged_ranges(0, count)
     return lam, bra.repeat(count), ket.repeat(count)
@@ -81,16 +89,15 @@ def build_itos(rep: RepSpec) -> ITOBasis:
     T = np.zeros((d * d, d, d), dtype=complex)
     if rep.kind == ZN:  # matrix b2 d + b1 is |b1><b2|
         k = np.zeros(d * d, dtype=int)
-        b2, b1 = np.divmod(np.arange(d * d), d)
+        b2, b1, _ = block_pairs(rep)
         T[np.arange(d * d), b1, b2] = 1.0
     else:
         # entry (J, M; m1 index a, mu index b) of the Clebsch-Gordan block
         # of block pair (b2, b1) lands on |b1,m1><b2,-mu| of matrix (J, M),
         # with the sign (-1)^(j2-mu) = (-1)^b times the family's
         # (-1)^(j1+j2-J); the blocks' rows laid end to end are the matrices
-        spins = np.array([lab.two_j for lab in rep.blocks])
+        bra, ket, spins = block_pairs(rep)
         offsets = spins.cumsum() + np.arange(len(spins)) - spins
-        bra, ket = np.divmod(np.arange(len(spins) ** 2), len(spins))
         t2, t1, off2, off1 = spins[bra], spins[ket], offsets[bra], offsets[ket]
         data, a, b, row_nnz, two_lam, k, nnz = cg_layout(t1, t2)
         row = np.arange(d * d).repeat(row_nnz)

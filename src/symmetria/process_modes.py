@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import gc
 import math
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -179,8 +178,10 @@ class ProcessModeBasis:
     @cached_property
     def families(self) -> tuple:
         """(output family keys, input family keys)."""
-        return tuple(tuple(family_keys(rep))
-                     for rep in (self.rep_out, self.rep_in))
+        keys_out = tuple(family_keys(self.rep_out))
+        if self.rep_in is self.rep_out:
+            return keys_out, keys_out
+        return keys_out, tuple(family_keys(self.rep_in))
 
     def _irrep(self, lam: int) -> IrrepLabel:
         """The irrep of a ``lam`` entry."""
@@ -325,17 +326,11 @@ _FILL_ENTRIES = 1 << 15
 _FILL_BYTES = 96
 
 
-def _spin_counts(rep: RepSpec) -> Counter:
-    """How many ITO families of ``rep`` have each doubled spin (all 0 for
-    Z_N): block spins t1 and t2 couple to |t1 - t2|, ..., t1 + t2."""
-    if rep.kind == ZN:
-        return Counter({0: len(rep.blocks) ** 2})
-    blocks, counts = Counter(lab.two_j for lab in rep.blocks), Counter()
-    for t1, n1 in blocks.items():
-        for t2, n2 in blocks.items():
-            for t in range(abs(t1 - t2), t1 + t2 + 1, 2):
-                counts[t] += n1 * n2
-    return counts
+def _family_spins(rep: RepSpec) -> dict:
+    """{doubled spin: how many ITO families of ``rep`` have it}, read from
+    ``family_table`` (every spin 0 for Z_N)."""
+    lam = family_table(rep)[0] * (rep.kind == SU2)
+    return {t: n for t, n in enumerate(np.bincount(lam).tolist()) if n}
 
 
 def _cold_pairs(spins_out, spins_in, rep_in: RepSpec,
@@ -344,9 +339,12 @@ def _cold_pairs(spins_out, spins_in, rep_in: RepSpec,
     the ITO families on each side: each (output, input) family spin pair
     for the coupling, and each pair of one side's block spins for its ITO
     basis."""
-    return {(a, b) for a in spins_out for b in spins_in} | {
-        (lab1.two_j, lab2.two_j) for rep in (rep_out, rep_in)
-        if rep.kind == SU2 for lab1 in rep.blocks for lab2 in rep.blocks}
+    pairs = {(a, b) for a in spins_out for b in spins_in}
+    for rep in (rep_out, rep_in):
+        if rep.kind == SU2:
+            spins = {lab.two_j for lab in rep.blocks}
+            pairs |= {(a, b) for a in spins for b in spins}
+    return pairs
 
 
 def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
@@ -360,8 +358,8 @@ def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     complex entries (its products, values and reconstruction)."""
     n = rep_in.dim ** 2 * rep_out.dim ** 2
     itos = rep_in.dim ** 4 + rep_out.dim ** 4
-    spins_out = _spin_counts(rep_out)
-    spins_in = spins_out if rep_in is rep_out else _spin_counts(rep_in)
+    spins_out = _family_spins(rep_out)
+    spins_in = spins_out if rep_in is rep_out else _family_spins(rep_in)
     nnz = blocks = rows = largest = diagrams = 0
     for a, count_a in spins_out.items():
         for b, count_b in spins_in.items():
