@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .groups import (SU2, GroupElement, IrrepLabel, RepSpec, cg_block,
-                     cg_rows, dual_sign_permutation, wigner_D)
+from .groups import (SU2, GroupElement, IrrepLabel, RepSpec, cg_rows,
+                     dual_sign_permutation, wigner_D)
 from .linalg_core import (Superoperator, choi_of, depolarizing_channel, kron,
                           unitary_channel, vec)
 from .process_modes import (ModeCoefficients, ProcessModeBasis,
@@ -78,8 +78,7 @@ def _axis_map(two_lam: int) -> np.ndarray:
     # alpha (x) conj(alpha) is taken to beta by Y^T; the norm
     # <lam 0; lam 0 | 2 0> is the J = 2, M = 0 row at column (lam, lam)
     dim = two_lam + 1
-    rows, to_matrix = (cg_block(t, t)[cg_rows(t, t)[0] == 4].toarray()
-                       for t in (two_lam, 2))
+    rows, to_matrix = (cg_rows(t, t, 4) for t in (two_lam, 2))
     couple = (rows.reshape(5, dim, dim)
               @ dual_sign_permutation(lam).T).reshape(5, dim * dim)
     norm = (-1) ** (two_lam // 2) * rows[2, two_lam // 2 * (dim + 1)]

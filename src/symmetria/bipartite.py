@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .groups import (ZN, GroupElement, IrrepLabel, RepSpec, cg_block,
+from .groups import (ZN, GroupElement, IrrepLabel, RepSpec, cg_rows,
                      rep_matrix)
 from .linalg_core import (CptpReport, Superoperator, conjugate, cptp_report,
                           kron, unitary_channel, vec)
@@ -526,7 +526,7 @@ def two_qubit_product_rep() -> RepSpec:
     basis by the Clebsch-Gordan intertwiner, so rep_matrix = U (x) U."""
     # rows of the block: coupled (J, M) = (0, 0), (1, 1), (1, 0), (1, -1);
     # columns: product (m1, m2) descending, as the qubit (x) qubit basis
-    Q = cg_block(1, 1).toarray().T.astype(complex)
+    Q = np.vstack([cg_rows(1, 1, 0), cg_rows(1, 1, 2)]).T.astype(complex)
     return RepSpec(
         "su2",
         (IrrepLabel.su2(0), IrrepLabel.su2(2)),

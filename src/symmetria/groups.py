@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
 
 SU2 = "su2"
 ZN = "zn"
@@ -299,8 +298,12 @@ def cgc(j1: IrrepLabel, m1: int, j2: IrrepLabel, m2: int,
 
 
 # The Clebsch-Gordan blocks solved so far: (two_j1, two_j2) -> read-only
-# arrays (data, indices, indptr, two_J, two_M), the block's CSR arrays and
-# the (doubled J, doubled M) of each row; the one copy of the coefficients.
+# arrays (data, column, rows), the one copy of the coefficients.  Rows run
+# over J ascending from |j1 - j2|, M descending within each J; columns over
+# (m1, m2) row-major, both descending, column = m1 index * d2 + m2 index.
+# Every (J, M, m1, m2) with m1 + m2 = M is stored, row by row and columns
+# ascending: per entry its value and int32 column, and per row the int32
+# (entry count, doubled J, doubled M) as the three rows of ``rows``.
 _CG_BLOCKS: dict = {}
 
 # The bytes one batch of cold Clebsch-Gordan solves may hold (see
@@ -308,36 +311,25 @@ _CG_BLOCKS: dict = {}
 _CG_BATCH_BYTES = 16 << 20
 
 
-def cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
-    """All Clebsch-Gordan coefficients of j1 x j2 as one real orthogonal
-    sparse matrix, C[(J, M), (m1, m2)] = <j1 m1; j2 m2 | J M>.
-
-    Rows run over J ascending from |j1 - j2|, M descending within each J;
-    columns over (m1, m2) row-major, both descending.  Every (J, M, m1, m2)
-    with m1 + m2 = M is stored, so the sparsity pattern is the selection
-    rule.  The matrix is formed over the arrays that ``cg_blocks`` caches:
-    do not modify it.
-    """
-    data, indices, indptr = cg_blocks([(two_j1, two_j2)])[0][:3]
-    n = (two_j1 + 1) * (two_j2 + 1)
-    C = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    for arr in (C.data, C.indices, C.indptr):
-        arr.setflags(write=False)
-    return C
-
-
-def cg_rows(two_j1: int, two_j2: int) -> tuple:
-    """(doubled J, doubled M) of each row of cg_block(two_j1, two_j2): J
-    ascending from |j1 - j2|, M descending within each J.  Cached beside
-    the block, and read-only."""
-    return cg_blocks([(two_j1, two_j2)])[0][3:]
+def cg_rows(two_j1: int, two_j2: int, two_J: int) -> np.ndarray:
+    """The coefficients <j1 m1; j2 m2 | J M> of one total spin J as a dense
+    (2J + 1, d1 d2) array: M descending down the rows, (m1, m2) row-major
+    and both descending along the columns."""
+    data, column, (count, J, _) = cg_blocks([(two_j1, two_j2)])[0]
+    mine = J == two_J
+    if not mine.any():
+        raise ValueError("J outside the Clebsch-Gordan series of j1 x j2")
+    keep = mine.repeat(count)
+    out = np.zeros((two_J + 1, (two_j1 + 1) * (two_j2 + 1)))
+    out[np.arange(two_J + 1).repeat(count[mine]), column[keep]] = data[keep]
+    return out
 
 
 def cg_blocks(pairs) -> list:
-    """The cached arrays (data, indices, indptr, two_J, two_M) of each
-    (two_j1, two_j2) of ``pairs`` (see ``cg_block`` and ``cg_rows``).  The
-    blocks not yet cached are solved together (see _cg_batches and
-    _solve_cg_blocks): one stacked ``eigh`` per padded subspace size."""
+    """The cached arrays (data, column, rows) of each (two_j1, two_j2) of
+    ``pairs`` (see _CG_BLOCKS).  The blocks not yet cached are solved
+    together (see _cg_batches and _solve_cg_blocks): one stacked ``eigh``
+    per padded subspace size."""
     pairs = list(pairs)
     for batch, _ in _cg_batches({p for p in pairs if p not in _CG_BLOCKS}):
         _solve_cg_blocks(batch)
@@ -449,43 +441,34 @@ def _solve_cg_blocks(pairs: list):
     flips = np.cumsum(sign < 0, axis=0)
     flips -= (flips[start] - (sign[start] < 0))[p]
     V *= np.where(flips % 2, -1.0, 1.0)[:, None, :]
-    # CSR rows (J ascending, M descending) are each block's (t, s) in C
-    # order; a row holds the positions i < size of its subspace, in the
-    # columns a d2 + b = (first + i)(d2 - 1) + s
+    # rows (J ascending, M descending) are each block's (t, s) in C order;
+    # a row holds the positions i < size of its subspace, in the columns
+    # a d2 + b = (first + i)(d2 - 1) + s
     row_g, row_t = np.nonzero(present)
     order = np.argsort(p[row_g] * len(i) + row_t, kind="stable")
     row_g, row_t = row_g[order], row_t[order]
     keep = i < size[row_g, None]
     data = V.transpose(0, 2, 1)[row_g, row_t][keep]
     step = d2[p[row_g]] - 1
-    indices = ((first[row_g] * step + s[row_g])[:, None]
-               + step[:, None] * i)[keep].astype(np.int32)
-    row_end = size[row_g].cumsum()
-    two_J = (two_min[row_g] + 2 * row_t).astype(np.int32)
-    two_M = (two_top[row_g] - 2 * s[row_g]).astype(np.int32)
-    # block p's rows are r0 to r0 + d1 d2, its indptr the d1 d2 + 1 entries
-    # of indptr from r0 + p, and its entries from nz0
-    n_rows = d1 * d2
-    r0 = n_rows.cumsum() - n_rows
-    nz0 = np.concatenate(([0], row_end[r0[1:] - 1]))
-    indptr = np.zeros(len(row_end) + len(pairs), dtype=np.int32)
-    indptr[np.arange(len(row_end)) + np.arange(1, len(pairs) + 1).repeat(
-        n_rows)] = row_end - nz0.repeat(n_rows)
-    nz1 = np.append(nz0[1:], row_end[-1])
-    for arr in (data, indices, indptr, two_J, two_M):
+    column = ((first[row_g] * step + s[row_g])[:, None]
+              + step[:, None] * i)[keep].astype(np.int32)
+    rows = np.stack((size[row_g], two_min[row_g] + 2 * row_t,
+                     two_top[row_g] - 2 * s[row_g])).astype(np.int32)
+    # block p holds the d1 d2 rows from r0 and the entries from nz0
+    r0 = np.append(0, (d1 * d2).cumsum())
+    nz0 = np.append(0, rows[0].cumsum()[r0[1:] - 1])
+    for arr in (data, column, rows):
         arr.setflags(write=False)
-    for j, (pair, n, r, lo, hi) in enumerate(zip(
-            pairs, n_rows.tolist(), r0.tolist(), nz0.tolist(), nz1.tolist())):
-        _CG_BLOCKS[pair] = (data[lo:hi], indices[lo:hi],
-                            indptr[r + j:r + j + n + 1], two_J[r:r + n],
-                            two_M[r:r + n])
+    for pair, r, r1, lo, hi in zip(pairs, r0.tolist(), r0[1:].tolist(),
+                                   nz0.tolist(), nz0[1:].tolist()):
+        _CG_BLOCKS[pair] = (data[lo:hi], column[lo:hi], rows[:, r:r1])
 
 
 def cg_layout(two_j1: np.ndarray, two_j2: np.ndarray) -> tuple:
-    """The blocks cg_block(two_j1[i], two_j2[i]) laid end to end, as flat
-    arrays (data, m1 index, m2 index, row_nnz, two_J, two_M, nnz): per
-    stored entry its value and its column's (m1, m2) indices; per row its
-    entry count and (doubled J, doubled M); per block its entry count.
+    """The Clebsch-Gordan blocks of (two_j1[i], two_j2[i]) laid end to end,
+    as flat arrays (data, m1 index, m2 index, row_nnz, two_J, two_M, nnz):
+    per stored entry its value and its column's (m1, m2) indices; per row
+    its entry count and (doubled J, doubled M); per block its entry count.
     Each distinct block is read once and gathered to its places."""
     radix = two_j2.max() + 1
     keys = two_j1 * radix + two_j2
@@ -495,22 +478,16 @@ def cg_layout(two_j1: np.ndarray, two_j2: np.ndarray) -> tuple:
     keys, block_of = np.flatnonzero(seen), (seen.cumsum() - 1)[keys]
     t1, t2 = np.divmod(keys, radix)
     blocks = cg_blocks(zip(t1.tolist(), t2.tolist()))
-    data, indices, two_J, two_M = (
-        np.concatenate([block[i] for block in blocks]) for i in (0, 1, 3, 4))
+    data, column, rows = (np.concatenate(part, axis=-1)
+                          for part in zip(*blocks))
     nnz = np.array([len(block[0]) for block in blocks])
     n_rows = (t1 + 1) * (t2 + 1)
-    # each row's end less the previous row's, and each block's first row
-    # its end
-    ends = np.concatenate([block[2][1:] for block in blocks])
-    row_nnz = ends.copy()
-    row_nnz[1:] -= ends[:-1]
-    first = n_rows.cumsum() - n_rows
-    row_nnz[first] = ends[first]
-    m1, m2 = np.divmod(indices, (t2 + 1).repeat(nnz))
-    rows = ragged_ranges(first[block_of], n_rows[block_of])
+    m1, m2 = np.divmod(column, (t2 + 1).repeat(nnz))
     at = ragged_ranges((nnz.cumsum() - nnz)[block_of], nnz[block_of])
-    return (data[at], m1[at], m2[at], row_nnz[rows], two_J[rows],
-            two_M[rows], nnz[block_of])
+    row_nnz, two_J, two_M = rows[:, ragged_ranges(
+        (n_rows.cumsum() - n_rows)[block_of], n_rows[block_of])]
+    return (data[at], m1[at], m2[at], row_nnz, two_J, two_M,
+            nnz[block_of])
 
 
 def ragged_ranges(starts, lengths: np.ndarray) -> np.ndarray:

@@ -62,8 +62,9 @@ def block_pairs(rep: RepSpec) -> tuple:
 def family_table(rep: RepSpec) -> tuple:
     """Integer arrays (lam, bra block, ket block) over the ITO families of
     B(H) in basis order: the block pairs of ``block_pairs``, then lam
-    ascending (the row order of ``cg_block``).  lam is the doubled spin
-    for SU(2), the charge for Z_N."""
+    ascending (the row order of a Clebsch-Gordan block, as
+    ``groups.cg_layout`` lays it out).  lam is the doubled spin for SU(2),
+    the charge for Z_N."""
     bra, ket, q = block_pairs(rep)
     if rep.kind == ZN:
         return (q[ket] - q[bra]) % rep.modulus, bra, ket

@@ -304,8 +304,9 @@ class ModeCoefficients:
 
 
 def _cg_nnz(two_j1, two_j2):
-    """Stored entries of cg_block(two_j1, two_j2): the squared sizes of its
-    weight subspaces, (d1 - 1) d1 (2 d1 - 1) / 3 + (d2 - d1 + 1) d1^2 for
+    """Stored entries of the Clebsch-Gordan block of (two_j1, two_j2), as
+    ``groups.cg_layout`` lays it out: the squared sizes of its weight
+    subspaces, (d1 - 1) d1 (2 d1 - 1) / 3 + (d2 - d1 + 1) d1^2 for
     d1 <= d2.  Also elementwise on integer arrays."""
     gap = abs(two_j1 - two_j2)
     d1 = (two_j1 + two_j2 - gap) // 2 + 1
@@ -347,11 +348,18 @@ def _cold_pairs(spins_out, spins_in, rep_in: RepSpec,
     return pairs
 
 
+def _cg_cache_bytes(pairs) -> int:
+    """Bytes the Clebsch-Gordan cache holds for the blocks ``pairs``: 12
+    per stored entry (its value and column) and 12 per row (its entry
+    count, doubled J and doubled M)."""
+    return sum(12 * (_cg_nnz(a, b) + (a + 1) * (b + 1)) for a, b in pairs)
+
+
 def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     """Bytes build_canonical_modes holds for the basis of (rep_in, rep_out),
     predicted from the ITO family spins alone: per side its ITO array, the
-    Clebsch-Gordan blocks read (cached by ``cg_blocks`` with the (J, M) of
-    their rows), the CSR coupling, the row arrays and the labels, and
+    Clebsch-Gordan blocks read (cached by ``cg_blocks``, ITO and coupling
+    blocks alike), the CSR coupling, the row arrays and the labels, and
     beside them the largest working set: the build's copy of each ITO
     array, its batch of cold Clebsch-Gordan solves, one pass of its
     coupling gather, or one ``decompose``'s three working arrays of n
@@ -360,18 +368,17 @@ def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     itos = rep_in.dim ** 4 + rep_out.dim ** 4
     spins_out = _family_spins(rep_out)
     spins_in = spins_out if rep_in is rep_out else _family_spins(rep_in)
-    nnz = blocks = rows = largest = diagrams = 0
+    nnz = largest = diagrams = 0
     for a, count_a in spins_out.items():
         for b, count_b in spins_in.items():
             pairs, k = count_a * count_b, _cg_nnz(a, b)
-            nnz, blocks = nnz + pairs * k, blocks + k
-            rows, largest = rows + (a + 1) * (b + 1), max(largest, k)
+            nnz, largest = nnz + pairs * k, max(largest, k)
             diagrams += pairs * (min(a, b) + 1)
-    solve = cg_batch_bytes(_cold_pairs(spins_out, spins_in, rep_in, rep_out))
+    cold = _cold_pairs(spins_out, spins_in, rep_in, rep_out)
     fill = _FILL_BYTES * min(nnz, _FILL_ENTRIES + largest)
     index = 4 if max(n, nnz) < 2 ** 31 else 8
-    return (16 * itos + max(16 * itos, 48 * n, solve, fill)
-            + (8 + index) * (nnz + blocks) + 8 * rows + index * (n + 1)
+    return (16 * itos + max(16 * itos, 48 * n, cg_batch_bytes(cold), fill)
+            + _cg_cache_bytes(cold) + (8 + index) * nnz + index * (n + 1)
             + (_ROW_BYTES + _LABEL_BYTES) * n + _DIAGRAM_BYTES * diagrams)
 
 

@@ -2,6 +2,8 @@
 Z_N reference frame."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 from symmetria import gauge, groups
 from symmetria.bipartite import two_qubit_product_rep
 from symmetria.groups import (GroupElement, IrrepLabel, LinkFrame, RepSpec,
-                              cg_block, cgc, compose,
+                              cg_rows, cgc, compose,
                               dual_sign_permutation, generators,
                               haar_quadrature, inverse,
                               random_su2, rep_matrix, su2_from_matrix,
@@ -217,26 +219,51 @@ def test_cgc_couples_to_total_weight():
 
 
 def test_cg_block_matches_racah_coefficients():
-    # the eigen-route block against the exact scalar oracle, entry by entry
+    # each J's rows as cg_rows reads them from the eigen-route block, and
+    # the block they stack to, against the exact scalar oracle
     for two_j1 in range(11):
         j1 = IrrepLabel.su2(two_j1)
         for two_j2 in range(11):
             j2 = IrrepLabel.su2(two_j2)
-            C = cg_block(two_j1, two_j2).toarray()
-            exact = np.array([
-                [cgc(j1, m1, j2, m2, J, M)
-                 for m1 in j1.components() for m2 in j2.components()]
-                for J in (IrrepLabel.su2(t) for t in range(
-                    abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2))
-                for M in J.components()])
-            assert np.abs(C - exact).max() <= 1e-14
+            blocks = []
+            for two_J in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2):
+                J = IrrepLabel.su2(two_J)
+                exact = np.array([
+                    [cgc(j1, m1, j2, m2, J, M)
+                     for m1 in j1.components() for m2 in j2.components()]
+                    for M in J.components()])
+                rows = cg_rows(two_j1, two_j2, two_J)
+                assert rows.shape == exact.shape
+                assert np.abs(rows - exact).max() <= 1e-14
+                blocks.append(rows)
+            C = np.vstack(blocks)
             assert np.abs(C @ C.T - np.eye(len(C))).max() <= 1e-14
+    for two_J in (1, 4):  # wrong parity, past j1 + j2
+        with pytest.raises(ValueError, match="series"):
+            cg_rows(1, 1, two_J)
+
+
+def _assert_cached_block_is(two_j1: int, two_j2: int, C: sparse.csr_matrix,
+                            tol: float = 0.0):
+    """The cached arrays of j1 x j2 against the CSR matrix C: the columns
+    equal to its indices and the row entry counts to np.diff(indptr), index
+    dtypes included, and the values to ``tol`` (to the bit when 0)."""
+    data, column, (count, _, _) = groups.cg_blocks([(two_j1, two_j2)])[0]
+    for got, want in ((column, C.indices), (count, np.diff(C.indptr))):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    if tol:
+        assert np.abs(data - C.data).max() <= tol
+    else:
+        assert data.dtype == C.data.dtype
+        assert np.array_equal(data, C.data)
 
 
 def _per_pair_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
-    """The per-pair route to cg_block: one batched ``eigh`` over the weight
-    subspaces of j1 x j2 alone, each padded to min(d1, d2), in the same
-    CSR layout.  Its padded matrices are the batched solve's."""
+    """The per-pair route to the Clebsch-Gordan block: one batched ``eigh``
+    over the weight subspaces of j1 x j2 alone, each padded to min(d1, d2),
+    as a CSR matrix (rows J ascending and M descending, columns (m1, m2)
+    row-major).  Its padded matrices are the batched solve's."""
     d1, d2 = two_j1 + 1, two_j2 + 1
     j1, j2 = two_j1 / 2.0, two_j2 / 2.0
     m1 = j1 - np.arange(d1)
@@ -316,16 +343,13 @@ def test_batched_solves_match_the_per_pair_route_bit_for_bit(requests):
     for request in requests:
         request()
     for pair in _PAIRS_UP_TO_24:
-        C, oracle = cg_block(*pair), _per_pair_cg_block(*pair)
-        for got, want in ((C.data, oracle.data), (C.indices, oracle.indices),
-                          (C.indptr, oracle.indptr)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        _assert_cached_block_is(*pair, _per_pair_cg_block(*pair))
 
 
 def _per_weight_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
-    """The per-weight route to cg_block: one ``eigh_tridiagonal`` and one
-    J_- sign pass per weight M, in the same row and column layout."""
+    """The per-weight route to the Clebsch-Gordan block: one
+    ``eigh_tridiagonal`` and one J_- sign pass per weight M, as a CSR
+    matrix in the same row and column layout."""
     d1, d2 = two_j1 + 1, two_j2 + 1
     j1, j2 = two_j1 / 2.0, two_j2 / 2.0
     m1 = j1 - np.arange(d1)
@@ -374,30 +398,38 @@ def _per_weight_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
 ], ids=["up-to-24", "large"])
 def test_cg_block_matches_the_per_weight_route(pairs):
     # the batched eigensolve against one eigh_tridiagonal per weight: the
-    # same CSR layout, index dtypes included, and the same coefficients
+    # same columns and row entry counts, index dtypes included, and the
+    # same coefficients
     for two_j1, two_j2 in pairs:
-        C, oracle = cg_block(two_j1, two_j2), _per_weight_cg_block(two_j1,
-                                                                   two_j2)
-        for got, want in ((C.indptr, oracle.indptr),
-                          (C.indices, oracle.indices)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-        assert np.abs(C.data - oracle.data).max() <= 1e-13
+        _assert_cached_block_is(two_j1, two_j2,
+                                _per_weight_cg_block(two_j1, two_j2), 1e-13)
 
 
 def test_cg_block_signs_at_spin_38_match_racah():
     # rows J = 72, M = 0 and M = -1 of 38 x 38, where the component that a
     # single-endpoint sign rule would read is below rounding
     j = IrrepLabel.su2(76)
-    C = cg_block(76, 76)
+    rows = cg_rows(76, 76, 144)
     J = IrrepLabel.su2(144)
-    first = sum(t + 1 for t in range(0, 144, 2))  # rows of J < 72
     for two_M in (0, -2):
-        row = C[first + (144 - two_M) // 2].toarray()[0]
+        row = rows[(144 - two_M) // 2]
         exact = [cgc(j, m1, j, m2, J, two_M)
                  for m1 in j.components() for m2 in j.components()]
         assert np.abs(row - exact).max() <= 1e-13
         assert np.abs(row).max() > 0.1
+
+
+def test_groups_loads_no_scipy():
+    # the Clebsch-Gordan blocks are solved, cached and read with numpy
+    # alone
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy as np, symmetria.groups as g\n"
+         "g.cg_layout(np.array([3, 1]), np.array([2, 1]))\n"
+         "g.cg_rows(2, 2, 4)\n"
+         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_dual_sign_permutation_intertwines_conjugate():

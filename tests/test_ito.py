@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symmetria.groups import (ZN, GroupElement, IrrepLabel, RepSpec,
-                              cg_block, haar_quadrature, random_su2,
+                              cg_rows, haar_quadrature, random_su2,
                               rep_matrix, wigner_D)
 from symmetria.ito import build_itos, state_mode_project
 from symmetria.linalg_core import vec
@@ -128,18 +128,17 @@ def _oracle_itos(rep):
                 elements.append(((lam, (b2, b1)), 0, m))
                 continue
             d1, d2 = lab1.dim, lab2.dim
-            C = cg_block(lab1.two_j, lab2.two_j).toarray().reshape(-1, d1, d2)
-            C = (C * (-1.0) ** np.arange(d2))[:, :, ::-1]
-            row = 0
             for two_lam in range(abs(lab1.two_j - lab2.two_j),
                                  lab1.two_j + lab2.two_j + 2, 2):
                 lam = IrrepLabel.su2(two_lam)
+                C = cg_rows(lab1.two_j, lab2.two_j, two_lam).reshape(-1, d1,
+                                                                     d2)
+                C = (C * (-1.0) ** np.arange(d2))[:, :, ::-1]
                 mats = []
-                for block in C[row:row + lam.dim]:
+                for block in C:
                     m = np.zeros((dim, dim), dtype=complex)
                     m[off1:off1 + d1, off2:off2 + d2] = block
                     mats.append(m)
-                row += lam.dim
                 for two_k, m in zip(lam.components(), _phase_fixed(mats)):
                     elements.append(((lam, (b2, b1)), two_k, m))
     if rep.intertwiner is not None:

@@ -15,7 +15,7 @@ from symmetria import groups, process_modes
 from symmetria.axial import single_qubit_modes
 from symmetria.bipartite import two_qubit_product_rep
 from symmetria.groups import (GroupElement, HaarQuadrature, IrrepLabel,
-                              RepSpec, cg_block, cg_rows, cgc, generators,
+                              RepSpec, cgc, generators,
                               haar_quadrature, random_su2, wigner_D)
 from symmetria.ito import build_itos
 from symmetria.linalg_core import (Superoperator, check_cptp,
@@ -442,6 +442,20 @@ def test_build_and_decompose_peak_is_inside_the_basis_prediction():
             assert predicted / 2 < peak
 
 
+def test_the_clebsch_gordan_cache_is_inside_its_predicted_bytes():
+    # the cache term of _basis_bytes counts every block a cold build reads,
+    # the ITO blocks of odd block spins included, and every row's arrays
+    for two_js in ([15], [1, 1, 1], [2, 3]):
+        rep = RepSpec.su2_spins(two_js)
+        groups._CG_BLOCKS.clear()
+        build_canonical_modes(rep, rep)
+        held = sum(arr.nbytes for block in groups._CG_BLOCKS.values()
+                   for arr in block)
+        spins = process_modes._family_spins(rep)
+        assert held <= process_modes._cg_cache_bytes(
+            process_modes._cold_pairs(spins, spins, rep, rep))
+
+
 def test_a_cold_build_solves_once_per_padded_size(monkeypatch):
     # the Clebsch-Gordan blocks of a cold build take one stacked eigh per
     # padded subspace size: for spin 3/2 the ITO block (3, 3) of size 4
@@ -461,25 +475,28 @@ def test_a_cold_build_solves_once_per_padded_size(monkeypatch):
 
 def test_block_layout_closed_forms_match_cg_block():
     # _basis_bytes counts a block's entries with _cg_nnz, and the mode
-    # labels read each row's (J, M) from cg_rows; both must describe
-    # the blocks that cg_block stores
+    # labels read each row's (J, M) from the cache; both must describe
+    # the blocks that the cache stores
     spin = [[sparse.csr_matrix(J) for J in generators(RepSpec.su2_spins([t]))]
             for t in range(25)]
     for two_j1 in range(25):
         for two_j2 in range(25):
-            C = cg_block(two_j1, two_j2)
-            assert process_modes._cg_nnz(two_j1, two_j2) == C.nnz
-            two_J, two_M = cg_rows(two_j1, two_j2)
-            assert len(two_J) == len(two_M) == C.shape[0]
+            data, column, (count, two_J, two_M) = groups.cg_blocks(
+                [(two_j1, two_j2)])[0]
+            assert process_modes._cg_nnz(two_j1, two_j2) == len(data)
+            n = (two_j1 + 1) * (two_j2 + 1)
+            assert len(count) == len(two_J) == len(two_M) == n
             # every stored (m1, m2) of row (J, M) has m1 + m2 = M
-            a, b = np.divmod(C.indices, two_j2 + 1)
-            row = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+            a, b = np.divmod(column, two_j2 + 1)
+            row = np.repeat(np.arange(n), count)
             assert np.array_equal(two_j1 - 2 * a + two_j2 - 2 * b, two_M[row])
             # and each row is a J^2 eigenvector with eigenvalue J(J + 1)
             casimir = sum(
                 (sparse.kron(J1, sparse.identity(two_j2 + 1))
                  + sparse.kron(sparse.identity(two_j1 + 1), J2)) ** 2
                 for J1, J2 in zip(spin[two_j1], spin[two_j2]))
+            C = sparse.csr_matrix((data, column, np.append(0, count.cumsum())),
+                                  shape=(n, n))
             defect = C @ casimir - sparse.diags(two_J * (two_J + 2) / 4) @ C
             assert abs(defect).max() <= 1e-10
 
