@@ -306,8 +306,8 @@ def cgc(j1: IrrepLabel, m1: int, j2: IrrepLabel, m2: int,
 # (entry count, doubled J, doubled M) as the three rows of ``rows``.
 _CG_BLOCKS: dict = {}
 
-# The bytes one batch of cold Clebsch-Gordan solves may hold (see
-# _cg_batches); a block larger than this is solved alone.
+# The bytes the working arrays of one batch of cold Clebsch-Gordan solves
+# may hold (see _cg_batches); a block larger than this is solved alone.
 _CG_BATCH_BYTES = 16 << 20
 
 
@@ -328,8 +328,7 @@ def cg_rows(two_j1: int, two_j2: int, two_J: int) -> np.ndarray:
 def cg_blocks(pairs) -> list:
     """The cached arrays (data, column, rows) of each (two_j1, two_j2) of
     ``pairs`` (see _CG_BLOCKS).  The blocks not yet cached are solved
-    together (see _cg_batches and _solve_cg_blocks): one stacked ``eigh``
-    per padded subspace size."""
+    together, in batches (see _cg_batches and _solve_cg_blocks)."""
     pairs = list(pairs)
     for batch, _ in _cg_batches({p for p in pairs if p not in _CG_BLOCKS}):
         _solve_cg_blocks(batch)
@@ -337,21 +336,21 @@ def cg_blocks(pairs) -> list:
 
 
 def _cg_batches(pairs):
-    """Yield (batch, bytes): the distinct ``pairs`` in order of padded size
-    k = min(d1, d2), cut into batches before the bytes one would hold pass
-    _CG_BATCH_BYTES.  A batch lays each of its weight subspaces out at its
-    largest k, K, and holds about 24 bytes per entry of the K x K matrices
-    and 300 per entry of the K-vectors, as traced over 2j up to 76."""
-    batch, subs = [], 0
+    """Yield (batch, bytes): the distinct ``pairs`` in order of their
+    longest row k = min(d1, d2), cut into batches before the bytes one
+    would hold pass _CG_BATCH_BYTES.  A batch's rows are the columns of
+    (K, rows) arrays, K its largest k; it holds about 44 bytes per entry
+    of them and 400 per row, as traced over 2j up to 78."""
+    batch, rows = [], 0
     for a, b in sorted(pairs, key=lambda p: (min(p), p)):
-        k = min(a, b) + 1
-        if batch and (subs + a + b + 1) * k * (24 * k + 300) > _CG_BATCH_BYTES:
-            yield batch, subs * k_top * (24 * k_top + 300)
-            batch, subs = [], 0
+        k, n = min(a, b) + 1, (a + 1) * (b + 1)
+        if batch and (rows + n) * (44 * k + 400) > _CG_BATCH_BYTES:
+            yield batch, rows * (44 * k_top + 400)
+            batch, rows = [], 0
         batch.append((a, b))
-        subs, k_top = subs + a + b + 1, k
+        rows, k_top = rows + n, k
     if batch:
-        yield batch, subs * k_top * (24 * k_top + 300)
+        yield batch, rows * (44 * k_top + 400)
 
 
 def cg_batch_bytes(pairs) -> int:
@@ -360,27 +359,35 @@ def cg_batch_bytes(pairs) -> int:
     return max((held for _, held in _cg_batches(pairs)), default=0)
 
 
-def _lowering(two_j: int, x):
-    """sqrt((2j - x)(x + 1)) from exact integers: J_- |j m> = _lowering
-    |j, m - 1> for weight index x (m = j - x), and at x = 2j - b it is the
-    J_+ coefficient of weight index b."""
-    return np.sqrt((two_j - x) * (x + 1))
+def _pivots(d, off2, count, reverse=False):
+    """Overwrite the diagonal ``d`` of each column's tridiagonal with its
+    LDL^T pivots, d_q - off2_{q-1} / d_{q-1} down axis 0, or up it when
+    ``reverse``, and return it.  The squared off-diagonal off2_q (q to
+    q + 1) is zero from a column's last position on, and the columns
+    running at position q are the first count[q].  A zero pivot is
+    floored at 1e-300, which keeps off2 / pivot finite for off2 < 1e8."""
+    for q in range(len(d) - 2, -1, -1) if reverse else range(1, len(d)):
+        c, before = count[q], q + 1 if reverse else q - 1
+        pivot = d[before, :c]
+        pivot[pivot == 0] = 1e-300
+        d[q, :c] -= off2[min(q, before), :c] / pivot
+    d[d == 0] = 1e-300
+    return d
 
 
 def _solve_cg_blocks(pairs: list):
-    """Solve the blocks of ``pairs``, in order of k, and cache them.
+    """Solve the blocks of ``pairs`` and cache them.
 
-    On each weight-M subspace J^2 is tridiagonal with the distinct
-    eigenvalues J(J + 1).  Each subspace of a block is padded to that
-    block's k = min(d1, d2) with decoupled diagonal entries below every
-    J(J + 1), so that eigenvector column t is J = |j1 - j2| + t; the
-    subspaces of one k take one stacked ``eigh``.  A padded matrix, and so
-    its eigenvectors, does not depend on the batch.  Around the solves the
-    batch is laid out at its largest k, K, with zeros past each k.
-    The Condon-Shortley signs come from overlaps, never from a single
-    component: |J J> has sign (-1)^(j1-m1) on every component, and
-    |J, M-1> is a positive multiple of J_- |J M>, so the signs of the raw
-    overlaps <J, M-1| J_- |J M> multiply down each J.
+    On each weight-M subspace J^2 is tridiagonal with the eigenvalues
+    J(J + 1).  Each |J M> is one twisted factorisation of the exact
+    J^2 - J(J + 1) (Fernando, SIAM J. Matrix Anal. Appl. 18, 1013
+    (1997)): the pivots d+ down and d- up, the twist r where
+    |d+_r + d-_r - (J^2 - J(J + 1))_rr| is least, and ratios outward
+    from z_r = 1.  The Condon-Shortley sign makes the largest-m1 entry
+    positive: there m1 = j1 or m2 = -j2, so Racah's sum has one term, and
+    a product of ratios has an exact sign at any magnitude.  Each step,
+    the norm's sum included, runs down axis 0 of (K, rows) arrays, one
+    vector per column and longest first, so no bits depend on the batch.
     """
     t1, t2 = np.array(pairs).T
     d1, d2 = t1 + 1, t2 + 1
@@ -396,63 +403,53 @@ def _solve_cg_blocks(pairs: list):
     skip = (np.maximum(two_min, np.abs(two_top - 2 * s)) - two_min) // 2
     size = k - skip
     first = np.maximum(0, s - d2[p] + 1)
+    # rows (J ascending, M descending) are each block's (t, s) in C order
     i = t = np.arange(k_pair.max())
-    a = first[:, None] + i
-    inside = i < size[:, None]
-    u1, u2 = t1[p, None], t2[p, None]
-    a_in, b_in = np.minimum(a, u1), np.clip(s[:, None] - a, 0, u2)
-    m1, m2 = (u1 - 2 * a_in) / 2.0, (u2 - 2 * b_in) / 2.0
-    casimir = np.zeros((len(p), len(i), len(i)))
-    casimir[:, i, i] = np.where(
-        inside, u1 / 2.0 * (u1 / 2.0 + 1) + u2 / 2.0 * (u2 / 2.0 + 1)
-        + 2 * m1 * m2, -1.0)
-    off = np.where(inside[:, 1:], _lowering(u1, a_in[:, :-1])
-                   * _lowering(u2, u2 - b_in[:, :-1]), 0.0)
-    casimir[:, i[1:], i[:-1]] = off
-    casimir[:, i[:-1], i[1:]] = off
-    # the pairs come in order of k, so each k is one run of subspaces
-    V = np.zeros_like(casimir)
-    runs = start[np.flatnonzero(np.diff(k_pair)) + 1].tolist() + [len(p)]
-    for lo, hi in zip([0] + runs[:-1], runs):
-        n = k[lo]
-        V[lo:hi, :n, :n] = np.linalg.eigh(casimir[lo:hi, :n, :n])[1]
-    del casimir
-    # raw <J M| J_- |J, M+1>: J1_- feeds position a from m1 index a - 1
-    # and J2_- from m2 index b - 1, at positions i - 1 and i of subspace
-    # s - 1 while s < d2, and at i and i + 1 once its first a has moved.
-    # At s = 0 subspace s - 1 is another block's, but there only the top,
-    # signed below, is present
-    feed1 = np.where(a > 0, _lowering(u1, np.maximum(a_in - 1, 0)), 0.0)
-    feed2 = np.where(b_in > 0, _lowering(u2, np.maximum(b_in - 1, 0)), 0.0)
-    moved = (s >= d2[p])[1:, None]
-    overlap = np.zeros((len(p), len(i)))
-    for w, here, before in (
-            (np.where(moved, feed1[1:], feed2[1:]), V[1:], V[:-1]),
-            (np.where(moved, 0.0, feed1[1:, 1:]), V[1:, 1:], V[:-1, :-1]),
-            (np.where(moved, feed2[1:, :-1], 0.0), V[1:, :-1], V[:-1, 1:])):
-        overlap[1:] += np.einsum("gi,git,git->gt", w, here, before)
-    present = (t >= skip[:, None]) & (t < k[:, None])
-    sign = np.where(present & (overlap < 0), -1.0, 1.0)
-    # the highest weight |J J> starts J's run at s = k - 1 - t, first = 0
-    top_p, top_t = np.nonzero(t < k_pair[:, None])
-    top = start[top_p] + k_pair[top_p] - 1 - top_t
-    sign[top, top_t] = np.where(
-        np.einsum("gi,i->g", V[top, :, top_t], (-1.0) ** i) < 0, -1.0, 1.0)
-    flips = np.cumsum(sign < 0, axis=0)
-    flips -= (flips[start] - (sign[start] < 0))[p]
-    V *= np.where(flips % 2, -1.0, 1.0)[:, None, :]
-    # rows (J ascending, M descending) are each block's (t, s) in C order;
-    # a row holds the positions i < size of its subspace, in the columns
-    # a d2 + b = (first + i)(d2 - 1) + s
-    row_g, row_t = np.nonzero(present)
+    row_g, row_t = np.nonzero((t >= skip[:, None]) & (t < k[:, None]))
     order = np.argsort(p[row_g] * len(i) + row_t, kind="stable")
     row_g, row_t = row_g[order], row_t[order]
+    two_J = two_min[row_g] + 2 * row_t
+    # J^2 on each subspace, position-major: its diagonal and the squared
+    # J1_- J2_+ from position i to i + 1, exact in quarters
+    q = i[:, None]
+    u1, u2, a = t1[p], t2[p], first + q
+    b = s - a
+    diag = (u1 * (u1 + 2) + u2 * (u2 + 2)
+            + 2 * (u1 - 2 * a) * (u2 - 2 * b)) / 4
+    off2 = np.where(q < size - 1, (u1 - a) * (a + 1) * b * (u2 - b + 1), 0.0)
+    # column v is the vector of row by_length[v], longest first, in the
+    # exact J^2 - J(J + 1) of its subspace
+    by_length = np.argsort(-size[row_g], kind="stable")
+    g, J, n = row_g[by_length], two_J[by_length], size[row_g][by_length]
+    count = (q < n).sum(axis=1).tolist()
+    shifted = diag.take(g, axis=1) - J * (J + 2) / 4
+    off2_g = off2.take(g, axis=1)
+    d_up = _pivots(shifted.copy(), off2_g, count)
+    d_down = _pivots(shifted.copy(), off2_g, count, reverse=True)
+    del off2_g
+    twist = np.where(q < n, np.abs(d_up + d_down - shifted),
+                     np.inf).argmin(axis=0)
+    del shifted
+    # z_q = -off_q / d+_q z_{q+1} above the twist and -off_{q-1} / d-_q
+    # z_{q-1} below it: each a product of ratios outward from z_r = 1
+    off = -np.sqrt(off2).take(g, axis=1)
+    up, down = np.ones_like(off), np.ones_like(off)
+    np.divide(off, d_up, out=up, where=q < twist)
+    np.divide(off[:-1], d_down[1:], out=down[1:], where=q[1:] > twist)
+    del off, d_up, d_down
+    z = np.cumprod(up[::-1], axis=0)[::-1] * np.cumprod(down, axis=0)
+    del up, down
+    z /= np.copysign(np.sqrt((z * z).sum(axis=0)), z[0])
+    # a row holds the positions i < size of its subspace, in the columns
+    # a d2 + b = (first + i)(d2 - 1) + s
     keep = i < size[row_g, None]
-    data = V.transpose(0, 2, 1)[row_g, row_t][keep]
+    data = z.T[np.argsort(by_length)][keep]
+    # an entry beside a floored zero pivot comes out near 1e-300: Racah's 0
+    data[np.abs(data) < 1e-150] = 0.0
     step = d2[p[row_g]] - 1
     column = ((first[row_g] * step + s[row_g])[:, None]
               + step[:, None] * i)[keep].astype(np.int32)
-    rows = np.stack((size[row_g], two_min[row_g] + 2 * row_t,
+    rows = np.stack((size[row_g], two_J,
                      two_top[row_g] - 2 * s[row_g])).astype(np.int32)
     # block p holds the d1 d2 rows from r0 and the entries from nz0
     r0 = np.append(0, (d1 * d2).cumsum())

@@ -519,8 +519,24 @@ def test_region_scan_matches_the_full_choi_stack(kind):
     _assert_scan_matches_the_full_stack(kind, x, y, z)
 
 
+@pytest.fixture
+def skewed_terms(monkeypatch):
+    """The catalog with each Phi_theta's Choi matrix J scaled by 1 + 1e-15 i,
+    for the region scan and its oracle alike: an anti-Hermitian part of
+    about ten rounding units, still invariant and with no partial trace.
+    The catalog's own terms are Hermitian to rounding, some of them
+    exactly, so their parts can fall below the rounding of a sum at huge
+    coordinates."""
+    for name, J in list(CAT.phi_choi.items()):
+        monkeypatch.setitem(CAT.phi_choi, name, J * (1 + 1e-15j))
+    CAT.__dict__.pop("region_terms", None)
+    yield
+    CAT.__dict__.pop("region_terms", None)
+
+
 @pytest.mark.parametrize("kind", [INJECTION, RELATIONAL])
-def test_region_scan_penalises_the_full_hermiticity_defect(kind):
+def test_region_scan_penalises_the_full_hermiticity_defect(kind,
+                                                           skewed_terms):
     # at huge coordinates the terms' rounding-level anti-Hermitian parts
     # exceed REGION_PSD_TOL.  The block route takes the defect of the whole
     # Choi matrix, ||sum_t c_t (J_t - J_t^dag)||, from the terms' Gram matrix;

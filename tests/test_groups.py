@@ -244,26 +244,23 @@ def test_cg_block_matches_racah_coefficients():
 
 
 def _assert_cached_block_is(two_j1: int, two_j2: int, C: sparse.csr_matrix,
-                            tol: float = 0.0):
+                            tol: float):
     """The cached arrays of j1 x j2 against the CSR matrix C: the columns
     equal to its indices and the row entry counts to np.diff(indptr), index
-    dtypes included, and the values to ``tol`` (to the bit when 0)."""
+    dtypes included, and the values to ``tol``."""
     data, column, (count, _, _) = groups.cg_blocks([(two_j1, two_j2)])[0]
     for got, want in ((column, C.indices), (count, np.diff(C.indptr))):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    if tol:
-        assert np.abs(data - C.data).max() <= tol
-    else:
-        assert data.dtype == C.data.dtype
-        assert np.array_equal(data, C.data)
+    assert np.abs(data - C.data).max() <= tol
 
 
 def _per_pair_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
     """The per-pair route to the Clebsch-Gordan block: one batched ``eigh``
     over the weight subspaces of j1 x j2 alone, each padded to min(d1, d2),
     as a CSR matrix (rows J ascending and M descending, columns (m1, m2)
-    row-major).  Its padded matrices are the batched solve's."""
+    row-major), with the Condon-Shortley signs from the highest weight's
+    overlap and the J_- overlaps multiplied down each J."""
     d1, d2 = two_j1 + 1, two_j2 + 1
     j1, j2 = two_j1 / 2.0, two_j2 / 2.0
     m1 = j1 - np.arange(d1)
@@ -329,6 +326,16 @@ def _build(two_js):
     build_canonical_modes(rep, rep)
 
 
+@pytest.fixture(scope="module")
+def solved_one_pair_at_a_time():
+    """The cached arrays of every block with 2j <= 24, each solved in a
+    batch of its own."""
+    groups._CG_BLOCKS.clear()
+    for pair in _PAIRS_UP_TO_24:
+        groups.cg_blocks([pair])
+    return dict(groups._CG_BLOCKS)
+
+
 @pytest.mark.parametrize("requests", [
     [lambda: _build([1]), lambda: _build([3]),
      lambda: groups.cg_blocks(_PAIRS_UP_TO_24)],
@@ -336,14 +343,27 @@ def _build(two_js):
     [lambda pair=pair: groups.cg_blocks([pair])
      for pair in reversed(_PAIRS_UP_TO_24)],
 ], ids=["su2[1]-then-su2[3]", "one-batch", "reversed-one-by-one"])
-def test_batched_solves_match_the_per_pair_route_bit_for_bit(requests):
-    # the blocks solved cold in batches of any make-up are the per-pair
-    # route's, to the bit and the index dtype
+def test_batched_solves_match_the_per_pair_route_bit_for_bit(
+        requests, solved_one_pair_at_a_time):
+    # the blocks solved cold in batches of any make-up are the blocks
+    # solved one pair at a time, to the bit and the dtype
     groups._CG_BLOCKS.clear()
     for request in requests:
         request()
     for pair in _PAIRS_UP_TO_24:
-        _assert_cached_block_is(*pair, _per_pair_cg_block(*pair))
+        for got, want in zip(groups._CG_BLOCKS[pair],
+                             solved_one_pair_at_a_time[pair]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_cg_block_matches_the_per_pair_route():
+    # the twisted factorisations against the per-pair eigensolve: the same
+    # columns and row entry counts, index dtypes included, and the same
+    # coefficients, signs included
+    for two_j1, two_j2 in _PAIRS_UP_TO_24:
+        _assert_cached_block_is(two_j1, two_j2,
+                                _per_pair_cg_block(two_j1, two_j2), 1e-13)
 
 
 def _per_weight_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
@@ -397,9 +417,9 @@ def _per_weight_cg_block(two_j1: int, two_j2: int) -> sparse.csr_matrix:
     [(76, 76), (76, 0), (0, 76), (76, 1), (60, 17), (38, 76)],
 ], ids=["up-to-24", "large"])
 def test_cg_block_matches_the_per_weight_route(pairs):
-    # the batched eigensolve against one eigh_tridiagonal per weight: the
-    # same columns and row entry counts, index dtypes included, and the
-    # same coefficients
+    # the twisted factorisations against one eigh_tridiagonal per weight:
+    # the same columns and row entry counts, index dtypes included, and
+    # the same coefficients
     for two_j1, two_j2 in pairs:
         _assert_cached_block_is(two_j1, two_j2,
                                 _per_weight_cg_block(two_j1, two_j2), 1e-13)
@@ -417,6 +437,29 @@ def test_cg_block_signs_at_spin_38_match_racah():
                  for m1 in j.components() for m2 in j.components()]
         assert np.abs(row - exact).max() <= 1e-13
         assert np.abs(row).max() > 0.1
+
+
+def test_cg_blocks_at_large_spin_match_racah():
+    # seeded samples of stored entries against Racah's exact sum, where
+    # the entries span many decades; and no block with 2j <= 24, zero
+    # pivots among them, holds a NaN or an entry near the pivot floor in
+    # place of an exact zero
+    rng = np.random.default_rng(39)
+    for two_j1, two_j2 in ((40, 40), (60, 60), (75, 76), (76, 38), (76, 76)):
+        data, column, (count, two_J, two_M) = groups.cg_blocks(
+            [(two_j1, two_j2)])[0]
+        pick = rng.choice(len(data), 1000, replace=False)
+        row = np.repeat(np.arange(len(count)), count)[pick]
+        a, b = np.divmod(column[pick], two_j2 + 1)
+        exact = [groups._cgc_doubled(two_j1, two_j1 - 2 * x, two_j2,
+                                     two_j2 - 2 * y, J, M)
+                 for x, y, J, M in zip(a.tolist(), b.tolist(),
+                                       two_J[row].tolist(),
+                                       two_M[row].tolist())]
+        assert np.abs(data[pick] - exact).max() <= 5e-15
+    for data, _, _ in groups.cg_blocks(_PAIRS_UP_TO_24):
+        assert not np.isnan(data).any()
+        assert not ((data != 0) & (np.abs(data) < 1e-30)).any()
 
 
 def test_groups_loads_no_scipy():

@@ -456,21 +456,28 @@ def test_the_clebsch_gordan_cache_is_inside_its_predicted_bytes():
             process_modes._cold_pairs(spins, spins, rep, rep))
 
 
-def test_a_cold_build_solves_once_per_padded_size(monkeypatch):
-    # the Clebsch-Gordan blocks of a cold build take one stacked eigh per
-    # padded subspace size: for spin 3/2 the ITO block (3, 3) of size 4
-    # and the coupling blocks of sizes 1, 3, 5 and 7; a warm build none
-    solves = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (
-        solves.append(a.shape[-1]), eigh(a))[1])
+def test_a_cold_build_solves_once_with_no_eigensolver(monkeypatch):
+    # the Clebsch-Gordan blocks of a cold build are solved in one batch:
+    # for spin 3/2 the ITO block (3, 3) and the 16 coupling blocks of the
+    # family spins 0, 1, 2 and 3, with no numpy eigensolver; a warm build
+    # solves nothing
+    batches, eigensolves = [], []
+    solve = groups._solve_cg_blocks
+    monkeypatch.setattr(groups, "_solve_cg_blocks",
+                        lambda pairs: (batches.append(pairs), solve(pairs)))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, name=name: eigensolves.append(name))
     rep = RepSpec.su2_spins([3])
     groups._CG_BLOCKS.clear()
     build_canonical_modes(rep, rep)
-    assert sorted(solves) == [1, 3, 4, 5, 7]
-    solves.clear()
+    assert len(batches) == 1
+    assert sorted(batches[0]) == sorted(
+        [(3, 3)] + [(a, b) for a in (0, 2, 4, 6) for b in (0, 2, 4, 6)])
+    assert eigensolves == []
+    batches.clear()
     build_canonical_modes(rep, rep)
-    assert solves == []
+    assert batches == [] and eigensolves == []
 
 
 def test_block_layout_closed_forms_match_cg_block():
