@@ -173,6 +173,15 @@ def _parse_group(desc) -> RepSpec:
     raise SemanticError(f"unknown group kind {kind!r}")
 
 
+def _load_bytes(dim_in: int, dim_out: int) -> int:
+    """Predicted peak bytes of a channel file's load past its JSON parse:
+    six complex (d_in d_out)^2 arrays (a Choi payload's matrix, the
+    transfer matrix, and the CPTP check's Choi matrix, its conjugate
+    transpose, their difference and the Hermitian part it solves), plus
+    1 MiB of small arrays."""
+    return 96 * (dim_in * dim_out) ** 2 + (1 << 20)
+
+
 def load_channel(path: str, allow_nonphysical: bool = False):
     """Parse a ChannelFile into (Superoperator, rep_in, rep_out)."""
     try:
@@ -197,6 +206,8 @@ def load_channel(path: str, allow_nonphysical: bool = False):
             f"group dims ({rep_in.dim}, {rep_out.dim}) do not match "
             f"declared dims ({dim_in}, {dim_out})"
         )
+    check_budget(_load_bytes(dim_in, dim_out),
+                 f"a channel of dims ({dim_in}, {dim_out})")
     if "kraus" in data:
         kraus = [_as_matrix(K, "kraus") for K in _list(data["kraus"], "kraus")]
         for K in kraus:
@@ -363,8 +374,11 @@ def _random_state(rng, n: int) -> np.ndarray:
 def cmd_catalytic(args):
     d = args.dim_a
     D = args.ladder
-    check_budget(catalytic_bytes(d, D, args.rounds),
-                 f"catalytic --dim-a {d} --ladder {D} --rounds {args.rounds}")
+    what = f"catalytic --dim-a {d} --ladder {D} --rounds {args.rounds}"
+    # one (D, d_A^4) profile, a part of the prediction, first: the mode
+    # basis term of the prediction forms d_A^2 block pairs
+    check_budget(16 * d ** 4 * D, what)
+    check_budget(catalytic_bytes(d, D, args.rounds), what)
     rng = np.random.default_rng(args.seed)
     q, r = np.linalg.qr(rng.normal(size=(d, d))
                         + 1j * rng.normal(size=(d, d)))
@@ -379,15 +393,11 @@ def cmd_catalytic(args):
     else:
         sigma = _random_state(rng, D)
     inputs = [_random_state(rng, d) for _ in range(args.rounds)]
-    rep = sequential_use(P, sigma, inputs)
     figures = [(rec.choi_distance_to_first, rec.reference_fidelity)
-               for rec in rep.rounds]
+               for rec in sequential_use(P, sigma, inputs)]
     for i, (d, f) in enumerate(_fmt_each(figures)):
         out.append(f"round {i + 1}: choi distance to round 1 = {d}  "
                    f"reference overlap = {f}")
-    if rep.crosscheck_residual is not None:
-        out.append(f"two-round full-tensor cross-check: "
-                   f"{fmt(rep.crosscheck_residual)}")
     mp = measure_prepare_form(P)
     out.append(f"measure-prepare X residual: {fmt(mp.max_x_residual)}")
     checks = [(x, 1e-10)

@@ -387,6 +387,10 @@ def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis
         raise ValueError("input and output reps must share the group kind")
     if rep_in.kind == ZN and rep_in.modulus != rep_out.modulus:
         raise ValueError("input and output Z_N reps must share the modulus")
+    # the two ITO arrays alone first: the full prediction reads the family
+    # table, which forms (blocks)^2 block pairs
+    check_budget(16 * (rep_in.dim ** 4 + rep_out.dim ** 4),
+                 "the process-mode basis")
     check_budget(_basis_bytes(rep_in, rep_out), "the process-mode basis")
     # each ITO family's lam: its doubled spin (SU(2)) or charge (Z_N)
     q_out = family_table(rep_out)[0]

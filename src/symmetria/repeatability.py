@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import LinkFrame, RepSpec
-from .linalg_core import Monomial, Superoperator, apply, kron
-from .process_modes import (ProcessModeBasis, _mode_values,
+from .linalg_core import Monomial, Superoperator, kron
+from .process_modes import (ProcessModeBasis, _basis_bytes, _mode_values,
                             build_canonical_modes, check_budget)
 
 
@@ -74,25 +74,21 @@ def _check_state(sigma: np.ndarray, dim: int):
     return sigma
 
 
-def _apply_v(P: Protocol, M: np.ndarray, dims: tuple, axis: int) -> np.ndarray:
-    """V M V^dag for V on (A, B) of a square M over the product space of
-    dims, with A the factor at ``axis`` and B the last: C^dag M C by a
-    monomial gather, U on the A ket axis and conj(U) on its bra axis, then
-    the gather by C."""
+def _apply_v(P: Protocol, M: np.ndarray) -> np.ndarray:
+    """V M V^dag for a square M on A (x) B: C^dag M C by a monomial gather,
+    U on the A ket axis and conj(U) on its bra axis, then the gather by C."""
     d, D = P.dim_a, P.ladder.N
-    n = M.shape[0]
-    stride = math.prod(dims[axis + 1:])
-    k = np.arange(n)
-    m, h = k // stride % d, k % D
+    n = d * D
+    m, h = np.divmod(np.arange(n), D)
     ones = np.ones(n)
-    M = Monomial(k - h + (h + m) % D, ones).conjugate(M)
-    M = (P.U @ M.reshape(-1, d, stride * n)).reshape(n, n)
-    M = (P.U.conj() @ M.reshape(-1, d, stride)).reshape(n, n)
-    return Monomial(k - h + (h - m) % D, ones).conjugate(M)
+    M = Monomial(D * m + (h + m) % D, ones).conjugate(M)
+    M = (P.U @ M.reshape(d, D * n)).reshape(n, n)
+    M = (P.U.conj() @ M.reshape(n, d, D)).reshape(n, n)
+    return Monomial(D * m + (h - m) % D, ones).conjugate(M)
 
 
 def _joint_out(P: Protocol, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return _apply_v(P, kron(rho, sigma), (P.dim_a, P.ladder.N), 0)
+    return _apply_v(P, kron(rho, sigma))
 
 
 def induced_channel(P: Protocol, sigma) -> Superoperator:
@@ -146,17 +142,17 @@ def rotated_target(P: Protocol, r) -> np.ndarray:
 
 
 def catalytic_bytes(dim_a: int, D: int, rounds: int) -> int:
-    """Predicted peak bytes of a catalytic run: the larger of its two stages,
-    plus one d_A^4 channel per round, (rounds + 2) reference states of side
-    D (the initial one, one per round, one for a round's DFT weights or a
-    Delta profile's gather), that gather's int64 index and 1 MiB of small
-    arrays.  Two or more rounds' cross-check holds two copies of the state on
-    A1 (x) A2 (x) B (each step's input and output); the measure-and-prepare
-    stage four of the (D, d_A^4) profile (the stacked transfers and products,
-    or the profile, its deviation and the residual norm's temporaries)."""
-    crosscheck = 2 * (dim_a ** 2 * D) ** 2 if rounds >= 2 else 0
-    return (16 * (max(crosscheck, 4 * dim_a ** 4 * D) + rounds * dim_a ** 4
-                  + (rounds + 2) * D ** 2) + 8 * D ** 2 + (1 << 20))
+    """Predicted peak bytes of a catalytic run: one d_A^4 channel per round,
+    (rounds + 2) reference states of side D (the initial one, one per round,
+    one for a round's DFT weights or a Delta profile's gather), that
+    gather's int64 index and 1 MiB of small arrays, beside the
+    measure-and-prepare stage: four of the (D, d_A^4) profile (the stacked
+    transfers and products, or the profile, its deviation and the residual
+    norm's temporaries) and the Z_D mode basis ``zd_mode_basis`` builds."""
+    rep = RepSpec.zn_charges(list(range(dim_a)), D)
+    return (16 * (4 * dim_a ** 4 * D + rounds * dim_a ** 4
+                  + (rounds + 2) * D ** 2) + 8 * D ** 2 + (1 << 20)
+            + _basis_bytes(rep, rep))
 
 
 @dataclass(frozen=True)
@@ -168,24 +164,16 @@ class RoundRecord:
     delta_profile: np.ndarray
 
 
-@dataclass(frozen=True)
-class SequentialReport:
-    rounds: tuple  # of RoundRecord
-    crosscheck_residual: float | None  # n=2 full-tensor check, if performed
-
-
-def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
+def sequential_use(P: Protocol, sigma, inputs) -> tuple:
     """Run the protocol on each input in turn, propagating the reduced
-    reference state; each round's channel is the closed form of the Delta
-    profile the reference enters it with.  For two or more rounds the first
-    two outputs are cross-checked against the full joint-unitary
-    computation on A1 (x) A2 (x) B."""
+    reference state, and return the rounds' RoundRecords; each round's
+    channel is the closed form of the Delta profile the reference enters it
+    with."""
     sigma0 = _check_state(sigma, P.ladder.N)
     if len(inputs) < 1:
         raise ValueError("at least one input state required")
     check_budget(catalytic_bytes(P.dim_a, P.ladder.N, len(inputs)),
-                 "the two-round cross-check" if len(inputs) >= 2
-                 else "one round's reference states")
+                 "a catalytic run")
     rounds = []
     sig, profile = sigma0, P.ladder.delta_profile(sigma0)
     for rho in inputs:
@@ -198,24 +186,7 @@ def sequential_use(P: Protocol, sigma, inputs) -> SequentialReport:
             choi_distance_to_first=(chan - first).norm(),
             reference_fidelity=float(np.einsum("ij,ji->", sig, sigma0).real),
             delta_profile=profile))
-    crosscheck = (_two_round_crosscheck(P, sigma0, *inputs[:2], rounds)
-                  if len(inputs) >= 2 else None)
-    return SequentialReport(tuple(rounds), crosscheck)
-
-
-def _two_round_crosscheck(P: Protocol, sigma0, rho1, rho2, rounds) -> float:
-    """Full tensor computation on A1 (x) A2 (x) B versus the iterated
-    reduced-reference propagation."""
-    d, D = P.dim_a, P.ladder.N
-    rho12 = kron(np.asarray(rho1, complex), np.asarray(rho2, complex))
-    # V on (A1, B), then on (A2, B), nested so that no name holds the input
-    out = _apply_v(P, _apply_v(P, kron(rho12, sigma0), (d, d, D), 0),
-                   (d, d, D), 1).reshape(d, d, D, d, d, D)
-    marg1 = np.einsum("iabjab->ij", out)
-    marg2 = np.einsum("aibajb->ij", out)
-    r1 = np.linalg.norm(marg1 - apply(rounds[0].channel, rho1))
-    r2 = np.linalg.norm(marg2 - apply(rounds[1].channel, rho2))
-    return float(max(r1, r2))
+    return tuple(rounds)
 
 
 def zd_mode_basis(P: Protocol) -> ProcessModeBasis:

@@ -280,13 +280,11 @@ def test_criterion_7_catalytic_repeatability():
         inputs = [_random_state(rng, d) for _ in range(5)]
         for _ in range(20):
             sigma = _random_state(rng, 16)
-            rep = sequential_use(P, sigma, inputs)
-            for rec in rep.rounds:
+            for rec in sequential_use(P, sigma, inputs):
                 worst_rounds = max(worst_rounds, rec.choi_distance_to_first)
         for r in (0, 5, 11):
             frame_r = P.ladder.frame_projector(r)
-            rep = sequential_use(P, frame_r, inputs[:2])
-            for rec in rep.rounds:
+            for rec in sequential_use(P, frame_r, inputs[:2]):
                 worst_frame = max(worst_frame,
                                   abs(rec.reference_fidelity - 1.0))
             E = induced_channel(P, frame_r)

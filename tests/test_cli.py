@@ -214,13 +214,15 @@ def test_gauge_refuses_a_guarded_lattice_before_the_trials(capsys, lattice,
 
 
 @pytest.mark.parametrize("argv", [
-    ["catalytic", "--dim-a", "16", "--ladder", "64", "--rounds", "2"],
+    ["catalytic", "--dim-a", "32", "--ladder", "64", "--rounds", "2"],
     ["catalytic", "--ladder", "8192", "--rounds", "1"],
-], ids=["crosscheck-17GB", "reference-states-4GB"])
+    ["catalytic", "--dim-a", "3000", "--ladder", "3000"],
+], ids=["profile-4GB", "reference-states-4GB", "dim-a-3000"])
 def test_catalytic_refuses_a_run_over_the_memory_budget(capsys, argv):
-    # the first would hold a 17 GB cross-check, the second 3.2 GB of
-    # reference states beside a 0.5 GB profile index; both are refused
-    # before the protocol is built
+    # the first would hold 4.3 GB of measure-and-prepare profile, the
+    # second 3.2 GB of reference states beside a 0.5 GB profile index; all
+    # are refused before the protocol is built, the third on its profile
+    # before the mode-basis prediction forms 9e6 block pairs
     from symmetria import cli
 
     start = time.perf_counter()
@@ -240,12 +242,12 @@ def test_catalytic_refuses_a_run_over_the_memory_budget(capsys, argv):
 
 @pytest.mark.parametrize("d, D, rounds", [(8, 16, 2), (4, 128, 1),
                                          (2, 1024, 1), (2, 512, 2),
-                                         (2, 512, 5)])
+                                         (2, 512, 5), (16, 32, 2)])
 def test_catalytic_byte_prediction_bounds_the_peak(capsys, d, D, rounds):
-    # (8, 16, 2) peaks in the cross-check, (4, 128, 1) in the
-    # measure-and-prepare profile, (2, 1024, 1) in one round's reference
-    # states; at D = 512 the reference states of every round are live
-    # beside the cross-check
+    # (8, 16, 2), (4, 128, 1) and (16, 32, 2) peak in the measure-and-prepare
+    # profile beside its Z_D mode basis, (2, 1024, 1) in one round's
+    # reference states; at D = 512 the reference states of every round are
+    # live
     from symmetria import cli
     from symmetria.repeatability import catalytic_bytes
 
@@ -396,6 +398,14 @@ def _spin_39_2_identity(d):
                      for r in range(40)]])
 
 
+def _spin_79_2_identity(d):
+    # d = 80: a 6,400^2 Choi matrix, refused before the payload's
+    # conversion; from d = 69 on the load is predicted over 2 GiB
+    d.update(dim_in=80, dim_out=80, group={"kind": "su2", "two_j": [79]},
+             kraus=[[[[float(r == c), 0.0] for c in range(80)]
+                     for r in range(80)]])
+
+
 @pytest.mark.parametrize("args, code", [
     (("decompose", _nan_entry), 3),
     (("decompose", _negative_two_j), 3),
@@ -419,6 +429,7 @@ def _spin_39_2_identity(d):
     (("region", "--kind", "relational", "--grid", "2000"), 3),
     (("gauge", "--n", "64"), 3),
     (("decompose", _spin_39_2_identity), 3),
+    (("decompose", _spin_79_2_identity), 3),
     (("decompose", str(FIXTURES / "identity.json"), "--tol", "-1"), 2),
     (("decompose", str(FIXTURES / "identity.json"), "--tol", "nan"), 2),
     (("decompose", str(FIXTURES / "identity.json"), "--tol", "inf"), 2),
@@ -436,8 +447,9 @@ def _spin_39_2_identity(d):
         "lattice-0x0", "lattice-2x0", "lattice-n-1", "table-p-2",
         "table-angle-inf", "table-angle-nan",
         "region-grid-0", "region-grid-over-budget", "gauge-n-over-budget",
-        "over-memory-limit", "tol-negative", "tol-nan", "tol-inf",
-        "bipartite-tol-nan", "crosscheck-over-limit", "seed-negative",
+        "over-memory-limit", "channel-load-over-budget", "tol-negative",
+        "tol-nan", "tol-inf", "bipartite-tol-nan", "catalytic-over-limit",
+        "seed-negative",
         "env-seed-abc", "env-seed-float", "gauge-n-0", "gauge-n-negative"])
 def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     if callable(args[1]):
@@ -449,6 +461,66 @@ def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     assert r.returncode == code, (r.stdout, r.stderr)
     assert "Traceback" not in r.stderr
     assert r.stderr.strip()
+
+
+@pytest.mark.parametrize("command", ["decompose", "polar", "bipartite"])
+def test_a_channel_over_the_budget_is_refused_before_its_load(
+        tmp_path, capsys, command):
+    from symmetria import cli
+
+    f = _fixture_variant(tmp_path, "spin-79-2", _spin_79_2_identity)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main([command, f])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "GiB, over the 2 GiB budget" in err and "Traceback" not in err
+    assert out == ""
+    assert peak < 4 << 20  # the parsed file, not its 6,400^2 Choi matrix
+    assert time.perf_counter() - start < 1.0
+
+
+def _identity_kraus(d):
+    return {"kraus": [[[[float(r == c), 0.0] for c in range(d)]
+                       for r in range(d)]]}
+
+
+def _identity_choi(d):
+    import numpy as np
+    from symmetria.linalg_core import choi_of
+
+    J = choi_of([np.eye(d)], d, d).choi
+    return {"choi": np.stack([J.real, J.imag], axis=-1).tolist()}
+
+
+@pytest.mark.parametrize("payload", [_identity_kraus, _identity_choi],
+                         ids=["kraus", "choi"])
+def test_channel_load_prediction_bounds_the_peak(tmp_path, monkeypatch,
+                                                 payload):
+    # the identity channel at d = 24, a 576^2 Choi matrix; json.load
+    # returns the payload, built before the trace starts, as the prediction
+    # counts the load past the parse
+    from symmetria import cli
+
+    d = 24
+    data = dict(dim_in=d, dim_out=d, group={"kind": "su2", "two_j": [d - 1]},
+                **payload(d))
+    f = tmp_path / "identity-24.json"
+    f.write_text("{}")
+    monkeypatch.setattr(json, "load", lambda fp: data)
+    tracemalloc.start()
+    try:
+        S = cli.load_channel(str(f))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.dim_in == S.dim_out == d
+    predicted = cli._load_bytes(d, d)
+    assert predicted / 2 < peak <= predicted
 
 
 _SU2 = {"kind": "su2", "two_j": [1]}
@@ -506,9 +578,8 @@ def _through(name, edit):
     return patch
 
 
-def _last_round_drifts(rep):
-    last = replace(rep.rounds[-1], choi_distance_to_first=1.0)
-    return replace(rep, rounds=rep.rounds[:-1] + (last,))
+def _last_round_drifts(rounds):
+    return rounds[:-1] + (replace(rounds[-1], choi_distance_to_first=1.0),)
 
 
 def _gauged_hamiltonian_is_free(monkeypatch):

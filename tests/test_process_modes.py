@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import time
 import tracemalloc
 from itertools import groupby
 from pathlib import Path
@@ -418,6 +419,26 @@ def test_build_refuses_a_basis_over_the_memory_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("rep", [
+    RepSpec.su2_spins([0] * 20000),
+    RepSpec.zn_charges(list(range(3000)), 3001),
+], ids=["su2-20000-spin-0-blocks", "z3001-3000-charges"])
+def test_build_refuses_many_blocks_before_their_family_table(rep):
+    # the family table would hold arrays of (blocks)^2 = 4e8 or 9e6 entries;
+    # the two ITO arrays alone, 16 (d_in^4 + d_out^4) bytes, are refused
+    # first
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB"):
+            build_canonical_modes(rep, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 0.1
 
 
 def test_build_and_decompose_peak_is_inside_the_basis_prediction():

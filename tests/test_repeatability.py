@@ -68,17 +68,17 @@ def test_build_protocol_rejects_bad_inputs():
 
 
 def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
-    # two rounds at d_A^2 D = 12 * 12 * 64 = 9,216 would need a cross-check
-    # of about 2.7 GB, over the budget; the refusal comes before the first
-    # round runs
-    P = build_protocol(np.eye(12), D=64)
-    rho = np.eye(12) / 12
+    # two rounds at d_A = 32, D = 64 predict a measure-and-prepare profile
+    # of 4 * 16 d_A^4 D = 4.3 GB, over the budget; the refusal comes before
+    # the first round runs
+    P = build_protocol(np.eye(32), D=64)
+    rho = np.eye(32) / 32
 
     def no_round(*args):
         raise AssertionError("a round ran before the size check")
 
     monkeypatch.setattr(repeatability, "_closed_form", no_round)
-    with pytest.raises(ValueError, match="cross-check"):
+    with pytest.raises(ValueError, match="GiB"):
         sequential_use(P, P.ladder.frame_projector(0), [rho, rho])
 
 
@@ -93,16 +93,9 @@ def test_factored_interaction_matches_the_dense_oracle(d, D):
         w = np.exp(2j * np.pi * g / D)
         W = kron(np.diag(w ** np.arange(d)), np.diag(w ** np.arange(D)))
         assert np.linalg.norm(V @ W - W @ V) < 1e-12 * d * D
-    rho1, rho2, sigma = (_random_state(rng, d), _random_state(rng, d),
-                         _random_state(rng, D))
-    joint = repeatability._joint_out(P, rho1, sigma)
-    assert np.linalg.norm(joint - V @ kron(rho1, sigma) @ V.conj().T) < 1e-14
-    # the cross-check's full joint state on A1 (x) A2 (x) B
-    dims = (d, d, D)
-    state = repeatability._apply_v(P, kron(kron(rho1, rho2), sigma), dims, 0)
-    state = repeatability._apply_v(P, state, dims, 1)
-    oracle = _dense_two_round_state(P, V, sigma, rho1, rho2)
-    assert np.linalg.norm(state - oracle) < 1e-13
+    rho, sigma = _random_state(rng, d), _random_state(rng, D)
+    joint = repeatability._joint_out(P, rho, sigma)
+    assert np.linalg.norm(joint - V @ kron(rho, sigma) @ V.conj().T) < 1e-14
 
 
 def _trace_system(P, M):
@@ -132,8 +125,7 @@ def test_sequential_rounds_propagate_the_joint_state_reference(protocol):
     rng = np.random.default_rng(64)
     sigma = _random_state(rng, 8)
     inputs = [_random_state(rng, 2) for _ in range(5)]
-    report = sequential_use(protocol, sigma, inputs)
-    for rho, rec in zip(inputs, report.rounds):
+    for rho, rec in zip(inputs, sequential_use(protocol, sigma, inputs)):
         sigma = _trace_system(protocol,
                               repeatability._joint_out(protocol, rho, sigma))
         assert np.linalg.norm(rec.reference_after - sigma) < 1e-13
@@ -148,26 +140,42 @@ def test_one_round_holds_no_joint_state():
     sigma, rho = _random_state(rng, D), _random_state(rng, 8)
     tracemalloc.start()
     try:
-        report = sequential_use(P, sigma, [rho])
+        sequential_use(P, sigma, [rho])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.crosscheck_residual is None
     assert peak < 4 * 16 * D ** 2
 
 
-@pytest.mark.parametrize("rounds, applications", [(1, 0), (2, 2), (5, 2)])
-def test_v_is_applied_only_by_the_two_round_crosscheck(protocol, monkeypatch,
-                                                        rounds, applications):
+@pytest.mark.parametrize("rounds", [1, 2, 5])
+def test_the_rounds_apply_v_nowhere(protocol, monkeypatch, rounds):
     rng = np.random.default_rng(66)
     calls = []
     apply_v = repeatability._apply_v
     monkeypatch.setattr(repeatability, "_apply_v",
                         lambda *a: calls.append(1) or apply_v(*a))
-    report = sequential_use(protocol, _random_state(rng, 8),
-                            [_random_state(rng, 2) for _ in range(rounds)])
-    assert len(calls) == applications
-    assert len(report.rounds) == rounds
+    records = sequential_use(protocol, _random_state(rng, 8),
+                             [_random_state(rng, 2) for _ in range(rounds)])
+    assert calls == []
+    assert len(records) == rounds
+
+
+@pytest.mark.parametrize("d, D", [(2, 8), (3, 5), (3, 7)])
+def test_two_rounds_match_the_joint_evolution(d, D):
+    # V on (A1, B), then on (A2, B), as dense matrices on A1 (x) A2 (x) B:
+    # the marginal on each system is that round's channel applied to its
+    # input; for D < 2 d_A - 1 the shifts alias mod D
+    rng = np.random.default_rng(67)
+    P = build_protocol(_random_unitary(rng, d), D)
+    sigma = _random_state(rng, D)
+    rho1, rho2 = _random_state(rng, d), _random_state(rng, d)
+    first, second = sequential_use(P, sigma, [rho1, rho2])
+    out = _dense_two_round_state(P, _dense_v(P), sigma, rho1,
+                                 rho2).reshape(d, d, D, d, d, D)
+    marg1 = np.einsum("iabjab->ij", out)
+    marg2 = np.einsum("aibajb->ij", out)
+    assert np.linalg.norm(marg1 - apply(first.channel, rho1)) < 1e-12
+    assert np.linalg.norm(marg2 - apply(second.channel, rho2)) < 1e-12
 
 
 def test_build_protocol_forms_no_dense_interaction():
@@ -206,14 +214,12 @@ def test_sequential_rounds_match_partial_trace_route(protocol):
     # the oracle
     rng = np.random.default_rng(58)
     sigma = _random_state(rng, 8)
-    report = sequential_use(protocol, sigma,
-                            [_random_state(rng, 2) for _ in range(4)])
     start = sigma
-    for rec in report.rounds:
+    for rec in sequential_use(protocol, sigma,
+                              [_random_state(rng, 2) for _ in range(4)]):
         oracle = induced_channel(protocol, start)
         assert (rec.channel - oracle).norm() <= 1e-12
         start = rec.reference_after
-    assert report.crosscheck_residual < 1e-12
 
 
 def test_channel_depends_only_on_delta_profile(protocol):
@@ -248,19 +254,17 @@ def test_sequential_rounds_identical_for_any_reference(protocol):
     inputs = [_random_state(rng, 2) for _ in range(4)]
     for sigma in (protocol.ladder.frame_projector(2),
                   _random_state(rng, 8)):
-        rep = sequential_use(protocol, sigma, inputs)
-        assert len(rep.rounds) == 4
-        for rec in rep.rounds:
+        records = sequential_use(protocol, sigma, inputs)
+        assert len(records) == 4
+        for rec in records:
             assert rec.choi_distance_to_first < 1e-12
-        assert rep.crosscheck_residual < 1e-12
 
 
 def test_frame_reference_is_undisturbed(protocol):
     rng = np.random.default_rng(54)
     sigma = protocol.ladder.frame_projector(1)
-    rep = sequential_use(protocol, sigma, [_random_state(rng, 2)
-                                           for _ in range(3)])
-    for rec in rep.rounds:
+    for rec in sequential_use(protocol, sigma, [_random_state(rng, 2)
+                                                for _ in range(3)]):
         assert abs(rec.reference_fidelity - 1.0) < 1e-12
         assert np.linalg.norm(rec.reference_after - sigma) < 1e-12
 
@@ -305,11 +309,11 @@ def test_sequential_use_validates_the_reference_once(protocol, monkeypatch):
     check = repeatability._check_state
     monkeypatch.setattr(repeatability, "_check_state",
                         lambda *a: calls.append(1) or check(*a))
-    rep = sequential_use(protocol, _random_state(rng, 8),
-                         [_random_state(rng, 2) for _ in range(4)])
+    records = sequential_use(protocol, _random_state(rng, 8),
+                             [_random_state(rng, 2) for _ in range(4)])
     assert len(calls) == 1
     # each round's channel is the closed form of the reference it started at
-    for before, rec in zip(rep.rounds, rep.rounds[1:]):
+    for before, rec in zip(records, records[1:]):
         oracle = induced_channel_closed_form(protocol, before.reference_after)
         assert (rec.channel - oracle).norm() < 1e-14
 
