@@ -173,21 +173,32 @@ def _parse_group(desc) -> RepSpec:
     raise SemanticError(f"unknown group kind {kind!r}")
 
 
-def _load_bytes(dim_in: int, dim_out: int) -> int:
-    """Predicted peak bytes of a channel file's load past its JSON parse:
-    six complex (d_in d_out)^2 arrays (a Choi payload's matrix, the
-    transfer matrix, and the CPTP check's Choi matrix, its conjugate
-    transpose, their difference and the Hermitian part it solves), plus
-    1 MiB of small arrays."""
-    return 96 * (dim_in * dim_out) ** 2 + (1 << 20)
+# Bytes a JSON parse holds per byte of its file, at most: traced on
+# CPython 3.11, a channel payload's parse peaks at 4 (random floats), 13
+# (json.dump's 0.0 and 1.0) and 17 (compact 0 and 1) times its file size,
+# and a file of empty or one-entry containers at up to 31.5 times.
+_PARSE_BYTES = 32
+
+
+def _load_bytes(dim_in: int, dim_out: int, size: int) -> int:
+    """Predicted peak bytes of loading a channel file of ``size`` bytes:
+    its parse, beside six complex (d_in d_out)^2 arrays (a Choi payload's
+    matrix, the transfer matrix, and the CPTP check's Choi matrix, its
+    conjugate transpose, their difference and the Hermitian part it
+    solves), plus 1 MiB of small arrays."""
+    return _PARSE_BYTES * size + 96 * (dim_in * dim_out) ** 2 + (1 << 20)
 
 
 def load_channel(path: str, allow_nonphysical: bool = False):
     """Parse a ChannelFile into (Superoperator, rep_in, rep_out)."""
     try:
         with open(path) as f:
+            size = os.fstat(f.fileno()).st_size
+            check_budget(_load_bytes(0, 0, size),
+                         f"a channel file of {size} bytes")
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as e:  # RecursionError: nesting too deep
         raise ParseError(f"cannot read channel file: {e}")
     if not isinstance(data, dict):
         raise ParseError("channel file must be a JSON object")
@@ -206,7 +217,7 @@ def load_channel(path: str, allow_nonphysical: bool = False):
             f"group dims ({rep_in.dim}, {rep_out.dim}) do not match "
             f"declared dims ({dim_in}, {dim_out})"
         )
-    check_budget(_load_bytes(dim_in, dim_out),
+    check_budget(_load_bytes(dim_in, dim_out, size),
                  f"a channel of dims ({dim_in}, {dim_out})")
     if "kraus" in data:
         kraus = [_as_matrix(K, "kraus") for K in _list(data["kraus"], "kraus")]

@@ -17,12 +17,11 @@ and are orthonormal in the Choi (Hilbert-Schmidt) inner product.
 
 A basis is stored in this factored form (the Wigner-Eckart structure of the
 modes): the output and input ITO bases as two unitary matrices and the
-Clebsch-Gordan coupling as one sparse matrix.  The dense matrix of all
-modes is never needed; ``ProcessModeBasis.stack`` forms it for tests.  The
-mode labels are integer row arrays (family pair, lam, k); the Diagram
-objects are formed once per diagram, on first read of the labels, so
-building, decomposing and testing symmetry create no per-mode Python
-objects.
+Clebsch-Gordan coupling as one real sparse matrix; the dense matrix of all
+modes is never formed.  The mode labels are integer row arrays (family
+pair, lam, k); the Diagram objects are formed once per diagram, on first
+read of the spans, so building, decomposing and testing symmetry create
+no per-mode Python objects.
 """
 
 from __future__ import annotations
@@ -96,13 +95,12 @@ class Mode:
                              _mode_transfer(*self.source))
 
 
-def _mode_transfer(ito_out, ito_in, coupling, row, out=None) -> np.ndarray:
+def _mode_transfer(ito_out, ito_in, coupling, row) -> np.ndarray:
     """Transfer matrix of one mode: the sum over its coupling entries
     c_(i,j) of c * outer(ito_out[i], ito_in[j]), i.e. ito_out^T Z ito_in."""
     lo, hi = coupling.indptr[row], coupling.indptr[row + 1]
     i, j = np.divmod(coupling.indices[lo:hi], ito_in.shape[0])
-    return np.matmul(ito_out[i].T, coupling.data[lo:hi, None] * ito_in[j],
-                     out=out)
+    return ito_out[i].T @ (coupling.data[lo:hi, None] * ito_in[j])
 
 
 @contextmanager
@@ -120,8 +118,7 @@ def _collector_paused():
 
 
 # The memory budget of one library call or CLI command: build_canonical_modes
-# refuses a basis whose predicted size (_basis_bytes) is over it, ``stack`` a
-# dense matrix of 16 (d_in d_out)^4 bytes over it (square d >= 11), and every
+# refuses a basis whose predicted size (_basis_bytes) is over it, and every
 # other predicted peak is refused through ``check_budget``.
 MAX_STACK_BYTES = 2 << 30
 
@@ -140,7 +137,7 @@ class ProcessModeBasis:
 
     Rows of ``ito_out`` are vec(T^atilde) over the output ITO basis, rows of
     ``ito_in`` are vec((T^a)^T) over the input ITO basis; both are unitary.
-    Row i of the sparse ``coupling`` holds the coefficients of mode i over
+    Row i of the real sparse ``coupling`` holds the coefficients of mode i over
     the (output ITO, input ITO) pairs, column i_out * d_in^2 + i_in.  The
     vectorised transfer matrices of all modes are the rows of
     coupling . (ito_out (x) ito_in), which is never formed.
@@ -154,10 +151,9 @@ class ProcessModeBasis:
     The rows of one diagram are consecutive in descending k.
     ``diagram_rows`` (the change points of (pair, lam):
     each diagram's rows, families and lam as arrays) is formed from them on
-    first read, and ``labels`` ((Diagram, k) per row), ``spans`` (each
-    diagram's slice), ``diagrams()``, ``family()`` and ``modes`` from those,
-    with one Diagram per diagram.  ``diagram_labels()`` (a report's text)
-    forms no Diagram.
+    first read, and ``spans`` (each diagram's slice) and ``modes`` from
+    those, with one Diagram per diagram.  ``diagram_labels()`` (a report's
+    text) forms no Diagram.
     """
 
     rep_in: RepSpec
@@ -227,16 +223,6 @@ class ProcessModeBasis:
                 for o, i, lam in zip(f_out, f_in, lams)]
 
     @cached_property
-    def labels(self) -> tuple:
-        """(Diagram, k) of each row."""
-        diagrams = np.empty(len(self.spans), dtype=object)
-        diagrams[:] = list(self.spans)
-        rows = [span.stop - span.start for span in self.spans.values()]
-        with _collector_paused():
-            return tuple(zip(np.repeat(diagrams, rows).tolist(),
-                             self.k.tolist()))
-
-    @cached_property
     def _coupling_t(self) -> sparse.csc_matrix:
         """The coupling's transpose, a view sharing its arrays."""
         return self.coupling.T
@@ -258,30 +244,6 @@ class ProcessModeBasis:
             return tuple(Mode(diagram, k[row], factors + (row,))
                          for diagram, span in self.spans.items()
                          for row in range(span.start, span.stop))
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """Read-only dense (n_modes, d_out^2 d_in^2) matrix whose row i is
-        the vectorised transfer matrix of mode i, bit-identical to
-        ``modes[i].op``.  An oracle for tests: formed on first access, row
-        by row, and refused over MAX_STACK_BYTES."""
-        d_out2, d_in2 = self.ito_out.shape[0], self.ito_in.shape[0]
-        n = self.coupling.shape[0]
-        check_budget(16 * n * d_out2 * d_in2, "the dense mode stack")
-        stack = np.empty((n, d_out2 * d_in2), dtype=complex)
-        rows = stack.reshape(n, d_out2, d_in2)
-        for row in range(n):
-            _mode_transfer(self.ito_out, self.ito_in, self.coupling, row,
-                           out=rows[row])
-        stack.setflags(write=False)
-        return stack
-
-    def diagrams(self) -> list[Diagram]:
-        return list(self.spans)
-
-    def family(self, diagram: Diagram) -> tuple:
-        """Modes of one diagram ordered by descending k."""
-        return self.modes[self.spans[diagram]]
 
 
 @dataclass(frozen=True)
@@ -313,11 +275,9 @@ def _cg_nnz(two_j1, two_j2):
     return (d1 - 1) * d1 * (2 * d1 - 1) // 3 + (gap + 1) * d1 * d1
 
 
-# Bytes of one row's entries in ``pair``, ``lam`` and ``k``; of one label
-# (a 2-tuple and its slot in ``labels``, formed on first read) and of one
+# Bytes of one row's entries in ``pair``, ``lam`` and ``k``, and of one
 # Diagram with its instance dictionary, as measured on CPython 3.11.
 _ROW_BYTES = 12
-_LABEL_BYTES = 64
 _DIAGRAM_BYTES = 104
 
 # Coupling entries gathered in one pass of build_canonical_modes: a run of
@@ -359,7 +319,7 @@ def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     """Bytes build_canonical_modes holds for the basis of (rep_in, rep_out),
     predicted from the ITO family spins alone: per side its ITO array, the
     Clebsch-Gordan blocks read (cached by ``cg_blocks``, ITO and coupling
-    blocks alike), the CSR coupling, the row arrays and the labels, and
+    blocks alike), the CSR coupling, the row arrays and the Diagrams, and
     beside them the largest working set: the build's copy of each ITO
     array, its batch of cold Clebsch-Gordan solves, one pass of its
     coupling gather, or one ``decompose``'s three working arrays of n
@@ -379,7 +339,7 @@ def _basis_bytes(rep_in: RepSpec, rep_out: RepSpec) -> int:
     index = 4 if max(n, nnz) < 2 ** 31 else 8
     return (16 * itos + max(16 * itos, 48 * n, cg_batch_bytes(cold), fill)
             + _cg_cache_bytes(cold) + (8 + index) * nnz + index * (n + 1)
-            + (_ROW_BYTES + _LABEL_BYTES) * n + _DIAGRAM_BYTES * diagrams)
+            + _ROW_BYTES * n + _DIAGRAM_BYTES * diagrams)
 
 
 def build_canonical_modes(rep_in: RepSpec, rep_out: RepSpec) -> ProcessModeBasis:
@@ -473,12 +433,9 @@ def _mode_values(K: np.ndarray, basis: ProcessModeBasis) -> np.ndarray:
 
 
 def _coupling_product(R, x: np.ndarray) -> np.ndarray:
-    """R x for a sparse coupling R (or its transpose) and a complex vector
-    or matrix x.  A real R, as every built basis has, multiplies the (real,
-    imag) pairs of x in one real product: R @ x would first copy R's data
-    to complex."""
-    if R.dtype.kind == "c":
-        return R @ x
+    """R x for the real sparse coupling R (or its transpose) and a complex
+    vector or matrix x, as one real product over the (real, imag) pairs of
+    x: R @ x would first copy R's data to complex."""
     pairs = np.ascontiguousarray(x, dtype=complex).view(float)
     return (R @ pairs.reshape(len(x), -1)).view(complex).reshape(
         -1, *x.shape[1:])

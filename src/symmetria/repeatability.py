@@ -141,17 +141,24 @@ def rotated_target(P: Protocol, r) -> np.ndarray:
     return w.conj()[..., :, None] * P.U * w[..., None, :]
 
 
+def rounds_bytes(dim_a: int, D: int, rounds: int) -> int:
+    """Predicted peak bytes of ``sequential_use``: one d_A^4 channel per
+    round beside the closed form's int64 index and gathered profile (24
+    d_A^4 bytes), (rounds + 2) reference states of side D (the initial one,
+    one per round, one for a round's DFT weights or a Delta profile's
+    gather), that gather's int64 index and 1 MiB of small arrays."""
+    return (16 * (rounds * dim_a ** 4 + (rounds + 2) * D ** 2)
+            + 24 * dim_a ** 4 + 8 * D ** 2 + (1 << 20))
+
+
 def catalytic_bytes(dim_a: int, D: int, rounds: int) -> int:
-    """Predicted peak bytes of a catalytic run: one d_A^4 channel per round,
-    (rounds + 2) reference states of side D (the initial one, one per round,
-    one for a round's DFT weights or a Delta profile's gather), that
-    gather's int64 index and 1 MiB of small arrays, beside the
-    measure-and-prepare stage: four of the (D, d_A^4) profile (the stacked
-    transfers and products, or the profile, its deviation and the residual
-    norm's temporaries) and the Z_D mode basis ``zd_mode_basis`` builds."""
+    """Predicted peak bytes of a catalytic run: its rounds (``rounds_bytes``)
+    beside the measure-and-prepare stage, four of the (D, d_A^4) profile
+    (the stacked transfers and products, or the profile, its deviation and
+    the residual norm's temporaries) and the Z_D mode basis
+    ``zd_mode_basis`` builds."""
     rep = RepSpec.zn_charges(list(range(dim_a)), D)
-    return (16 * (4 * dim_a ** 4 * D + rounds * dim_a ** 4
-                  + (rounds + 2) * D ** 2) + 8 * D ** 2 + (1 << 20)
+    return (rounds_bytes(dim_a, D, rounds) + 64 * dim_a ** 4 * D
             + _basis_bytes(rep, rep))
 
 
@@ -172,8 +179,8 @@ def sequential_use(P: Protocol, sigma, inputs) -> tuple:
     sigma0 = _check_state(sigma, P.ladder.N)
     if len(inputs) < 1:
         raise ValueError("at least one input state required")
-    check_budget(catalytic_bytes(P.dim_a, P.ladder.N, len(inputs)),
-                 "a catalytic run")
+    check_budget(rounds_bytes(P.dim_a, P.ladder.N, len(inputs)),
+                 f"{len(inputs)} catalytic rounds")
     rounds = []
     sig, profile = sigma0, P.ladder.delta_profile(sigma0)
     for rho in inputs:

@@ -85,7 +85,7 @@ def test_criterion_1_covariant_bases_at_all_nodes():
     a = decompose(S, modes)
     for g, _w in quad.nodes:
         b = decompose(superop_group_action(S, g, rep, rep), modes)
-        for d in modes.diagrams():
+        for d in modes.spans:
             D = wigner_D(d.lam, g)
             worst = max(worst, float(np.linalg.norm(
                 b.by_diagram(d) - D @ a.by_diagram(d))))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from printed_qubit import single_qubit_modes
 from symmetria.axial import (FULL_GROUP, POINT, SPHERE, _axis_tensor,
                              _harmonic_vector, axial_table, dephasing_channel,
                              depolarizing_qubit, polar_decompose,
-                             rotation_channel, single_qubit_modes, sph_harm,
+                             rotation_channel, sph_harm,
                              state_preparation_channel)
 from symmetria.groups import (IrrepLabel, RepSpec, generators, random_su2,
                               su2_matrix, wigner_D)

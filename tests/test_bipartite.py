@@ -72,8 +72,8 @@ def test_basis_gram_structure():
 
 def _chi(basis_a: ProcessModeBasis, basis_b: ProcessModeBasis,
          theta: BipartiteDiagram) -> Superoperator:
-    fam_a = basis_a.family(theta.diag_a)
-    fam_b = {m.k: m for m in basis_b.family(theta.diag_b)}
+    fam_a = basis_a.modes[basis_a.spans[theta.diag_a]]
+    fam_b = {m.k: m for m in basis_b.modes[basis_b.spans[theta.diag_b]]}
     kind = theta.diag_a.lam.kind
     acc = None
     for ma in fam_a:
@@ -114,8 +114,8 @@ def test_factored_route_matches_the_dense_chi_oracle(case):
     reps = _PARITY_CASES[case]
     basis = build_symmetric_basis(*reps)
     A, B = basis.basis_a, basis.basis_b
-    order = [BipartiteDiagram(da, db) for da in A.diagrams()
-             for db in B.diagrams() if db.lam == da.lam.dual()]
+    order = [BipartiteDiagram(da, db) for da in A.spans
+             for db in B.spans if db.lam == da.lam.dual()]
     assert [e.diagram for e in basis.elements] == order
     d_in, d_out = reps[0].dim * reps[2].dim, reps[1].dim * reps[3].dim
     S = random_cptp(d_in, d_out, np.random.default_rng(47))

@@ -463,6 +463,152 @@ def test_malformed_input_exit_code_without_traceback(tmp_path, args, code):
     assert r.stderr.strip()
 
 
+# Generated inputs for the exit-code contract: channel files with wrong
+# types, shapes, NaN entries, huge integers and wrong group fields, and
+# bounded option values (small enough that every call is quick) for each
+# subcommand.
+_JUNK = st.one_of(st.none(), st.booleans(), st.just(1.5), st.just("x"),
+                  st.just([]), st.just({}), st.integers(-2 ** 70, 2 ** 70))
+_NUMBERS = st.one_of(st.floats(), st.integers(-2, 2))  # NaN and inf too
+_ENTRY = st.one_of(
+    st.lists(st.one_of(_NUMBERS, st.just(10 ** 400)), max_size=3), _JUNK)
+_MATRIX = st.one_of(st.lists(st.lists(_ENTRY, max_size=4), max_size=4),
+                    _JUNK)
+_INTS = st.one_of(st.integers(-1, 4), _JUNK)
+_GROUP = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("su2"),
+                           "two_j": st.one_of(st.lists(_INTS, max_size=3),
+                                              _JUNK)}),
+    st.fixed_dictionaries({"kind": st.just("zn"),
+                           "charges": st.one_of(st.lists(_INTS, max_size=4),
+                                                _JUNK),
+                           "modulus": _INTS}),
+    st.fixed_dictionaries({"kind": st.just("su2-qubits"), "n": _INTS}),
+    st.fixed_dictionaries({"kind": _JUNK}), _JUNK)
+
+
+def _square(d):
+    """d x d matrices of [re, im] pairs of floats in [-2, 2], their first
+    entry at times NaN, infinite or an integer too large for a float."""
+    pair = st.lists(st.floats(-2, 2), min_size=2, max_size=2)
+    rows = st.lists(st.lists(pair, min_size=d, max_size=d), min_size=d,
+                    max_size=d)
+    first = st.sampled_from((None, None, float("nan"), float("inf"),
+                             10 ** 400))
+    return st.tuples(rows, first).map(_with_first_entry)
+
+
+def _with_first_entry(matrix_and_value):
+    """The matrix with its first entry's real part replaced, unless the
+    value is None."""
+    M, value = matrix_and_value
+    if value is None:
+        return M
+    return [[[value, M[0][0][1]], *M[0][1:]], *M[1:]]
+
+
+# files that parse, on a qubit, a Z_3 qutrit and two qubits: their payloads
+# reach the library, NaN and infinite entries included
+_WELL_FORMED = st.sampled_from([
+    (2, {"kind": "su2", "two_j": [1]}),
+    (3, {"kind": "zn", "charges": [0, 1, 2], "modulus": 3}),
+    (4, {"kind": "su2-qubits", "n": 2})]).flatmap(
+        lambda dg: st.one_of(
+            st.fixed_dictionaries({"kraus": st.lists(
+                _square(dg[0]), min_size=1, max_size=2)}),
+            st.fixed_dictionaries({"choi": _square(dg[0] ** 2)})).map(
+                lambda payload: {"dim_in": dg[0], "dim_out": dg[0],
+                                 "group": dg[1], **payload}))
+_CHANNEL = st.one_of(
+    _WELL_FORMED, _WELL_FORMED, _WELL_FORMED,  # three in five
+    st.fixed_dictionaries(
+        {"dim_in": _INTS, "dim_out": _INTS, "group": _GROUP},
+        optional={"group_out": _GROUP, "choi": _MATRIX,
+                  "kraus": st.one_of(st.lists(_MATRIX, max_size=3), _JUNK)}),
+    _JUNK)
+_OPTION_NUMBERS = st.one_of(st.integers(-2, 6), st.sampled_from(
+    ("nan", "inf", "-inf", "1e308", "0.5", "x", "")))
+
+
+def _opts(**choices):
+    """argv option pairs ``--name=value``, each present or not."""
+    return st.fixed_dictionaries({}, optional=choices).map(
+        lambda picked: [f"--{k.replace('_', '-')}={v}"
+                        for k, v in picked.items()])
+
+
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(("decompose", "polar", "bipartite")),
+              _CHANNEL, st.sampled_from((None, None, None, 1, 17, 40)),
+              _opts(tol=_OPTION_NUMBERS),
+              st.sampled_from((("--allow-nonphysical",), ()))),
+    st.tuples(st.just("table"), _opts(p=_OPTION_NUMBERS,
+                                      angle=_OPTION_NUMBERS)),
+    st.tuples(st.just("region"), _opts(
+        kind=st.sampled_from(("injection", "relational", "other")),
+        grid=_OPTION_NUMBERS)),
+    st.tuples(st.just("catalytic"), _opts(
+        dim_a=_OPTION_NUMBERS, ladder=st.integers(-1, 24),
+        rounds=_OPTION_NUMBERS,
+        sigma=st.sampled_from(("frame", "mixed", "random", "other")))),
+    st.tuples(st.just("gauge"), _opts(
+        n=_OPTION_NUMBERS, trials=st.integers(-1, 2),
+        lattice=st.sampled_from(("1x1", "1x2", "2x1", "0x1", "x", "1x1x1")),
+        lattice_n=st.integers(-1, 4))))
+
+
+def _exit_code(argv) -> int:
+    """cli.main's exit code for argv, argparse's SystemExit included, with
+    its output discarded; any other exception propagates."""
+    import contextlib
+    import io
+
+    from symmetria import cli
+
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as e:
+            return e.code
+
+
+@given(case=_ARGV,
+       seed=st.sampled_from(((), (), ("--seed=3",), ("--seed=-1",))))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_generated_inputs_keep_the_exit_code_contract(case, seed):
+    import tempfile
+
+    command, *rest = case
+    if command in ("decompose", "polar", "bipartite"):
+        channel, cut, opts, flags = rest
+        text = json.dumps(channel)
+        if cut is not None:  # a cut short of the whole text: bad JSON
+            text = text[:cut]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "channel.json"
+            path.write_text(text)
+            code = _exit_code([*seed, command, str(path), *opts, *flags])
+    else:
+        code = _exit_code([*seed, command, *rest[0]])
+    assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("text", [b"[" * 100_000 + b"]" * 100_000,
+                                  b"\xff\xfe{}"],
+                         ids=["nested-too-deep", "not-utf-8"])
+def test_unreadable_channel_text_is_a_parse_error(tmp_path, capsys, text):
+    # the first ended in a RecursionError traceback, the second in exit 3
+    from symmetria import cli
+
+    f = tmp_path / "channel.json"
+    f.write_bytes(text)
+    assert cli.main(["decompose", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: cannot read channel file")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["decompose", "polar", "bipartite"])
 def test_a_channel_over_the_budget_is_refused_before_its_load(
         tmp_path, capsys, command):
@@ -519,8 +665,52 @@ def test_channel_load_prediction_bounds_the_peak(tmp_path, monkeypatch,
     finally:
         tracemalloc.stop()
     assert S.dim_in == S.dim_out == d
-    predicted = cli._load_bytes(d, d)
+    predicted = cli._load_bytes(d, d, f.stat().st_size)
     assert predicted / 2 < peak <= predicted
+
+
+@pytest.mark.parametrize("payload", [_identity_kraus, _identity_choi],
+                         ids=["kraus", "choi"])
+def test_channel_load_prediction_bounds_the_peak_with_its_parse(tmp_path,
+                                                                payload):
+    # the same files, parsed: a 3.8 MB Choi file's parse holds 13 bytes per
+    # file byte, under the 32 the prediction allows
+    from symmetria import cli
+
+    d = 24
+    f = tmp_path / "identity-24.json"
+    f.write_text(json.dumps(dict(
+        dim_in=d, dim_out=d, group={"kind": "su2", "two_j": [d - 1]},
+        **payload(d))))
+    tracemalloc.start()
+    try:
+        S = cli.load_channel(str(f))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.dim_in == S.dim_out == d
+    assert peak <= cli._load_bytes(d, d, f.stat().st_size)
+
+
+def test_a_channel_file_over_the_budget_is_refused_before_its_parse(
+        tmp_path, capsys, monkeypatch):
+    # a budget below the fixture's predicted parse: the file is refused on
+    # its size, and json.load never runs
+    from symmetria import cli, process_modes
+
+    f = tmp_path / "dephasing.json"
+    f.write_text((FIXTURES / "dephasing.json").read_text())
+
+    def no_parse(fp):
+        raise AssertionError("the file was parsed before its size check")
+
+    monkeypatch.setattr(json, "load", no_parse)
+    monkeypatch.setattr(process_modes, "MAX_STACK_BYTES",
+                        cli._load_bytes(0, 0, f.stat().st_size) - 1)
+    assert cli.main(["decompose", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert f"a channel file of {f.stat().st_size} bytes needs about" in err
+    assert "Traceback" not in err
 
 
 _SU2 = {"kind": "su2", "two_j": [1]}

@@ -202,6 +202,27 @@ def test_library_modules_read_every_name_they_import():
     assert hits == []
 
 
+def _imports_scipy(source: str) -> bool:
+    """True iff the source imports scipy or a scipy submodule."""
+    return any(
+        isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "scipy"
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_only_process_modes_gauge_and_cli_import_scipy():
+    assert [_imports_scipy(source) for source in (
+        "import scipy.sparse\n", "from scipy import sparse\n",
+        "from scipy.linalg import expm\n", "from .scipy import x\n",
+        "import numpy as scipy\n")] == [True, True, True, False, False]
+    hits = {path.name
+            for path in Path(symmetria.__file__).parent.glob("*.py")
+            if _imports_scipy(path.read_text())}
+    assert hits <= {"process_modes.py", "gauge.py", "cli.py"}
+
+
 _SPAN_TARGET = re.compile(r"symmetria\.\w+:([\w.]+)")
 
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from printed_qubit import single_qubit_modes
 import symmetria
 from symmetria import groups, process_modes
-from symmetria.axial import single_qubit_modes
 from symmetria.bipartite import two_qubit_product_rep
 from symmetria.groups import (GroupElement, HaarQuadrature, IrrepLabel,
                               RepSpec, cgc, generators,
@@ -43,8 +43,8 @@ def test_mode_covariance_law():
     rng = np.random.default_rng(6)
     for _ in range(10):
         g = random_su2(rng)
-        for diagram in QUBIT_MODES.diagrams():
-            fam = QUBIT_MODES.family(diagram)
+        for diagram, span in QUBIT_MODES.spans.items():
+            fam = QUBIT_MODES.modes[span]
             D = wigner_D(diagram.lam, g)
             mats = [m.op for m in fam]
             for c, m in enumerate(fam):
@@ -74,7 +74,7 @@ def test_coefficient_rotation_law():
         rot = superop_group_action(S, g, QUBIT, QUBIT)
         a = decompose(S, QUBIT_MODES)
         b = decompose(rot, QUBIT_MODES)
-        for diagram in QUBIT_MODES.diagrams():
+        for diagram in QUBIT_MODES.spans:
             D = wigner_D(diagram.lam, g)
             assert np.linalg.norm(
                 b.by_diagram(diagram) - D @ a.by_diagram(diagram)
@@ -88,7 +88,7 @@ def test_amplitude_modulus_is_orbit_invariant():
     for _ in range(20):
         g = random_su2(rng)
         b = decompose(superop_group_action(S, g, QUBIT, QUBIT), QUBIT_MODES)
-        for diagram in QUBIT_MODES.diagrams():
+        for diagram in QUBIT_MODES.spans:
             assert abs(np.linalg.norm(b.by_diagram(diagram))
                        - np.linalg.norm(a.by_diagram(diagram))) < 1e-9
 
@@ -282,7 +282,7 @@ def test_unphysical_diagram_has_no_weight():
     # input mode to a traceless output family through a nontrivial carrier
     rng = np.random.default_rng(30)
     key = None
-    for d in QUBIT_MODES.diagrams():
+    for d in QUBIT_MODES.spans:
         if (d.a_in[0].two_j == 2 and d.a_out[0].two_j == 0
                 and d.lam.two_j == 2):
             key = d
@@ -359,17 +359,15 @@ def test_is_symmetric_reads_only_the_coefficients(d6_basis, monkeypatch):
 
 def test_families_are_row_spans_of_the_stack(d6_basis):
     for basis in (d6_basis, single_qubit_modes()):
-        assert not basis.stack.flags.writeable
+        labels = [(m.diagram, m.k) for m in basis.modes]
         # the spans partition the rows, so no diagram's rows are split
         assert sum(s.stop - s.start for s in basis.spans.values()) \
-            == len(basis.labels) == len(basis.stack)
+            == len(labels) == len(basis.k)
         for diagram, span in basis.spans.items():
-            fam = basis.family(diagram)
-            assert [(m.diagram, m.k) for m in fam] == list(basis.labels[span])
+            fam = basis.modes[span]
+            assert [(m.diagram, m.k) for m in fam] == labels[span]
             assert all(m.diagram == diagram for m in fam)
             assert all(a.k > b.k for a, b in zip(fam, fam[1:]))
-        for row, m in zip(basis.stack, basis.modes):
-            assert np.array_equal(m.op.transfer.reshape(-1), row)
     # a mode's op is formed from its coupling row alone: at d = 9 one read
     # allocates its own 6,561 entries, not the 689 MB of all the modes
     rep = RepSpec.su2_spins([2, 2, 2])
@@ -382,21 +380,6 @@ def test_families_are_row_spans_of_the_stack(d6_basis):
     finally:
         tracemalloc.stop()
     assert op.transfer.shape == (81, 81)
-    assert peak < 1 << 20
-    assert "stack" not in basis.__dict__
-
-
-def test_build_refuses_a_stack_over_the_memory_limit():
-    rep = RepSpec.su2_spins([10])  # d = 11: 16 * 11^8 bytes = 3.4 GB
-    assert 16 * 11**8 > MAX_STACK_BYTES > 16 * 10**8
-    basis = build_canonical_modes(rep, rep)  # the factored basis is small
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="GiB"):
-            basis.stack
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert peak < 1 << 20
 
 
@@ -593,8 +576,9 @@ def test_factored_basis_matches_the_dense_oracle(case):
     d_in, d_out = rep_in.dim, rep_out.dim
     basis = build_canonical_modes(rep_in, rep_out)
     labels, stack = _dense_oracle(rep_in, rep_out)
-    assert basis.labels == labels
-    assert np.abs(basis.stack - stack).max() < 1e-12
+    assert tuple((m.diagram, m.k) for m in basis.modes) == labels
+    assert np.abs(np.array([m.op.transfer.ravel() for m in basis.modes])
+                  - stack).max() < 1e-12
 
     S = random_cptp(d_in, d_out, np.random.default_rng(46))
     K = S.transfer.reshape(-1)
@@ -669,21 +653,23 @@ def test_row_arrays_match_the_label_loop(case):
         rep_in, rep_out = LABEL_CASES[case]()
         basis = build_canonical_modes(rep_in, rep_out)
         labels = _label_loop(rep_in, rep_out)
-    assert basis.labels == labels
+    assert tuple((m.diagram, m.k) for m in basis.modes) == labels
     spans, start = [], 0
     for diagram, rows in groupby(labels, key=lambda label: label[0]):
         stop = start + len(list(rows))
         spans.append((diagram, slice(start, stop)))
         start = stop
     assert list(basis.spans.items()) == spans
-    assert basis.diagrams() == [diagram for diagram, _ in spans]
+    assert list(basis.spans) == [diagram for diagram, _ in spans]
     for diagram, span in spans:
-        assert [(m.diagram, m.k) for m in basis.family(diagram)] \
+        assert [(m.diagram, m.k) for m in basis.modes[basis.spans[diagram]]] \
             == list(labels[span])
     assert np.array_equal(basis._nontrivial,
                           [not d.lam.is_trivial for d, _ in labels])
     # one Diagram object per diagram, shared by its rows
-    assert len({id(d) for d, _ in basis.labels}) == len(spans)
+    assert len({id(m.diagram) for m in basis.modes}) == len(spans)
+    if LABEL_CASES[case] is None:
+        return  # the printed table's coupling is complex: no product reads it
     # an irrep of another group or modulus selects no row
     rep_in, rep_out = basis.rep_in, basis.rep_out
     S = random_cptp(rep_in.dim, rep_out.dim, np.random.default_rng(50))
@@ -708,10 +694,7 @@ def test_numeric_path_makes_no_per_mode_objects():
     assert (coeffs.reconstruct() - S).norm() < 1e-10
     project_isotypic_basis(S, IrrepLabel.su2(2), basis)
     assert gc.get_stats()[0]["collections"] - before < 5
-    # the dense stack's refusal counts rows without reading the labels
-    with pytest.raises(ValueError, match="GiB"):
-        basis.stack
-    assert not {"labels", "spans", "modes"} & basis.__dict__.keys()
+    assert not {"spans", "modes"} & basis.__dict__.keys()
 
 
 def _build_and_decompose_traced(rep, seed):
@@ -723,7 +706,6 @@ def _build_and_decompose_traced(rep, seed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "stack" not in basis.__dict__
     return basis, coeffs, peak
 
 
@@ -731,7 +713,7 @@ def test_d9_build_and_decompose_within_200_mb():
     # the dense matrix of all 6,561 modes would be 689 MB
     rep = RepSpec.su2_spins([2, 2, 2])
     basis, coeffs, peak = _build_and_decompose_traced(rep, 47)
-    assert len(basis.labels) == 9**4
+    assert len(basis.modes) == 9**4
     assert coeffs.residual <= 1e-10
     assert peak < 200 << 20
     assert peak < 2 * process_modes._basis_bytes(rep, rep)
@@ -741,7 +723,7 @@ def test_d16_build_and_decompose_within_2_gb():
     # 65,536 modes, whose dense matrix would be 68.7 GB
     rep = RepSpec.su2_spins([3, 3, 3, 3])
     basis, coeffs, peak = _build_and_decompose_traced(rep, 48)
-    assert len(basis.labels) == 16**4
+    assert len(basis.modes) == 16**4
     assert coeffs.residual <= 1e-10
     assert not coeffs.is_symmetric()
     assert peak < 2 << 30

@@ -68,9 +68,9 @@ def test_build_protocol_rejects_bad_inputs():
 
 
 def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
-    # two rounds at d_A = 32, D = 64 predict a measure-and-prepare profile
-    # of 4 * 16 d_A^4 D = 4.3 GB, over the budget; the refusal comes before
-    # the first round runs
+    # 200 rounds at d_A = 32, D = 64 predict 200 channels of 16 d_A^4 bytes,
+    # 3.2 GiB, over the budget; the refusal comes before the first round
+    # runs
     P = build_protocol(np.eye(32), D=64)
     rho = np.eye(32) / 32
 
@@ -79,7 +79,31 @@ def test_sequential_use_refuses_an_oversize_crosscheck_first(monkeypatch):
 
     monkeypatch.setattr(repeatability, "_closed_form", no_round)
     with pytest.raises(ValueError, match="GiB"):
-        sequential_use(P, P.ladder.frame_projector(0), [rho, rho])
+        sequential_use(P, P.ladder.frame_projector(0), [rho] * 200)
+
+
+@pytest.mark.parametrize("d, D, rounds", [(32, 64, 2), (24, 48, 4),
+                                         (2, 1024, 1), (2, 512, 5)])
+def test_round_byte_prediction_bounds_the_peak(d, D, rounds):
+    # the rounds alone: a library caller is not refused for the
+    # measure-and-prepare stage that only the CLI runs (4.2 GiB at
+    # d_A = 32, D = 64); d_A = 32 and 24 peak in a round's closed form,
+    # d_A = 2 in the reference states
+    rng = np.random.default_rng(60)
+    P = build_protocol(_random_unitary(rng, d), D)
+    sigma = _random_state(rng, D)
+    inputs = [_random_state(rng, d) for _ in range(rounds)]
+    tracemalloc.start()
+    try:
+        records = sequential_use(P, sigma, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == rounds
+    predicted = repeatability.rounds_bytes(d, D, rounds)
+    assert predicted / 2 < peak <= predicted
+    assert repeatability.catalytic_bytes(32, 64, 2) \
+        > process_modes.MAX_STACK_BYTES
 
 
 @pytest.mark.parametrize("d, D", [(2, 5), (3, 7), (4, 16), (2, 64)])
