@@ -28,7 +28,7 @@ from scipy import sparse
 
 from .groups import ZN, LinkFrame, RepSpec
 from .linalg_core import Monomial, Superoperator, conjugate, kron
-from .process_modes import ProcessModeBasis, _charges
+from .process_modes import ProcessModeBasis
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def _local_action(rep_x: RepSpec, rep_y: RepSpec, N: int,
     """U_{g_x} (x) Delta^{g_x - g_y} (x) U_{g_y} on A_x (x) link (x) A_y
     with the reps in their canonical frames; no link factor for N = 1."""
     a, h, b = np.indices((rep_x.dim, N, rep_y.dim)).reshape(3, -1)
-    turns = (gx * _charges(rep_x)[a] / rep_x.modulus
-             + gy * _charges(rep_y)[b] / rep_y.modulus)
+    turns = (gx * rep_x.weights[a] / rep_x.modulus
+             + gy * rep_y.weights[b] / rep_y.modulus)
     return Monomial((a * N + (h + gx - gy) % N) * rep_y.dim + b,
                     np.exp(2j * np.pi * turns))
 
@@ -60,9 +60,7 @@ def _canonical(S: Superoperator, rep_x: RepSpec, rep_y: RepSpec,
     frames, by one dense conjugation if either rep has an intertwiner."""
     if rep_x.intertwiner is None and rep_y.intertwiner is None:
         return S
-    W = [np.eye(r.dim) if r.intertwiner is None else r.intertwiner.conj().T
-         for r in (rep_x, rep_y)]
-    W = kron(kron(W[0], np.eye(N)), W[1])
+    W = kron(kron(rep_x.frame.conj().T, np.eye(N)), rep_y.frame.conj().T)
     return conjugate(S, W, W)
 
 

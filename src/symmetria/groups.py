@@ -65,6 +65,12 @@ class IrrepLabel:
         return self.two_j + 1 if self.kind == SU2 else 1
 
     @property
+    def code(self) -> int:
+        """The integer code of the irrep: its doubled spin or its charge (a
+        Z_N label has two_j = 0, an SU(2) label charge = 0)."""
+        return self.two_j + self.charge
+
+    @property
     def is_trivial(self) -> bool:
         return self.two_j == 0 and self.charge == 0
 
@@ -509,6 +515,8 @@ class RepSpec:
             raise ValueError("a rep needs at least one irrep block")
         if any(lab.kind != self.kind for lab in self.blocks):
             raise ValueError("block irrep kind mismatch")
+        if len({lab.modulus for lab in self.blocks}) != 1:
+            raise ValueError("Z_N blocks of different moduli")
         if self.intertwiner is not None:
             Q = np.asarray(self.intertwiner, dtype=complex)
             if Q.shape != (self.dim, self.dim):
@@ -537,6 +545,34 @@ class RepSpec:
             raise ValueError("modulus only defined for Z_N reps")
         return self.blocks[0].modulus
 
+    def irrep(self, code: int) -> IrrepLabel:
+        """The irrep of the rep's group whose ``IrrepLabel.code`` is code."""
+        if self.kind == SU2:
+            return IrrepLabel.su2(code)
+        return IrrepLabel.zn(code, self.modulus)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The diagonal of the canonical form: per basis vector its doubled
+        J_z weight (SU(2)) or its charge (Z_N).  Read-only."""
+        w = np.array([lab.charge + m for lab in self.blocks
+                      for m in lab.components()])
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The unitary taking the canonical block basis to the rep's basis:
+        the intertwiner, or the identity."""
+        Q = self.intertwiner
+        return np.eye(self.dim) if Q is None else Q
+
+    def from_canonical(self, X: np.ndarray) -> np.ndarray:
+        """Q X Q^dag for the intertwiner Q, or X itself without one; X may
+        be a stack of matrices."""
+        Q = self.intertwiner
+        return X if Q is None else Q @ X @ Q.conj().T
+
     def irrep_blocks(self):
         """Yield (IrrepLabel, block_index, offset) for each block."""
         off = 0
@@ -553,13 +589,8 @@ def rep_matrix(R: RepSpec, g: GroupElement) -> np.ndarray:
         raise ValueError("group kind mismatch")
     if R.intertwiner is None and len(R.blocks) == 1:
         return wigner_D(R.blocks[0], g)
-    blocks = []
-    for lab, _, _ in R.irrep_blocks():
-        blocks.append(wigner_D(lab, g))
-    U = _block_diag(blocks)
-    if R.intertwiner is not None:
-        U = R.intertwiner @ U @ R.intertwiner.conj().T
-    return U
+    return R.from_canonical(_block_diag([wigner_D(lab, g)
+                                         for lab in R.blocks]))
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -593,19 +624,11 @@ def _spin_matrices(two_j: int):
 def generators(R: RepSpec) -> list[np.ndarray]:
     """SU(2): (Jx, Jy, Jz); Z_N: the integer charge operator."""
     if R.kind == SU2:
-        gens = [[], [], []]
-        for lab, _, _ in R.irrep_blocks():
-            for i, Jc in enumerate(_spin_matrices(lab.two_j)):
-                gens[i].append(Jc)
-        out = [_block_diag(parts) for parts in gens]
+        out = [_block_diag(parts) for parts in zip(
+            *(_spin_matrices(lab.two_j) for lab in R.blocks))]
     else:
-        diag = []
-        for lab, _, _ in R.irrep_blocks():
-            diag.append(np.array([[float(lab.charge)]], dtype=complex))
-        out = [_block_diag(diag)]
-    if R.intertwiner is not None:
-        out = [R.intertwiner @ J @ R.intertwiner.conj().T for J in out]
-    return out
+        out = [np.diag(R.weights.astype(complex))]
+    return [R.from_canonical(J) for J in out]
 
 
 @dataclass(frozen=True)

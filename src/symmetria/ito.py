@@ -50,13 +50,11 @@ class ITOBasis:
 
 def block_pairs(rep: RepSpec) -> tuple:
     """Integer arrays (bra block, ket block) over the ordered pairs of
-    blocks in basis order, bra block outermost, and each block's doubled
-    spin (SU(2)) or charge (Z_N)."""
+    blocks in basis order, bra block outermost, and each block's irrep
+    code (``IrrepLabel.code``)."""
     n = len(rep.blocks)
     bra, ket = np.divmod(np.arange(n * n), n)
-    if rep.kind == ZN:
-        return bra, ket, np.array([lab.charge for lab in rep.blocks])
-    return bra, ket, np.array([lab.two_j for lab in rep.blocks])
+    return bra, ket, np.array([lab.code for lab in rep.blocks])
 
 
 def family_table(rep: RepSpec) -> tuple:
@@ -78,10 +76,7 @@ def family_keys(rep: RepSpec) -> list:
     """The ITO family keys (lam, (bra block, ket block)) of B(H) in basis
     order, from ``family_table``, one IrrepLabel per distinct lam."""
     lams, bras, kets = (a.tolist() for a in family_table(rep))
-    if rep.kind == ZN:
-        irreps = {q: IrrepLabel.zn(q, rep.modulus) for q in set(lams)}
-    else:
-        irreps = {t: IrrepLabel.su2(t) for t in set(lams)}
+    irreps = {code: rep.irrep(code) for code in set(lams)}
     return [(irreps[lam], (b2, b1)) for lam, b2, b1 in zip(lams, bras, kets)]
 
 
@@ -106,9 +101,7 @@ def build_itos(rep: RepSpec) -> ITOBasis:
         odd = ((t1 + t2 - two_lam[row]) // 2 + b) % 2
         T[row, off1 + a, off2 + t2 - b] = np.where(odd, -data, data)
         k = k.astype(int)  # the cached weights are int32
-    if rep.intertwiner is not None:
-        Q = rep.intertwiner
-        T = Q @ T @ Q.conj().T
+    T = rep.from_canonical(T)
     T.setflags(write=False)
     k.setflags(write=False)
     return ITOBasis(rep, T, k)

@@ -146,8 +146,8 @@ class ProcessModeBasis:
     (output family, input family) pair, f_out * len(families[1]) + f_in,
     over the ITO family keys ``families`` = (output keys, input keys), each
     key (IrrepLabel, (bra block, ket block)) and formed from the reps on
-    first read; ``lam[i]`` is the irrep it exchanges (doubled J for SU(2),
-    charge for Z_N); ``k[i]`` its doubled component weight (0 for Z_N).
+    first read; ``lam[i]`` is the code of the irrep it exchanges (its
+    ``IrrepLabel.code``); ``k[i]`` its doubled component weight (0 for Z_N).
     The rows of one diagram are consecutive in descending k.
     ``diagram_rows`` (the change points of (pair, lam):
     each diagram's rows, families and lam as arrays) is formed from them on
@@ -179,12 +179,6 @@ class ProcessModeBasis:
             return keys_out, keys_out
         return keys_out, tuple(family_keys(self.rep_in))
 
-    def _irrep(self, lam: int) -> IrrepLabel:
-        """The irrep of a ``lam`` entry."""
-        if self.rep_out.kind == SU2:
-            return IrrepLabel.su2(lam)
-        return IrrepLabel.zn(lam, self.rep_out.modulus)
-
     @cached_property
     def diagram_rows(self) -> tuple:
         """Read-only integer arrays (bounds, f_out, f_in, lam) over the
@@ -205,7 +199,7 @@ class ProcessModeBasis:
     def spans(self) -> dict:
         """Each diagram's slice of rows, in row order."""
         bounds, f_out, f_in, lams = (a.tolist() for a in self.diagram_rows)
-        irreps = {lam: self._irrep(lam) for lam in set(lams)}
+        irreps = {lam: self.rep_out.irrep(lam) for lam in set(lams)}
         keys_out, keys_in = self.families
         with _collector_paused():
             diagrams = [Diagram(keys_in[i], keys_out[o], irreps[lam])
@@ -218,7 +212,7 @@ class ProcessModeBasis:
         _, f_out, f_in, lams = (a.tolist() for a in self.diagram_rows)
         outs, ins = ([_family_label(key) for key in keys]
                      for keys in self.families)
-        irreps = {lam: _lab(self._irrep(lam)) for lam in set(lams)}
+        irreps = {lam: _lab(self.rep_out.irrep(lam)) for lam in set(lams)}
         return [_diagram_label(ins[i], irreps[lam], outs[o])
                 for o, i, lam in zip(f_out, f_in, lams)]
 
@@ -301,10 +295,9 @@ def _cold_pairs(spins_out, spins_in, rep_in: RepSpec,
     for the coupling, and each pair of one side's block spins for its ITO
     basis."""
     pairs = {(a, b) for a in spins_out for b in spins_in}
-    for rep in (rep_out, rep_in):
-        if rep.kind == SU2:
-            spins = {lab.two_j for lab in rep.blocks}
-            pairs |= {(a, b) for a in spins for b in spins}
+    for rep in (rep_out, rep_in):  # every Z_N block has two_j = 0
+        spins = {lab.two_j for lab in rep.blocks}
+        pairs |= {(a, b) for a in spins for b in spins}
     return pairs
 
 
@@ -436,6 +429,9 @@ def _coupling_product(R, x: np.ndarray) -> np.ndarray:
     """R x for the real sparse coupling R (or its transpose) and a complex
     vector or matrix x, as one real product over the (real, imag) pairs of
     x: R @ x would first copy R's data to complex."""
+    if R.dtype.kind == "c":
+        raise ValueError("the coupling is complex: its products need a real "
+                         "coupling")
     pairs = np.ascontiguousarray(x, dtype=complex).view(float)
     return (R @ pairs.reshape(len(x), -1)).view(complex).reshape(
         -1, *x.shape[1:])
@@ -458,15 +454,6 @@ def decompose(S: Superoperator, basis: ProcessModeBasis) -> ModeCoefficients:
     left_out = _transfer_of(values, basis)
     left_out -= S.transfer
     return ModeCoefficients(basis, values, float(np.linalg.norm(left_out)))
-
-
-def _charges(rep: RepSpec) -> np.ndarray:
-    """The diagonal part of the rep on its canonical basis: the doubled J_z
-    weight (SU(2)) or the Z_N charge of each basis vector."""
-    if rep.kind == SU2:
-        return np.array([m for lab, _, _ in rep.irrep_blocks()
-                         for m in lab.components()])
-    return np.array([lab.charge for lab, _, _ in rep.irrep_blocks()])
 
 
 def _beta_conjugations(rep: RepSpec, betas) -> np.ndarray:
@@ -505,12 +492,10 @@ def project_isotypic(S: Superoperator, lam: IrrepLabel, quadrature: HaarQuadratu
         raise ValueError("Z_N modulus mismatch")
     if n <= 0:
         raise ValueError("the quadrature carries no Euler factors")
-    frames = None
-    if rep_out.intertwiner is not None or rep_in.intertwiner is not None:
-        frames = [np.eye(rep.dim) if rep.intertwiner is None
-                  else rep.intertwiner for rep in (rep_out, rep_in)]
-        S = conjugate(S, frames[0].conj().T, frames[1].conj().T)
-    q_out, q_in = _charges(rep_out), _charges(rep_in)
+    framed = rep_out.intertwiner is not None or rep_in.intertwiner is not None
+    if framed:
+        S = conjugate(S, rep_out.frame.conj().T, rep_in.frame.conj().T)
+    q_out, q_in = rep_out.weights, rep_in.weights
     q = ((q_out[:, None] - q_out).reshape(-1, 1)
          - (q_in[:, None] - q_in).reshape(-1))
     if quadrature.kind == ZN:
@@ -527,17 +512,16 @@ def project_isotypic(S: Superoperator, lam: IrrepLabel, quadrature: HaarQuadratu
             K = K + np.where(mask, np.tensordot(
                 w, A @ np.where(mask, S.transfer, 0.0) @ B, 1), 0.0)
     P = Superoperator(S.dim_in, S.dim_out, lam.dim * K)
-    return P if frames is None else conjugate(P, *frames)
+    return conjugate(P, rep_out.frame, rep_in.frame) if framed else P
 
 
 def project_isotypic_basis(S: Superoperator, lam: IrrepLabel,
                            basis: ProcessModeBasis) -> Superoperator:
     """Algebraic isotypic projection via the mode basis (primary route)."""
     values = _mode_values(S.transfer, basis)
-    code = lam.two_j if lam.kind == SU2 else lam.charge
     # an irrep of another group or modulus keeps no row
-    kept = np.where((basis.lam == code) & (basis._irrep(code) == lam),
-                    values, 0.0)
+    kept = np.where((basis.lam == lam.code)
+                    & (basis.rep_out.irrep(lam.code) == lam), values, 0.0)
     return ModeCoefficients(basis, kept, 0.0).reconstruct()
 
 

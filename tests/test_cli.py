@@ -3,6 +3,7 @@
 import ast
 import copy
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,16 +17,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(env_extra=None) -> dict:
+    """The environment plus ``env_extra``, with this checkout's src first on
+    PYTHONPATH, so that a child process imports this symmetria."""
+    env = {**os.environ, **(env_extra or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def run_cli(*args, env_extra=None):
-    import os
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "symmetria", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(env_extra),
     )
 
 
@@ -998,7 +1005,7 @@ def test_cli_import_leaves_scipy_special_optimize_and_linalg_unloaded():
          "pd = polar_decompose(S, build_canonical_modes(q, q))\n"
          "assert pd.orbit_point.kind == FULL_GROUP\n"
          "assert unloaded()"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
 
 

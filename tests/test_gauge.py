@@ -19,7 +19,7 @@ from symmetria.gauge import (GaugedProcess, LinkFrame, _canonical,
 from symmetria.groups import GroupElement, RepSpec, rep_matrix
 from symmetria.linalg_core import (Monomial, Superoperator, conjugate,
                                    hs_inner, identity_channel)
-from symmetria.process_modes import (_charges, build_canonical_modes,
+from symmetria.process_modes import (build_canonical_modes,
                                      superop_group_action)
 
 N = 3
@@ -390,7 +390,7 @@ def _link_fourier_stabilizer(G, h1, h2, tol=1e-10):
     K = np.fft.ifftn(np.fft.fftn(K.reshape(dims * 4), axes=(4, 7),
                                  norm="ortho"), axes=(1, 10), norm="ortho")
     a, r, b = np.indices(dims).reshape(3, -1)
-    c = np.stack([_charges(G.rep_x)[a] + r, _charges(G.rep_y)[b] - r])
+    c = np.stack([G.rep_x.weights[a] + r, G.rep_y.weights[b] - r])
     v = (c[:, :, None] - c[:, None]).reshape(2, -1)
     Q = (v[:, :, None] - v[:, None]) % N
     w = np.bincount((Q[0] * N + Q[1]).ravel(), abs(K.ravel()) ** 2, N * N)

@@ -2,8 +2,10 @@
 Z_N reference frame."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from symmetria.process_modes import build_canonical_modes
 from symmetria.repeatability import build_protocol
 
 RNG = np.random.default_rng(8)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @given(st.integers(min_value=0, max_value=4),
@@ -187,6 +190,73 @@ def test_several_blocks_or_an_intertwiner_keep_the_block_route(rep,
         assert U.tobytes() == block_diag([D, D]).tobytes()
     else:
         assert np.abs(U - np.kron(D, D)).max() <= 1e-15
+
+
+def _random_frame(dim, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.normal(size=(dim, dim))
+                        + 1j * rng.normal(size=(dim, dim)))[0]
+
+
+REP_RULE_CASES = {
+    "su2 [1, 2, 0]": lambda: RepSpec.su2_spins([1, 2, 0]),
+    "su2 [1, 2, 0] framed": lambda: RepSpec.su2_spins([1, 2, 0],
+                                                      _random_frame(6, 12)),
+    "z5 [0, 3, 8]": lambda: RepSpec.zn_charges([0, 3, 8], 5),
+    "z5 [0, 3, 8] framed": lambda: RepSpec.zn_charges([0, 3, 8], 5,
+                                                       _random_frame(3, 13)),
+    "two-qubit product": two_qubit_product_rep,
+}
+
+
+@pytest.mark.parametrize("case", REP_RULE_CASES)
+def test_rep_rules_match_their_definitions(case):
+    rep = REP_RULE_CASES[case]()
+    su2 = rep.kind == "su2"
+    # an irrep's code is its doubled spin or its charge, and the rep's
+    # irrep of a code is the label of that code in the rep's group
+    for lab in rep.blocks:
+        assert lab.code == (lab.two_j if su2 else lab.charge)
+    for code in range(12):
+        want = (IrrepLabel.su2(code) if su2
+                else IrrepLabel.zn(code, rep.modulus))
+        assert rep.irrep(code) == want
+        assert rep.irrep(code).code == (code if su2 else code % rep.modulus)
+    # the weights: each canonical basis vector's doubled J_z weight, in
+    # descending order per block, or its block's charge
+    want = ([m for lab in rep.blocks
+             for m in range(lab.two_j, -lab.two_j - 2, -2)] if su2
+            else [lab.charge for lab in rep.blocks])
+    assert rep.weights.tolist() == want
+    assert not rep.weights.flags.writeable
+    Jz = generators(RepSpec(rep.kind, rep.blocks))[-1]
+    assert np.array_equal(Jz, np.diag(rep.weights / (2 if su2 else 1)))
+    # from_canonical is Q X Q^dag, on one matrix or a stack, and X itself
+    # without an intertwiner; the frame is Q or the identity
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(3, rep.dim, rep.dim)) + 1j * rng.normal(
+        size=(3, rep.dim, rep.dim))
+    Q = rep.intertwiner
+    if Q is None:
+        assert rep.from_canonical(X) is X
+        assert np.array_equal(rep.frame, np.eye(rep.dim))
+    else:
+        want = np.stack([Q @ x @ Q.conj().T for x in X])
+        assert np.abs(rep.from_canonical(X) - want).max() <= 1e-14
+        assert np.abs(rep.from_canonical(X[1]) - want[1]).max() <= 1e-14
+        assert rep.frame is Q
+    g = (random_su2(rng) if su2 else GroupElement.zn(2, rep.modulus))
+    blocks = groups._block_diag([wigner_D(lab, g) for lab in rep.blocks])
+    assert np.abs(rep_matrix(rep, g) - rep.frame @ blocks
+                  @ rep.frame.conj().T).max() <= 1e-14
+
+
+def test_rep_refuses_z_n_blocks_of_different_moduli():
+    with pytest.raises(ValueError, match="moduli"):
+        RepSpec("zn", (IrrepLabel.zn(0, 3), IrrepLabel.zn(1, 5)))
+    with pytest.raises(ValueError, match="moduli"):
+        RepSpec("zn", (IrrepLabel.zn(1, 4), IrrepLabel.zn(1, 4),
+                       IrrepLabel.zn(0, 2)))
 
 
 def test_cgc_orthogonality_exact():
@@ -464,14 +534,17 @@ def test_cg_blocks_at_large_spin_match_racah():
 
 def test_groups_loads_no_scipy():
     # the Clebsch-Gordan blocks are solved, cached and read with numpy
-    # alone
+    # alone; the child imports this checkout's symmetria
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     r = subprocess.run(
         [sys.executable, "-c",
          "import sys, numpy as np, symmetria.groups as g\n"
          "g.cg_layout(np.array([3, 1]), np.array([2, 1]))\n"
          "g.cg_rows(2, 2, 4)\n"
          "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
 
 

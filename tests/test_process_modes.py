@@ -668,11 +668,17 @@ def test_row_arrays_match_the_label_loop(case):
                           [not d.lam.is_trivial for d, _ in labels])
     # one Diagram object per diagram, shared by its rows
     assert len({id(m.diagram) for m in basis.modes}) == len(spans)
-    if LABEL_CASES[case] is None:
-        return  # the printed table's coupling is complex: no product reads it
-    # an irrep of another group or modulus selects no row
     rep_in, rep_out = basis.rep_in, basis.rep_out
     S = random_cptp(rep_in.dim, rep_out.dim, np.random.default_rng(50))
+    if LABEL_CASES[case] is None:
+        # the printed table's coupling is complex: every product refuses it
+        for product in (decompose, is_symmetric):
+            with pytest.raises(ValueError, match="coupling"):
+                product(S, basis)
+        with pytest.raises(ValueError, match="coupling"):
+            project_isotypic_basis(S, IrrepLabel.su2(0), basis)
+        return
+    # an irrep of another group or modulus selects no row
     for foreign in (IrrepLabel.su2(0) if rep_in.kind == "zn"
                     else IrrepLabel.zn(0, 2), IrrepLabel.zn(0, 11)):
         assert project_isotypic_basis(S, foreign, basis).norm() == 0.0
